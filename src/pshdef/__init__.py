@@ -10,28 +10,21 @@ from .wirtinger import (
     Monomial,
     WPoly,
     abs2,
-    antiderivative_z,
     canonical_str,
-    conjugate,
     im_w,
     im_z,
     re_w,
     re_z,
     realify,
-    truncate_degree,
-    wirtinger_deriv,
 )
 from .cr import (
     DefiningFunction,
     NormalFormError,
-    TangentVector,
     gradient_z_sq,
-    hessian_apply,
     hessian_entries,
     hessian_minor_det,
     levi_form,
     levi_origin_value,
-    tangent_basis_vector,
     validate_normal_form,
 )
 

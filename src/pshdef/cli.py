@@ -24,6 +24,7 @@ from .exprparse import ExprSyntaxError, parse_rpoly, parse_wpoly
 from .gaussrat import format_gaussian
 from .report import dumps_report, envelope, hessian_csv, shell_csv
 from .verify import (
+    H_MIN,
     ProbeConfigurationError,
     identity_check_prop31,
     levi_scan,
@@ -365,7 +366,7 @@ def _cmd_verify_real(args) -> int:
     messages = ["identity and necessary-condition checks are complex-lane only"]
     rho = h * r.poly
     check = real_hessian_check(rho, shell, args.tol)
-    floor_ok = bool(habs.min() >= 0.5)
+    floor_ok = bool(habs.min() >= H_MIN)
     if not floor_ok:
         messages.append("h drops below 1/2 on the shell; Hessian sign is unreliable")
     status = "pass" if (check.passed and floor_ok) else "fail"

@@ -32,6 +32,7 @@ from .dominance import (
 from .gaussrat import GaussianRational
 from .numeval import compiled
 from .verify import (
+    H_MIN,
     hessian_values,
     identity_check_prop31,
     levi_scan,
@@ -40,9 +41,8 @@ from .verify import (
     psd_stats,
     sample_boundary,
 )
-from .wirtinger import WPoly, antiderivative_z, canonical_str, realify
+from .wirtinger import WPoly, canonical_str, realify
 
-H_MIN = 0.5
 SHRINK = 0.25
 
 
@@ -249,7 +249,7 @@ def solve_stage(S: WPoly, j: int = 0):
     residual the extra term d/dz_j of the conjugated antiderivative, so
     d/dz_j T_inc = 2iS + residual holds exactly.
     """
-    q = antiderivative_z(S.scale(GaussianRational(0, Fraction(2))), j)
+    q = S.scale(GaussianRational(0, Fraction(2))).antideriv_z(j)
     T_inc = realify(q)
     residual = q.conjugate().dz(j)
     return T_inc, residual
@@ -300,6 +300,31 @@ def _scan_points(r, shell, probes, radius):
     return shell.Z, shell.W
 
 
+def k_ladder(base, step, max_k_exp: int, stats):
+    """Walk K = 1, 2, 4, ..., 2^max_k_exp until the Hessian base + K step
+    passes.
+
+    stats maps a Hessian stack to its PsdCheckResult.  Returns the ladder
+    rows, the last K tried and its result.
+    """
+    ladder = []
+    for e in range(max_k_exp + 1):
+        K = 2**e
+        st = stats(base + K * step)
+        ladder.append(
+            {
+                "K": K,
+                "min_diag": st.min_diag,
+                "min_minor": st.min_minor,
+                "min_eig": st.min_eig,
+                "passed": st.passed,
+            }
+        )
+        if st.passed:
+            break
+    return ladder, K, st
+
+
 def k_search(
     r: DefiningFunction,
     T: WPoly,
@@ -315,12 +340,9 @@ def k_search(
     """
     config = config or ConstructConfig()
     probes = probes if probes is not None else default_probes(r.nz, config.seed)
-    n = r.nz + 1
     one = WPoly.one(r.nz)
     radius = config.radius
     shrunk = False
-    ladder = []
-    last_stats = None
     for attempt in (0, 1):
         shell = sample_boundary(r, radius, config.samples, config.seed)
         habs = np.abs(compiled(one + T).eval(shell.Z, shell.W))
@@ -335,27 +357,15 @@ def k_search(
             + [compiled(r.d_w()).eval(Z, W)],
             axis=1,
         )
-        rank1 = G[:, :, None] * np.conj(G)[:, None, :]
-        ladder = []
-        for e in range(config.max_k_exp + 1):
-            K = 2**e
-            st = psd_stats(base + (2.0 * K) * rank1, Z, W, config.tol)
-            ladder.append(
-                {
-                    "K": K,
-                    "min_diag": st.min_diag,
-                    "min_minor": st.min_minor,
-                    "min_eig": st.min_eig,
-                    "passed": st.passed,
-                }
-            )
-            last_stats = (st, K)
-            if st.passed:
-                return KSearchResult(True, K, ladder, None, radius, shrunk)
+        step = 2.0 * (G[:, :, None] * np.conj(G)[:, None, :])
+        ladder, K, st = k_ladder(
+            base, step, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
+        )
+        if st.passed:
+            return KSearchResult(True, K, ladder, None, radius, shrunk)
         if attempt == 0:
             radius *= SHRINK
             shrunk = True
-    st, K = last_stats
     witness = {
         "K": K,
         "point": st.worst_point,
@@ -683,16 +693,3 @@ def _all_absorbed(stages) -> list:
     for s in stages:
         out.extend(s.absorbed)
     return out
-
-
-def cn_simultaneous(
-    r: DefiningFunction, config: ConstructConfig | None = None
-) -> ConstructionReport:
-    """Simultaneous per-coordinate construction for n >= 3.
-
-    The staged loop already solves one shared T against every
-    coordinate's equation (per-j splits, mixed-derivative cross-checks,
-    merge with conflict detection), so this entry point is a named alias;
-    n = 2 inputs land in the single-coordinate flow unchanged.
-    """
-    return run_construction(r, config)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gaussrat import GaussianRational
-from .wirtinger import Monomial, WPoly, abs2, im_w
+from .wirtinger import Monomial, WPoly, im_w
 
 # coefficient of w in Im w: 1/(2i)
 _W_COEFF = GaussianRational(0, Fraction(-1, 2))
@@ -67,11 +67,6 @@ class DefiningFunction:
     def nz(self) -> int:
         return self.poly.nz
 
-    @property
-    def n(self) -> int:
-        """Ambient complex dimension."""
-        return self.poly.nz + 1
-
     def higher_order_part(self) -> WPoly:
         """F = r - Im w (all terms of degree >= 2)."""
         return self.poly - im_w(self.poly.nz)
@@ -102,67 +97,12 @@ class DefiningFunction:
         return self.cached("gradsq", lambda: gradient_z_sq(self))
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Components over (z_1..z_m, w); entries either WPoly or complex numbers."""
-
-    components: tuple
-
-    def conjugated(self):
-        out = []
-        for c in self.components:
-            out.append(c.conjugate() if isinstance(c, WPoly) else complex(c).conjugate())
-        return tuple(out)
-
-
-def tangent_basis_vector(r: DefiningFunction, j: int = 0) -> TangentVector:
-    """v_j: r_w in slot j, -r_{z_j} in the w slot, zero elsewhere."""
-    comps = [WPoly.zero(r.nz) for _ in range(r.nz + 1)]
-    comps[j] = r.d_w()
-    comps[r.nz] = -r.d_z(j)
-    return TangentVector(tuple(comps))
-
-
 def hessian_entries(f: WPoly) -> list[list[WPoly]]:
     """H[j][k] = f_{x_j xbar_k} with slots (z_1..z_m, w)."""
     first = [f.dz(j) for j in range(f.nz)] + [f.dw()]
     return [
         [d.dzbar(k) for k in range(f.nz)] + [d.dwbar()] for d in first
     ]
-
-
-def hessian_apply(f: WPoly, xi: TangentVector):
-    """Complex Hessian of f applied to xi: sum f_{jk} xi_j conj(xi_k).
-
-    Symbolic (WPoly components) stays exact; numeric components give the
-    pointwise machinery used by finite-difference cross-checks.
-    """
-    H = hessian_entries(f)
-    comps = xi.components
-    conj = xi.conjugated()
-    symbolic = any(isinstance(c, WPoly) for c in comps)
-    if symbolic:
-        acc = WPoly.zero(f.nz)
-        for j in range(f.nz + 1):
-            for k in range(f.nz + 1):
-                acc = acc + H[j][k] * comps[j] * conj[k]
-        return acc
-    raise TypeError("numeric application needs a point; use hessian_apply_at")
-
-
-def hessian_apply_at(f: WPoly, xi_values, z, w):
-    """Numeric Hessian form at a point with constant vector xi_values."""
-    H = hessian_entries(f)
-    n = f.nz + 1
-    acc = 0j
-    for j in range(n):
-        for k in range(n):
-            acc += (
-                H[j][k].eval(z, w)
-                * complex(xi_values[j])
-                * complex(xi_values[k]).conjugate()
-            )
-    return acc
 
 
 def hessian_minor_det(f: WPoly, j: int = 0) -> WPoly:

@@ -3,8 +3,10 @@
 Domains {r < 0} in R^n with r = y + G(x, y), G of degree >= 2, so r_y is 1
 near 0.  Because r_y is real it already solves the log-derivative equation,
 and the whole staged construction collapses to the fixed choice T = r_y plus
-a ladder over K.  Floors and ladder limits are transplanted verbatim from
-the complex lane.
+a ladder over K.  The lane runs on the complex lane's numeric core: the
+compiled evaluator (`numeval`), the Halton ball sampler, the Newton solver,
+the PSD statistics and the h floor (`verify`), and the K ladder and radius
+shrink (`construct`).  Only the coordinates differ.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -22,21 +24,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc, norm as _gauss
 
-from .construct import H_MIN, SHRINK, KSearchResult
+from .construct import SHRINK, KSearchResult, k_ladder
+from .gaussrat import format_fraction
+from .numeval import compiled
 from .verify import (
-    NEWTON_TARGET,
-    RESIDUAL_BOUND,
     DEFAULT_TOL,
-    ProbeConfigurationError,
+    H_MIN,
     PsdCheckResult,
-    least_eigenvalues,
+    Shell,
+    hessian_stack,
+    newton,
+    point_norms,
+    psd_result,
+    sample_ball,
 )
-
-
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 class RPoly:
@@ -45,11 +47,12 @@ class RPoly:
     Exponent keys are tuples of length nx + 1, the last slot for y.
     """
 
-    __slots__ = ("nx", "terms")
+    __slots__ = ("nx", "terms", "_compiled")
 
     def __init__(self, nx: int, terms: dict):
         self.nx = nx
         self.terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        self._compiled = None
 
     # -- constructors --
 
@@ -175,16 +178,7 @@ class RPoly:
         """Values at rows of X (m, nx) and Y (m,), float64."""
         Y = np.asarray(Y, dtype=np.float64)
         X = np.asarray(X, dtype=np.float64).reshape(len(Y), self.nx)
-        out = np.zeros(len(Y))
-        for e, c in self.terms.items():
-            term = np.full(len(Y), float(c))
-            for j in range(self.nx):
-                if e[j]:
-                    term = term * X[:, j] ** e[j]
-            if e[-1]:
-                term = term * Y ** e[-1]
-            out += term
-        return out
+        return compiled(self).eval(X, Y)
 
     def canonical_str(self) -> str:
         return canonical_rstr(self)
@@ -216,7 +210,7 @@ def canonical_rstr(p: RPoly) -> str:
         if negated:
             c = -c
         body = mono if (c == 1 and mono) else (
-            _fmt_fraction(c) if not mono else f"{_fmt_fraction(c)} * {mono}"
+            format_fraction(c) if not mono else f"{format_fraction(c)} * {mono}"
         )
         if not pieces:
             pieces.append(("-" if negated else "") + body)
@@ -284,9 +278,6 @@ class RealDefiningFunction:
     def d_y(self) -> RPoly:
         return self.cached("dy", lambda: self.poly.d_y())
 
-    def higher_order_part(self) -> RPoly:
-        return self.cached("G", lambda: self.poly - RPoly.var_y(self.nx))
-
 
 # -- boundary sampling ----------------------------------------------------
 
@@ -297,44 +288,20 @@ def project_to_real_boundary(r: RealDefiningFunction, X):
     Returns (Y, ok) where ok flags points with |r| <= 1e-12.
     """
     X = np.asarray(X, dtype=np.float64).reshape(-1, r.nx)
-    Y = np.zeros(len(X))
     ry = r.d_y()
-    vals = r.poly.eval(X, Y)
-    for _ in range(60):
-        if np.max(np.abs(vals), initial=0.0) <= NEWTON_TARGET:
-            break
-        slope = ry.eval(X, Y)
-        slope = np.where(np.abs(slope) < 1e-6, np.sign(slope + 1e-30), slope)
-        Y = Y - vals / slope
-        vals = r.poly.eval(X, Y)
-    ok = np.abs(vals) <= RESIDUAL_BOUND
-    return Y, np.asarray(ok)
+    return newton(lambda Y: r.poly.eval(X, Y), lambda Y: ry.eval(X, Y), np.zeros(len(X)))
 
 
 @dataclass
-class RealShell:
-    """Boundary sample: points (x, y) within the closed ball of `radius`."""
+class RealShell(Shell):
+    """Points (x, y) on the boundary."""
 
-    radius: float
-    seed: int
     X: np.ndarray  # (count, nx)
     Y: np.ndarray  # (count,)
     residuals: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return len(self.Y)
-
     def norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.X**2, axis=1) + self.Y**2)
-
-    def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "seed": self.seed,
-            "count": self.count,
-            "max_residual": float(np.max(self.residuals)) if self.count else 0.0,
-        }
+        return point_norms(self.X, self.Y)
 
 
 def sample_real_boundary(
@@ -345,34 +312,15 @@ def sample_real_boundary(
 ) -> RealShell:
     """Low-discrepancy boundary points filling the ball of the given radius.
 
-    The x coordinates are Halton-distributed in a ball of 0.93*radius and y
-    is Newton-solved; out-of-ball or non-convergent points are dropped and
-    topped up deterministically.
+    The x coordinates fill the ball (see `verify.sample_ball`); y is
+    Newton-solved.
     """
-    nx = r.nx
-    sampler = qmc.Halton(d=nx + 1, scramble=True, seed=seed)
-    Xs, Ys = [], []
-    have = 0
-    for _ in range(8):
-        raw = sampler.random(max(64, int((count - have) * 1.25)))
-        dirs = _gauss.ppf(raw[:, :nx])
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radial = 0.93 * radius * raw[:, nx] ** (1.0 / nx)
-        X = dirs * radial[:, None]
+
+    def lift(X):
         Y, ok = project_to_real_boundary(r, X)
-        full = np.sqrt(np.sum(X**2, axis=1) + Y**2)
-        keep = ok & (full <= radius)
-        Xs.append(X[keep])
-        Ys.append(Y[keep])
-        have += int(np.sum(keep))
-        if have >= count:
-            break
-    if have < count:
-        raise ProbeConfigurationError(
-            f"only {have}/{count} boundary points projectable at radius {radius}"
-        )
-    X = np.concatenate(Xs)[:count]
-    Y = np.concatenate(Ys)[:count]
+        return (X, Y), ok
+
+    X, Y = sample_ball(r.nx, radius, count, seed, lift)
     res = np.abs(r.poly.eval(X, Y))
     return RealShell(radius=radius, seed=seed, X=X, Y=Y, residuals=res)
 
@@ -398,17 +346,7 @@ def real_hessian_entries(f: RPoly) -> list:
 
 def real_hessian_values(f: RPoly, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Real Hessian of f at each point: array (m, n, n), symmetric."""
-    n = f.nx + 1
-    H = real_hessian_entries(f)
-    m = len(Y)
-    out = np.empty((m, n, n))
-    for a in range(n):
-        for b in range(a, n):
-            vals = H[a][b].eval(X, Y)
-            out[:, a, b] = vals
-            if b != a:
-                out[:, b, a] = vals
-    return out
+    return hessian_stack(real_hessian_entries(f), X, Y, np.float64)
 
 
 def _real_point_dict(X, Y, i) -> dict:
@@ -419,29 +357,7 @@ def _real_point_dict(X, Y, i) -> dict:
 
 
 def real_psd_stats(H: np.ndarray, X, Y, tol: float) -> PsdCheckResult:
-    n = H.shape[-1]
-    diags = np.stack([H[:, a, a] for a in range(n)], axis=1)
-    minors = np.stack(
-        [
-            H[:, j, j] * H[:, n - 1, n - 1] - H[:, j, n - 1] ** 2
-            for j in range(n - 1)
-        ],
-        axis=1,
-    )
-    eigs = least_eigenvalues(H)
-    i = int(np.argmin(eigs))
-    passed = bool(
-        np.min(diags) >= -tol and np.min(minors) >= -tol and np.min(eigs) >= -tol
-    )
-    return PsdCheckResult(
-        passed=passed,
-        tol=tol,
-        min_diag=float(np.min(diags)),
-        min_minor=float(np.min(minors)),
-        min_eig=float(np.min(eigs)),
-        worst_point=_real_point_dict(X, Y, i),
-        count=len(Y),
-    )
+    return psd_result(H, tol, lambda i: _real_point_dict(X, Y, i))
 
 
 def real_hessian_check(f: RPoly, shell: RealShell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
@@ -608,51 +524,32 @@ def convex_multiplier(
     # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2: Hessian is linear in K
     base = real_hessian_values(r.poly + r.poly * ry, shell.X, shell.Y)
     quad = real_hessian_values(r.poly * r.poly, shell.X, shell.Y)
-    ladder = []
-    found = None
-    for e in range(config.max_k_exp + 1):
-        K = 2**e
-        stats = real_psd_stats(base + K * quad, shell.X, shell.Y, config.tol)
-        ladder.append(
-            {
-                "K": K,
-                "min_diag": stats.min_diag,
-                "min_minor": stats.min_minor,
-                "min_eig": stats.min_eig,
-                "passed": stats.passed,
-            }
-        )
-        if stats.passed:
-            found = (K, stats)
-            break
-
-    ks = KSearchResult(
-        found=found is not None,
-        K=found[0] if found else None,
-        ladder=ladder,
-        witness=None,
-        radius=radius,
-        shrunk=shrunk,
+    ladder, K, stats = k_ladder(
+        base,
+        quad,
+        config.max_k_exp,
+        lambda H: real_psd_stats(H, shell.X, shell.Y, config.tol),
     )
-    if found is None:
-        last = ladder[-1]
-        ks.witness = {
-            "K": last["K"],
-            "min_eig": last["min_eig"],
-            "min_minor": last["min_minor"],
-            "min_diag": last["min_diag"],
+    witness = None
+    if not stats.passed:
+        witness = {
+            "K": K,
+            "min_eig": stats.min_eig,
+            "min_minor": stats.min_minor,
+            "min_diag": stats.min_diag,
         }
-        report.k_search = ks.as_dict()
+    report.k_search = KSearchResult(
+        stats.passed, K if stats.passed else None, ladder, witness, radius, shrunk
+    ).as_dict()
+    if witness is not None:
         report.obstruction = {
             "kind": "k_search_failed",
             "claim": "no ladder K makes the product Hessian positive "
             "semi-definite on the shell",
-            "witness": ks.witness,
+            "witness": witness,
         }
         return report
 
-    K, stats = found
-    report.k_search = ks.as_dict()
     report.status = "Certified"
     report.final = {
         "T": canonical_rstr(ry),

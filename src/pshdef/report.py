@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 
-import numpy as np
+from .verify import hessian_values, psd_arrays
 
 SCHEMA_VERSION = 1
 
@@ -73,36 +73,13 @@ def shell_csv(shell) -> str:
 def hessian_csv(f, shell) -> str:
     """Per-point Hessian statistics table for f over the shell."""
     if hasattr(shell, "W"):
-        from .verify import hessian_values, least_eigenvalues
-
         H = hessian_values(f, shell.Z, shell.W)
-        n = H.shape[-1]
-        diags = np.stack([H[:, a, a].real for a in range(n)], axis=1)
-        minors = np.stack(
-            [
-                (
-                    H[:, j, j] * H[:, n - 1, n - 1] - H[:, j, n - 1] * H[:, n - 1, j]
-                ).real
-                for j in range(n - 1)
-            ],
-            axis=1,
-        )
-        eigs = least_eigenvalues(H)
     else:
         from .realconvex import real_hessian_values
-        from .verify import least_eigenvalues
 
         H = real_hessian_values(f, shell.X, shell.Y)
-        n = H.shape[-1]
-        diags = np.stack([H[:, a, a] for a in range(n)], axis=1)
-        minors = np.stack(
-            [
-                H[:, j, j] * H[:, n - 1, n - 1] - H[:, j, n - 1] ** 2
-                for j in range(n - 1)
-            ],
-            axis=1,
-        )
-        eigs = least_eigenvalues(H)
+    diags, minors, eigs = psd_arrays(H)
+    n = H.shape[-1]
     cols = ["index"]
     cols += [f"diag_{a + 1}" for a in range(n)]
     cols += [f"minor_{j + 1}" for j in range(n - 1)]

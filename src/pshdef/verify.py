@@ -4,26 +4,27 @@ Boundary points come from a low-discrepancy tangential sample with Im w
 recovered by 1-D Newton (residual <= 1e-12).  PSD checks look at Hessian
 diagonals, all z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the
 closed-form eigenvalue, larger n a batched solve.  Everything is
-deterministic under a fixed seed.
+deterministic under a fixed seed.  The ball sampler, the Newton solver,
+the PSD statistics and the h floor serve the real lane too.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.stats import qmc, norm as _gauss
 
 from .gaussrat import GaussianRational
-from .cr import DefiningFunction, hessian_entries, hessian_minor_det, levi_form
+from .cr import DefiningFunction, hessian_entries, hessian_minor_det
 from .numeval import compiled
 from .wirtinger import WPoly
 
 NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
 DEFAULT_TOL = 1e-9
+H_MIN = 0.5  # floor on |h| (and |1 + T|) over a shell
 
 
 class ProbeConfigurationError(RuntimeError):
@@ -35,6 +36,24 @@ def _dv_poly(r: DefiningFunction) -> WPoly:
     return r.cached(
         "dv", lambda: (r.d_w() - r.d_wbar()).scale(GaussianRational(0, 1))
     )
+
+
+def newton(value, slope, v):
+    """Solve value(v) = 0 per point by Newton steps from v.
+
+    Stops after 60 steps or once every |value| <= NEWTON_TARGET; slopes
+    smaller than 1e-6 in size are clamped to +-1.  Returns (v, ok) where ok
+    flags points with |value| <= RESIDUAL_BOUND.
+    """
+    vals = value(v)
+    for _ in range(60):
+        if np.max(np.abs(vals), initial=0.0) <= NEWTON_TARGET:
+            break
+        s = slope(v)
+        s = np.where(np.abs(s) < 1e-6, np.sign(s + 1e-30), s)
+        v = v - vals / s
+        vals = value(v)
+    return v, np.abs(vals) <= RESIDUAL_BOUND
 
 
 def project_to_boundary(r: DefiningFunction, Z, U, dtype=np.complex128, targets=None):
@@ -50,38 +69,32 @@ def project_to_boundary(r: DefiningFunction, Z, U, dtype=np.complex128, targets=
     U = np.asarray(U, dtype=np.float64)
     tgt = 0.0 if targets is None else np.asarray(targets, dtype=np.float64)
     V = np.zeros(len(U), dtype=np.longdouble if dtype == np.clongdouble else np.float64)
-    W = U + 1j * V
-    vals = rp.eval(Z, W.astype(dtype)).real - tgt
-    for _ in range(60):
-        if np.max(np.abs(vals)) <= NEWTON_TARGET:
-            break
-        slope = rv.eval(Z, W.astype(dtype)).real
-        slope = np.where(np.abs(slope) < 1e-6, np.sign(slope + 1e-30), slope)
-        V = V - vals / slope
-        W = U + 1j * V
-        vals = rp.eval(Z, W.astype(dtype)).real - tgt
-    ok = np.abs(vals) <= RESIDUAL_BOUND
-    return W.astype(np.complex128), np.asarray(ok)
+    V, ok = newton(
+        lambda V: rp.eval(Z, (U + 1j * V).astype(dtype)).real - tgt,
+        lambda V: rv.eval(Z, (U + 1j * V).astype(dtype)).real,
+        V,
+    )
+    return (U + 1j * V).astype(np.complex128), ok
+
+
+def point_norms(P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each point (P[i], q[i]), complex or real."""
+    return np.sqrt(np.sum(np.abs(P) ** 2, axis=1) + np.abs(q) ** 2)
 
 
 @dataclass
-class BoundaryShell:
-    """Boundary sample: points (z, w) within the closed ball of `radius`."""
+class Shell:
+    """Boundary sample within the closed ball of `radius`.
+
+    Subclasses hold the points of one lane and a residual per point.
+    """
 
     radius: float
     seed: int
-    Z: np.ndarray  # (count, nz) complex
-    W: np.ndarray  # (count,) complex
-    residuals: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.W)
-
-    def norms(self) -> np.ndarray:
-        return np.sqrt(
-            np.sum(np.abs(self.Z) ** 2, axis=1) + np.abs(self.W) ** 2
-        )
+        return len(self.residuals)
 
     def as_dict(self) -> dict:
         return {
@@ -92,6 +105,49 @@ class BoundaryShell:
         }
 
 
+@dataclass
+class BoundaryShell(Shell):
+    """Points (z, w) on the boundary."""
+
+    Z: np.ndarray  # (count, nz) complex
+    W: np.ndarray  # (count,) complex
+    residuals: np.ndarray
+
+    def norms(self) -> np.ndarray:
+        return point_norms(self.Z, self.W)
+
+
+def sample_ball(d: int, radius: float, count: int, seed: int, lift):
+    """Boundary points over a low-discrepancy fill of a ball.
+
+    Tangential coordinates are Halton-distributed in the ball of
+    0.93*radius in R^d.  lift(coords) solves for the rest of each point and
+    returns ((P, q), ok): the points as in `point_norms` and a convergence
+    flag.  Non-convergent or out-of-ball points are dropped and topped up
+    deterministically, for at most 8 rounds.  Returns P and q, cut to
+    `count` points.
+    """
+    sampler = qmc.Halton(d=d + 1, scramble=True, seed=seed)
+    kept = []
+    have = 0
+    for _ in range(8):
+        raw = sampler.random(max(64, int((count - have) * 1.25)))
+        dirs = _gauss.ppf(raw[:, :d])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radial = 0.93 * radius * raw[:, d] ** (1.0 / d)
+        parts, ok = lift(dirs * radial[:, None])
+        keep = ok & (point_norms(*parts) <= radius)
+        kept.append([a[keep] for a in parts])
+        have += int(np.sum(keep))
+        if have >= count:
+            break
+    if have < count:
+        raise ProbeConfigurationError(
+            f"only {have}/{count} boundary points projectable at radius {radius}"
+        )
+    return [np.concatenate(arrays)[:count] for arrays in zip(*kept)]
+
+
 def sample_boundary(
     r: DefiningFunction,
     radius: float,
@@ -100,40 +156,19 @@ def sample_boundary(
 ) -> BoundaryShell:
     """Low-discrepancy boundary points filling the ball of the given radius.
 
-    Tangential coordinates (Re z, Im z, Re w) are Halton-distributed in a
-    ball of 0.93*radius; Im w is Newton-solved.  Non-convergent or
-    out-of-ball points are dropped and topped up deterministically.
+    Tangential coordinates (Re z, Im z, Re w) fill the ball (see
+    `sample_ball`); Im w is Newton-solved.
     """
     nz = r.nz
-    d = 2 * nz + 1
     dtype = np.clongdouble if radius < 1e-4 else np.complex128
-    sampler = qmc.Halton(d=d + 1, scramble=True, seed=seed)
-    rp = compiled(r.poly)
-    Zs, Ws = [], []
-    have = 0
-    for _ in range(8):
-        raw = sampler.random(max(64, int((count - have) * 1.25)))
-        dirs = _gauss.ppf(raw[:, :d])
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radial = 0.93 * radius * raw[:, d] ** (1.0 / d)
-        coords = dirs * radial[:, None]
+
+    def lift(coords):
         Z = coords[:, :nz] + 1j * coords[:, nz : 2 * nz]
-        U = coords[:, -1]
-        W, ok = project_to_boundary(r, Z, U, dtype=dtype)
-        full = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
-        keep = ok & (full <= radius)
-        Zs.append(Z[keep])
-        Ws.append(W[keep])
-        have += int(np.sum(keep))
-        if have >= count:
-            break
-    if have < count:
-        raise ProbeConfigurationError(
-            f"only {have}/{count} boundary points projectable at radius {radius}"
-        )
-    Z = np.concatenate(Zs)[:count]
-    W = np.concatenate(Ws)[:count]
-    res = np.abs(rp.eval(Z, W).real)
+        W, ok = project_to_boundary(r, Z, coords[:, -1], dtype=dtype)
+        return (Z, W), ok
+
+    Z, W = sample_ball(2 * nz + 1, radius, count, seed, lift)
+    res = np.abs(compiled(r.poly).eval(Z, W).real)
     return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
 
 
@@ -153,8 +188,7 @@ def sample_collar(
     shell = sample_boundary(r, radius, count, seed)
     targets = -delta * (np.arange(shell.count) + 0.5) / shell.count
     W, ok = project_to_boundary(r, shell.Z, shell.W.real, targets=targets)
-    norms = np.sqrt(np.sum(np.abs(shell.Z) ** 2, axis=1) + np.abs(W) ** 2)
-    keep = ok & (norms <= radius)
+    keep = ok & (point_norms(shell.Z, W) <= radius)
     if not np.any(keep):
         raise ProbeConfigurationError(
             f"no collar points projectable at radius {radius}, delta {delta}"
@@ -167,12 +201,14 @@ def sample_collar(
 # -- Hessian evaluation ---------------------------------------------------
 
 
-def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Complex Hessian of f at each point: array (m, n, n), Hermitian."""
-    n = f.nz + 1
-    H = hessian_entries(f)
-    m = len(W)
-    out = np.empty((m, n, n), dtype=complex)
+def hessian_stack(H: list, Z, W, dtype) -> np.ndarray:
+    """Values (m, n, n) of the n x n Hessian entry table H at each point.
+
+    Entries on and above the diagonal are evaluated; those below are their
+    conjugates.
+    """
+    n = len(H)
+    out = np.empty((len(W), n, n), dtype=dtype)
     for j in range(n):
         for k in range(j, n):
             vals = compiled(H[j][k]).eval(Z, W)
@@ -180,6 +216,11 @@ def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
             if k != j:
                 out[:, k, j] = np.conj(vals)
     return out
+
+
+def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Complex Hessian of f at each point: array (m, n, n), Hermitian."""
+    return hessian_stack(hessian_entries(f), Z, W, complex)
 
 
 def least_eigenvalues(H: np.ndarray) -> np.ndarray:
@@ -224,7 +265,15 @@ def _point_dict(Z, W, i) -> dict:
     }
 
 
-def psd_stats(H: np.ndarray, Z, W, tol: float) -> PsdCheckResult:
+def psd_arrays(H: np.ndarray):
+    """Per-point PSD statistics of a Hermitian (or real symmetric) stack.
+
+    Returns the diagonals (m, n), the 2x2 minors of each slot with the
+    last one (m, n - 1) and the least eigenvalues (m,).  An empty stack
+    raises ValueError: no points are no evidence.
+    """
+    if not len(H):
+        raise ValueError("PSD statistics need at least one point")
     n = H.shape[-1]
     diags = np.stack([H[:, j, j].real for j in range(n)], axis=1)
     minors = np.stack(
@@ -235,21 +284,31 @@ def psd_stats(H: np.ndarray, Z, W, tol: float) -> PsdCheckResult:
         ],
         axis=1,
     )
-    eigs = least_eigenvalues(H)
-    min_diag = float(diags.min()) if len(diags) else 0.0
-    min_minor = float(minors.min()) if len(minors) else 0.0
-    min_eig = float(eigs.min()) if len(eigs) else 0.0
-    worst_i = int(np.argmin(eigs)) if len(eigs) else 0
-    passed = min(min_diag, min_minor, min_eig) >= -tol
+    return diags, minors, least_eigenvalues(H)
+
+
+def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
+    """The pass rule: every diagonal, minor and least eigenvalue >= -tol.
+
+    point(i) describes point i for the report's worst point.
+    """
+    diags, minors, eigs = psd_arrays(H)
+    min_diag = float(diags.min())
+    min_minor = float(minors.min())
+    min_eig = float(eigs.min())
     return PsdCheckResult(
-        passed=bool(passed),
+        passed=bool(min(min_diag, min_minor, min_eig) >= -tol),
         tol=tol,
         min_diag=min_diag,
         min_minor=min_minor,
         min_eig=min_eig,
-        worst_point=_point_dict(Z, W, worst_i) if len(eigs) else {},
+        worst_point=point(int(np.argmin(eigs))),
         count=len(eigs),
     )
+
+
+def psd_stats(H: np.ndarray, Z, W, tol: float) -> PsdCheckResult:
+    return psd_result(H, tol, lambda i: _point_dict(Z, W, i))
 
 
 def psd_check(f: WPoly, shell: BoundaryShell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
@@ -430,7 +489,7 @@ def necessary_conditions_check(
     nz = r.nz
     Z, W = shell.Z, shell.W
     habs = np.abs(compiled(h).eval(Z, W))
-    if habs.min() < 0.5:
+    if habs.min() < H_MIN:
         raise ValueError("h vanishes (|h| < 1/2) on the sampled shell")
     rho = h * r.poly
     p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary

@@ -12,7 +12,7 @@ Floats appear only in `eval`; everything else is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .gaussrat import GaussianRational, format_gaussian, INV_2I
 
@@ -338,42 +338,12 @@ def _set_exp(m: Monomial, field: str, j: int, e: int) -> Monomial:
     return m._replace(d=e)
 
 
-# -- string-dispatch wrappers ---------------------------------------------
-
-
-def wirtinger_deriv(p: WPoly, var: str) -> WPoly:
-    """Formal partial by variable name: "z", "z2", "zbar", "zbar3", "w", "wbar"."""
-    if var == "w":
-        return p.dw()
-    if var == "wbar":
-        return p.dwbar()
-    if var.startswith("zbar"):
-        j = int(var[4:] or 1) - 1
-        return p.dzbar(j)
-    if var.startswith("z"):
-        j = int(var[1:] or 1) - 1
-        return p.dz(j)
-    raise ValueError(f"unknown variable {var!r}")
-
-
-def antiderivative_z(p: WPoly, j: int = 0) -> WPoly:
-    return p.antideriv_z(j)
+# -- real-part builders --------------------------------------------------
 
 
 def realify(q: WPoly) -> WPoly:
     """q + conj(q); always a real polynomial."""
     return q + q.conjugate()
-
-
-def conjugate(p: WPoly) -> WPoly:
-    return p.conjugate()
-
-
-def truncate_degree(p: WPoly, cap: int) -> WPoly:
-    return p.truncate(cap)
-
-
-# -- real-part builders --------------------------------------------------
 
 
 def re_z(nz: int, j: int = 0) -> WPoly:

@@ -1,5 +1,6 @@
 """Command surface: parsing, exit codes, JSON reports, golden files."""
 
+import csv
 import json
 import random
 import subprocess
@@ -322,6 +323,35 @@ def test_verify_collar_and_csv(capsys, tmp_path):
     assert pts.read_text().splitlines()[0] == "index,re_z,im_z,re_w,im_w,residual"
     header = stats.read_text().splitlines()[0]
     assert header == "index,diag_1,diag_2,minor_1,least_eig"
+
+
+def csv_minima(path):
+    """Minima of the diag_*, minor_* and least_eig columns of a stats CSV."""
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+
+    def lowest(prefix):
+        return min(float(v) for row in rows for k, v in row.items() if k.startswith(prefix))
+
+    return lowest("diag_"), lowest("minor_"), lowest("least_eig")
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["--r", R10, "--h", "1 - 4*Im(z)", "--K", "64"], "psd"),
+        (["--r", "y + x1^2 + x2^4", "--nz", "2", "--h", "2 + y", "--real"], "hessian"),
+    ],
+    ids=["complex", "real"],
+)
+def test_verify_csv_stats_match_check(capsys, tmp_path, argv, check):
+    stats = tmp_path / "stats.csv"
+    code, out, _ = run(
+        capsys, "verify", *argv, "--samples", "200", "--csv-stats", str(stats), "--json"
+    )
+    assert code in (0, 1)
+    d = json.loads(out)["checks"][check]
+    assert csv_minima(stats) == (d["min_diag"], d["min_minor"], d["min_eig"])
 
 
 def test_verify_real_accepts_certificate(capsys):

@@ -13,7 +13,6 @@ from pshdef.construct import (
     ConstructConfig,
     NotPseudoconvexError,
     absorb_r_multiples,
-    cn_simultaneous,
     k_search,
     run_construction,
     solve_stage,
@@ -192,7 +191,7 @@ def test_c3_ball_shortcut():
     from pshdef.catalog import ball_like
 
     b2 = ball_like(2)
-    rep = cn_simultaneous(b2)
+    rep = run_construction(b2)
     assert rep.status == "Certified"
     assert rep.shortcut_used is True
     assert rep.final.T.is_zero()

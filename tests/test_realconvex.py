@@ -1,5 +1,6 @@
 """Real convex lane: RPoly, boundary sampling, the y-derivative multiplier."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -75,6 +76,26 @@ def test_rpoly_fd_agreement():
             assert abs(dx.eval(Xa, Ya)[0] - num) <= 1e-6 * (1 + abs(num))
 
 
+def test_rpoly_eval_matches_exact_sum():
+    """The compiled evaluator agrees with a term-by-term exact sum."""
+    rng = random.Random(41)
+    for _ in range(20):
+        nx = rng.randint(1, 2)
+        p = random_rpoly(rng, nx)
+        pts = [[Fraction(rng.randint(-9, 9), 10) for _ in range(nx + 1)] for _ in range(5)]
+        exact = [
+            sum(c * math.prod(v**k for v, k in zip(pt, e)) for e, c in p.terms.items())
+            for pt in pts
+        ]
+        X = np.array([[float(v) for v in pt[:nx]] for pt in pts])
+        Ya = np.array([float(pt[nx]) for pt in pts])
+        got = p.eval(X, Ya)
+        assert got.dtype == np.float64
+        # every coordinate is below 1 in size, so each term is below its |c|
+        scale = 1 + float(sum(abs(c) for c in p.terms.values()))
+        assert np.all(np.abs(got - np.array([float(v) for v in exact])) <= 1e-14 * scale)
+
+
 def test_rpoly_round_trip():
     rng = random.Random(37)
     for _ in range(20):
@@ -125,6 +146,14 @@ def test_hessian_check_examples():
     bad = real_hessian_check(concave, shell)
     assert not bad.passed
     assert bad.min_diag == -2.0
+
+
+def test_hessian_check_rejects_empty_shell():
+    r = validate_real_normal_form(Y + X * X)
+    shell = sample_real_boundary(r, 1e-2, 0)
+    assert shell.count == 0
+    with pytest.raises(ValueError, match="at least one point"):
+        real_hessian_check(r.poly, shell)
 
 
 def test_tangential_form_values():

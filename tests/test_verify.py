@@ -215,3 +215,10 @@ def test_least_eigenvalues_closed_form(r10, small_shell):
     fast = least_eigenvalues(H)
     ref = np.linalg.eigvalsh(H)[:, 0]
     assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+def test_psd_check_rejects_empty_shell(r10):
+    shell = sample_boundary(r10, 1e-2, 0)
+    assert shell.count == 0
+    with pytest.raises(ValueError, match="at least one point"):
+        psd_check(r10.poly, shell)

@@ -15,16 +15,12 @@ from pshdef.numeval import compiled
 from pshdef.wirtinger import (
     WPoly,
     abs2,
-    antiderivative_z,
     canonical_str,
-    conjugate,
     im_w,
     im_z,
     re_w,
     re_z,
     realify,
-    truncate_degree,
-    wirtinger_deriv,
 )
 
 Z = WPoly.var_z(1)
@@ -92,10 +88,12 @@ def test_conjugate_swaps_derivatives():
         assert p.dw().conjugate() == p.conjugate().dwbar()
 
 
-def test_wirtinger_deriv_dispatch():
+def test_formal_partials_of_monomial():
     p = Z * Z * WB
-    assert wirtinger_deriv(p, "z") == p.dz(0)
-    assert wirtinger_deriv(p, "wbar") == p.dwbar()
+    assert p.dz(0) == (Z * WB).scale(2)
+    assert p.dwbar() == Z * Z
+    assert p.dzbar(0).is_zero()
+    assert p.dw().is_zero()
 
 
 def test_fd_agreement_dz():
@@ -137,20 +135,20 @@ def test_realify_is_real(seed):
 @settings(deadline=None, max_examples=60)
 def test_antiderivative_inverts_dz(seed):
     p = random_wpoly(random.Random(seed))
-    q = antiderivative_z(p, 0)
+    q = p.antideriv_z(0)
     assert q.dz(0) == p
 
 
-def test_antiderivative_method_matches_function():
-    rng = random.Random(3)
-    p = random_wpoly(rng)
-    assert p.antideriv_z(0) == antiderivative_z(p, 0)
+def test_antideriv_z_of_monomials():
+    assert (Z * Z * WB).antideriv_z(0) == (Z * Z * Z * WB).scale(Fraction(1, 3))
+    assert ZB.antideriv_z(0) == Z * ZB
+    assert WPoly.zero(1).antideriv_z(0).is_zero()
 
 
-def test_truncate_degree():
+def test_truncate_by_degree():
     p = Z + Z * Z * Z + W * W * W * W * W
-    assert truncate_degree(p, 3) == Z + Z * Z * Z
-    assert truncate_degree(p, 0).is_zero()
+    assert p.truncate(3) == Z + Z * Z * Z
+    assert p.truncate(0).is_zero()
     assert p.truncate(4) == Z + Z * Z * Z
 
 
