@@ -4,7 +4,8 @@ Constructing a plurisubharmonic defining function
 
 rho = (1 + Kr + T) r with T built stage by stage.  Each stage solves
 T_z = 2iS for the part S of the mixed derivative that nothing
-dominates, then a doubling ladder searches for K.
+dominates, then a bisection over K = 2^e, e <= 20, finds the least K
+that passes.
 """
 
 from pshdef.catalog import type4_domain
@@ -15,7 +16,7 @@ rep = run_construction(type4_domain(10))
 print(rep.trace())
 print()
 
-# A = 8 is harder: the first candidate fails for every K in the ladder
+# A = 8 is harder: the first candidate fails even at the top rung K = 2^20
 # and a second stage must cancel more of the mixed derivative
 rep = run_construction(type4_domain(8))
 print(rep.trace())

@@ -11,6 +11,7 @@ obstruction reports carry the witness that stopped the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,21 @@ from .wirtinger import WPoly, canonical_str, realify
 SHRINK = 0.25
 
 
+def check_search_config(config) -> None:
+    """Reject the sampling and ladder settings no scan can certify from.
+
+    Shared by the complex and the real lane's configs; raises ValueError.
+    """
+    if not (math.isfinite(config.radius) and config.radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {config.radius}")
+    if config.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {config.samples}")
+    if config.max_k_exp < 0:
+        raise ValueError(f"max_k_exp must be >= 0, got {config.max_k_exp}")
+    if not config.tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {config.tol}")
+
+
 class NotPseudoconvexError(RuntimeError):
     """Levi scan found a negative tangential value at the requested radius."""
 
@@ -68,6 +84,9 @@ class ConstructConfig:
     tol: float = 1e-9
     bound: Bound = Bound.LEVI_ONLY
     absorb: bool = True
+
+    def __post_init__(self):
+        check_search_config(self)
 
     def as_dict(self) -> dict:
         return {
@@ -301,28 +320,45 @@ def _scan_points(r, shell, probes, radius):
 
 
 def k_ladder(base, step, max_k_exp: int, stats):
-    """Walk K = 1, 2, 4, ..., 2^max_k_exp until the Hessian base + K step
-    passes.
+    """Smallest K = 2^e, 0 <= e <= max_k_exp, for which the Hessian
+    base + K step passes, by bisection on e.
 
-    stats maps a Hessian stack to its PsdCheckResult.  Returns the ladder
-    rows, the last K tried and its result.
+    step is positive semidefinite at every point, so by Weyl's inequality
+    the least eigenvalue of base + K step cannot fall as K grows: passing
+    is monotone in e up to rounding at -tol, which only costs minimality,
+    since the K returned did pass.  Rung 0 is tried first, then the top
+    rung; between a failing and a passing rung the search bisects.  stats
+    maps a Hessian stack to its PsdCheckResult.  Returns the rows of the
+    rungs evaluated in ascending K, and the K returned with its result:
+    the lowest passing rung, or the top rung when none passes.
     """
-    ladder = []
-    for e in range(max_k_exp + 1):
-        K = 2**e
-        st = stats(base + K * step)
-        ladder.append(
-            {
-                "K": K,
-                "min_diag": st.min_diag,
-                "min_minor": st.min_minor,
-                "min_eig": st.min_eig,
-                "passed": st.passed,
-            }
-        )
-        if st.passed:
-            break
-    return ladder, K, st
+    results = {}
+
+    def passes(e: int) -> bool:
+        results[e] = stats(base + 2**e * step)
+        return results[e].passed
+
+    lo, hi = 0, max_k_exp
+    if passes(lo) or hi == lo or not passes(hi):
+        hi = max(results)  # rung 0 passed, or the top rung failed
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if passes(mid):
+                hi = mid
+            else:
+                lo = mid
+    ladder = [
+        {
+            "K": 2**e,
+            "min_diag": st.min_diag,
+            "min_minor": st.min_minor,
+            "min_eig": st.min_eig,
+            "passed": st.passed,
+        }
+        for e, st in sorted(results.items())
+    ]
+    return ladder, 2**hi, results[hi]
 
 
 def k_search(
@@ -334,9 +370,12 @@ def k_search(
     """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan.
 
     On the boundary the Hessian is affine in K: H((1+T)r) plus K times a
-    rank-one gradient term, so the ladder reuses one set of evaluations.
-    The scan set is the sampled shell plus every in-ball probe-curve
-    point; failure at the top of the ladder shrinks the radius once.
+    positive semidefinite rank-one gradient term, so `k_ladder` bisects on
+    the exponent of K over one set of evaluations.  The scan set is the
+    sampled shell plus every in-ball probe-curve point; failure at the top
+    rung, or |1 + T| below the h floor on the shell, shrinks the radius
+    once.  The result's ladder lists the rungs evaluated at the final
+    radius; it is empty when the h floor fails at both radii.
     """
     config = config or ConstructConfig()
     probes = probes if probes is not None else default_probes(r.nz, config.seed)
@@ -347,6 +386,9 @@ def k_search(
         shell = sample_boundary(r, radius, config.samples, config.seed)
         habs = np.abs(compiled(one + T).eval(shell.Z, shell.W))
         if habs.min() < H_MIN:
+            if attempt == 1:
+                witness = {"min_abs_h": float(habs.min()), "h_floor": H_MIN}
+                return KSearchResult(False, None, [], witness, radius, True)
             radius *= SHRINK
             shrunk = True
             continue

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import SHRINK, KSearchResult, k_ladder
+from .construct import SHRINK, KSearchResult, check_search_config, k_ladder
 from .gaussrat import format_fraction
 from .numeval import compiled
 from .verify import (
@@ -416,6 +416,9 @@ class RealConfig:
     max_k_exp: int = 20
     tol: float = DEFAULT_TOL
 
+    def __post_init__(self):
+        check_search_config(self)
+
     def as_dict(self) -> dict:
         return {
             "radius": self.radius,
@@ -472,7 +475,7 @@ class RealReport:
 def convex_multiplier(
     r: RealDefiningFunction, config: RealConfig | None = None
 ) -> RealReport:
-    """Certify r * (1 + Kr + r_y) convex near 0, K from the doubling ladder.
+    """Certify r * (1 + Kr + r_y) convex near 0, K from the bisected K ladder.
 
     Convexity of the input (every tangential form >= 0 on the shell) is a
     precondition; a violation reports an obstruction with witness.  The h

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pshdef import construct, realconvex
 from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
-from pshdef.construct import run_construction
+from pshdef.construct import k_ladder, run_construction
 from pshdef.verify import sample_boundary
 from pshdef.wirtinger import WPoly, im_w, im_z, re_w, re_z
 
@@ -55,6 +56,52 @@ def r8_report(r8):
 @pytest.fixture(scope="session")
 def small_shell(r10):
     return sample_boundary(r10, 1e-2, 300, seed=0)
+
+
+# -- the K ladder -------------------------------------------------------
+
+
+def linear_k_ladder(base, step, max_k_exp, stats):
+    """Reference K ladder: walk K = 1, 2, 4, ..., 2^max_k_exp until the
+    Hessian base + K step passes.  `construct.k_ladder` bisects on the
+    exponent and must agree with this walk on K, pass/fail and rows."""
+    ladder = []
+    for e in range(max_k_exp + 1):
+        K = 2**e
+        st = stats(base + K * step)
+        ladder.append(
+            {
+                "K": K,
+                "min_diag": st.min_diag,
+                "min_minor": st.min_minor,
+                "min_eig": st.min_eig,
+                "passed": st.passed,
+            }
+        )
+        if st.passed:
+            break
+    return ladder, K, st
+
+
+@pytest.fixture
+def watch_k_ladder(monkeypatch):
+    """watch_k_ladder(check) makes every K ladder either lane searches
+    call check(base, step, max_k_exp, stats) first, and returns the list of
+    check results.  The check runs inside the search because `stats` reads
+    the scan points of its radius only until k_search moves on."""
+
+    def watch(check):
+        results = []
+
+        def checked(*args):
+            results.append(check(*args))
+            return k_ladder(*args)
+
+        monkeypatch.setattr(construct, "k_ladder", checked)
+        monkeypatch.setattr(realconvex, "k_ladder", checked)
+        return results
+
+    return watch
 
 
 # -- deterministic random polynomials -------------------------------------

@@ -399,6 +399,30 @@ def test_normal_form_violation_exit_64(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "field, flag, value",
+    [
+        ("max_k_exp", "--max-K-exp", "-1"),
+        ("samples", "--samples", "0"),
+        ("samples", "--samples", "-5"),
+        ("radius", "--radius", "0"),
+        ("radius", "--radius", "-0.01"),
+        ("radius", "--radius", "inf"),
+        ("radius", "--radius", "nan"),
+        ("tol", "--tol", "-1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "lane", [["--r", R10], ["--r", "y + x^2", "--real"]], ids=["complex", "real"]
+)
+def test_invalid_config_exit_64(capsys, lane, field, flag, value):
+    """Settings no scan can certify from are usage errors in both lanes."""
+    code, out, err = run(capsys, "construct", *lane, flag, value)
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
 def test_missing_subcommand_exit_64(capsys):
     assert main([]) == 64
 

@@ -1,25 +1,32 @@
 """Staged multiplier construction and the K ladder."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_wpoly
-from pshdef.catalog import type4_domain
+from conftest import linear_k_ladder, random_wpoly
+from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
 from pshdef.construct import (
     ConstructConfig,
     NotPseudoconvexError,
     absorb_r_multiples,
+    k_ladder,
     k_search,
     run_construction,
     solve_stage,
     strong_psc_shortcut,
 )
+from pshdef.cr import validate_normal_form
+from pshdef.exprparse import parse_rpoly, parse_wpoly
 from pshdef.gaussrat import GaussianRational
-from pshdef.verify import psd_check, sample_boundary
+from pshdef.realconvex import convex_multiplier, validate_real_normal_form
+from pshdef.verify import H_MIN, psd_check, psd_stats, sample_boundary
 from pshdef.wirtinger import WPoly, im_z, re_w, re_z
 
 
@@ -234,8 +241,127 @@ def test_absorb_disabled(r8):
 def test_k_search_standalone(r10):
     ks = k_search(r10, im_z(1).scale(Fraction(-4)))
     assert ks.found and ks.K == 64
-    assert ks.ladder[-1]["passed"]
-    assert all(not step["passed"] for step in ks.ladder[:-1])
+    rows = {step["K"]: step for step in ks.ladder}
+    assert rows[64]["passed"]
+    assert not rows[32]["passed"]
+    Ks = [step["K"] for step in ks.ladder]
+    assert Ks == sorted(Ks)
+
+
+def test_k_search_h_floor_fails_at_both_radii(r10):
+    """|1 + T| < H_MIN on both shells: a failed result, no ladder, no crash."""
+    ks = k_search(r10, re_z(1).scale(1000))
+    assert not ks.found and ks.K is None
+    assert ks.ladder == []
+    assert ks.shrunk and ks.radius == 1e-2 * 0.25
+    assert ks.witness["h_floor"] == H_MIN
+    assert 0 <= ks.witness["min_abs_h"] < H_MIN
+
+
+# -- the bisected K ladder against the linear walk --------------------------
+
+
+def check_against_linear(base, step, max_k_exp, stats):
+    """k_ladder returns the linear walk's K, verdict and result, its rows
+    agree byte for byte where both evaluated a rung, and it evaluates at
+    most 2 + ceil(log2(max_k_exp)) rungs."""
+    evaluated = []
+
+    def counting(H):
+        evaluated.append(H)
+        return stats(H)
+
+    ladder, K, st = k_ladder(base, step, max_k_exp, counting)
+    ref_ladder, ref_K, ref_st = linear_k_ladder(base, step, max_k_exp, stats)
+    assert (K, st.passed) == (ref_K, ref_st.passed)
+    assert st.as_dict() == ref_st.as_dict()
+    ref_rows = {row["K"]: json.dumps(row) for row in ref_ladder}
+    for row in ladder:
+        if row["K"] in ref_rows:
+            assert json.dumps(row) == ref_rows[row["K"]]
+    Ks = [row["K"] for row in ladder]
+    assert Ks == sorted(set(Ks)) and len(ladder) == len(evaluated)
+    rows = {row["K"]: row for row in ladder}
+    assert rows[K]["passed"] == st.passed
+    if st.passed and K > 1:
+        assert not rows[K // 2]["passed"]
+    if ladder[0]["passed"]:
+        assert len(evaluated) == 1
+    elif not st.passed:
+        assert len(evaluated) == min(2, max_k_exp + 1)
+    else:
+        assert len(evaluated) <= 2 + math.ceil(math.log2(max_k_exp))
+
+
+def _complex(text, nz):
+    return validate_normal_form(parse_wpoly(text, nz))
+
+
+def _real(text, nx):
+    return validate_real_normal_form(parse_rpoly(text, nx))
+
+
+# every catalog fixture, the nz >= 2 inputs beside them, and the real lane
+LADDER_RUNS = {
+    "A=10": lambda: run_construction(type4_domain(10)),
+    "A=8": lambda: run_construction(type4_domain(8)),
+    "mixed_c3": lambda: run_construction(mixed_c3_example()),
+    "ball1": lambda: run_construction(ball_like(1)),
+    "ball2": lambda: run_construction(ball_like(2)),
+    "ball3": lambda: run_construction(ball_like(3)),
+    "nz2_quartic": lambda: run_construction(
+        _complex("Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2", 2)
+    ),
+    "ball3_tilted": lambda: run_construction(
+        _complex(
+            "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3
+        )
+    ),
+    "levi_matrix": lambda: run_construction(
+        _complex("Im(w) + abs2(z1) + abs2(z2) + 3*Re(z1*zbar2)", 2)
+    ),
+    "real y+x^2": lambda: convex_multiplier(_real("y + x^2", 1)),
+    "real y+x^4": lambda: convex_multiplier(_real("y + x^4", 1)),
+    "real y+x1^2+x2^4": lambda: convex_multiplier(_real("y + x1^2 + x2^4", 2)),
+    "real y+xy+x^2": lambda: convex_multiplier(_real("y + x y + x^2", 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_RUNS))
+def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
+    """Every ladder a run searches, at every stage and radius."""
+
+    def check(base, step, max_k_exp, stats):
+        check_against_linear(base, step, max_k_exp, stats)
+        check_against_linear(base, step, 0, stats)
+
+    checked = watch_k_ladder(check)
+    LADDER_RUNS[name]()
+    assert checked
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(8))
+def test_k_ladder_random_rank_one_step(n, seed):
+    """Hermitian base plus a PSD rank-one step, the shape of both lanes."""
+    rng = np.random.default_rng(seed)
+    m = 40
+    M = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    g = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    gg = g[:, :, None] * np.conj(g)[:, None, :]
+    # the stack passes once 2K outgrows a at every point, so the top of a
+    # sets the answer anywhere from rung 0 to beyond the top rung
+    a = 2.0 ** rng.uniform(-3, 23) * rng.uniform(0, 1, size=(m, 1, 1))
+    base = M @ M.conj().transpose(0, 2, 1) / n - a * gg
+    step = 2.0 * gg
+    Z = rng.normal(size=(m, n - 1)) + 0j
+    W = rng.normal(size=m) + 0j
+
+    def stats(H):
+        return psd_stats(H, Z, W, 1e-9)
+
+    for max_k_exp in (0, 1, 2, 5, 20):
+        check_against_linear(base, step, max_k_exp, stats)
 
 
 def test_report_dict_shape(r10_report):

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from pshdef import construct, verify
+from pshdef.catalog import type4_domain
+from pshdef.wirtinger import im_z
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,3 +30,23 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (verify.psd_stats, construct.psd_stats, verify.least_eigenvalues) == originals
+
+
+def test_rung_counter_matches_ladder(monkeypatch):
+    """The benchmark's construct.k_search.rungs counts psd_stats spans
+    directly under k_search; every rung the search evaluates at the final
+    radius must be one of them and one row of the report's ladder."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_request()
+        ks = construct.k_search(type4_domain(10), im_z(1).scale(-4))
+        tracer.end_request()
+    finally:
+        tracer.uninstall()
+    metrics, summary = tracer_mod.analyse(tracer.spans, 1, 1.0)
+    assert not ks.shrunk
+    assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 6
+    assert summary["k_search_ladder_consistent"]

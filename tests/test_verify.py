@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from conftest import linear_k_ladder
 from pshdef.catalog import ball_like, half_space, type4_domain
+from pshdef.construct import k_search
 from pshdef.verify import (
     BoundaryShell,
     IdentityCheckResult,
@@ -80,11 +82,17 @@ def test_psd_identity_hessian(ball):
     assert res.count == 200
 
 
-def test_psd_partial_multiplier_fails(r8, r8_report):
+def test_psd_partial_multiplier_fails(r8, r8_report, watch_k_ladder):
     """No ladder K certifies the stage-1 candidate (1 - 4 Im z + K r) r."""
-    ladder = r8_report.stages[0].k_search.ladder
-    assert len(ladder) == 21
-    assert all(not step["passed"] for step in ladder)
+    stage1 = r8_report.stages[0]
+    walks = watch_k_ladder(lambda *args: linear_k_ladder(*args)[0])
+    k_search(r8, stage1.T_after)
+    assert len(walks) == 2  # the configured and the shrunk radius
+    for ladder in walks:
+        assert len(ladder) == 21
+        assert all(not step["passed"] for step in ladder)
+    rows = {step["K"]: step for step in stage1.k_search.ladder}
+    assert not rows[1]["passed"] and not rows[2**20]["passed"]
     # the violation lives on the boundary curve Re z = 4 Re w, Im z = 0;
     # a shell of points marching down that line defeats every K
     t = np.array([2.0**-k for k in range(5, 21)])
