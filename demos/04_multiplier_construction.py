@@ -4,8 +4,8 @@ Constructing a plurisubharmonic defining function
 
 rho = (1 + Kr + T) r with T built stage by stage.  Each stage solves
 T_z = 2iS for the part S of the mixed derivative that nothing
-dominates, then a bisection over K = 2^e, e <= 20, finds the least K
-that passes.
+dominates, then a doubling search and bisection over K = 2^e, e <= 20,
+finds the least K that passes.
 """
 
 from pshdef.catalog import type4_domain

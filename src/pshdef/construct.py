@@ -321,16 +321,20 @@ def _scan_points(r, shell, probes, radius):
 
 def k_ladder(base, step, max_k_exp: int, stats):
     """Smallest K = 2^e, 0 <= e <= max_k_exp, for which the Hessian
-    base + K step passes, by bisection on e.
+    base + K step passes, by a doubling search on e and bisection.
 
     step is positive semidefinite at every point, so by Weyl's inequality
-    the least eigenvalue of base + K step cannot fall as K grows: passing
-    is monotone in e up to rounding at -tol, which only costs minimality,
-    since the K returned did pass.  Rung 0 is tried first, then the top
-    rung; between a failing and a passing rung the search bisects.  stats
-    maps a Hessian stack to its PsdCheckResult.  Returns the rows of the
-    rungs evaluated in ascending K, and the K returned with its result:
-    the lowest passing rung, or the top rung when none passes.
+    the least eigenvalue of base + K step cannot fall as K grows, and
+    passing is monotone in e.  Rounding breaks that near -tol, and the
+    rounding error grows with K, so a high rung can fail where a lower one
+    passes.  The search therefore climbs from the bottom: it tries
+    e = 0, 1, 2, 4, 8, ... and max_k_exp last, stops at the first passing
+    rung, and bisects between it and the failing rung below.  No rung above
+    the first passing one in that sequence is evaluated.  The K returned
+    did pass; only its minimality rests on monotonicity.  stats maps a
+    Hessian stack to its PsdCheckResult.  Returns the rows of the rungs
+    evaluated in ascending K, and the K returned with its result: the
+    lowest passing rung, or the top rung when none passes.
     """
     results = {}
 
@@ -338,10 +342,10 @@ def k_ladder(base, step, max_k_exp: int, stats):
         results[e] = stats(base + 2**e * step)
         return results[e].passed
 
-    lo, hi = 0, max_k_exp
-    if passes(lo) or hi == lo or not passes(hi):
-        hi = max(results)  # rung 0 passed, or the top rung failed
-    else:
+    lo, hi = -1, 0  # lo: highest rung seen failing; hi: the rung tried
+    while not passes(hi) and hi < max_k_exp:
+        lo, hi = hi, min(max(1, 2 * hi), max_k_exp)
+    if results[hi].passed:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if passes(mid):
@@ -370,12 +374,13 @@ def k_search(
     """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan.
 
     On the boundary the Hessian is affine in K: H((1+T)r) plus K times a
-    positive semidefinite rank-one gradient term, so `k_ladder` bisects on
-    the exponent of K over one set of evaluations.  The scan set is the
-    sampled shell plus every in-ball probe-curve point; failure at the top
-    rung, or |1 + T| below the h floor on the shell, shrinks the radius
-    once.  The result's ladder lists the rungs evaluated at the final
-    radius; it is empty when the h floor fails at both radii.
+    positive semidefinite rank-one gradient term, so `k_ladder` searches
+    the exponent of K by doubling and bisection over one set of
+    evaluations.  The scan set is the sampled shell plus every in-ball
+    probe-curve point; failure at every rung tried, or |1 + T| below the
+    h floor on the shell, shrinks the radius once.  The result's ladder
+    lists the rungs evaluated at the final radius; it is empty when the h
+    floor fails at both radii.
     """
     config = config or ConstructConfig()
     probes = probes if probes is not None else default_probes(r.nz, config.seed)

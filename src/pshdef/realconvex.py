@@ -475,7 +475,7 @@ class RealReport:
 def convex_multiplier(
     r: RealDefiningFunction, config: RealConfig | None = None
 ) -> RealReport:
-    """Certify r * (1 + Kr + r_y) convex near 0, K from the bisected K ladder.
+    """Certify r * (1 + Kr + r_y) convex near 0, K from the searched K ladder.
 
     Convexity of the input (every tangential form >= 0 on the shell) is a
     precondition; a violation reports an obstruction with witness.  The h

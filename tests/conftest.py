@@ -63,8 +63,9 @@ def small_shell(r10):
 
 def linear_k_ladder(base, step, max_k_exp, stats):
     """Reference K ladder: walk K = 1, 2, 4, ..., 2^max_k_exp until the
-    Hessian base + K step passes.  `construct.k_ladder` bisects on the
-    exponent and must agree with this walk on K, pass/fail and rows."""
+    Hessian base + K step passes.  `construct.k_ladder` searches the
+    exponent by doubling and bisection and must agree with this walk on
+    K, pass/fail and rows."""
     ladder = []
     for e in range(max_k_exp + 1):
         K = 2**e

@@ -261,10 +261,20 @@ def test_k_search_h_floor_fails_at_both_radii(r10):
 # -- the bisected K ladder against the linear walk --------------------------
 
 
+def climb(max_k_exp):
+    """The exponents k_ladder tries before bisecting: 0, 1, 2, 4, ... below
+    max_k_exp, then max_k_exp."""
+    es = [0]
+    while es[-1] < max_k_exp:
+        es.append(min(max(1, 2 * es[-1]), max_k_exp))
+    return es
+
+
 def check_against_linear(base, step, max_k_exp, stats):
     """k_ladder returns the linear walk's K, verdict and result, its rows
-    agree byte for byte where both evaluated a rung, and it evaluates at
-    most 2 + ceil(log2(max_k_exp)) rungs."""
+    agree byte for byte where both evaluated a rung, and it evaluates the
+    whole climb when nothing passes, else at most the climb plus
+    ceil(log2(max_k_exp)) bisection rungs."""
     evaluated = []
 
     def counting(H):
@@ -285,12 +295,18 @@ def check_against_linear(base, step, max_k_exp, stats):
     assert rows[K]["passed"] == st.passed
     if st.passed and K > 1:
         assert not rows[K // 2]["passed"]
+    if st.passed:
+        # nothing above the first climb rung at or above K is tried, so a
+        # rounding failure high up cannot decide
+        e = K.bit_length() - 1
+        assert Ks[-1] == 2 ** min(c for c in climb(max_k_exp) if c >= e)
     if ladder[0]["passed"]:
         assert len(evaluated) == 1
     elif not st.passed:
-        assert len(evaluated) == min(2, max_k_exp + 1)
+        assert Ks == [2**e for e in climb(max_k_exp)]
     else:
-        assert len(evaluated) <= 2 + math.ceil(math.log2(max_k_exp))
+        bound = len(climb(max_k_exp)) + math.ceil(math.log2(max_k_exp))
+        assert len(evaluated) <= bound
 
 
 def _complex(text, nz):
@@ -340,6 +356,23 @@ def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
     assert checked
 
 
+def test_k_ladder_high_top_rung(watch_k_ladder):
+    """Rounding in the PSD scan grows with K (A=10 reads min_eig about
+    -K 2^-55 at its worst point), so from 2^26 up the top rung fails the
+    -tol test although K = 64 passes.  The search must still find 64."""
+    config = ConstructConfig(max_k_exp=40)
+    checked = watch_k_ladder(
+        lambda base, step, max_k_exp, stats: check_against_linear(
+            base, step, 30, stats
+        )
+    )
+    rep = run_construction(type4_domain(10), config)
+    assert checked
+    assert rep.status == "Certified" and rep.final.K == 64
+    ladder = rep.stages[0].k_search.ladder
+    assert max(row["K"] for row in ladder) <= 2**8
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("seed", range(8))
 def test_k_ladder_random_rank_one_step(n, seed):
@@ -360,7 +393,7 @@ def test_k_ladder_random_rank_one_step(n, seed):
     def stats(H):
         return psd_stats(H, Z, W, 1e-9)
 
-    for max_k_exp in (0, 1, 2, 5, 20):
+    for max_k_exp in (0, 1, 2, 5, 20, 30):
         check_against_linear(base, step, max_k_exp, stats)
 
 

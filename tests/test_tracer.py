@@ -48,5 +48,5 @@ def test_rung_counter_matches_ladder(monkeypatch):
         tracer.uninstall()
     metrics, summary = tracer_mod.analyse(tracer.spans, 1, 1.0)
     assert not ks.shrunk
-    assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 6
+    assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 7
     assert summary["k_search_ladder_consistent"]
