@@ -26,6 +26,7 @@ from .report import dumps_report, envelope, hessian_csv, shell_csv
 from .verify import (
     H_MIN,
     ProbeConfigurationError,
+    check_sampling,
     identity_check_prop31,
     levi_scan,
     necessary_conditions_check,
@@ -165,6 +166,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    check_sampling(args.radius, args.samples, args.tol)
     if args.real:
         return _cmd_analyze_real(args)
     r = _load_complex(args)
@@ -286,6 +288,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_sampling(args.radius, args.samples, args.tol)
     if args.real:
         return _cmd_verify_real(args)
     r = _load_complex(args)

@@ -11,7 +11,6 @@ obstruction reports carry the witness that stopped the run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .gaussrat import GaussianRational
 from .numeval import compiled
 from .verify import (
     H_MIN,
+    check_sampling,
     hessian_values,
     identity_check_prop31,
     levi_scan,
@@ -52,14 +52,9 @@ def check_search_config(config) -> None:
 
     Shared by the complex and the real lane's configs; raises ValueError.
     """
-    if not (math.isfinite(config.radius) and config.radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {config.radius}")
-    if config.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {config.samples}")
+    check_sampling(config.radius, config.samples, config.tol)
     if config.max_k_exp < 0:
         raise ValueError(f"max_k_exp must be >= 0, got {config.max_k_exp}")
-    if not config.tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {config.tol}")
 
 
 class NotPseudoconvexError(RuntimeError):
@@ -441,6 +436,13 @@ def strong_psc_shortcut(r: DefiningFunction):
 # -- the loop -------------------------------------------------------------
 
 
+def _cross_bound(r: DefiningFunction, j: int) -> WPoly:
+    """Levi form along v_j plus |r_{z_j}|^2, the cross-derivative bound."""
+    return r.cached(
+        ("cross_bound", j), lambda: r.levi(j) + r.d_z(j) * r.d_z(j).conjugate()
+    )
+
+
 def _g_poly(r: DefiningFunction, T: WPoly, j: int) -> WPoly:
     return ((WPoly.one(r.nz) + T) * r.poly).dz(j).dwbar()
 
@@ -568,9 +570,13 @@ def run_construction(
                     rec = {"pair": [j + 1, k + 1], "difference": canonical_str(d)}
                     verdicts = []
                     for idx in (j, k):
-                        bp = r.levi(idx) + r.d_z(idx) * r.d_z(idx).conjugate()
                         v = dominance_check(
-                            d, Bound.LEVI_PLUS_GRAD, r, probes, j=idx, bound_poly=bp
+                            d,
+                            Bound.LEVI_PLUS_GRAD,
+                            r,
+                            probes,
+                            j=idx,
+                            bound_poly=_cross_bound(r, idx),
                         )
                         verdicts.append(v)
                     rec["verdicts"] = [v.as_dict() for v in verdicts]

@@ -139,5 +139,4 @@ def gradient_z_sq(r: DefiningFunction) -> WPoly:
 
 def levi_origin_value(r: DefiningFunction, j: int = 0) -> GaussianRational:
     """Exact rational Levi value at 0 (strong pseudoconvexity test)."""
-    zeros = tuple(Fraction(0) for _ in range(r.nz))
-    return r.levi(j).eval(zeros, Fraction(0))
+    return r.levi(j).constant_term()

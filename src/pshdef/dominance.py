@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -126,6 +126,7 @@ class ProjectedProbes:
     curve_ok: np.ndarray  # bool mask
     t_values: np.ndarray
     shells: list  # BoundaryShell per shell_exps entry
+    _bound_values: dict = field(default_factory=dict, repr=False, compare=False)
 
     def in_ball_points(self, radius: float):
         """Converged curve points with |(z, w)| <= radius, flattened."""
@@ -135,6 +136,18 @@ class ProjectedProbes:
         norms = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
         keep = ok & (norms <= radius)
         return Z[keep], W[keep]
+
+    def bound_values(self, B: WPoly):
+        """Re B on the curve points, shape (n_curves, n_t), and on each
+        shell; evaluated once per bound polynomial."""
+        v = self._bound_values.get(B)
+        if v is None:
+            nc, nt, nz = self.curve_Z.shape
+            ev = compiled(B).eval
+            curves = ev(self.curve_Z.reshape(-1, nz), self.curve_W.reshape(-1))
+            shells = [ev(s.Z, s.W).real for s in self.shells]
+            v = self._bound_values[B] = (curves.real.reshape(nc, nt), shells)
+        return v
 
 
 def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
@@ -378,7 +391,6 @@ def _num_sq(numerators, Z, W):
 
 def _ratios(num_sq, bvals):
     den = np.where(bvals > 0, bvals, 0.0)
-    out = np.empty_like(num_sq)
     zero_den = den == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num_sq / den
@@ -399,35 +411,37 @@ def _direction(z_row, w) -> list:
 def _curve_escape(numerators, bound_poly, probes: ProjectedProbes):
     """Best escaping curve, or None.
 
-    Escape means: along the last ESCAPE_RUN dyadic parameters the ratio is
-    finite, strictly increasing, grows by >= ESCAPE_GROWTH overall, and
-    ends above ESCAPE_FLOOR.
+    Escape means: along the last ESCAPE_RUN converged dyadic parameters the
+    ratio is finite, strictly increasing, grows by >= ESCAPE_GROWTH overall,
+    and ends above ESCAPE_FLOOR.  The curve with the largest final ratio
+    wins; the first one on ties.
     """
     nc, nt, nz = probes.curve_Z.shape
-    Z = probes.curve_Z.reshape(-1, nz)
-    W = probes.curve_W.reshape(-1)
-    num = _num_sq(numerators, Z, W).reshape(nc, nt)
-    bv = compiled(bound_poly).eval(Z, W).real.reshape(nc, nt)
-    best = None
-    for i in range(nc):
-        ok = probes.curve_ok[i]
-        t = probes.t_values[ok]
-        if len(t) < ESCAPE_RUN:
-            continue
-        ratio = _ratios(num[i][ok], bv[i][ok])
-        tail = ratio[-ESCAPE_RUN:]  # t decreases along the array
-        if not np.all(np.isfinite(tail)):
-            continue
-        if np.any(np.diff(tail) <= 0):
-            continue
-        if tail[-1] < ESCAPE_FLOOR or tail[-1] < ESCAPE_GROWTH * tail[0]:
-            continue
-        if best is None or tail[-1] > best[1]:
-            best = (i, float(tail[-1]), ratio, t)
-    if best is None:
+    ok = probes.curve_ok
+    num = _num_sq(
+        numerators, probes.curve_Z.reshape(-1, nz), probes.curve_W.reshape(-1)
+    ).reshape(nc, nt)
+    ratio = _ratios(num, probes.bound_values(bound_poly)[0])
+    # t decreases along a row, so a row's tail is its last ESCAPE_RUN
+    # converged entries: those with at most ESCAPE_RUN converged from the end
+    from_end = np.cumsum(ok[:, ::-1], axis=1)[:, ::-1]
+    rows = np.flatnonzero(from_end[:, 0] >= ESCAPE_RUN)
+    in_tail = ok[rows] & (from_end[rows] <= ESCAPE_RUN)
+    tail = ratio[rows][in_tail].reshape(len(rows), ESCAPE_RUN)
+    with np.errstate(invalid="ignore"):
+        escapes = (
+            np.all(np.isfinite(tail), axis=1)
+            & np.all(np.diff(tail, axis=1) > 0, axis=1)
+            & (tail[:, -1] >= ESCAPE_FLOOR)
+            & (tail[:, -1] >= ESCAPE_GROWTH * tail[:, 0])
+        )
+    if not escapes.any():
         return None
-    i, final, ratio, t = best
-    last = int(np.flatnonzero(probes.curve_ok[i])[-1])
+    final = np.where(escapes, tail[:, -1], -np.inf)
+    k = int(np.argmax(final))  # first index of the maximum
+    i = int(rows[k])
+    row_ok = ok[i]
+    last = int(np.flatnonzero(row_ok)[-1])
     z_row = probes.curve_Z[i, last]
     w = probes.curve_W[i, last]
     return {
@@ -437,30 +451,39 @@ def _curve_escape(numerators, bound_poly, probes: ProjectedProbes):
             "z": [[c.real, c.imag] for c in z_row],
             "w": [w.real, w.imag],
         },
-        "t": [float(x) for x in t],
-        "ratios": [float(x) for x in ratio],
-        "final_ratio": final,
+        "t": [float(x) for x in probes.t_values[row_ok]],
+        "ratios": [float(x) for x in ratio[i, row_ok]],
+        "final_ratio": float(final[k]),
     }
 
 
 def _shell_ratios(numerators, bound_poly, probes: ProjectedProbes):
     sups = []
-    for shell in probes.shells:
-        num = _num_sq(numerators, shell.Z, shell.W)
-        bv = compiled(bound_poly).eval(shell.Z, shell.W).real
-        ratio = _ratios(num, bv)
+    for shell, bv in zip(probes.shells, probes.bound_values(bound_poly)[1]):
+        ratio = _ratios(_num_sq(numerators, shell.Z, shell.W), bv)
         finite = ratio[np.isfinite(ratio)]
         sups.append(float(np.max(finite)) if len(finite) else 0.0)
     return sups
+
+
+def _quadratic_pd(B: WPoly, r: DefiningFunction) -> bool:
+    """Sylvester verdict on the boundary quadratic part of B (cached on r)."""
+
+    def build():
+        M = boundary_quadratic(B, r)
+        return M is not None and _sylvester_pd(M)
+
+    return r.cached(("quadratic_pd", B), build)
 
 
 # -- main entry points ----------------------------------------------------
 
 
 def bound_poly_for(r: DefiningFunction, bound: Bound, j: int = 0) -> WPoly:
+    """The bound polynomial B for `bound` along v_j (built once per r)."""
     if bound is Bound.LEVI_ONLY:
         return r.levi(j)
-    return r.levi(j) + r.grad_z_sq()
+    return r.cached(("bound", bound, j), lambda: r.levi(j) + r.grad_z_sq())
 
 
 def dominance_check(
@@ -497,10 +520,8 @@ def dominance_check(
     if not numerators:
         return verdict("Dominated", 0.0, "numerator is identically zero")
 
-    origin_z = [0] * r.nz
-    b0 = B.eval(origin_z, 0)
-    p0_nonzero = any(not p.eval(origin_z, 0).is_zero() for p in numerators)
-    if isinstance(b0, GaussianRational) and b0.re > 0 and b0.im == 0:
+    b0 = B.constant_term()
+    if b0.re > 0 and b0.im == 0:
         probes = probes if probes is not None else default_probes(r.nz, 0)
         proj = project_probes(r, probes)
         sups = _shell_ratios(numerators, B, proj)
@@ -510,14 +531,14 @@ def dominance_check(
             "bound positive at the origin",
             sups=sups,
         )
-    if p0_nonzero:
+    if any(not p.constant_term().is_zero() for p in numerators):
         return verdict(
             "NotDominated",
             None,
             "numerator nonvanishing where the bound vanishes",
             witness={"point": {"z": [[0.0, 0.0]] * r.nz, "w": [0.0, 0.0]}},
         )
-    if isinstance(b0, GaussianRational) and b0.re < 0:
+    if b0.re < 0:
         return verdict(
             "NotDominated",
             None,
@@ -528,16 +549,15 @@ def dominance_check(
     probes = probes if probes is not None else default_probes(r.nz, 0)
     proj = project_probes(r, probes)
 
-    if b0.is_zero() and all(p.min_degree() >= 1 for p in numerators):
-        M = boundary_quadratic(B, r)
-        if M is not None and _sylvester_pd(M):
-            sups = _shell_ratios(numerators, B, proj)
-            return verdict(
-                "Dominated",
-                2.0 * max(sups),
-                "bound has positive definite boundary quadratic part",
-                sups=sups,
-            )
+    # every numerator vanishes at 0 here
+    if b0.is_zero() and _quadratic_pd(B, r):
+        sups = _shell_ratios(numerators, B, proj)
+        return verdict(
+            "Dominated",
+            2.0 * max(sups),
+            "bound has positive definite boundary quadratic part",
+            sups=sups,
+        )
 
     escape = _curve_escape(numerators, B, proj)
     if escape is not None:

@@ -10,6 +10,7 @@ the PSD statistics and the h floor serve the real lane too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,17 @@ NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
 DEFAULT_TOL = 1e-9
 H_MIN = 0.5  # floor on |h| (and |1 + T|) over a shell
+
+
+def check_sampling(radius: float, samples: int, tol: float) -> None:
+    """Reject a shell no scan can certify from: radius not finite or <= 0,
+    samples < 1, tol < 0 or NaN.  Raises ValueError."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 class ProbeConfigurationError(RuntimeError):

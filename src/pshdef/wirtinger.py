@@ -182,6 +182,10 @@ class WPoly:
     def coeff(self, m: Monomial) -> GaussianRational:
         return self.terms.get(m, GaussianRational(0, 0))
 
+    def constant_term(self) -> GaussianRational:
+        """The value at the origin."""
+        return self.coeff(_unit_monomial(self.nz))
+
     def conjugate(self) -> "WPoly":
         return WPoly(
             self.nz,

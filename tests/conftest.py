@@ -9,6 +9,15 @@ import pytest
 from pshdef import construct, realconvex
 from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
 from pshdef.construct import k_ladder, run_construction
+from pshdef.dominance import (
+    ESCAPE_FLOOR,
+    ESCAPE_GROWTH,
+    ESCAPE_RUN,
+    _direction,
+    _num_sq,
+    _ratios,
+)
+from pshdef.numeval import compiled
 from pshdef.verify import sample_boundary
 from pshdef.wirtinger import WPoly, im_w, im_z, re_w, re_z
 
@@ -103,6 +112,54 @@ def watch_k_ladder(monkeypatch):
         return results
 
     return watch
+
+
+# -- the curve-escape scan ---------------------------------------------
+
+
+def loop_curve_escape(numerators, bound_poly, probes):
+    """Reference curve scan: one curve at a time, keeping the first curve
+    with the largest final ratio.  `dominance._curve_escape` tests all
+    curves at once and must return the same witness.  Returns
+    (curve index, witness), or (None, None) when no curve escapes."""
+    nc, nt, nz = probes.curve_Z.shape
+    Z = probes.curve_Z.reshape(-1, nz)
+    W = probes.curve_W.reshape(-1)
+    num = _num_sq(numerators, Z, W).reshape(nc, nt)
+    bv = compiled(bound_poly).eval(Z, W).real.reshape(nc, nt)
+    best = None
+    for i in range(nc):
+        ok = probes.curve_ok[i]
+        t = probes.t_values[ok]
+        if len(t) < ESCAPE_RUN:
+            continue
+        ratio = _ratios(num[i][ok], bv[i][ok])
+        tail = ratio[-ESCAPE_RUN:]  # t decreases along the array
+        if not np.all(np.isfinite(tail)):
+            continue
+        if np.any(np.diff(tail) <= 0):
+            continue
+        if tail[-1] < ESCAPE_FLOOR or tail[-1] < ESCAPE_GROWTH * tail[0]:
+            continue
+        if best is None or tail[-1] > best[1]:
+            best = (i, float(tail[-1]), ratio, t)
+    if best is None:
+        return None, None
+    i, final, ratio, t = best
+    last = int(np.flatnonzero(probes.curve_ok[i])[-1])
+    z_row = probes.curve_Z[i, last]
+    w = probes.curve_W[i, last]
+    return i, {
+        "curve": probes.family.curves[i].describe(),
+        "direction": _direction(z_row, w),
+        "point": {
+            "z": [[c.real, c.imag] for c in z_row],
+            "w": [w.real, w.imag],
+        },
+        "t": [float(x) for x in t],
+        "ratios": [float(x) for x in ratio],
+        "final_ratio": final,
+    }
 
 
 # -- deterministic random polynomials -------------------------------------

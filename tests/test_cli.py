@@ -423,6 +423,36 @@ def test_invalid_config_exit_64(capsys, lane, field, flag, value):
     assert err.startswith(f"error: {field} must be")
 
 
+@pytest.mark.parametrize(
+    "field, flag, value",
+    [
+        ("radius", "--radius", "0"),
+        ("radius", "--radius", "-1"),
+        ("radius", "--radius", "nan"),
+        ("radius", "--radius", "inf"),
+        ("samples", "--samples", "0"),
+        ("tol", "--tol", "-1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64"],
+        ["verify", "--real", "--r", "y + x^2", "--h", "1"],
+        ["analyze", "--r", R10],
+        ["analyze", "--real", "--r", "y + x^2"],
+    ],
+    ids=["verify-complex", "verify-real", "analyze-complex", "analyze-real"],
+)
+def test_invalid_sampling_exit_64(capsys, argv, field, flag, value):
+    """verify and analyze sample a shell without a config; the same
+    settings are usage errors there."""
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
 def test_missing_subcommand_exit_64(capsys):
     assert main([]) == 64
 

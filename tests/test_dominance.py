@@ -1,19 +1,29 @@
 """Ratio domination: exact certificates and probe-curve escapes."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import random_wpoly
-from pshdef.catalog import type4_domain
+from conftest import loop_curve_escape, random_wpoly
+from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
+from pshdef.cr import validate_normal_form
 from pshdef.dominance import (
+    ESCAPE_RUN,
     Bound,
+    Curve,
+    ProbeFamily,
+    ProjectedProbes,
+    _curve_escape,
     boundary_quadratic,
+    bound_poly_for,
     default_probes,
     dominance_check,
     levi_dominance_gate,
+    project_probes,
     real_basis_str,
     real_form,
     split_S_E,
@@ -180,3 +190,184 @@ def test_probe_family_deterministic():
     assert len(a.curves) == len(b.curves)
     for ca, cb in zip(a.curves, b.curves):
         assert ca.describe() == cb.describe()
+
+
+# -- the curve-escape scan against the per-curve loop ----------------------
+
+PARITY_DOMAINS = {
+    "A=7": lambda: type4_domain(7),
+    "A=8": lambda: type4_domain(8),
+    "A=10": lambda: type4_domain(10),
+    "A=12": lambda: type4_domain(12),
+    "mixed_c3": mixed_c3_example,
+    "ball1": lambda: ball_like(1),
+    "ball2": lambda: ball_like(2),
+    "ball3": lambda: ball_like(3),
+    "nz2_quartic": lambda: validate_normal_form(
+        parse_wpoly(
+            "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2", 2
+        )
+    ),
+    "ball3_tilted": lambda: validate_normal_form(
+        parse_wpoly(
+            "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3
+        )
+    ),
+    "levi_matrix": lambda: validate_normal_form(
+        parse_wpoly("Im(w) + abs2(z1) + abs2(z2) + 3*Re(z1*zbar2)", 2)
+    ),
+}
+
+
+def assert_same_escape(numerators, B, proj):
+    """Vectorized scan and loop reference pick the same curve and witness.
+    Returns the witness, or None."""
+    i, expected = loop_curve_escape(numerators, B, proj)
+    got = _curve_escape(numerators, B, proj)
+    if i is None:
+        assert got is None
+        return None
+    assert got["curve"] == proj.family.curves[i].describe()
+    # json keeps nan and inf comparable and is what reports are made of
+    assert json.dumps(got) == json.dumps(expected)
+    return got
+
+
+@pytest.mark.parametrize("name", list(PARITY_DOMAINS))
+def test_curve_escape_matches_loop(name):
+    """The numerator sets the gate and the stage-1 split send to the curve
+    scan, under every bound the pipeline uses."""
+    r = PARITY_DOMAINS[name]()
+    nz = r.nz
+    proj = project_probes(r, default_probes(nz, 0))
+    gate_B = r.levi(0)
+    for j in range(1, nz):
+        gate_B = gate_B + r.levi(j)
+    bounds = [gate_B]
+    for j in range(nz):
+        bounds += [bound_poly_for(r, bound, j) for bound in Bound]
+    numerator_sets = [[r.d_z(j) for j in range(nz)]]
+    for j in range(nz):
+        g = r.poly.dz(j).dwbar()
+        numerator_sets.append([g])
+        numerator_sets += [[WPoly(nz, {m: c})] for m, c in g.terms.items()]
+    numerator_sets = [
+        [p for p in nums if not p.is_zero()] for nums in numerator_sets
+    ]
+    witnesses = [
+        assert_same_escape(nums, B, proj)
+        for nums in numerator_sets
+        if nums
+        for B in bounds
+    ]
+    if name in ("A=7", "A=8"):
+        assert any(witnesses)  # the gradient escapes the Levi form
+
+
+def synthetic_probes(rows, ok):
+    """ProjectedProbes whose scan of P = z against B = |w|^2 reads the
+    given ratios: a finite ratio x sits at z = sqrt(x), w = 1; inf at
+    z = 1, w = 0; nan at z = nan, w = 1."""
+    rows = np.asarray(rows, dtype=float)
+    nc, nt = rows.shape
+    Z = np.sqrt(np.where(np.isfinite(rows), rows, 0.0)).astype(complex)
+    Z[np.isinf(rows)] = 1.0
+    Z[np.isnan(rows)] = np.nan
+    W = np.where(np.isinf(rows), 0.0, 1.0).astype(complex)
+    curves = tuple(Curve((complex(i + 1),), 1, 0.0, 1) for i in range(nc))
+    return ProjectedProbes(
+        family=ProbeFamily(curves, tuple(range(3, 3 + nt)), 0, 0),
+        curve_Z=Z[:, :, None],
+        curve_W=W,
+        curve_ok=np.asarray(ok, dtype=bool),
+        t_values=np.array([2.0**-e for e in range(3, 3 + nt)]),
+        shells=[],
+    )
+
+
+INF, NAN = math.inf, math.nan
+RISE = [1.0, 2.0, 20.0, 40.0, 80.0, 160.0, 320.0]  # escapes, final 320
+
+SYNTHETIC = {
+    "plain": ([RISE], [[True] * 7]),
+    # the hole breaks the rise unless it is skipped
+    "hole skipped": (
+        [[1.0, 2.0, 20.0, 40.0, 0.5, 80.0, 160.0, 320.0]],
+        [[True, True, True, True, False, True, True, True]],
+    ),
+    # skipping the hole pulls the falling 50 into the tail
+    "hole pulls in a fall": (
+        [[1.0, 50.0, 20.0, 40.0, 80.0, 90.0, 320.0]],
+        [[True, True, False, True, True, True, True]],
+    ),
+    "last point unconverged": (
+        [RISE + [0.0]],
+        [[True] * 7 + [False]],
+    ),
+    "short rows": (
+        [RISE, RISE, [1.0] * 7],
+        [
+            [False, False, False, True, True, True, True],
+            [True, False, True, False, True, False, True],
+            [False] * 7,
+        ],
+    ),
+    "exactly ESCAPE_RUN points": (
+        [RISE],
+        [[False] * (7 - ESCAPE_RUN) + [True] * ESCAPE_RUN],
+    ),
+    "inf and nan in the tail": (
+        [
+            [1.0, 2.0, 20.0, INF, 80.0, 160.0, 320.0],
+            [1.0, 2.0, 20.0, 40.0, 80.0, 160.0, NAN],
+            [1.0, 2.0, 20.0, 40.0, 80.0, 160.0, INF],
+        ],
+        [[True] * 7] * 3,
+    ),
+    "inf and nan before the tail": (
+        [
+            [INF, NAN, 20.0, 40.0, 80.0, 160.0, 320.0],
+            [NAN, INF, 20.0, 40.0, 80.0, 160.0, 300.0],
+        ],
+        [[True] * 7] * 2,
+    ),
+    "tie on the final ratio": (
+        [
+            [1.0, 2.0, 20.0, 40.0, 80.0, 160.0, 200.0],
+            [1.0, 2.0, 30.0, 50.0, 90.0, 170.0, 320.0],
+            RISE,
+            [1.0, 2.0, 3.0, 40.0, 80.0, 160.0, 320.0],
+        ],
+        [[True] * 7] * 4,
+    ),
+    "below the floor or the growth": (
+        [
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 99.0],
+            [1.0, 2.0, 50.0, 60.0, 70.0, 80.0, 390.0],
+        ],
+        [[True] * 7] * 2,
+    ),
+    "flat step": (
+        [[1.0, 2.0, 20.0, 40.0, 40.0, 160.0, 320.0]],
+        [[True] * 7],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTHETIC))
+def test_curve_escape_matches_loop_synthetic(case):
+    rows, ok = SYNTHETIC[case]
+    proj = synthetic_probes(rows, ok)
+    witness = assert_same_escape([WPoly.var_z(1)], parse_wpoly("w*wbar", 1), proj)
+    expected_escape = case in (
+        "plain",
+        "hole skipped",
+        "last point unconverged",
+        "exactly ESCAPE_RUN points",
+        "inf and nan before the tail",
+        "tie on the final ratio",
+    )
+    assert (witness is not None) == expected_escape
+    if case == "tie on the final ratio":
+        # rows 1, 2 and 3 tie at 320; the first one wins
+        assert witness["curve"] == proj.family.curves[1].describe()

@@ -6,11 +6,12 @@ would.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 
-from pshdef import construct, verify
+from pshdef import construct, dominance, verify
 from pshdef.catalog import type4_domain
 from pshdef.wirtinger import im_z
 
@@ -50,3 +51,41 @@ def test_rung_counter_matches_ladder(monkeypatch):
     assert not ks.shrunk
     assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 7
     assert summary["k_search_ladder_consistent"]
+
+
+def test_bound_caches_live_on_the_domain(monkeypatch):
+    """Each run computes a bound polynomial's boundary quadratic part once,
+    and a second DefiningFunction of the same domain computes its own:
+    the caches live on the domain, not in the module."""
+    seen = []
+    quadratic = dominance.boundary_quadratic
+
+    def recording(B, r):
+        seen.append((id(r), B))
+        return quadratic(B, r)
+
+    monkeypatch.setattr(dominance, "boundary_quadratic", recording)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    domains, reports = [], []
+    try:
+        for _ in range(2):
+            r = type4_domain(8)
+            tracer.begin_request()
+            reports.append(construct.run_construction(r))
+            tracer.end_request()
+            domains.append(r)
+    finally:
+        tracer.uninstall()
+    for request, r in enumerate(domains):
+        calls = [
+            s for s in tracer.spans
+            if s[0] == "dominance.boundary_quadratic" and s[4] == request
+        ]
+        bounds = [B for rid, B in seen if rid == id(r)]
+        assert len(calls) == len(bounds) >= 1
+        assert len(bounds) == len(set(bounds))  # once per distinct bound
+    a, b = (json.dumps(rep.as_dict(), sort_keys=True) for rep in reports)
+    assert a == b
