@@ -11,6 +11,7 @@ obstruction reports carry the witness that stopped the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -314,22 +315,71 @@ def _scan_points(r, shell, probes, radius):
     return shell.Z, shell.W
 
 
-def k_ladder(base, step, max_k_exp: int, stats):
-    """Smallest K = 2^e, 0 <= e <= max_k_exp, for which the Hessian
-    base + K step passes, by a doubling search on e and bisection.
+def predicted_exp(base, step, factor, rung0, max_k_exp: int) -> int:
+    """Lowest exponent e in [1, max_k_exp] at which the rank-one step can
+    lift every point where rung 0 fails the least-eigenvalue test.
 
-    step is positive semidefinite at every point, so by Weyl's inequality
-    the least eigenvalue of base + K step cannot fall as K grows, and
-    passing is monotone in e.  Rounding breaks that near -tol, and the
-    rounding error grows with K, so a high rung can fail where a lower one
-    passes.  The search therefore climbs from the bottom: it tries
-    e = 0, 1, 2, 4, 8, ... and max_k_exp last, stops at the first passing
-    rung, and bisects between it and the failing rung below.  No rung above
-    the first passing one in that sequence is evaluated.  The K returned
-    did pass; only its minimality rests on monotonicity.  stats maps a
-    Hessian stack to its PsdCheckResult.  Returns the rows of the rungs
-    evaluated in ascending K, and the K returned with its result: the
-    lowest passing rung, or the top rung when none passes.
+    Rung 0's Hessian is H1 = base + step, with step = 2 g g* and g = factor
+    per point; rung0 is its PsdCheckResult.  At a point whose least
+    eigenvalue is below -tol, C = H1 + tol I has a negative eigenvalue.  If
+    it has a second one, no K passes: a rank-one update moves the least
+    eigenvalue at most up to the second.  Otherwise, with phi = g* C^-1 g,
+    the matrix determinant lemma gives det(C + 2k g g*) = det C (1 + 2k phi),
+    so the point passes at K = 1 + k exactly when phi < 0 and
+    k >= -1/(2 phi).  Returns max_k_exp when no K can lift some point or a
+    value is not finite, and 1 when no point fails the test.
+    """
+    least, second = rung0.low_eigs.T
+    bad = least < -rung0.tol
+    if not bad.any():
+        return 1
+    if np.any(second[bad] < -rung0.tol):
+        return max_k_exp
+    C = base[bad]  # a copy: the mask selects
+    C += step[bad]
+    diag = np.arange(C.shape[-1])
+    C[:, diag, diag] += rung0.tol
+    g = factor[bad]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if C.shape[-1] == 2:  # closed form, as in least_eigenvalues
+            a, b, c = C[:, 0, 0].real, C[:, 0, 1], C[:, 1, 1].real
+            g1, g2 = g[:, 0], g[:, 1]
+            quad = c * np.abs(g1) ** 2 + a * np.abs(g2) ** 2
+            phi = (quad - 2 * (np.conj(g1) * b * g2).real) / (a * c - np.abs(b) ** 2)
+        else:
+            try:
+                x = np.linalg.solve(C, g[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # C singular at some point
+                return max_k_exp
+            phi = np.sum(np.conj(g) * x, axis=1).real
+        need = -0.5 / phi
+    if not np.all((need > 0) & np.isfinite(need)):  # some phi >= 0 or not finite
+        return max_k_exp
+    e = math.ceil(math.log2(1.0 + float(need.max())))
+    return min(max(1, e), max_k_exp)
+
+
+def k_ladder(base, step, factor, max_k_exp: int, stats):
+    """Smallest K = 2^e, 0 <= e <= max_k_exp, for which the Hessian
+    base + K step passes, searched from the rung the rank-one step predicts.
+
+    step = 2 g g* is positive semidefinite at every point (g = factor), so
+    by Weyl's inequality the least eigenvalue of base + K step cannot fall
+    as K grows, and passing is monotone in e.  Rung 0 (K = 1) goes first.
+    If it fails, `predicted_exp` reads from its failing points the lowest
+    rung e* at which the least-eigenvalue test can pass; the pass rule
+    contains that test, so in exact arithmetic e* is a lower bound on the
+    answer.  If e* passes, the rung below it is tried and, if it passes too,
+    the search bisects between rung 0 and it.  If e* fails, the search
+    doubles the exponent, e* to 2 e*, 4 e*, ..., then max_k_exp, stops at
+    the first passing rung and bisects between it and the failing rung
+    below.  Rounding grows with K, so a high rung can fail where a lower one
+    passes; no rung above the first passing one in that climb is evaluated,
+    and that rung's K is at most the square of the answer's.  The K
+    returned did pass; only its minimality rests on monotonicity.  stats
+    maps a Hessian stack to its PsdCheckResult.  Returns the rows of the
+    rungs evaluated in ascending K, and the K returned with its result: the
+    lowest passing rung, or the top rung tried when none passes.
     """
     results = {}
 
@@ -338,8 +388,16 @@ def k_ladder(base, step, max_k_exp: int, stats):
         return results[e].passed
 
     lo, hi = -1, 0  # lo: highest rung seen failing; hi: the rung tried
-    while not passes(hi) and hi < max_k_exp:
-        lo, hi = hi, min(max(1, 2 * hi), max_k_exp)
+    if not passes(0) and max_k_exp > 0:
+        first = predicted_exp(base, step, factor, results[0], max_k_exp)
+        lo, hi = 0, first
+        while not passes(hi) and hi < max_k_exp:
+            lo, hi = hi, min(2 * hi, max_k_exp)
+        if first > 1 and results[first].passed:
+            if passes(hi - 1):
+                hi -= 1
+            else:
+                lo = hi - 1
     if results[hi].passed:
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -401,7 +459,7 @@ def k_search(
         )
         step = 2.0 * (G[:, :, None] * np.conj(G)[:, None, :])
         ladder, K, st = k_ladder(
-            base, step, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
+            base, step, G, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
         )
         if st.passed:
             return KSearchResult(True, K, ladder, None, radius, shrunk)

@@ -524,12 +524,20 @@ def convex_multiplier(
         }
         return report
 
-    # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2: Hessian is linear in K
+    # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2: Hessian is linear in K,
+    # and on the shell Hess(r^2) = 2 grad r grad r^T + 2 r Hess r is rank one
+    # up to the boundary residual
     base = real_hessian_values(r.poly + r.poly * ry, shell.X, shell.Y)
     quad = real_hessian_values(r.poly * r.poly, shell.X, shell.Y)
+    grad = np.stack(
+        [r.d_x(j).eval(shell.X, shell.Y) for j in range(r.nx)]
+        + [ry.eval(shell.X, shell.Y)],
+        axis=1,
+    )
     ladder, K, stats = k_ladder(
         base,
         quad,
+        grad,
         config.max_k_exp,
         lambda H: real_psd_stats(H, shell.X, shell.Y, config.tol),
     )

@@ -89,6 +89,6 @@ def hessian_csv(f, shell) -> str:
         vals = [str(i)]
         vals += [_fmt(diags[i, a]) for a in range(n)]
         vals += [_fmt(minors[i, j]) for j in range(n - 1)]
-        vals.append(_fmt(eigs[i]))
+        vals.append(_fmt(eigs[i, 0]))
         rows.append(",".join(vals))
     return "\n".join(rows) + "\n"

@@ -11,7 +11,7 @@ the PSD statistics and the h floor serve the real lane too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -169,7 +169,9 @@ def sample_boundary(
     """Low-discrepancy boundary points filling the ball of the given radius.
 
     Tangential coordinates (Re z, Im z, Re w) fill the ball (see
-    `sample_ball`); Im w is Newton-solved.
+    `sample_ball`); Im w is Newton-solved.  The shell is cached on r by
+    (radius, count, seed), so every scan of one domain at those settings
+    reads the same points; its arrays are read-only.
     """
     nz = r.nz
     dtype = np.clongdouble if radius < 1e-4 else np.complex128
@@ -179,9 +181,14 @@ def sample_boundary(
         W, ok = project_to_boundary(r, Z, coords[:, -1], dtype=dtype)
         return (Z, W), ok
 
-    Z, W = sample_ball(2 * nz + 1, radius, count, seed, lift)
-    res = np.abs(compiled(r.poly).eval(Z, W).real)
-    return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
+    def build():
+        Z, W = sample_ball(2 * nz + 1, radius, count, seed, lift)
+        res = np.abs(compiled(r.poly).eval(Z, W).real)
+        for a in (Z, W, res):
+            a.flags.writeable = False
+        return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
+
+    return r.cached(("shell", radius, count, seed), build)
 
 
 def sample_collar(
@@ -236,7 +243,8 @@ def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def least_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue per point; closed form for 2x2, solver otherwise."""
+    """The two smallest eigenvalues per point, ascending, shape (m, 2);
+    closed form for 2x2, solver otherwise."""
     n = H.shape[-1]
     if n == 2:
         a = H[:, 0, 0].real
@@ -244,8 +252,8 @@ def least_eigenvalues(H: np.ndarray) -> np.ndarray:
         b = H[:, 0, 1]
         half = 0.5 * (a + c)
         disc = np.sqrt((0.5 * (a - c)) ** 2 + np.abs(b) ** 2)
-        return half - disc
-    return np.linalg.eigvalsh(H)[:, 0]
+        return np.stack([half - disc, half + disc], axis=1)
+    return np.linalg.eigvalsh(H)[:, :2]
 
 
 @dataclass
@@ -257,6 +265,9 @@ class PsdCheckResult:
     min_eig: float
     worst_point: dict
     count: int
+    # the two least eigenvalues per point, (m, 2), for the K search; not
+    # part of the report
+    low_eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -281,7 +292,7 @@ def psd_arrays(H: np.ndarray):
     """Per-point PSD statistics of a Hermitian (or real symmetric) stack.
 
     Returns the diagonals (m, n), the 2x2 minors of each slot with the
-    last one (m, n - 1) and the least eigenvalues (m,).  An empty stack
+    last one (m, n - 1) and the two least eigenvalues (m, 2).  An empty stack
     raises ValueError: no points are no evidence.
     """
     if not len(H):
@@ -304,7 +315,8 @@ def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
 
     point(i) describes point i for the report's worst point.
     """
-    diags, minors, eigs = psd_arrays(H)
+    diags, minors, low_eigs = psd_arrays(H)
+    eigs = low_eigs[:, 0]
     min_diag = float(diags.min())
     min_minor = float(minors.min())
     min_eig = float(eigs.min())
@@ -316,6 +328,7 @@ def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
         min_eig=min_eig,
         worst_point=point(int(np.argmin(eigs))),
         count=len(eigs),
+        low_eigs=low_eigs,
     )
 
 

@@ -70,11 +70,12 @@ def small_shell(r10):
 # -- the K ladder -------------------------------------------------------
 
 
-def linear_k_ladder(base, step, max_k_exp, stats):
+def linear_k_ladder(base, step, factor, max_k_exp, stats):
     """Reference K ladder: walk K = 1, 2, 4, ..., 2^max_k_exp until the
-    Hessian base + K step passes.  `construct.k_ladder` searches the
-    exponent by doubling and bisection and must agree with this walk on
-    K, pass/fail and rows."""
+    Hessian base + K step passes.  `construct.k_ladder` starts from the rung
+    the rank-one step's factor predicts and must agree with this walk on
+    K, pass/fail and rows; the walk needs no prediction and ignores
+    factor."""
     ladder = []
     for e in range(max_k_exp + 1):
         K = 2**e
@@ -96,9 +97,10 @@ def linear_k_ladder(base, step, max_k_exp, stats):
 @pytest.fixture
 def watch_k_ladder(monkeypatch):
     """watch_k_ladder(check) makes every K ladder either lane searches
-    call check(base, step, max_k_exp, stats) first, and returns the list of
-    check results.  The check runs inside the search because `stats` reads
-    the scan points of its radius only until k_search moves on."""
+    call check(base, step, factor, max_k_exp, stats) first, and returns the
+    list of check results.  The check runs inside the search because
+    `stats` reads the scan points of its radius only until k_search moves
+    on."""
 
     def watch(check):
         results = []

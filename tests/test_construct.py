@@ -18,6 +18,7 @@ from pshdef.construct import (
     absorb_r_multiples,
     k_ladder,
     k_search,
+    predicted_exp,
     run_construction,
     solve_stage,
     strong_psc_shortcut,
@@ -258,31 +259,33 @@ def test_k_search_h_floor_fails_at_both_radii(r10):
     assert 0 <= ks.witness["min_abs_h"] < H_MIN
 
 
-# -- the bisected K ladder against the linear walk --------------------------
+# -- the predicted K ladder against the linear walk ------------------------
 
 
-def climb(max_k_exp):
-    """The exponents k_ladder tries before bisecting: 0, 1, 2, 4, ... below
-    max_k_exp, then max_k_exp."""
-    es = [0]
+def climb(first, max_k_exp):
+    """The exponents k_ladder tries after rung 0, before bisecting: the
+    predicted rung, then doubling, then max_k_exp."""
+    es = [first]
     while es[-1] < max_k_exp:
-        es.append(min(max(1, 2 * es[-1]), max_k_exp))
+        es.append(min(2 * es[-1], max_k_exp))
     return es
 
 
-def check_against_linear(base, step, max_k_exp, stats):
-    """k_ladder returns the linear walk's K, verdict and result, its rows
-    agree byte for byte where both evaluated a rung, and it evaluates the
-    whole climb when nothing passes, else at most the climb plus
-    ceil(log2(max_k_exp)) bisection rungs."""
+def check_against_linear(base, step, factor, max_k_exp, stats):
+    """k_ladder returns the linear walk's K, verdict and result, and its rows
+    agree byte for byte where both evaluated a rung.  It evaluates rung 0
+    first; when the predicted rung e* is the answer, only 0, e* - 1 and e*;
+    when nothing passes, rung 0 and the whole climb from e*; and never a
+    rung above the first passing rung of that climb.  Returns the number of
+    rungs evaluated."""
     evaluated = []
 
     def counting(H):
         evaluated.append(H)
         return stats(H)
 
-    ladder, K, st = k_ladder(base, step, max_k_exp, counting)
-    ref_ladder, ref_K, ref_st = linear_k_ladder(base, step, max_k_exp, stats)
+    ladder, K, st = k_ladder(base, step, factor, max_k_exp, counting)
+    ref_ladder, ref_K, ref_st = linear_k_ladder(base, step, factor, max_k_exp, stats)
     assert (K, st.passed) == (ref_K, ref_st.passed)
     assert st.as_dict() == ref_st.as_dict()
     ref_rows = {row["K"]: json.dumps(row) for row in ref_ladder}
@@ -291,22 +294,29 @@ def check_against_linear(base, step, max_k_exp, stats):
             assert json.dumps(row) == ref_rows[row["K"]]
     Ks = [row["K"] for row in ladder]
     assert Ks == sorted(set(Ks)) and len(ladder) == len(evaluated)
+    assert Ks[0] == 1
     rows = {row["K"]: row for row in ladder}
     assert rows[K]["passed"] == st.passed
     if st.passed and K > 1:
         assert not rows[K // 2]["passed"]
-    if st.passed:
+    exps = [k.bit_length() - 1 for k in Ks]
+    if ladder[0]["passed"] or max_k_exp == 0:
+        assert exps == [0]
+        return len(evaluated)
+    first = predicted_exp(base, step, factor, stats(base + step), max_k_exp)
+    assert 1 <= first <= max_k_exp
+    e = K.bit_length() - 1
+    if not st.passed:
+        assert exps == [0] + climb(first, max_k_exp)
+    elif e == first:
+        assert exps == sorted({0, first - 1, first})
+    else:
         # nothing above the first climb rung at or above K is tried, so a
         # rounding failure high up cannot decide
-        e = K.bit_length() - 1
-        assert Ks[-1] == 2 ** min(c for c in climb(max_k_exp) if c >= e)
-    if ladder[0]["passed"]:
-        assert len(evaluated) == 1
-    elif not st.passed:
-        assert Ks == [2**e for e in climb(max_k_exp)]
-    else:
-        bound = len(climb(max_k_exp)) + math.ceil(math.log2(max_k_exp))
+        assert exps[-1] == min(c for c in climb(first, max_k_exp) if c >= e)
+        bound = 2 + len(climb(first, max_k_exp)) + math.ceil(math.log2(max_k_exp))
         assert len(evaluated) <= bound
+    return len(evaluated)
 
 
 def _complex(text, nz):
@@ -345,15 +355,16 @@ LADDER_RUNS = {
 
 @pytest.mark.parametrize("name", list(LADDER_RUNS))
 def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
-    """Every ladder a run searches, at every stage and radius."""
+    """Every ladder a run searches, at every stage and radius, evaluates at
+    most three rungs."""
 
-    def check(base, step, max_k_exp, stats):
-        check_against_linear(base, step, max_k_exp, stats)
-        check_against_linear(base, step, 0, stats)
+    def check(base, step, factor, max_k_exp, stats):
+        assert check_against_linear(base, step, factor, 0, stats) == 1
+        return check_against_linear(base, step, factor, max_k_exp, stats)
 
     checked = watch_k_ladder(check)
     LADDER_RUNS[name]()
-    assert checked
+    assert checked and max(checked) <= 3
 
 
 def test_k_ladder_high_top_rung(watch_k_ladder):
@@ -362,8 +373,8 @@ def test_k_ladder_high_top_rung(watch_k_ladder):
     -tol test although K = 64 passes.  The search must still find 64."""
     config = ConstructConfig(max_k_exp=40)
     checked = watch_k_ladder(
-        lambda base, step, max_k_exp, stats: check_against_linear(
-            base, step, 30, stats
+        lambda base, step, factor, max_k_exp, stats: check_against_linear(
+            base, step, factor, 30, stats
         )
     )
     rep = run_construction(type4_domain(10), config)
@@ -373,10 +384,19 @@ def test_k_ladder_high_top_rung(watch_k_ladder):
     assert max(row["K"] for row in ladder) <= 2**8
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def _psd_stats(m, n):
+    rng = np.random.default_rng(0)
+    Z = rng.normal(size=(m, n - 1)) + 0j
+    W = rng.normal(size=m) + 0j
+    return lambda H: psd_stats(H, Z, W, 1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(8))
 def test_k_ladder_random_rank_one_step(n, seed):
-    """Hermitian base plus a PSD rank-one step, the shape of both lanes."""
+    """Hermitian base plus a PSD rank-one step 2 g g*, the shape of both
+    lanes: the prediction from g holds, so each search evaluates at most
+    three rungs."""
     rng = np.random.default_rng(seed)
     m = 40
     M = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
@@ -387,14 +407,77 @@ def test_k_ladder_random_rank_one_step(n, seed):
     a = 2.0 ** rng.uniform(-3, 23) * rng.uniform(0, 1, size=(m, 1, 1))
     base = M @ M.conj().transpose(0, 2, 1) / n - a * gg
     step = 2.0 * gg
-    Z = rng.normal(size=(m, n - 1)) + 0j
-    W = rng.normal(size=m) + 0j
-
-    def stats(H):
-        return psd_stats(H, Z, W, 1e-9)
-
     for max_k_exp in (0, 1, 2, 5, 20, 30):
-        check_against_linear(base, step, max_k_exp, stats)
+        assert check_against_linear(base, step, g, max_k_exp, _psd_stats(m, n)) <= 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_predicted_exp_closed_form_matches_solver(seed):
+    """The 2x2 closed form predicts the rung the batched solver predicts
+    for the same points embedded in 3x3 with a decoupled third slot."""
+    rng = np.random.default_rng(seed)
+    m = 200
+    M = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+    g = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    gg = g[:, :, None] * np.conj(g)[:, None, :]
+    a = 2.0 ** rng.uniform(0, 15) * rng.uniform(0.5, 1, size=(m, 1, 1))
+    base2 = M @ M.conj().transpose(0, 2, 1) / 2 - a * gg
+    base3 = np.zeros((m, 3, 3), dtype=complex)
+    base3[:, :2, :2] = base2
+    base3[:, 2, 2] = 1.0
+    g3 = np.concatenate([g, np.zeros((m, 1))], axis=1)
+    step2, step3 = 2.0 * gg, 2.0 * g3[:, :, None] * np.conj(g3)[:, None, :]
+    e2 = predicted_exp(base2, step2, g, _psd_stats(m, 2)(base2 + step2), 30)
+    e3 = predicted_exp(base3, step3, g3, _psd_stats(m, 3)(base3 + step3), 30)
+    assert 1 < e2 == e3 < 30
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_k_ladder_negative_direction_orthogonal_to_step(n):
+    """A negative direction the step cannot reach: phi >= 0, so the search
+    tries only the top rung after rung 0, and fails like the walk."""
+    rng = np.random.default_rng(n)
+    m = 30
+    D = np.zeros((m, n, n), dtype=complex)
+    D[:, 0, 0] = -rng.uniform(1, 2, size=m)
+    for j in range(1, n):
+        D[:, j, j] = rng.uniform(1, 2, size=m)
+    g0 = np.zeros((m, n), dtype=complex)
+    g0[:, 1:] = rng.normal(size=(m, n - 1)) + 1j * rng.normal(size=(m, n - 1))
+    # the same structure in a random unitary frame per point
+    Q, _ = np.linalg.qr(rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n)))
+    base = Q @ D @ Q.conj().transpose(0, 2, 1)
+    g = np.einsum("mjk,mk->mj", Q, g0)
+    step = 2.0 * g[:, :, None] * np.conj(g)[:, None, :]
+    stats = _psd_stats(m, n)
+    assert predicted_exp(base, step, g, stats(base + step), 20) == 20
+    ladder, K, st = k_ladder(base, step, g, 20, stats)
+    assert [row["K"] for row in ladder] == [1, 2**20] and not st.passed
+    check_against_linear(base, step, g, 20, stats)
+
+
+def test_k_ladder_minor_failure_above_prediction():
+    """At K = 32 the least eigenvalue reads -tol/2, so the prediction is
+    e* = 5, but the (z, w) minor L (2K - 2 - b) stays below -tol until
+    K = 64: the search climbs from e*, bisects back and finds 64 like the
+    walk."""
+    m = 4
+    L = 1e6 * (1 + np.arange(m))
+    b = 62 + 0.5e-9  # 2 (K - 1) - b = -tol / 2 at K = 32
+    g = np.zeros((m, 2))
+    g[:, 1] = 1.0
+    step = 2.0 * g[:, :, None] * g[:, None, :]
+    H1 = np.zeros((m, 2, 2))
+    H1[:, 0, 0] = L
+    H1[:, 1, 1] = -b
+    base = (H1 - step).astype(complex)
+    stats = _psd_stats(m, 2)
+    assert predicted_exp(base, step, g, stats(base + step), 20) == 5
+    ladder, K, st = k_ladder(base, step, g, 20, stats)
+    rows = {row["K"]: row for row in ladder}
+    assert rows[32]["min_eig"] >= -1e-9 > rows[32]["min_minor"]
+    assert 2**10 in rows and K == 64 and st.passed
+    check_against_linear(base, step, g, 20, stats)
 
 
 def test_report_dict_shape(r10_report):

@@ -49,7 +49,7 @@ def test_rung_counter_matches_ladder(monkeypatch):
         tracer.uninstall()
     metrics, summary = tracer_mod.analyse(tracer.spans, 1, 1.0)
     assert not ks.shrunk
-    assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 7
+    assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 3
     assert summary["k_search_ladder_consistent"]
 
 
@@ -89,3 +89,44 @@ def test_bound_caches_live_on_the_domain(monkeypatch):
         assert len(bounds) == len(set(bounds))  # once per distinct bound
     a, b = (json.dumps(rep.as_dict(), sort_keys=True) for rep in reports)
     assert a == b
+
+
+def test_shells_sampled_once_per_domain(monkeypatch):
+    """A run Newton-projects each (radius, samples, seed) shell once, however
+    many scans read it, and a second DefiningFunction of the same domain
+    samples its own: the shell cache lives on the domain."""
+    built = []
+    sample_ball = verify.sample_ball
+
+    def recording(d, radius, count, seed, lift):
+        built[-1].append((radius, count, seed))
+        return sample_ball(d, radius, count, seed, lift)
+
+    monkeypatch.setattr(verify, "sample_ball", recording)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    reports = []
+    try:
+        for _ in range(2):
+            built.append([])
+            tracer.begin_request()
+            reports.append(construct.run_construction(type4_domain(8)))
+            tracer.end_request()
+    finally:
+        tracer.uninstall()
+    for request, shells in enumerate(built):
+        reads = [
+            s for s in tracer.spans
+            if s[0] == "verify.sample_boundary" and s[4] == request
+        ]
+        assert len(shells) == len(set(shells)) >= 1
+        assert len(reads) > len(shells)  # the other reads hit the cache
+    assert built[0] == built[1]
+    a, b = (json.dumps(rep.as_dict(), sort_keys=True) for rep in reports)
+    assert a == b
+    r = type4_domain(8)
+    shell = verify.sample_boundary(r, 1e-2, 50, 3)
+    assert verify.sample_boundary(r, 1e-2, 50, 3) is shell
+    assert not (shell.Z.flags.writeable or shell.W.flags.writeable)
