@@ -7,7 +7,6 @@ verification, plus the real-convex analog of the whole pipeline.
 
 from .gaussrat import GaussianRational
 from .wirtinger import (
-    Monomial,
     WPoly,
     abs2,
     canonical_str,

@@ -281,10 +281,10 @@ def absorb_r_multiples(T: WPoly, r: DefiningFunction):
     reduced = T
     absorbed = []
     seen = set()
-    for m, c in sorted(T.terms.items(), key=lambda kv: kv[0].sort_key()):
+    for m, c in T.sorted_terms():
         if m in seen:
             continue
-        mc = m.conjugate()
+        mc = T.conj_key(m)
         seen.add(m)
         seen.add(mc)
         base = F.terms.get(m)

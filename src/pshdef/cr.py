@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gaussrat import GaussianRational
-from .wirtinger import Monomial, WPoly, im_w
+from .wirtinger import WPoly, im_w
 
 # coefficient of w in Im w: 1/(2i)
 _W_COEFF = GaussianRational(0, Fraction(-1, 2))
@@ -31,19 +31,15 @@ def normal_form_violations(p: WPoly) -> list[str]:
     out = []
     if not p.is_real():
         out.append("polynomial is not real")
-    unit = Monomial((0,) * p.nz, (0,) * p.nz, 0, 0)
-    if not p.coeff(unit).is_zero():
+    if not p.constant_term().is_zero():
         out.append("nonzero constant term")
-    w_mono = unit._replace(c=1)
-    wbar_mono = unit._replace(d=1)
-    if p.coeff(w_mono) != _W_COEFF:
+    # the coefficient of a linear monomial is its partial's constant term
+    if p.dw().constant_term() != _W_COEFF:
         out.append("coefficient of w is not 1/(2i) (linear part must be Im w)")
-    if p.coeff(wbar_mono) != _W_COEFF.conjugate():
+    if p.dwbar().constant_term() != _W_COEFF.conjugate():
         out.append("coefficient of wbar is not -1/(2i) (linear part must be Im w)")
     for j in range(p.nz):
-        zc = p.coeff(unit._replace(a=unit.a[:j] + (1,) + unit.a[j + 1 :]))
-        zbc = p.coeff(unit._replace(b=unit.b[:j] + (1,) + unit.b[j + 1 :]))
-        if not (zc.is_zero() and zbc.is_zero()):
+        if p.dz(j).constant_term() or p.dzbar(j).constant_term():
             out.append(f"linear term in z_{j + 1}")
     return out
 

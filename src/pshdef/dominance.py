@@ -29,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cr import DefiningFunction
-from .gaussrat import GaussianRational
+from .gaussrat import I
 from .numeval import compiled
-from .wirtinger import WPoly, canonical_str
+from .wirtinger import SparsePoly, WPoly, canonical_str, indexed_names, term_text
 
 DYADIC_EXPS = tuple(range(3, 17))  # t = 2^-3 .. 2^-16
 ESCAPE_RUN = 5
@@ -222,50 +222,23 @@ def real_form(p: WPoly) -> dict:
     if not p.is_real():
         raise ValueError("real_form needs a real-valued polynomial")
     nz = p.nz
-    nvar = 2 * nz + 2
-
-    def var_dict(idx_re, idx_im, conj):
-        one = tuple(0 for _ in range(nvar))
-        e_re = tuple(1 if i == idx_re else 0 for i in range(nvar))
-        e_im = tuple(1 if i == idx_im else 0 for i in range(nvar))
-        im = GaussianRational(0, Fraction(-1 if conj else 1))
-        return {e_re: GaussianRational.of(1), e_im: im}
-
-    def mul(d1, d2):
-        out = {}
-        for e1, c1 in d1.items():
-            for e2, c2 in d2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e)
-                c = c1 * c2 if c is None else c + c1 * c2
-                out[e] = c
-        return {e: c for e, c in out.items() if not c.is_zero()}
-
-    def powd(d, n):
-        out = {tuple(0 for _ in range(nvar)): GaussianRational.of(1)}
-        for _ in range(n):
-            out = mul(out, d)
-        return out
-
-    acc: dict = {}
-    for m, coeff in p.terms.items():
-        d = {tuple(0 for _ in range(nvar)): coeff}
-        for k in range(nz):
-            if m.a[k]:
-                d = mul(d, powd(var_dict(k, nz + k, False), m.a[k]))
-            if m.b[k]:
-                d = mul(d, powd(var_dict(k, nz + k, True), m.b[k]))
-        if m.c:
-            d = mul(d, powd(var_dict(2 * nz, 2 * nz + 1, False), m.c))
-        if m.d:
-            d = mul(d, powd(var_dict(2 * nz, 2 * nz + 1, True), m.d))
-        for e, c in d.items():
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
+    n = 2 * nz + 2
+    x = [SparsePoly.var(n, i) for i in range(n)]
+    # what each WPoly slot (z_k, zbar_k, w, wbar) becomes in x, y, u, v
+    subs = [x[k] + x[nz + k].scale(s) for s in (I, -I) for k in range(nz)]
+    subs += [x[2 * nz] + x[2 * nz + 1].scale(s) for s in (I, -I)]
+    powers = {}
+    acc = SparsePoly.zero(n)
+    for e, c in p.terms.items():
+        t = SparsePoly.const(n, c)
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in powers:
+                    powers[i, k] = subs[i] ** k
+                t = t * powers[i, k]
+        acc = acc + t
     out = {}
-    for e, c in acc.items():
-        if c.is_zero():
-            continue
+    for e, c in acc.terms.items():
         if c.im != 0:
             raise AssertionError("imaginary residue in real_form expansion")
         out[e] = c.re
@@ -277,39 +250,8 @@ def real_basis_str(p: WPoly) -> str:
 
     Parses back to the same polynomial; raises on non-real input.
     """
-    rf = real_form(p)
-    if not rf:
-        return "0"
-    nz = p.nz
-
-    def factor_name(i: int) -> str:
-        if i < nz:
-            return "Re(z)" if nz == 1 else f"Re(z{i + 1})"
-        if i < 2 * nz:
-            return "Im(z)" if nz == 1 else f"Im(z{i - nz + 1})"
-        return "Re(w)" if i == 2 * nz else "Im(w)"
-
-    pieces = []
-    for e, c in sorted(rf.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        factors = []
-        for i, k in enumerate(e):
-            if k:
-                n = factor_name(i)
-                factors.append(n if k == 1 else f"{n}^{k}")
-        mono = "*".join(factors)
-        negated = c < 0
-        if negated:
-            c = -c
-        if c == 1 and mono:
-            body = mono
-        else:
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            body = cs if not mono else f"{cs}*{mono}"
-        if not pieces:
-            pieces.append(("-" if negated else "") + body)
-        else:
-            pieces.append(("- " if negated else "+ ") + body)
-    return " ".join(pieces)
+    names = indexed_names("Re(z{})", p.nz) + indexed_names("Im(z{})", p.nz)
+    return term_text(real_form(p), names + ["Re(w)", "Im(w)"], "*", "*")
 
 
 def _det_fraction(M) -> Fraction:
@@ -629,7 +571,7 @@ def split_S_E(
     E = WPoly.zero(g.nz)
     terms = []
     has_unknown = False
-    for m, c in sorted(g.terms.items(), key=lambda kv: kv[0].sort_key()):
+    for m, c in g.sorted_terms():
         mono = WPoly(g.nz, {m: c})
         v = dominance_check(mono, bound, r, probes, j=j)
         terms.append(TermClassification(canonical_str(mono), v))

@@ -233,13 +233,21 @@ def infer_nz(ast, real: bool = False) -> int:
 # -- lowering ------------------------------------------------------------
 
 
-def _const_of(p: WPoly, src, pos) -> GaussianRational:
+def _const_of(p, src, pos):
+    """The value of a constant WPoly or RPoly."""
     if p.degree() > 0:
         raise ExprSyntaxError("expected a constant here", src, pos)
-    from .wirtinger import Monomial
+    return p.constant_term()
 
-    unit = Monomial((0,) * p.nz, (0,) * p.nz, 0, 0)
-    return p.coeff(unit)
+
+def _var_index(node: Var, m, n: int, lane: str, src: str) -> int:
+    """0-based index of z<k>/zbar<k>/x<k> (plain z, zbar, x mean k = 1)."""
+    j = int(m.group(2) or 1) - 1
+    if not 0 <= j < n:
+        raise ExprSyntaxError(
+            f"variable {node.name} out of range ({lane}={n})", src, node.pos
+        )
+    return j
 
 
 def lower_complex(ast, nz: int, src: str = "") -> WPoly:
@@ -253,11 +261,7 @@ def lower_complex(ast, nz: int, src: str = "") -> WPoly:
         if isinstance(node, Var):
             m = _ZVAR.match(node.name)
             if m:
-                j = int(m.group(2)) - 1 if m.group(2) else 0
-                if j >= nz:
-                    raise ExprSyntaxError(
-                        f"variable {node.name} out of range (nz={nz})", src, node.pos
-                    )
+                j = _var_index(node, m, nz, "nz", src)
                 return (
                     WPoly.var_zbar(nz, j) if m.group(1) == "zbar" else WPoly.var_z(nz, j)
                 )
@@ -323,12 +327,7 @@ def lower_real(ast, nv: int, src: str = ""):
         if isinstance(node, Var):
             m = _XVAR.match(node.name)
             if m:
-                j = int(m.group(2)) - 1 if m.group(2) else 0
-                if j >= nv:
-                    raise ExprSyntaxError(
-                        f"variable {node.name} out of range (nx={nv})", src, node.pos
-                    )
-                return RPoly.var_x(nv, j)
+                return RPoly.var_x(nv, _var_index(node, m, nv, "nx", src))
             if node.name == "y":
                 return RPoly.var_y(nv)
             raise ExprSyntaxError(
@@ -346,8 +345,8 @@ def lower_real(ast, nv: int, src: str = ""):
         if isinstance(node, Bin):
             if node.op == "^":
                 base = go(node.left)
-                e = go(node.right).constant_value()
-                if e is None or e.denominator != 1 or e < 0:
+                e = _const_of(go(node.right), src, node.pos)
+                if e.denominator != 1 or e < 0:
                     raise ExprSyntaxError(
                         "exponent must be a nonnegative integer", src, node.pos
                     )
@@ -360,9 +359,7 @@ def lower_real(ast, nv: int, src: str = ""):
                 return l - r
             if node.op == "*":
                 return l * r
-            c = r.constant_value()
-            if c is None:
-                raise ExprSyntaxError("divisor must be a constant", src, node.pos)
+            c = _const_of(r, src, node.pos)
             if c == 0:
                 raise ExprSyntaxError("division by zero", src, node.pos)
             return l.scale(Fraction(1) / c)

@@ -3,10 +3,12 @@
 Domains {r < 0} in R^n with r = y + G(x, y), G of degree >= 2, so r_y is 1
 near 0.  Because r_y is real it already solves the log-derivative equation,
 and the whole staged construction collapses to the fixed choice T = r_y plus
-a ladder over K.  The lane runs on the complex lane's numeric core: the
-compiled evaluator (`numeval`), the Halton ball sampler, the Newton solver,
-the PSD statistics and the h floor (`verify`), and the K ladder and radius
-shrink (`construct`).  Only the coordinates differ.
+a ladder over K.  The lane runs on the complex lane's cores: `RPoly` is
+the exact sparse polynomial of `wirtinger` with rational coefficients over
+(x_1..x_n, y), and the numeric side is the compiled evaluator (`numeval`),
+the Halton ball sampler, the Newton solver, the PSD statistics and the h
+floor (`verify`), and the K ladder and radius shrink (`construct`).  Only
+the coordinates differ.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -26,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from .construct import SHRINK, KSearchResult, check_search_config, k_ladder
-from .gaussrat import format_fraction
 from .numeval import compiled
 from .verify import (
     DEFAULT_TOL,
@@ -39,140 +40,44 @@ from .verify import (
     psd_result,
     sample_ball,
 )
+from .wirtinger import SparsePoly, indexed_names, term_text, var_slot
 
 
-class RPoly:
+class RPoly(SparsePoly):
     """Polynomial over (x_1..x_nx, y) with exact rational coefficients.
 
     Exponent keys are tuples of length nx + 1, the last slot for y.
     """
 
-    __slots__ = ("nx", "terms", "_compiled")
+    __slots__ = ()
+    ring = Fraction
+    numeric = float
 
-    def __init__(self, nx: int, terms: dict):
-        self.nx = nx
-        self.terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
-        self._compiled = None
+    @staticmethod
+    def width(nx: int) -> int:
+        return nx + 1
 
-    # -- constructors --
+    @staticmethod
+    def columns(X, Y) -> list:
+        return [*X.T, Y]
 
-    @classmethod
-    def zero(cls, nx: int) -> "RPoly":
-        return cls(nx, {})
-
-    @classmethod
-    def const(cls, nx: int, val) -> "RPoly":
-        return cls(nx, {(0,) * (nx + 1): Fraction(val)})
+    @property
+    def nx(self) -> int:
+        return self.n
 
     @classmethod
     def var_x(cls, nx: int, j: int = 0) -> "RPoly":
-        if not 0 <= j < nx:
-            raise IndexError(f"x index {j} out of range for nx={nx}")
-        e = [0] * (nx + 1)
-        e[j] = 1
-        return cls(nx, {tuple(e): Fraction(1)})
+        return cls.var(nx, j)
 
     @classmethod
     def var_y(cls, nx: int) -> "RPoly":
-        e = (0,) * nx + (1,)
-        return cls(nx, {e: Fraction(1)})
-
-    # -- ring ops --
-
-    def _check(self, other: "RPoly"):
-        if self.nx != other.nx:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other: "RPoly") -> "RPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return RPoly(self.nx, out)
-
-    def __sub__(self, other: "RPoly") -> "RPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RPoly":
-        return RPoly(self.nx, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "RPoly") -> "RPoly":
-        self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return RPoly(self.nx, out)
-
-    def __pow__(self, k: int) -> "RPoly":
-        if k < 0:
-            raise ValueError("negative exponent")
-        out = RPoly.const(self.nx, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def scale(self, c) -> "RPoly":
-        c = Fraction(c)
-        return RPoly(self.nx, {e: c * v for e, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RPoly)
-            and self.nx == other.nx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nx, frozenset(self.terms.items())))
-
-    # -- queries --
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def min_degree(self) -> int:
-        return min((sum(e) for e in self.terms), default=0)
-
-    def coeff(self, exps: tuple) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def constant_value(self) -> Fraction | None:
-        """The value if constant, else None (parser contract)."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            if sum(e) == 0:
-                return c
-        return None
-
-    # -- calculus --
+        return cls.var(nx, 0, nx)
 
     def d_x(self, j: int = 0) -> "RPoly":
-        if not 0 <= j < self.nx:
-            raise IndexError(f"x index {j} out of range for nx={self.nx}")
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[j]:
-                ne = e[:j] + (e[j] - 1,) + e[j + 1 :]
-                out[ne] = out.get(ne, Fraction(0)) + c * e[j]
-        return RPoly(self.nx, out)
+        return self.partial(var_slot(j, self.n))
 
     def d_y(self) -> "RPoly":
-        out: dict = {}
-        last = self.nx
-        for e, c in self.terms.items():
-            if e[last]:
-                ne = e[:last] + (e[last] - 1,)
-                out[ne] = out.get(ne, Fraction(0)) + c * e[last]
-        return RPoly(self.nx, out)
-
-    # -- numerics --
+        return self.partial(self.n)
 
     def eval(self, X, Y) -> np.ndarray:
         """Values at rows of X (m, nx) and Y (m,), float64."""
@@ -180,43 +85,13 @@ class RPoly:
         X = np.asarray(X, dtype=np.float64).reshape(len(Y), self.nx)
         return compiled(self).eval(X, Y)
 
-    def canonical_str(self) -> str:
-        return canonical_rstr(self)
-
     def __repr__(self):
-        return f"RPoly({self.canonical_str()!r})"
-
-
-def _rmonomial_str(e: tuple, nx: int) -> str:
-    parts = []
-    for j in range(nx):
-        if e[j]:
-            n = "x" if nx == 1 else f"x{j + 1}"
-            parts.append(n if e[j] == 1 else f"{n}^{e[j]}")
-    if e[-1]:
-        parts.append("y" if e[-1] == 1 else f"y^{e[-1]}")
-    return " ".join(parts)
+        return f"RPoly({canonical_rstr(self)!r})"
 
 
 def canonical_rstr(p: RPoly) -> str:
     """Sorted-monomial text form; parses back to an identical RPoly."""
-    if not p.terms:
-        return "0"
-    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    pieces = []
-    for e, c in items:
-        mono = _rmonomial_str(e, p.nx)
-        negated = c < 0
-        if negated:
-            c = -c
-        body = mono if (c == 1 and mono) else (
-            format_fraction(c) if not mono else f"{format_fraction(c)} * {mono}"
-        )
-        if not pieces:
-            pieces.append(("-" if negated else "") + body)
-        else:
-            pieces.append(("- " if negated else "+ ") + body)
-    return " ".join(pieces)
+    return term_text(p.terms, indexed_names("x{}", p.nx) + ["y"])
 
 
 # -- normal form ----------------------------------------------------------
@@ -232,16 +107,12 @@ class RealNormalFormError(ValueError):
 
 def real_normal_form_violations(p: RPoly) -> list[str]:
     out = []
-    unit = (0,) * (p.nx + 1)
-    if p.coeff(unit) != 0:
+    if p.constant_term() != 0:
         out.append("nonzero constant term")
-    y_mono = (0,) * p.nx + (1,)
-    if p.coeff(y_mono) != 1:
+    if p.d_y().constant_term() != 1:
         out.append("coefficient of y is not 1")
     for j in range(p.nx):
-        e = [0] * (p.nx + 1)
-        e[j] = 1
-        if p.coeff(tuple(e)) != 0:
+        if p.d_x(j).constant_term() != 0:
             out.append(f"linear term in x_{j + 1}")
     higher = p - RPoly.var_y(p.nx)
     if not higher.is_zero() and higher.min_degree() < 2:

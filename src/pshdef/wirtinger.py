@@ -1,170 +1,177 @@
-"""Polynomials in z_1..z_m, conj(z_1)..conj(z_m), w, conj(w) with exact coefficients.
+"""Exact sparse polynomials: the one ring both lanes compute in.
 
-Sparse representation: a dict from exponent monomials to GaussianRational
-coefficients; zero coefficients are never stored.  The complex monomial basis
-is canonical -- real-variable expressions like Im w or (Re z)^2 are expanded
-into it on construction.  Wirtinger derivatives are formal partials in this
-basis, so d/dz treats conj(z) as an independent variable.
+`SparsePoly` is a dict from flat exponent tuples to nonzero exact
+coefficients; zero coefficients are never stored.  It implements the whole
+ring once -- sums, products, powers, scaling, degrees, truncation, and the
+partial derivative and antiderivative in one exponent slot -- and orders
+terms by (total degree, exponents).  Its lanes differ only in the
+coefficient ring, the key layout and the variable names:
 
-Floats appear only in `eval`; everything else is exact.
+- `WPoly`, polynomials in z_1..z_m, conj(z_1)..conj(z_m), w, conj(w) with
+  GaussianRational coefficients, keyed (a_1..a_m, b_1..b_m, c, d).  The
+  complex monomial basis is canonical -- real-variable expressions like
+  Im w or (Re z)^2 are expanded into it on construction.  Wirtinger
+  derivatives are formal partials in this basis, so d/dz treats conj(z) as
+  an independent variable, and conjugation swaps z with conj(z), w with
+  conj(w).
+- `realconvex.RPoly`, polynomials in x_1..x_n, y with Fraction
+  coefficients, keyed (e_1..e_n, e_y).
+
+Floats appear only in `eval` and the compiled evaluator; everything else
+is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from operator import add
+
+import numpy as np
 
 from .gaussrat import GaussianRational, format_gaussian, INV_2I
+from .numeval import compiled
 
-Scalar = Union[int, Fraction, GaussianRational]
-
-
-class Monomial(NamedTuple):
-    """Exponents: a over z, b over conj(z), c on w, d on conj(w)."""
-
-    a: tuple
-    b: tuple
-    c: int
-    d: int
-
-    def degree(self) -> int:
-        return sum(self.a) + sum(self.b) + self.c + self.d
-
-    def conjugate(self) -> "Monomial":
-        return Monomial(self.b, self.a, self.d, self.c)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(x + y for x, y in zip(self.a, other.a)),
-            tuple(x + y for x, y in zip(self.b, other.b)),
-            self.c + other.c,
-            self.d + other.d,
-        )
-
-    def sort_key(self):
-        return (self.degree(), self.a, self.b, self.c, self.d)
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 class DimensionMismatch(ValueError):
-    """Operands live over different numbers of z variables."""
+    """Operands are of different lanes or over different numbers of variables."""
 
 
-class WPoly:
-    """Polynomial over the z/zbar/w/wbar monomial basis.
+def _order(item):
+    e = item[0]
+    return (sum(e), e)
 
-    `nz` is the number of z variables (the ambient complex dimension is
-    nz + 1, the last coordinate being w).
+
+def var_slot(j: int, n: int, start: int = 0) -> int:
+    """Exponent slot of variable j in the block of n slots at `start`."""
+    if not 0 <= j < n:
+        raise IndexError(f"variable index {j} out of range for {n} variables")
+    return start + j
+
+
+class SparsePoly:
+    """Polynomial with exact coefficients over `n` variables.
+
+    Used as is, it has GaussianRational coefficients and one exponent slot
+    per variable.  A lane overrides `ring` (the coefficient constructor)
+    and `width` (exponent slots for n variables), and gives the compiled
+    evaluator `columns` (the value of each slot at numeric points) and
+    `numeric` (a coefficient as a float or complex).  Ring operations need
+    operands of the same lane and n; int, Fraction and GaussianRational
+    scalars act as constants.
     """
 
-    __slots__ = ("nz", "terms", "_compiled")
+    __slots__ = ("n", "terms", "_compiled")
+    ring = staticmethod(GaussianRational.of)
 
-    def __init__(self, nz: int, terms: dict | None = None):
-        if nz < 1:
-            raise ValueError("need at least one z variable")
-        self.nz = nz
+    @staticmethod
+    def width(n: int) -> int:
+        return n
+
+    def __init__(self, n: int, terms: dict | None = None):
+        if n < 1:
+            raise ValueError("need at least one variable")
+        self.n = n
+        ring = self.ring
         pruned = {}
         if terms:
-            for m, c in terms.items():
-                c = GaussianRational.of(c)
-                if not c.is_zero():
-                    pruned[m] = c
+            for e, c in terms.items():
+                c = ring(c)
+                if c:
+                    pruned[e] = c
         self.terms = pruned
         self._compiled = None
+
+    def _like(self, terms: dict):
+        return type(self)(self.n, terms)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, nz: int) -> "WPoly":
-        return cls(nz, {})
+    def zero(cls, n: int):
+        return cls(n)
 
     @classmethod
-    def const(cls, nz: int, c) -> "WPoly":
-        return cls(nz, {_unit_monomial(nz): GaussianRational.of(c)})
+    def const(cls, n: int, c):
+        return cls(n, {(0,) * cls.width(n): c})
 
     @classmethod
-    def one(cls, nz: int) -> "WPoly":
-        return cls.const(nz, 1)
+    def one(cls, n: int):
+        return cls.const(n, 1)
 
     @classmethod
-    def var_z(cls, nz: int, j: int = 0) -> "WPoly":
-        return cls(nz, {_single(nz, "a", j): GaussianRational.of(1)})
-
-    @classmethod
-    def var_zbar(cls, nz: int, j: int = 0) -> "WPoly":
-        return cls(nz, {_single(nz, "b", j): GaussianRational.of(1)})
-
-    @classmethod
-    def var_w(cls, nz: int) -> "WPoly":
-        return cls(nz, {_single(nz, "c", 0): GaussianRational.of(1)})
-
-    @classmethod
-    def var_wbar(cls, nz: int) -> "WPoly":
-        return cls(nz, {_single(nz, "d", 0): GaussianRational.of(1)})
+    def var(cls, n: int, j: int, start: int = 0):
+        """Variable j (0 <= j < n) of the block of slots at `start`."""
+        e = [0] * cls.width(n)
+        e[var_slot(j, n, start)] = 1
+        return cls(n, {tuple(e): 1})
 
     # -- ring operations -------------------------------------------------
 
-    def _check(self, other: "WPoly"):
-        if self.nz != other.nz:
-            raise DimensionMismatch(f"nz mismatch: {self.nz} vs {other.nz}")
+    def _operand(self, other):
+        if isinstance(other, _SCALARS):
+            return self.const(self.n, other)
+        if type(other) is not type(self) or other.n != self.n:
+            raise DimensionMismatch(
+                f"cannot combine {type(self).__name__}({self.n}) with {other!r}"
+            )
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = WPoly.const(self.nz, other)
-        self._check(other)
+        other = self._operand(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return WPoly(self.nz, out)
+        for e, c in other.terms.items():
+            s = out.get(e)
+            out[e] = c if s is None else s + c
+        return self._like(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = WPoly.const(self.nz, other)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return WPoly(self.nz, {m: -c for m, c in self.terms.items()})
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
-        self._check(other)
+        other = self._operand(other)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
-                s = out.get(m)
-                out[m] = c if s is None else s + c
-        return WPoly(self.nz, out)
+                s = out.get(e)
+                out[e] = c if s is None else s + c
+        return self._like(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def scale(self, c) -> "WPoly":
-        c = GaussianRational.of(c)
-        return WPoly(self.nz, {m: k * c for m, k in self.terms.items()})
+    def scale(self, c):
+        c = self.ring(c)
+        return self._like({e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = WPoly.one(self.nz)
+        out = self.one(self.n)
         for _ in range(k):
             out = out * self
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, WPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.nz == other.nz and self.terms == other.terms
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nz, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.terms.items())))
 
     # -- structure -------------------------------------------------------
 
@@ -173,68 +180,122 @@ class WPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((m.degree() for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def min_degree(self) -> int:
-        """Lowest total degree among stored monomials; -1 for zero."""
-        return min((m.degree() for m in self.terms), default=-1)
+        """Lowest total degree among stored terms; -1 for zero."""
+        return min(map(sum, self.terms), default=-1)
 
-    def coeff(self, m: Monomial) -> GaussianRational:
-        return self.terms.get(m, GaussianRational(0, 0))
+    def coeff(self, e):
+        return self.terms.get(tuple(e), self.ring(0))
 
-    def constant_term(self) -> GaussianRational:
+    def constant_term(self):
         """The value at the origin."""
-        return self.coeff(_unit_monomial(self.nz))
+        return self.coeff((0,) * self.width(self.n))
 
-    def conjugate(self) -> "WPoly":
-        return WPoly(
-            self.nz,
-            {m.conjugate(): c.conjugate() for m, c in self.terms.items()},
-        )
+    def truncate(self, cap: int):
+        """Drop all terms of total degree > cap."""
+        return self._like({e: c for e, c in self.terms.items() if sum(e) <= cap})
 
-    def is_real(self) -> bool:
-        """coeff(m) == conj(coeff(conj(m))) for every monomial."""
-        for m, c in self.terms.items():
-            if self.coeff(m.conjugate()).conjugate() != c:
-                return False
-        return True
+    def sorted_terms(self) -> list:
+        """(exponents, coefficient) pairs by total degree, then exponents."""
+        return sorted(self.terms.items(), key=_order)
 
-    def truncate(self, cap: int) -> "WPoly":
-        """Drop all monomials of total degree > cap."""
-        return WPoly(
-            self.nz, {m: c for m, c in self.terms.items() if m.degree() <= cap}
-        )
+    # -- calculus in one exponent slot -----------------------------------
 
-    # -- Wirtinger calculus ---------------------------------------------
+    def partial(self, i: int):
+        """Formal partial derivative in slot i."""
+        out = {}
+        for e, c in self.terms.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
+        return self._like(out)
+
+    def antiderivative(self, i: int):
+        """Formal antiderivative in slot i; constant of integration 0."""
+        out = {}
+        for e, c in self.terms.items():
+            k = e[i] + 1
+            out[e[:i] + (k,) + e[i + 1 :]] = c / k
+        return self._like(out)
+
+
+class WPoly(SparsePoly):
+    """Polynomial over the z/zbar/w/wbar monomial basis.
+
+    `nz` is the number of z variables (the ambient complex dimension is
+    nz + 1, the last coordinate being w).
+    """
+
+    __slots__ = ()
+    # perfbench's tracer wraps WPoly.__mul__, so it must sit in this class
+    __mul__ = SparsePoly.__mul__
+    numeric = staticmethod(GaussianRational.to_complex)
+
+    @staticmethod
+    def width(nz: int) -> int:
+        return 2 * nz + 2
+
+    @staticmethod
+    def columns(Z, W) -> list:
+        return [*Z.T, *np.conj(Z).T, W, np.conj(W)]
+
+    @property
+    def nz(self) -> int:
+        return self.n
+
+    # -- variables and Wirtinger derivatives -----------------------------
+
+    @classmethod
+    def var_z(cls, nz: int, j: int = 0) -> "WPoly":
+        return cls.var(nz, j)
+
+    @classmethod
+    def var_zbar(cls, nz: int, j: int = 0) -> "WPoly":
+        return cls.var(nz, j, nz)
+
+    @classmethod
+    def var_w(cls, nz: int) -> "WPoly":
+        return cls.var(nz, 0, 2 * nz)
+
+    @classmethod
+    def var_wbar(cls, nz: int) -> "WPoly":
+        return cls.var(nz, 0, 2 * nz + 1)
 
     def dz(self, j: int = 0) -> "WPoly":
-        return self._formal_deriv("a", j)
+        return self.partial(var_slot(j, self.n))
 
     def dzbar(self, j: int = 0) -> "WPoly":
-        return self._formal_deriv("b", j)
+        return self.partial(var_slot(j, self.n, self.n))
 
     def dw(self) -> "WPoly":
-        return self._formal_deriv("c", 0)
+        return self.partial(2 * self.n)
 
     def dwbar(self) -> "WPoly":
-        return self._formal_deriv("d", 0)
-
-    def _formal_deriv(self, field: str, j: int) -> "WPoly":
-        out = {}
-        for m, c in self.terms.items():
-            e = _get_exp(m, field, j)
-            if e == 0:
-                continue
-            out[_set_exp(m, field, j, e - 1)] = c * e
-        return WPoly(self.nz, out)
+        return self.partial(2 * self.n + 1)
 
     def antideriv_z(self, j: int = 0) -> "WPoly":
         """Formal antiderivative in z_j; constant of integration 0."""
-        out = {}
-        for m, c in self.terms.items():
-            e = _get_exp(m, "a", j)
-            out[_set_exp(m, "a", j, e + 1)] = c / (e + 1)
-        return WPoly(self.nz, out)
+        return self.antiderivative(var_slot(j, self.n))
+
+    # -- conjugation -----------------------------------------------------
+
+    def conj_key(self, e: tuple) -> tuple:
+        """Exponents of the conjugate monomial."""
+        n = self.n
+        return (*e[n : 2 * n], *e[:n], e[-1], e[-2])
+
+    def conjugate(self) -> "WPoly":
+        terms = self.terms.items()
+        return self._like({self.conj_key(e): c.conjugate() for e, c in terms})
+
+    def is_real(self) -> bool:
+        """coeff(m) == conj(coeff(conj(m))) for every monomial."""
+        return all(
+            self.coeff(self.conj_key(e)).conjugate() == c
+            for e, c in self.terms.items()
+        )
 
     # -- evaluation ------------------------------------------------------
 
@@ -243,103 +304,32 @@ class WPoly:
 
         `z` is a scalar (nz == 1) or sequence of length nz, `w` a scalar.
         GaussianRational/Fraction/int coordinates give an exact
-        GaussianRational result; anything else goes through complex floats.
-        Array-shaped complex input is delegated to the compiled evaluator.
+        GaussianRational result; anything else goes through the compiled
+        evaluator in complex floats.  Array-shaped input gives an array.
         """
-        import numpy as np
-
         if isinstance(z, np.ndarray) or isinstance(w, np.ndarray):
-            from .numeval import compiled
-
             zarr = np.atleast_2d(np.asarray(z, dtype=complex))
             if zarr.shape[-1] != self.nz:
                 zarr = zarr.reshape(-1, self.nz)
             return compiled(self).eval(zarr, np.asarray(w, dtype=complex))
-
-        if isinstance(z, (tuple, list)):
-            zs = tuple(z)
-        elif self.nz == 1:
-            zs = (z,)
-        else:
-            raise DimensionMismatch(f"expected {self.nz} z coordinates")
+        zs = tuple(z) if isinstance(z, (tuple, list)) else (z,)
         if len(zs) != self.nz:
             raise DimensionMismatch(f"expected {self.nz} z coordinates")
-        exact = all(
-            isinstance(v, (int, Fraction, GaussianRational)) for v in (*zs, w)
-        )
-        if exact:
-            zg = [GaussianRational.of(v) for v in zs]
-            wg = GaussianRational.of(w)
-            acc = GaussianRational(0, 0)
-            for m, c in self.terms.items():
-                t = c
-                for x, ea, eb in zip(zg, m.a, m.b):
-                    for _ in range(ea):
-                        t = t * x
-                    xc = x.conjugate()
-                    for _ in range(eb):
-                        t = t * xc
-                for _ in range(m.c):
-                    t = t * wg
-                wc = wg.conjugate()
-                for _ in range(m.d):
-                    t = t * wc
-                acc = acc + t
-            return acc
-        zc = [complex(v) for v in zs]
-        wc = complex(w)
-        acc = 0j
-        for m, c in self.terms.items():
-            t = c.to_complex()
-            for x, ea, eb in zip(zc, m.a, m.b):
-                if ea:
-                    t *= x**ea
-                if eb:
-                    t *= x.conjugate() ** eb
-            if m.c:
-                t *= wc**m.c
-            if m.d:
-                t *= wc.conjugate() ** m.d
-            acc += t
+        if not all(isinstance(v, _SCALARS) for v in (*zs, w)):
+            Z = np.array([zs], dtype=complex)
+            return complex(compiled(self).eval(Z, np.array([w], dtype=complex))[0])
+        pt = [GaussianRational.of(v) for v in (*zs, w)]
+        vals = pt[:-1] + [v.conjugate() for v in pt[:-1]] + [pt[-1], pt[-1].conjugate()]
+        acc = GaussianRational(0, 0)
+        for e, c in self.terms.items():
+            for v, k in zip(vals, e):
+                for _ in range(k):
+                    c = c * v
+            acc = acc + c
         return acc
 
-    # -- text ------------------------------------------------------------
-
-    def canonical_str(self) -> str:
-        return canonical_str(self)
-
     def __repr__(self):
-        return f"WPoly({self.canonical_str()!r})"
-
-
-# -- monomial plumbing ---------------------------------------------------
-
-
-def _unit_monomial(nz: int) -> Monomial:
-    return Monomial((0,) * nz, (0,) * nz, 0, 0)
-
-
-def _single(nz: int, field: str, j: int) -> Monomial:
-    m = _unit_monomial(nz)
-    return _set_exp(m, field, j, 1)
-
-
-def _get_exp(m: Monomial, field: str, j: int) -> int:
-    if field == "a":
-        return m.a[j]
-    if field == "b":
-        return m.b[j]
-    return m.c if field == "c" else m.d
-
-
-def _set_exp(m: Monomial, field: str, j: int, e: int) -> Monomial:
-    if field == "a":
-        return m._replace(a=m.a[:j] + (e,) + m.a[j + 1 :])
-    if field == "b":
-        return m._replace(b=m.b[:j] + (e,) + m.b[j + 1 :])
-    if field == "c":
-        return m._replace(c=e)
-    return m._replace(d=e)
+        return f"WPoly({canonical_str(self)!r})"
 
 
 # -- real-part builders --------------------------------------------------
@@ -375,27 +365,36 @@ def abs2(p: WPoly) -> WPoly:
 # -- canonical text form -------------------------------------------------
 
 
-def _var_name(base: str, j: int, nz: int) -> str:
-    if base in ("w", "wbar"):
-        return base
-    return base if nz == 1 else f"{base}{j + 1}"
+def indexed_names(template: str, n: int) -> list:
+    """`template` for each of n variables: `z` alone, else `z1`..`zn`."""
+    return [template.format("" if n == 1 else j + 1) for j in range(n)]
 
 
-def _monomial_str(m: Monomial, nz: int) -> str:
-    parts = []
-    for j, e in enumerate(m.a):
-        if e:
-            n = _var_name("z", j, nz)
-            parts.append(n if e == 1 else f"{n}^{e}")
-    for j, e in enumerate(m.b):
-        if e:
-            n = _var_name("zbar", j, nz)
-            parts.append(n if e == 1 else f"{n}^{e}")
-    if m.c:
-        parts.append("w" if m.c == 1 else f"w^{m.c}")
-    if m.d:
-        parts.append("wbar" if m.d == 1 else f"wbar^{m.d}")
-    return " ".join(parts)
+def term_text(terms: dict, names, factor_sep: str = " ", coeff_sep: str = " * ") -> str:
+    """Signed sum of `coeff * monomial` pieces in term order; "0" if empty.
+
+    `names[i]` names exponent slot i.  A pure real or pure imaginary
+    coefficient has its sign pulled out front, and a unit coefficient is
+    left off a monomial.
+    """
+    pieces = []
+    for e, c in sorted(terms.items(), key=_order):
+        mono = factor_sep.join(
+            n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k
+        )
+        c = GaussianRational.of(c)
+        negated = (c.re if c.im == 0 else c.im if c.re == 0 else 0) < 0
+        if negated:
+            c = -c
+        if c == 1 and mono:
+            body = mono
+        else:
+            body = format_gaussian(c) + (coeff_sep + mono if mono else "")
+        if pieces:
+            pieces.append(("- " if negated else "+ ") + body)
+        else:
+            pieces.append(("-" if negated else "") + body)
+    return " ".join(pieces) or "0"
 
 
 def canonical_str(p: WPoly) -> str:
@@ -404,26 +403,5 @@ def canonical_str(p: WPoly) -> str:
     Coefficients print as exact rationals; the output parses back through
     the expression parser to an identical WPoly.
     """
-    if not p.terms:
-        return "0"
-    items = sorted(p.terms.items(), key=lambda kv: kv[0].sort_key())
-    pieces = []
-    for m, c in items:
-        mono = _monomial_str(m, p.nz)
-        negated = False
-        if c.im == 0 or (c.re == 0 and c.im != 0):
-            # pure real or pure imaginary: pull the sign out front
-            key = c.re if c.im == 0 else c.im
-            if key < 0:
-                negated = True
-                c = -c
-        if c.im == 0 and abs(c.re) == 1 and mono:
-            body = mono
-        else:
-            cs = format_gaussian(c)
-            body = cs if not mono else f"{cs} * {mono}"
-        if not pieces:
-            pieces.append(("-" if negated else "") + body)
-        else:
-            pieces.append(("- " if negated else "+ ") + body)
-    return " ".join(pieces)
+    names = indexed_names("z{}", p.nz) + indexed_names("zbar{}", p.nz)
+    return term_text(p.terms, names + ["w", "wbar"])

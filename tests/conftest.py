@@ -231,6 +231,19 @@ def random_wpoly(rng: random.Random, nz: int = 1, max_deg: int = 4) -> WPoly:
     return p
 
 
+def random_rpoly(rng: random.Random, nx: int = 1, max_deg: int = 4):
+    """A random real polynomial in x_1..x_nx, y."""
+    RPoly = realconvex.RPoly
+    vars_ = [RPoly.var_x(nx, j) for j in range(nx)] + [RPoly.var_y(nx)]
+    p = RPoly.zero(nx)
+    for _ in range(rng.randint(1, 5)):
+        m = RPoly.const(nx, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, max_deg)):
+            m = m * rng.choice(vars_)
+        p = p + m
+    return p
+
+
 def fd_dz(p: WPoly, z, w: complex, j: int = 0, step: float = 1e-5):
     """Central-difference Wirtinger z_j derivative: (d/dx - i d/dy)/2."""
     zs = [z] if p.nz == 1 and not isinstance(z, (tuple, list)) else list(z)

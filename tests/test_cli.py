@@ -92,6 +92,24 @@ def test_syntax_errors_have_positions():
         parse_wpoly("Im(w) + q", nz=1)
 
 
+@pytest.mark.parametrize(
+    "argv, name, col",
+    [
+        (("construct", "--r", "Im(w) + abs2(z0)"), "z0", 14),
+        (("levi", "--nz", "2", "--r", "Im(w) + abs2(z1) + 2*abs2(z0)"), "z0", 27),
+        (("levi", "--r", "Im(w) + z zbar0"), "zbar0", 11),
+        (("levi", "--real", "--r", "y + x0^2"), "x0", 5),
+        (("construct", "--real", "--nz", "2", "--r", "y + x1^2 + x0^2"), "x0", 12),
+    ],
+)
+def test_index_zero_variable_exit_64(capsys, argv, name, col):
+    """z0, zbar0 and x0 name no variable in either lane."""
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"error: line 1, col {col}: variable {name} out of range")
+
+
 # -- levi ------------------------------------------------------------------
 
 

@@ -30,14 +30,15 @@ from pshdef.dominance import (
 )
 from pshdef.exprparse import parse_wpoly
 from pshdef.gaussrat import GaussianRational
-from pshdef.wirtinger import WPoly, im_z, re_z, re_w, realify
+from pshdef.wirtinger import WPoly, im_w, im_z, re_z, re_w, realify
 
 
-def eval_real_form(rf: dict, x: Fraction, y: Fraction, u: Fraction, v: Fraction):
+def eval_real_form(rf: dict, point):
+    """rf at a point given in its slot order (x_1..x_nz, y_1..y_nz, u, v)."""
     acc = Fraction(0)
     for e, c in rf.items():
         t = c
-        for base, exp in zip((x, y, u, v), e):
+        for base, exp in zip(point, e):
             t *= base**exp
         acc += t
     return acc
@@ -45,19 +46,31 @@ def eval_real_form(rf: dict, x: Fraction, y: Fraction, u: Fraction, v: Fraction)
 
 def test_real_form_exact():
     rng = random.Random(13)
-    for _ in range(12):
-        p = realify(random_wpoly(rng))
-        rf = real_form(p)
-        for _ in range(4):
-            x = Fraction(rng.randint(-3, 3), 5)
-            y = Fraction(rng.randint(-3, 3), 7)
-            u = Fraction(rng.randint(-3, 3), 4)
-            v = Fraction(rng.randint(-3, 3), 3)
-            z = GaussianRational(x, y)
-            w = GaussianRational(u, v)
-            direct = p.eval(z, w)
-            assert direct.im == 0
-            assert direct.re == eval_real_form(rf, x, y, u, v)
+    for nz in (1, 2):
+        zk, wbar = WPoly.var_z(nz, nz - 1), WPoly.var_wbar(nz)
+        cubes = (zk * zk.conjugate()) ** 3 + realify(zk**3 * wbar**2)
+        for k in range(13):
+            # twelve random polynomials, then exponents above 2 in one slot
+            p = realify(random_wpoly(rng, nz, 4 if nz == 1 else 3)) if k < 12 else cubes
+            rf = real_form(p)
+            assert all(len(e) == 2 * nz + 2 for e in rf)
+            for _ in range(4):
+                xs = [Fraction(rng.randint(-3, 3), 5) for _ in range(nz)]
+                ys = [Fraction(rng.randint(-3, 3), 7) for _ in range(nz)]
+                u = Fraction(rng.randint(-3, 3), 4)
+                v = Fraction(rng.randint(-3, 3), 3)
+                z = [GaussianRational(x, y) for x, y in zip(xs, ys)]
+                w = GaussianRational(u, v)
+                direct = p.eval(z, w)
+                assert direct.im == 0
+                assert direct.re == eval_real_form(rf, xs + ys + [u, v])
+
+
+def test_real_form_slot_order_nz2():
+    """Re z2 * Im z1 * Re w lands on the (x_2, y_1, u) slots."""
+    p = re_z(2, 1) * im_z(2, 0) * re_w(2)
+    assert real_form(p) == {(0, 1, 1, 0, 1, 0): Fraction(1)}
+    assert real_basis_str(p) == "Re(z2)*Im(z1)*Re(w)"
 
 
 def test_real_form_rejects_nonreal():
@@ -78,6 +91,16 @@ def test_real_basis_str_round_trip():
     for p in cases:
         s = real_basis_str(p)
         assert parse_wpoly(s, nz=1) == p
+    cases2 = [
+        im_z(2, 1).scale(Fraction(-4)) + re_z(2, 0) * im_w(2),
+        re_z(2, 0) * re_z(2, 1) - (im_z(2, 1) * im_z(2, 1)).scale(Fraction(3, 2)),
+        WPoly.zero(2),
+    ]
+    for _ in range(6):
+        cases2.append(realify(random_wpoly(rng, nz=2, max_deg=3)))
+    for p in cases2:
+        s = real_basis_str(p)
+        assert parse_wpoly(s, nz=2) == p
 
 
 def test_real_basis_str_known_text():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_rpoly
 from pshdef.exprparse import parse_rpoly
 from pshdef.realconvex import (
     RPoly,
@@ -31,26 +32,17 @@ def rp(text, nv=1):
     return validate_real_normal_form(parse_rpoly(text, nv))
 
 
-def random_rpoly(rng: random.Random, nx: int = 1, max_deg: int = 4) -> RPoly:
-    vars_ = [RPoly.var_x(nx, j) for j in range(nx)] + [RPoly.var_y(nx)]
-    p = RPoly.zero(nx)
-    for _ in range(rng.randint(1, 5)):
-        m = RPoly.const(nx, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-        for _ in range(rng.randint(0, max_deg)):
-            m = m * rng.choice(vars_)
-        p = p + m
-    return p
-
-
 def test_rpoly_arithmetic():
     p = (X + Y) ** 2
     assert p == X * X + (X * Y).scale(2) + Y * Y
     assert (p - p).is_zero()
     assert p.degree() == 2
     assert (X * X * Y).min_degree() == 3
-    assert RPoly.const(1, 5).constant_value() == 5
-    assert X.constant_value() is None
-    assert RPoly.zero(1).constant_value() == 0
+    assert RPoly.const(1, 5).constant_term() == 5
+    assert RPoly.const(1, 5).degree() == 0
+    assert X.constant_term() == 0 and X.degree() == 1
+    assert RPoly.zero(1).constant_term() == 0
+    assert RPoly.zero(1).degree() == RPoly.zero(1).min_degree() == -1
 
 
 def test_rpoly_derivatives():
