@@ -241,8 +241,14 @@ def _const_of(p, src, pos):
 
 
 def _var_index(node: Var, m, n: int, lane: str, src: str) -> int:
-    """0-based index of z<k>/zbar<k>/x<k> (plain z, zbar, x mean k = 1)."""
-    j = int(m.group(2) or 1) - 1
+    """0-based index of z<k>/zbar<k>/x<k> (plain z, zbar, x mean k = 1).
+    A 0-led k (z01) names no variable."""
+    k = m.group(2)
+    j = int(k or 1) - 1
+    if len(k) > 1 and k[0] == "0":
+        raise ExprSyntaxError(
+            f"variable {node.name} has a leading zero in its index", src, node.pos
+        )
     if not 0 <= j < n:
         raise ExprSyntaxError(
             f"variable {node.name} out of range ({lane}={n})", src, node.pos

@@ -34,6 +34,7 @@ from .verify import (
     H_MIN,
     PsdCheckResult,
     Shell,
+    ball_stream,
     hessian_stack,
     newton,
     point_norms,
@@ -183,15 +184,15 @@ def sample_real_boundary(
 ) -> RealShell:
     """Low-discrepancy boundary points filling the ball of the given radius.
 
-    The x coordinates fill the ball (see `verify.sample_ball`); y is
-    Newton-solved.
+    The x coordinates fill the ball (see `verify.sample_ball`) from r's
+    Halton stream of this seed; y is Newton-solved.
     """
 
     def lift(X):
         Y, ok = project_to_real_boundary(r, X)
         return (X, Y), ok
 
-    X, Y = sample_ball(r.nx, radius, count, seed, lift)
+    X, Y = sample_ball(ball_stream(r, r.nx, seed), radius, count, lift)
     res = np.abs(r.poly.eval(X, Y))
     return RealShell(radius=radius, seed=seed, X=X, Y=Y, residuals=res)
 

@@ -1,11 +1,12 @@
 """Numeric boundary verification: sampling, PSD scans, identity checks.
 
-Boundary points come from a low-discrepancy tangential sample with Im w
-recovered by 1-D Newton (residual <= 1e-12).  PSD checks look at Hessian
-diagonals, all z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the
-closed-form eigenvalue, larger n a batched solve.  Everything is
-deterministic under a fixed seed.  The ball sampler, the Newton solver,
-the PSD statistics and the h floor serve the real lane too.
+Boundary points come from a low-discrepancy tangential sample (the
+scrambled Halton stream of `sampler`, plain numpy) with Im w recovered by
+1-D Newton (residual <= 1e-12).  PSD checks look at Hessian diagonals, all
+z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the closed-form
+eigenvalue, larger n a batched solve.  Everything is deterministic under a
+fixed seed.  The ball sampler, the Newton solver, the PSD statistics and
+the h floor serve the real lane too.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc, norm as _gauss
 
 from .gaussrat import GaussianRational
 from .cr import DefiningFunction, hessian_entries, hessian_minor_det
 from .numeval import compiled
+from .sampler import BallStream
 from .wirtinger import WPoly
 
 NEWTON_TARGET = 1e-13
@@ -129,25 +130,28 @@ class BoundaryShell(Shell):
         return point_norms(self.Z, self.W)
 
 
-def sample_ball(d: int, radius: float, count: int, seed: int, lift):
+def ball_stream(r, d: int, seed: int) -> BallStream:
+    """The Halton ball-fill stream of (d, seed), built once per domain r."""
+    return r.cached(("halton", d, seed), lambda: BallStream(d, seed))
+
+
+def sample_ball(stream: BallStream, radius: float, count: int, lift):
     """Boundary points over a low-discrepancy fill of a ball.
 
     Tangential coordinates are Halton-distributed in the ball of
-    0.93*radius in R^d.  lift(coords) solves for the rest of each point and
-    returns ((P, q), ok): the points as in `point_norms` and a convergence
-    flag.  Non-convergent or out-of-ball points are dropped and topped up
-    deterministically, for at most 8 rounds.  Returns P and q, cut to
-    `count` points.
+    0.93*radius in R^d, read from the start of `stream`.  lift(coords)
+    solves for the rest of each point and returns ((P, q), ok): the points
+    as in `point_norms` and a convergence flag.  Non-convergent or
+    out-of-ball points are dropped and topped up from the next stream
+    indices, for at most 8 rounds.  Returns P and q, cut to `count` points.
     """
-    sampler = qmc.Halton(d=d + 1, scramble=True, seed=seed)
     kept = []
-    have = 0
+    have = start = 0
     for _ in range(8):
-        raw = sampler.random(max(64, int((count - have) * 1.25)))
-        dirs = _gauss.ppf(raw[:, :d])
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radial = 0.93 * radius * raw[:, d] ** (1.0 / d)
-        parts, ok = lift(dirs * radial[:, None])
+        n = max(64, int((count - have) * 1.25))
+        dirs, radial = stream.take(start, n)
+        start += n
+        parts, ok = lift(dirs * (0.93 * radius * radial)[:, None])
         keep = ok & (point_norms(*parts) <= radius)
         kept.append([a[keep] for a in parts])
         have += int(np.sum(keep))
@@ -171,7 +175,8 @@ def sample_boundary(
     Tangential coordinates (Re z, Im z, Re w) fill the ball (see
     `sample_ball`); Im w is Newton-solved.  The shell is cached on r by
     (radius, count, seed), so every scan of one domain at those settings
-    reads the same points; its arrays are read-only.
+    reads the same points; its arrays are read-only.  Shells of one seed
+    share r's Halton stream.
     """
     nz = r.nz
     dtype = np.clongdouble if radius < 1e-4 else np.complex128
@@ -182,7 +187,7 @@ def sample_boundary(
         return (Z, W), ok
 
     def build():
-        Z, W = sample_ball(2 * nz + 1, radius, count, seed, lift)
+        Z, W = sample_ball(ball_stream(r, 2 * nz + 1, seed), radius, count, lift)
         res = np.abs(compiled(r.poly).eval(Z, W).real)
         for a in (Z, W, res):
             a.flags.writeable = False

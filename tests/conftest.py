@@ -18,7 +18,7 @@ from pshdef.dominance import (
     _ratios,
 )
 from pshdef.numeval import compiled
-from pshdef.verify import sample_boundary
+from pshdef.verify import point_norms, sample_boundary
 from pshdef.wirtinger import WPoly, im_w, im_z, re_w, re_z
 
 
@@ -114,6 +114,33 @@ def watch_k_ladder(monkeypatch):
         return results
 
     return watch
+
+
+# -- the boundary sampler ----------------------------------------------
+
+
+def reference_sample_ball(d, radius, count, seed, lift):
+    """Reference ball fill: a fresh scipy Halton sampler per call, normal
+    quantiles from scipy.  `verify.sample_ball` reads one numpy stream per
+    (d, seed) and domain, and must return the same bytes for every shell."""
+    from scipy.stats import norm, qmc
+
+    sampler = qmc.Halton(d=d + 1, scramble=True, seed=seed)
+    kept = []
+    have = 0
+    for _ in range(8):
+        raw = sampler.random(max(64, int((count - have) * 1.25)))
+        dirs = norm.ppf(raw[:, :d])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radial = 0.93 * radius * raw[:, d] ** (1.0 / d)
+        parts, ok = lift(dirs * radial[:, None])
+        keep = ok & (point_norms(*parts) <= radius)
+        kept.append([a[keep] for a in parts])
+        have += int(np.sum(keep))
+        if have >= count:
+            break
+    assert have >= count
+    return [np.concatenate(arrays)[:count] for arrays in zip(*kept)]
 
 
 # -- the curve-escape scan ---------------------------------------------

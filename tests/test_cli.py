@@ -110,6 +110,27 @@ def test_index_zero_variable_exit_64(capsys, argv, name, col):
     assert err.startswith(f"error: line 1, col {col}: variable {name} out of range")
 
 
+@pytest.mark.parametrize(
+    "argv, name, col",
+    [
+        (("construct", "--r", "Im(w) + abs2(z01)"), "z01", 14),
+        (("levi", "--nz", "2", "--r", "Im(w) + abs2(z1) + 2*abs2(z02)"), "z02", 27),
+        (("levi", "--r", "Im(w) + z zbar01"), "zbar01", 11),
+        (("levi", "--r", "Im(w) + abs2(z00)"), "z00", 14),
+        (("levi", "--real", "--r", "y + x01^2"), "x01", 5),
+        (("construct", "--real", "--nz", "2", "--r", "y + x1^2 + x002^2"), "x002", 12),
+    ],
+)
+def test_leading_zero_index_exit_64(capsys, argv, name, col):
+    """z01, zbar01 and x01 do not mean z1, zbar1 and x1 in either lane."""
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith(
+        f"error: line 1, col {col}: variable {name} has a leading zero in its index"
+    )
+
+
 # -- levi ------------------------------------------------------------------
 
 

@@ -98,9 +98,9 @@ def test_shells_sampled_once_per_domain(monkeypatch):
     built = []
     sample_ball = verify.sample_ball
 
-    def recording(d, radius, count, seed, lift):
-        built[-1].append((radius, count, seed))
-        return sample_ball(d, radius, count, seed, lift)
+    def recording(stream, radius, count, lift):
+        built[-1].append((radius, count, stream.seed))
+        return sample_ball(stream, radius, count, lift)
 
     monkeypatch.setattr(verify, "sample_ball", recording)
     monkeypatch.syspath_prepend(str(PERFBENCH))
