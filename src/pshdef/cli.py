@@ -9,20 +9,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass, fields
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
-from fractions import Fraction
 
-from .cr import NormalFormError, levi_form, levi_origin_value, validate_normal_form
-from .construct import (
-    ConstructConfig,
-    NotPseudoconvexError,
-    run_construction,
-)
+from .construct import ConstructConfig, NotPseudoconvexError, run_construction
+from .cr import levi_form, levi_origin_value, validate_normal_form
 from .dominance import Bound, default_probes, levi_dominance_gate
-from .exprparse import ExprSyntaxError, parse_rpoly, parse_wpoly
+from .exprparse import parse_poly
 from .gaussrat import format_gaussian
-from .report import dumps_report, envelope, hessian_csv, shell_csv
+from .realconvex import (
+    RealConfig,
+    convex_multiplier,
+    convexity_check,
+    real_hessian_check,
+    sample_real_boundary,
+    tangential_form,
+    validate_real_normal_form,
+)
+from .report import SCHEMA_VERSION, dumps_report, envelope, hessian_csv, shell_csv
 from .verify import (
     H_MIN,
     ProbeConfigurationError,
@@ -34,15 +41,23 @@ from .verify import (
     sample_boundary,
     sample_collar,
 )
-from .wirtinger import WPoly, canonical_str
+from .wirtinger import RPoly, WPoly, canonical_str
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+_EXIT = {
+    "pass": EXIT_PASS,
+    "fail": EXIT_FAIL,
+    "unknown": EXIT_UNKNOWN,
+    "Certified": EXIT_PASS,
+    "Obstructed": EXIT_FAIL,
+    "Exhausted": EXIT_UNKNOWN,
+}
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -50,17 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--r", required=True, help="defining function expression")
     common.add_argument("--nz", type=int, help="number of z (or x) variables")
-    common.add_argument("--radius", type=float, default=1e-2)
-    common.add_argument("--samples", type=int, default=2000)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-stages", type=int, default=4)
-    common.add_argument("--degree-cap", type=int, default=None)
-    common.add_argument("--max-K-exp", dest="max_k_exp", type=int, default=20)
-    common.add_argument("--tol", type=float, default=1e-9)
+    d = ConstructConfig  # the one home of every default
+    common.add_argument("--radius", type=float, default=d.radius)
+    common.add_argument("--samples", type=int, default=d.samples)
+    common.add_argument("--seed", type=int, default=d.seed)
+    common.add_argument("--max-stages", type=int, default=d.max_stages)
+    common.add_argument("--degree-cap", type=int, default=d.degree_cap)
+    common.add_argument("--max-K-exp", dest="max_k_exp", type=int, default=d.max_k_exp)
+    common.add_argument("--tol", type=float, default=d.tol)
     common.add_argument(
         "--bound",
         choices=[b.value for b in Bound],
-        default=Bound.LEVI_ONLY.value,
+        default=d.bound.value,
         help="dominance bound: the Levi form alone or with |grad_z r|^2",
     )
     common.add_argument("--real", action="store_true", help="real-coordinates lane")
@@ -69,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-absorb",
         dest="absorb",
         action="store_false",
+        default=d.absorb,
         help="keep r-multiples in stage increments",
     )
 
@@ -109,45 +126,61 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# -- input plumbing -------------------------------------------------------
+# -- the lane, chosen once -------------------------------------------------
 
 
-def _load_complex(args):
-    poly = parse_wpoly(args.r, args.nz)
-    return validate_normal_form(poly)
+@dataclass(frozen=True)
+class _Lane:
+    poly: type  # WPoly | RPoly: variable names, parsing, printing, report mode
+    validate: Callable  # polynomial -> domain, or a normal-form error
+    config: type  # the construction's config, built from the shared flags
+    construct: Callable  # (domain, config) -> report
+    sample: Callable  # (domain, radius, samples, seed) -> shell
 
 
-def _load_real(args):
-    from .realconvex import validate_real_normal_form
-
-    poly = parse_rpoly(args.r, args.nz)
-    return validate_real_normal_form(poly)
-
-
-def _config(args) -> ConstructConfig:
-    return ConstructConfig(
-        radius=args.radius,
-        samples=args.samples,
-        seed=args.seed,
-        max_stages=args.max_stages,
-        degree_cap=args.degree_cap,
-        max_k_exp=args.max_k_exp,
-        tol=args.tol,
-        bound=Bound(args.bound),
-        absorb=args.absorb,
-    )
+_LANES = {
+    False: _Lane(
+        WPoly, validate_normal_form, ConstructConfig, run_construction, sample_boundary
+    ),
+    True: _Lane(
+        RPoly,
+        validate_real_normal_form,
+        RealConfig,
+        convex_multiplier,
+        sample_real_boundary,
+    ),
+}
 
 
-def _real_config(args):
-    from .realconvex import RealConfig
+def _load(args):
+    """The lane of --real and the validated domain of --r."""
+    lane = _LANES[args.real]
+    return lane, lane.validate(parse_poly(args.r, lane.poly, args.nz))
 
-    return RealConfig(
-        radius=args.radius,
-        samples=args.samples,
-        seed=args.seed,
-        max_k_exp=args.max_k_exp,
-        tol=args.tol,
-    )
+
+def _shell(args, lane: _Lane, r):
+    return lane.sample(r, args.radius, args.samples, args.seed)
+
+
+def _head(r, command: str, status: str) -> dict:
+    """The keys every report starts with."""
+    p = r.poly
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "mode": p.mode,
+        "command": command,
+        "status": status,
+        "defining_function": {p.size_name: p.n, "text": canonical_str(p)},
+    }
+
+
+def _sampling(args) -> dict:
+    return {
+        "radius": args.radius,
+        "samples": args.samples,
+        "seed": args.seed,
+        "tol": args.tol,
+    }
 
 
 def _emit(args, report: dict, human: str) -> None:
@@ -167,176 +200,133 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_analyze(args) -> int:
     check_sampling(args.radius, args.samples, args.tol)
+    lane, r = _load(args)
+    shell = _shell(args, lane, r)
     if args.real:
-        return _cmd_analyze_real(args)
-    r = _load_complex(args)
-    scan = levi_scan(r, args.radius, args.samples, args.seed, args.tol)
-    gate = levi_dominance_gate(r, default_probes(r.nz, args.seed))
-    origin = [format_gaussian(levi_origin_value(r, j)) for j in range(r.nz)]
-    if not scan.nonnegative:
-        status, code = "fail", EXIT_FAIL
-    elif gate.status == "Unknown":
-        status, code = "unknown", EXIT_UNKNOWN
+        conv = convexity_check(r, shell, args.tol)
+        self_check = real_hessian_check(r.poly, shell, args.tol)
+        status = "pass" if conv["passed"] else "fail"
+        body = {
+            "convexity_precheck": conv,
+            "checks": {"hessian_of_r": self_check.as_dict()},
+        }
+        human = (
+            f"{status}: tangential convexity min {conv['min_value']:.3e}; "
+            f"Hessian of r itself min eig {self_check.min_eig:.3e}"
+        )
     else:
-        status, code = "pass", EXIT_PASS
-    report = {
-        "schema_version": 1,
-        "mode": "complex",
-        "command": "analyze",
-        "status": status,
-        "defining_function": {"nz": r.nz, "text": canonical_str(r.poly)},
-        "config": {
-            "radius": args.radius,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tol": args.tol,
-        },
-        "normal_form": {"ok": True, "degree": r.poly.degree()},
-        "levi": scan.as_dict(),
-        "levi_origin": origin,
-        "gate": gate.as_dict(),
-        "messages": [],
-    }
-    if args.csv_points:
-        shell = sample_boundary(r, args.radius, args.samples, args.seed)
-        _write(args.csv_points, shell_csv(shell))
-    human = (
-        f"{status}: Levi min {scan.min_value:.3e} over {scan.count} points; "
-        f"gate {gate.status}"
-        + (f" (C = {gate.constant:.4g})" if gate.constant is not None else "")
-    )
-    _emit(args, report, human)
-    return code
-
-
-def _cmd_analyze_real(args) -> int:
-    from .realconvex import (
-        canonical_rstr,
-        convexity_check,
-        real_hessian_check,
-        sample_real_boundary,
-    )
-
-    r = _load_real(args)
-    shell = sample_real_boundary(r, args.radius, args.samples, args.seed)
-    conv = convexity_check(r, shell, args.tol)
-    self_check = real_hessian_check(r.poly, shell, args.tol)
-    status = "pass" if conv["passed"] else "fail"
-    report = {
-        "schema_version": 1,
-        "mode": "real",
-        "command": "analyze",
-        "status": status,
-        "defining_function": {"nx": r.nx, "text": canonical_rstr(r.poly)},
-        "config": {
-            "radius": args.radius,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tol": args.tol,
-        },
-        "normal_form": {"ok": True, "degree": r.poly.degree()},
-        "convexity_precheck": conv,
-        "checks": {"hessian_of_r": self_check.as_dict()},
-        "messages": [],
-    }
+        scan = levi_scan(r, args.radius, args.samples, args.seed, args.tol)
+        gate = levi_dominance_gate(r, default_probes(r.nz, args.seed))
+        if not scan.nonnegative:
+            status = "fail"
+        elif gate.status == "Unknown":
+            status = "unknown"
+        else:
+            status = "pass"
+        body = {
+            "levi": scan.as_dict(),
+            "levi_origin": [
+                format_gaussian(levi_origin_value(r, j)) for j in range(r.nz)
+            ],
+            "gate": gate.as_dict(),
+        }
+        human = (
+            f"{status}: Levi min {scan.min_value:.3e} over {scan.count} points; "
+            f"gate {gate.status}"
+            + (f" (C = {gate.constant:.4g})" if gate.constant is not None else "")
+        )
+    report = _head(r, "analyze", status)
+    report["config"] = _sampling(args)
+    report["normal_form"] = {"ok": True, "degree": r.poly.degree()}
+    report.update(body, messages=[])
     if args.csv_points:
         _write(args.csv_points, shell_csv(shell))
-    human = (
-        f"{status}: tangential convexity min {conv['min_value']:.3e}; "
-        f"Hessian of r itself min eig {self_check.min_eig:.3e}"
-    )
     _emit(args, report, human)
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
-
-
-_STATUS_EXIT = {"Certified": EXIT_PASS, "Obstructed": EXIT_FAIL, "Exhausted": EXIT_UNKNOWN}
+    return _EXIT[status]
 
 
 def _cmd_construct(args) -> int:
-    if args.real:
-        from .realconvex import convex_multiplier
-
-        rep = convex_multiplier(_load_real(args), _real_config(args))
-        _emit(args, envelope("construct", rep.as_dict()), rep.trace())
-        return _STATUS_EXIT[rep.status]
-    r = _load_complex(args)
+    lane, r = _load(args)
+    config = lane.config(**{f.name: getattr(args, f.name) for f in fields(lane.config)})
     try:
-        rep = run_construction(r, _config(args))
+        rep = lane.construct(r, config)
     except NotPseudoconvexError as e:
-        report = {
-            "schema_version": 1,
-            "mode": "complex",
-            "command": "construct",
-            "status": "Obstructed",
-            "defining_function": {"nz": r.nz, "text": canonical_str(r.poly)},
-            "config": _config(args).as_dict(),
-            "obstruction": {
-                "kind": "not_pseudoconvex",
-                "claim": "the Levi scan found a negative tangential value; "
-                "no plurisubharmonic defining function exists at this radius",
-                "witness": e.scan.as_dict(),
-            },
-            "messages": [],
+        report = _head(r, "construct", "Obstructed")
+        report["config"] = config.as_dict()
+        report["obstruction"] = {
+            "kind": "not_pseudoconvex",
+            "claim": "the Levi scan found a negative tangential value; "
+            "no plurisubharmonic defining function exists at this radius",
+            "witness": e.scan.as_dict(),
         }
+        report["messages"] = []
         _emit(args, report, f"Obstructed: {e}")
         return EXIT_FAIL
     if args.csv_points:
-        shell = sample_boundary(r, args.radius, args.samples, args.seed)
-        _write(args.csv_points, shell_csv(shell))
+        _write(args.csv_points, shell_csv(_shell(args, lane, r)))
     _emit(args, envelope("construct", rep.as_dict()), rep.trace())
-    return _STATUS_EXIT[rep.status]
+    return _EXIT[rep.status]
 
 
 def _cmd_verify(args) -> int:
     check_sampling(args.radius, args.samples, args.tol)
+    if args.real and args.K:
+        raise _UsageError("--K is a complex-lane flag; fold K into --h with --real")
+    if args.real and args.collar is not None:
+        raise _UsageError("--collar is a complex-lane flag; --real checks the boundary only")
+    lane, r = _load(args)
+    p1 = parse_poly(args.h, lane.poly, r.poly.n)  # h; 1 + T in the complex lane
+    config = _sampling(args)
+    config["h"] = canonical_str(p1)
     if args.real:
-        return _cmd_verify_real(args)
-    r = _load_complex(args)
-    p1 = parse_wpoly(args.h, r.nz)  # 1 + T
-    if not p1.is_real():
-        raise _UsageError("h must be a real-valued expression")
-    T = p1 - WPoly.one(r.nz)
-    if T.min_degree() == 0 and not T.is_zero():
-        raise _UsageError("h must equal 1 at the origin")
-    h = p1 + r.poly.scale(Fraction(args.K))
-    shell = sample_boundary(r, args.radius, args.samples, args.seed)
-    rho = h * r.poly
-    psd = psd_check(rho, shell, args.tol)
-    ident = identity_check_prop31(r, args.K, T, shell)
-    messages = []
-    try:
-        nec = necessary_conditions_check(r, h, shell, args.K, args.tol)
-        nec_dict = nec.as_dict()
-        nec_failed = not nec.all_hold or (
-            nec.log_deriv_verdict is not None
-            and nec.log_deriv_verdict.status == "NotDominated"
-        )
-    except ValueError as e:
-        nec, nec_dict, nec_failed = None, {"error": str(e)}, True
-        messages.append(str(e))
-    failed = (not psd.passed) or (not ident.passed) or nec_failed
-    status = "fail" if failed else "pass"
-    report = {
-        "schema_version": 1,
-        "mode": "complex",
-        "command": "verify",
-        "status": status,
-        "defining_function": {"nz": r.nz, "text": canonical_str(r.poly)},
-        "config": {
-            "radius": args.radius,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tol": args.tol,
-            "h": canonical_str(p1),
-            "K": args.K,
-        },
-        "checks": {
+        shell = _shell(args, lane, r)
+        rho = p1 * r.poly
+        check = real_hessian_check(rho, shell, args.tol)
+        messages = ["identity and necessary-condition checks are complex-lane only"]
+        floor_ok = bool(np.abs(p1.eval(shell.X, shell.Y)).min() >= H_MIN)
+        if not floor_ok:
+            messages.append("h drops below 1/2 on the shell; Hessian sign is unreliable")
+        failed = not (check.passed and floor_ok)
+        checks = {"hessian": check.as_dict()}
+        human = f"Hessian min eig {check.min_eig:.3e}"
+    else:
+        if not p1.is_real():
+            raise _UsageError("h must be a real-valued expression")
+        T = p1 - WPoly.one(r.nz)
+        if T.min_degree() == 0 and not T.is_zero():
+            raise _UsageError("h must equal 1 at the origin")
+        h = p1 + r.poly.scale(Fraction(args.K))
+        config["K"] = args.K
+        shell = _shell(args, lane, r)
+        rho = h * r.poly
+        psd = psd_check(rho, shell, args.tol)
+        ident = identity_check_prop31(r, args.K, T, shell)
+        messages = []
+        try:
+            nec = necessary_conditions_check(r, h, shell, args.K, args.tol)
+            nec_dict = nec.as_dict()
+            nec_failed = not nec.all_hold or (
+                nec.log_deriv_verdict is not None
+                and nec.log_deriv_verdict.status == "NotDominated"
+            )
+        except ValueError as e:
+            nec, nec_dict, nec_failed = None, {"error": str(e)}, True
+            messages.append(str(e))
+        failed = (not psd.passed) or (not ident.passed) or nec_failed
+        checks = {
             "psd": psd.as_dict(),
             "identity": ident.as_dict(),
             "necessary": nec_dict,
-        },
-        "messages": messages,
-    }
+        }
+        bits = [f"psd {'ok' if psd.passed else 'FAIL'} (min eig {psd.min_eig:.3e}"]
+        bits.append(f"min diag {psd.min_diag:.3e})")
+        bits.append(f"identity {'ok' if ident.passed else 'FAIL'}")
+        if nec is not None:
+            bits.append(f"necessary {'ok' if not nec_failed else 'FAIL'}")
+        human = ", ".join(bits)
+    status = "fail" if failed else "pass"
+    report = _head(r, "verify", status)
+    report.update(config=config, checks=checks, messages=messages)
     if args.collar is not None:
         collar = sample_collar(r, args.radius, args.samples, args.seed, args.collar)
         report["collar"] = {
@@ -348,88 +338,23 @@ def _cmd_verify(args) -> int:
         _write(args.csv_points, shell_csv(shell))
     if args.csv_stats:
         _write(args.csv_stats, hessian_csv(rho, shell))
-    bits = [f"psd {'ok' if psd.passed else 'FAIL'} (min eig {psd.min_eig:.3e}"]
-    bits.append(f"min diag {psd.min_diag:.3e})")
-    bits.append(f"identity {'ok' if ident.passed else 'FAIL'}")
-    if nec is not None:
-        bits.append(f"necessary {'ok' if not nec_failed else 'FAIL'}")
-    _emit(args, report, f"{status}: " + ", ".join(bits))
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
-
-
-def _cmd_verify_real(args) -> int:
-    from .realconvex import canonical_rstr, real_hessian_check, sample_real_boundary
-
-    if args.K:
-        raise _UsageError("--K is a complex-lane flag; fold K into --h with --real")
-    r = _load_real(args)
-    h = parse_rpoly(args.h, r.nx)
-    shell = sample_real_boundary(r, args.radius, args.samples, args.seed)
-    habs = np.abs(h.eval(shell.X, shell.Y))
-    messages = ["identity and necessary-condition checks are complex-lane only"]
-    rho = h * r.poly
-    check = real_hessian_check(rho, shell, args.tol)
-    floor_ok = bool(habs.min() >= H_MIN)
-    if not floor_ok:
-        messages.append("h drops below 1/2 on the shell; Hessian sign is unreliable")
-    status = "pass" if (check.passed and floor_ok) else "fail"
-    report = {
-        "schema_version": 1,
-        "mode": "real",
-        "command": "verify",
-        "status": status,
-        "defining_function": {"nx": r.nx, "text": canonical_rstr(r.poly)},
-        "config": {
-            "radius": args.radius,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tol": args.tol,
-            "h": canonical_rstr(h),
-        },
-        "checks": {"hessian": check.as_dict()},
-        "messages": messages,
-    }
-    if args.csv_points:
-        _write(args.csv_points, shell_csv(shell))
-    if args.csv_stats:
-        _write(args.csv_stats, hessian_csv(rho, shell))
-    _emit(args, report, f"{status}: Hessian min eig {check.min_eig:.3e}")
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    _emit(args, report, f"{status}: {human}")
+    return _EXIT[status]
 
 
 def _cmd_levi(args) -> int:
+    lane, r = _load(args)
     if args.real:
-        from .realconvex import canonical_rstr, tangential_form
-
-        r = _load_real(args)
-        forms = [canonical_rstr(tangential_form(r, j)) for j in range(r.nx)]
-        report = {
-            "schema_version": 1,
-            "mode": "real",
-            "command": "levi",
-            "status": "ok",
-            "defining_function": {"nx": r.nx, "text": canonical_rstr(r.poly)},
-            "tangential": forms,
-            "messages": [],
-        }
-        human = "\n".join(
-            f"L~_{j + 1} = {t}" if r.nx > 1 else t for j, t in enumerate(forms)
-        )
-        _emit(args, report, human)
-        return EXIT_PASS
-    r = _load_complex(args)
-    forms = [canonical_str(levi_form(r, j)) for j in range(r.nz)]
-    report = {
-        "schema_version": 1,
-        "mode": "complex",
-        "command": "levi",
-        "status": "ok",
-        "defining_function": {"nz": r.nz, "text": canonical_str(r.poly)},
-        "levi": forms,
-        "messages": [],
-    }
+        key, label, form = "tangential", "L~", tangential_form
+    else:
+        key, label, form = "levi", "L", levi_form
+    n = r.poly.n
+    forms = [canonical_str(form(r, j)) for j in range(n)]
+    report = _head(r, "levi", "ok")
+    report[key] = forms
+    report["messages"] = []
     human = "\n".join(
-        f"L_{j + 1} = {t}" if r.nz > 1 else t for j, t in enumerate(forms)
+        f"{label}_{j + 1} = {t}" if n > 1 else t for j, t in enumerate(forms)
     )
     _emit(args, report, human)
     return EXIT_PASS
@@ -451,13 +376,8 @@ def main(argv=None) -> int:
         return EXIT_PASS if not e.code else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (ExprSyntaxError, _UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NormalFormError, ProbeConfigurationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (ValueError, ProbeConfigurationError) as e:
+        # parse, normal-form and config errors and _UsageError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

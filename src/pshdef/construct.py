@@ -32,7 +32,9 @@ from .dominance import (
 )
 from .gaussrat import GaussianRational
 from .numeval import compiled
+from .report import SCHEMA_VERSION
 from .verify import (
+    DEFAULT_TOL,
     H_MIN,
     check_sampling,
     hessian_values,
@@ -77,11 +79,12 @@ class ConstructConfig:
     max_stages: int = 4
     degree_cap: int | None = None
     max_k_exp: int = 20
-    tol: float = 1e-9
-    bound: Bound = Bound.LEVI_ONLY
+    tol: float = DEFAULT_TOL
+    bound: Bound = Bound.LEVI_ONLY  # or its value, such as "levi"
     absorb: bool = True
 
     def __post_init__(self):
+        self.bound = Bound(self.bound)
         check_search_config(self)
 
     def as_dict(self) -> dict:
@@ -207,7 +210,7 @@ class ConstructionReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "mode": "complex",
             "status": self.status,
             "defining_function": {"nz": self.nz, "text": self.r_text},

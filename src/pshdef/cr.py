@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gaussrat import GaussianRational
-from .wirtinger import WPoly, im_w
+from .wirtinger import SparsePoly, WPoly, im_w
 
 # coefficient of w in Im w: 1/(2i)
 _W_COEFF = GaussianRational(0, Fraction(-1, 2))
@@ -53,11 +53,27 @@ def validate_normal_form(p: WPoly) -> "DefiningFunction":
 
 
 @dataclass
-class DefiningFunction:
+class Domain:
+    """A validated defining function with a cache of what derives from it."""
+
+    poly: SparsePoly
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def cached(self, key, build):
+        """The value stored under key; build() runs once per key, whatever
+        it returns."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            v = self._cache[key] = build()
+            return v
+
+
+@dataclass
+class DefiningFunction(Domain):
     """A validated local defining function r = Im w + F."""
 
     poly: WPoly
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nz(self) -> int:
@@ -66,13 +82,6 @@ class DefiningFunction:
     def higher_order_part(self) -> WPoly:
         """F = r - Im w (all terms of degree >= 2)."""
         return self.poly - im_w(self.poly.nz)
-
-    def cached(self, key, build):
-        v = self._cache.get(key)
-        if v is None:
-            v = build()
-            self._cache[key] = v
-        return v
 
     def d_z(self, j: int) -> WPoly:
         return self.cached(("dz", j), lambda: self.poly.dz(j))

@@ -72,48 +72,45 @@ class ProbeFamily:
     samples_per_shell: int
     seed: int
 
-    @staticmethod
-    def default(nz: int, seed: int = 0) -> "ProbeFamily":
-        curves = []
-        scales = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-        def unit(k, amp):
-            return tuple(amp if i == k else 0j for i in range(nz))
-
-        for k in range(nz):
-            for s in scales:
-                for t16 in range(16):
-                    amp = s * cmath.exp(2j * math.pi * t16 / 16)
-                    for zp in (1, 2):
-                        curves.append(Curve(unit(k, amp), zp, 0.0, 1))
-        for eta in (1.0, -1.0):
-            for wp in (1, 2):
-                curves.append(Curve((0j,) * nz, 1, eta, wp))
-        for k in range(nz):
-            for s in scales:
-                for t8 in range(8):
-                    amp = s * cmath.exp(2j * math.pi * t8 / 8)
-                    for zp in (1, 2, 3):
-                        for wp in (1, 2, 3):
-                            for eta in (1.0, -1.0):
-                                curves.append(Curve(unit(k, amp), zp, eta, wp))
-        rng = np.random.default_rng(seed)
-        for _ in range(32):
-            zdir = tuple(
-                complex(a, b)
-                for a, b in zip(rng.standard_normal(nz), rng.standard_normal(nz))
-            )
-            curves.append(Curve(zdir, 1, float(rng.standard_normal()), 1))
-        return ProbeFamily(
-            curves=tuple(curves),
-            shell_exps=DYADIC_EXPS,
-            samples_per_shell=160,
-            seed=seed,
-        )
-
 
 def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
-    return ProbeFamily.default(nz, seed)
+    """The stock probe family; only its 32 random curves depend on seed."""
+    curves = []
+    scales = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+    def unit(k, amp):
+        return tuple(amp if i == k else 0j for i in range(nz))
+
+    for k in range(nz):
+        for s in scales:
+            for t16 in range(16):
+                amp = s * cmath.exp(2j * math.pi * t16 / 16)
+                for zp in (1, 2):
+                    curves.append(Curve(unit(k, amp), zp, 0.0, 1))
+    for eta in (1.0, -1.0):
+        for wp in (1, 2):
+            curves.append(Curve((0j,) * nz, 1, eta, wp))
+    for k in range(nz):
+        for s in scales:
+            for t8 in range(8):
+                amp = s * cmath.exp(2j * math.pi * t8 / 8)
+                for zp in (1, 2, 3):
+                    for wp in (1, 2, 3):
+                        for eta in (1.0, -1.0):
+                            curves.append(Curve(unit(k, amp), zp, eta, wp))
+    rng = np.random.default_rng(seed)
+    for _ in range(32):
+        zdir = tuple(
+            complex(a, b)
+            for a, b in zip(rng.standard_normal(nz), rng.standard_normal(nz))
+        )
+        curves.append(Curve(zdir, 1, float(rng.standard_normal()), 1))
+    return ProbeFamily(
+        curves=tuple(curves),
+        shell_exps=DYADIC_EXPS,
+        samples_per_shell=160,
+        seed=seed,
+    )
 
 
 @dataclass

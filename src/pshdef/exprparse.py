@@ -6,17 +6,20 @@ canonical polynomial text round-trips), the functions Re, Im, conj, abs2,
 operators + - * ^ with integer powers, and juxtaposition products like
 `2 i` or `z^2 zbar`.  Real mode uses x, x1.., y instead.
 
-Syntax errors carry line/column positions.
+One AST walk (`lower`) serves both lanes: the polynomial class supplies
+the variable names, conjugation, whether `i` exists and the wording of
+its errors.  Syntax errors carry line/column positions.
 """
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import GaussianRational, INV_2I
-from .wirtinger import WPoly
+from .wirtinger import RPoly, WPoly
 
 _TOKEN_RE = _re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -203,8 +206,11 @@ def parse(src: str) -> ExprAst:
 
 # -- variable discovery --------------------------------------------------
 
-_ZVAR = _re.compile(r"^(z|zbar)(\d*)$")
-_XVAR = _re.compile(r"^(x)(\d*)$")
+
+@functools.cache
+def _families(cls):
+    """Matches `<family><index>` for the indexed families of a lane."""
+    return _re.compile(rf"^({'|'.join(cls.indexed)})(\d*)$")
 
 
 def _walk(ast):
@@ -218,13 +224,12 @@ def _walk(ast):
         yield from _walk(ast.operand)
 
 
-def infer_nz(ast, real: bool = False) -> int:
-    """Number of z (or x) variables mentioned; at least 1."""
+def infer_n(ast, cls) -> int:
+    """Highest index of the lane's indexed variables mentioned; at least 1."""
     top = 1
-    pat = _XVAR if real else _ZVAR
     for node in _walk(ast):
         if isinstance(node, Var):
-            m = pat.match(node.name)
+            m = _families(cls).match(node.name)
             if m and m.group(2):
                 top = max(top, int(m.group(2)))
     return top
@@ -234,13 +239,13 @@ def infer_nz(ast, real: bool = False) -> int:
 
 
 def _const_of(p, src, pos):
-    """The value of a constant WPoly or RPoly."""
+    """The value of a constant polynomial."""
     if p.degree() > 0:
         raise ExprSyntaxError("expected a constant here", src, pos)
     return p.constant_term()
 
 
-def _var_index(node: Var, m, n: int, lane: str, src: str) -> int:
+def _var_index(node: Var, m, n: int, size_name: str, src: str) -> int:
     """0-based index of z<k>/zbar<k>/x<k> (plain z, zbar, x mean k = 1).
     A 0-led k (z01) names no variable."""
     k = m.group(2)
@@ -251,37 +256,50 @@ def _var_index(node: Var, m, n: int, lane: str, src: str) -> int:
         )
     if not 0 <= j < n:
         raise ExprSyntaxError(
-            f"variable {node.name} out of range ({lane}={n})", src, node.pos
+            f"variable {node.name} out of range ({size_name}={n})", src, node.pos
         )
     return j
 
 
-def lower_complex(ast, nz: int, src: str = "") -> WPoly:
-    """Lower an AST to a WPoly over nz z-variables."""
+def lower(ast, cls, n: int, src: str = ""):
+    """Lower an AST to a polynomial of lane `cls` over n indexed variables.
 
-    def go(node) -> WPoly:
+    The lane supplies its variable names and slots, its conjugation, the
+    value of `i` (None where there is none) and the note its messages about
+    missing names carry.  On a real lane conjugation is the identity, so
+    Re and conj change nothing, Im gives 0 and abs2 squares.
+    """
+
+    def variable(node: Var):
+        m = _families(cls).match(node.name)
+        if m:
+            block = cls.indexed.index(m.group(1))
+            return cls.var(n, _var_index(node, m, n, cls.size_name, src), block * n)
+        if node.name in cls.single:
+            return cls.var(n, 0, len(cls.indexed) * n + cls.single.index(node.name))
+        raise ExprSyntaxError(
+            f"unknown variable {node.name!r}{cls.unknown_note}", src, node.pos
+        )
+
+    def go(node):
         if isinstance(node, Num):
-            return WPoly.const(nz, Fraction(node.value))
+            return cls.const(n, node.value)
         if isinstance(node, Imag):
-            return WPoly.const(nz, GaussianRational(0, 1))
-        if isinstance(node, Var):
-            m = _ZVAR.match(node.name)
-            if m:
-                j = _var_index(node, m, nz, "nz", src)
-                return (
-                    WPoly.var_zbar(nz, j) if m.group(1) == "zbar" else WPoly.var_z(nz, j)
+            if cls.imag_unit is None:
+                raise ExprSyntaxError(
+                    f"imaginary unit not available{cls.unknown_note}", src, node.pos
                 )
-            if node.name == "w":
-                return WPoly.var_w(nz)
-            if node.name == "wbar":
-                return WPoly.var_wbar(nz)
-            raise ExprSyntaxError(f"unknown variable {node.name!r}", src, node.pos)
+            return cls.const(n, cls.imag_unit)
+        if isinstance(node, Var):
+            return variable(node)
         if isinstance(node, Call):
             p = go(node.arg)
             if node.func == "Re":
                 return (p + p.conjugate()).scale(Fraction(1, 2))
             if node.func == "Im":
-                return (p - p.conjugate()).scale(INV_2I)
+                d = p - p.conjugate()
+                # zero for real p; a lane without i could not divide by 2i
+                return d if d.is_zero() else d.scale(INV_2I)
             if node.func == "conj":
                 return p.conjugate()
             return p * p.conjugate()  # abs2
@@ -290,12 +308,12 @@ def lower_complex(ast, nz: int, src: str = "") -> WPoly:
         if isinstance(node, Bin):
             if node.op == "^":
                 base = go(node.left)
-                expc = _const_of(go(node.right), src, node.pos)
-                if expc.im != 0 or expc.re.denominator != 1 or expc.re < 0:
+                e = GaussianRational.of(_const_of(go(node.right), src, node.pos))
+                if e.im != 0 or e.re.denominator != 1 or e.re < 0:
                     raise ExprSyntaxError(
                         "exponent must be a nonnegative integer", src, node.pos
                     )
-                return base ** int(expc.re)
+                return base ** int(e.re)
             l = go(node.left)
             r = go(node.right)
             if node.op == "+":
@@ -305,77 +323,23 @@ def lower_complex(ast, nz: int, src: str = "") -> WPoly:
             if node.op == "*":
                 return l * r
             c = _const_of(r, src, node.pos)
-            if c.is_zero():
+            if not c:
                 raise ExprSyntaxError("division by zero", src, node.pos)
-            return l.scale(GaussianRational(1) / c)
+            return l.scale(l.ring(1) / c)
         raise TypeError(f"bad AST node {node!r}")
 
     return go(ast)
+
+
+def parse_poly(src: str, cls, n: int | None = None):
+    """Parse + lower in one step; n inferred from the source if omitted."""
+    ast = parse(src)
+    return lower(ast, cls, infer_n(ast, cls) if n is None else n, src)
 
 
 def parse_wpoly(src: str, nz: int | None = None) -> WPoly:
-    """Parse + lower in one step; nz inferred from the source if omitted."""
-    ast = parse(src)
-    if nz is None:
-        nz = infer_nz(ast)
-    return lower_complex(ast, nz, src)
+    return parse_poly(src, WPoly, nz)
 
 
-def lower_real(ast, nv: int, src: str = ""):
-    """Lower to an RPoly over (x_1..x_nv, y); Re/Im/conj/abs2 get real semantics."""
-    from .realconvex import RPoly
-
-    def go(node):
-        if isinstance(node, Num):
-            return RPoly.const(nv, node.value)
-        if isinstance(node, Imag):
-            raise ExprSyntaxError("imaginary unit not available in real mode", src, node.pos)
-        if isinstance(node, Var):
-            m = _XVAR.match(node.name)
-            if m:
-                return RPoly.var_x(nv, _var_index(node, m, nv, "nx", src))
-            if node.name == "y":
-                return RPoly.var_y(nv)
-            raise ExprSyntaxError(
-                f"unknown variable {node.name!r} in real mode", src, node.pos
-            )
-        if isinstance(node, Call):
-            p = go(node.arg)
-            if node.func == "Im":
-                return RPoly.const(nv, 0)
-            if node.func == "abs2":
-                return p * p
-            return p  # Re, conj are identities on real polynomials
-        if isinstance(node, Neg):
-            return -go(node.operand)
-        if isinstance(node, Bin):
-            if node.op == "^":
-                base = go(node.left)
-                e = _const_of(go(node.right), src, node.pos)
-                if e.denominator != 1 or e < 0:
-                    raise ExprSyntaxError(
-                        "exponent must be a nonnegative integer", src, node.pos
-                    )
-                return base ** int(e)
-            l = go(node.left)
-            r = go(node.right)
-            if node.op == "+":
-                return l + r
-            if node.op == "-":
-                return l - r
-            if node.op == "*":
-                return l * r
-            c = _const_of(r, src, node.pos)
-            if c == 0:
-                raise ExprSyntaxError("division by zero", src, node.pos)
-            return l.scale(Fraction(1) / c)
-        raise TypeError(f"bad AST node {node!r}")
-
-    return go(ast)
-
-
-def parse_rpoly(src: str, nv: int | None = None):
-    ast = parse(src)
-    if nv is None:
-        nv = infer_nz(ast, real=True)
-    return lower_real(ast, nv, src)
+def parse_rpoly(src: str, nx: int | None = None) -> RPoly:
+    return parse_poly(src, RPoly, nx)

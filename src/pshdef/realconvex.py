@@ -3,9 +3,10 @@
 Domains {r < 0} in R^n with r = y + G(x, y), G of degree >= 2, so r_y is 1
 near 0.  Because r_y is real it already solves the log-derivative equation,
 and the whole staged construction collapses to the fixed choice T = r_y plus
-a ladder over K.  The lane runs on the complex lane's cores: `RPoly` is
-the exact sparse polynomial of `wirtinger` with rational coefficients over
-(x_1..x_n, y), and the numeric side is the compiled evaluator (`numeval`),
+a ladder over K.  The lane runs on the complex lane's cores: its
+polynomials are `wirtinger.RPoly`, the exact sparse polynomial with rational
+coefficients over (x_1..x_n, y), parsed and printed by the same code as
+`WPoly`, and the numeric side is the compiled evaluator (`numeval`),
 the Halton ball sampler, the Newton solver, the PSD statistics and the h
 floor (`verify`), and the K ladder and radius shrink (`construct`).  Only
 the coordinates differ.
@@ -22,13 +23,19 @@ evaluates it, positivity is only ever checked on the boundary itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import SHRINK, KSearchResult, check_search_config, k_ladder
-from .numeval import compiled
+from .construct import (
+    SHRINK,
+    ConstructConfig,
+    KSearchResult,
+    check_search_config,
+    k_ladder,
+)
+from .cr import Domain
+from .report import SCHEMA_VERSION
 from .verify import (
     DEFAULT_TOL,
     H_MIN,
@@ -41,58 +48,7 @@ from .verify import (
     psd_result,
     sample_ball,
 )
-from .wirtinger import SparsePoly, indexed_names, term_text, var_slot
-
-
-class RPoly(SparsePoly):
-    """Polynomial over (x_1..x_nx, y) with exact rational coefficients.
-
-    Exponent keys are tuples of length nx + 1, the last slot for y.
-    """
-
-    __slots__ = ()
-    ring = Fraction
-    numeric = float
-
-    @staticmethod
-    def width(nx: int) -> int:
-        return nx + 1
-
-    @staticmethod
-    def columns(X, Y) -> list:
-        return [*X.T, Y]
-
-    @property
-    def nx(self) -> int:
-        return self.n
-
-    @classmethod
-    def var_x(cls, nx: int, j: int = 0) -> "RPoly":
-        return cls.var(nx, j)
-
-    @classmethod
-    def var_y(cls, nx: int) -> "RPoly":
-        return cls.var(nx, 0, nx)
-
-    def d_x(self, j: int = 0) -> "RPoly":
-        return self.partial(var_slot(j, self.n))
-
-    def d_y(self) -> "RPoly":
-        return self.partial(self.n)
-
-    def eval(self, X, Y) -> np.ndarray:
-        """Values at rows of X (m, nx) and Y (m,), float64."""
-        Y = np.asarray(Y, dtype=np.float64)
-        X = np.asarray(X, dtype=np.float64).reshape(len(Y), self.nx)
-        return compiled(self).eval(X, Y)
-
-    def __repr__(self):
-        return f"RPoly({canonical_rstr(self)!r})"
-
-
-def canonical_rstr(p: RPoly) -> str:
-    """Sorted-monomial text form; parses back to an identical RPoly."""
-    return term_text(p.terms, indexed_names("x{}", p.nx) + ["y"])
+from .wirtinger import RPoly, canonical_str
 
 
 # -- normal form ----------------------------------------------------------
@@ -129,20 +85,14 @@ def validate_real_normal_form(p: RPoly) -> "RealDefiningFunction":
 
 
 @dataclass
-class RealDefiningFunction:
+class RealDefiningFunction(Domain):
     """A validated local defining function r = y + G."""
 
     poly: RPoly
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nx(self) -> int:
         return self.poly.nx
-
-    def cached(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
 
     def d_x(self, j: int = 0) -> RPoly:
         return self.cached(("dx", j), lambda: self.poly.d_x(j))
@@ -175,6 +125,12 @@ class RealShell(Shell):
     def norms(self) -> np.ndarray:
         return point_norms(self.X, self.Y)
 
+    def coordinates(self) -> dict:
+        return dict(zip(RPoly.names(self.X.shape[1]), RPoly.columns(self.X, self.Y)))
+
+    def hessian(self, f: RPoly) -> np.ndarray:
+        return real_hessian_values(f, self.X, self.Y)
+
 
 def sample_real_boundary(
     r: RealDefiningFunction,
@@ -201,18 +157,14 @@ def sample_real_boundary(
 
 
 def real_hessian_entries(f: RPoly) -> list:
-    """Upper-triangular (nx+1)x(nx+1) second-derivative polynomials."""
+    """Upper-triangular (nx+1)x(nx+1) second-derivative polynomials, in the
+    slot order (x_1..x_nx, y)."""
     n = f.nx + 1
-
-    def d(a: int) -> RPoly:
-        return f.d_x(a) if a < f.nx else f.d_y()
-
-    firsts = [d(a) for a in range(n)]
+    firsts = [f.partial(a) for a in range(n)]
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            g = firsts[a]
-            out[a][b] = g.d_x(b) if b < f.nx else g.d_y()
+            out[a][b] = firsts[a].partial(b)
     return out
 
 
@@ -282,11 +234,11 @@ def convexity_check(
 
 @dataclass
 class RealConfig:
-    radius: float = 1e-2
-    samples: int = 2000
-    seed: int = 0
-    max_k_exp: int = 20
-    tol: float = DEFAULT_TOL
+    radius: float = ConstructConfig.radius
+    samples: int = ConstructConfig.samples
+    seed: int = ConstructConfig.seed
+    max_k_exp: int = ConstructConfig.max_k_exp
+    tol: float = ConstructConfig.tol
 
     def __post_init__(self):
         check_search_config(self)
@@ -318,7 +270,7 @@ class RealReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "mode": "real",
             "status": self.status,
             "defining_function": {"nx": self.nx, "text": self.r_text},
@@ -356,7 +308,7 @@ def convex_multiplier(
     """
     config = config or RealConfig()
     ry = r.d_y()
-    h_text = f"1 + K * ({canonical_rstr(r.poly)}) + {canonical_rstr(ry)}"
+    h_text = f"1 + K * ({canonical_str(r.poly)}) + {canonical_str(ry)}"
     messages = [
         "h floor and ladder limits transplanted from the complex lane",
     ]
@@ -376,7 +328,7 @@ def convex_multiplier(
 
     report = RealReport(
         status="Exhausted",
-        r_text=canonical_rstr(r.poly),
+        r_text=canonical_str(r.poly),
         nx=r.nx,
         config=config,
         convexity_precheck=precheck,
@@ -435,7 +387,7 @@ def convex_multiplier(
 
     report.status = "Certified"
     report.final = {
-        "T": canonical_rstr(ry),
+        "T": canonical_str(ry),
         "K": K,
         "stage": 0,
         "residual": "0",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 
-from .verify import hessian_values, psd_arrays
+from .verify import psd_arrays
 
 SCHEMA_VERSION = 1
 
@@ -23,8 +23,6 @@ def envelope(command: str, payload: dict) -> dict:
         out[k] = v
         if k == "mode":
             out["command"] = command
-    if "command" not in out:
-        out = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
     return out
 
 
@@ -38,46 +36,18 @@ def _fmt(x) -> str:
 
 
 def shell_csv(shell) -> str:
-    """Point table for a boundary shell, complex or real."""
-    rows = []
-    if hasattr(shell, "W"):  # complex lane
-        nz = shell.Z.shape[1]
-        cols = ["index"]
-        for j in range(nz):
-            tag = "" if nz == 1 else str(j + 1)
-            cols += [f"re_z{tag}", f"im_z{tag}"]
-        cols += ["re_w", "im_w", "residual"]
-        rows.append(",".join(cols))
-        for i in range(shell.count):
-            vals = [str(i)]
-            for j in range(nz):
-                vals += [_fmt(shell.Z[i, j].real), _fmt(shell.Z[i, j].imag)]
-            vals += [_fmt(shell.W[i].real), _fmt(shell.W[i].imag)]
-            vals.append(_fmt(shell.residuals[i]))
-            rows.append(",".join(vals))
-    else:
-        nx = shell.X.shape[1]
-        cols = ["index"]
-        for j in range(nx):
-            cols.append("x" if nx == 1 else f"x{j + 1}")
-        cols += ["y", "residual"]
-        rows.append(",".join(cols))
-        for i in range(shell.count):
-            vals = [str(i)]
-            vals += [_fmt(shell.X[i, j]) for j in range(nx)]
-            vals += [_fmt(shell.Y[i]), _fmt(shell.residuals[i])]
-            rows.append(",".join(vals))
+    """Point table for a boundary shell of either lane."""
+    cols = shell.coordinates()
+    rows = [",".join(["index", *cols, "residual"])]
+    values = [*cols.values(), shell.residuals]
+    for i in range(shell.count):
+        rows.append(",".join([str(i), *(_fmt(v[i]) for v in values)]))
     return "\n".join(rows) + "\n"
 
 
 def hessian_csv(f, shell) -> str:
     """Per-point Hessian statistics table for f over the shell."""
-    if hasattr(shell, "W"):
-        H = hessian_values(f, shell.Z, shell.W)
-    else:
-        from .realconvex import real_hessian_values
-
-        H = real_hessian_values(f, shell.X, shell.Y)
+    H = shell.hessian(f)
     diags, minors, eigs = psd_arrays(H)
     n = H.shape[-1]
     cols = ["index"]

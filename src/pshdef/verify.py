@@ -21,7 +21,7 @@ from .gaussrat import GaussianRational
 from .cr import DefiningFunction, hessian_entries, hessian_minor_det
 from .numeval import compiled
 from .sampler import BallStream
-from .wirtinger import WPoly
+from .wirtinger import WPoly, indexed_names
 
 NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
@@ -99,7 +99,9 @@ def point_norms(P: np.ndarray, q: np.ndarray) -> np.ndarray:
 class Shell:
     """Boundary sample within the closed ball of `radius`.
 
-    Subclasses hold the points of one lane and a residual per point.
+    Subclasses hold the points of one lane and a residual per point, and
+    give their real coordinate columns by name (`coordinates`) and the
+    Hessian of a polynomial at each point (`hessian`).
     """
 
     radius: float
@@ -128,6 +130,19 @@ class BoundaryShell(Shell):
 
     def norms(self) -> np.ndarray:
         return point_norms(self.Z, self.W)
+
+    def coordinates(self) -> dict:
+        nz = self.Z.shape[1]
+        out = {}
+        for z, re, im in zip(
+            self.Z.T, indexed_names("re_z{}", nz), indexed_names("im_z{}", nz)
+        ):
+            out[re], out[im] = z.real, z.imag
+        out["re_w"], out["im_w"] = self.W.real, self.W.imag
+        return out
+
+    def hessian(self, f: WPoly) -> np.ndarray:
+        return hessian_values(f, self.Z, self.W)
 
 
 def ball_stream(r, d: int, seed: int) -> BallStream:
@@ -441,14 +456,10 @@ def levi_scan(
     samples: int = 2000,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    extra_points: tuple | None = None,
 ) -> LeviScanResult:
     """Scan tangential Levi values over a boundary ball sample."""
     shell = sample_boundary(r, radius, samples, seed)
     Z, W = shell.Z, shell.W
-    if extra_points is not None:
-        Z = np.concatenate([Z, extra_points[0]])
-        W = np.concatenate([W, extra_points[1]])
     vals = None
     for j in range(r.nz):
         v = compiled(r.levi(j)).eval(Z, W).real
@@ -518,12 +529,12 @@ def necessary_conditions_check(
     """
     nz = r.nz
     Z, W = shell.Z, shell.W
-    habs = np.abs(compiled(h).eval(Z, W))
-    if habs.min() < H_MIN:
+    hv = compiled(h).eval(Z, W)
+    if np.abs(hv).min() < H_MIN:
         raise ValueError("h vanishes (|h| < 1/2) on the sampled shell")
     rho = h * r.poly
     p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
-    hvals = compiled(h).eval(Z, W).real
+    hvals = hv.real
     rww = compiled(rho.dw().dwbar()).eval(Z, W).real
     rw2 = np.abs(compiled(r.d_w()).eval(Z, W)) ** 2
     records = []
@@ -554,19 +565,15 @@ def necessary_conditions_check(
     if check_log_deriv:
         from .dominance import Bound, dominance_check, default_probes
 
+        if probes is None:
+            probes = default_probes(r.nz, shell.seed)
         worst = None
         for j in range(nz):
             num_poly = p1.dz(j) * r.d_wbar() + p1 * r.poly.dz(j).dwbar()
             num = compiled(num_poly).eval(Z, W)
             den = compiled(p1).eval(Z, W) * compiled(r.d_wbar()).eval(Z, W)
             log_max = max(log_max, float(np.max(np.abs(num / den))))
-            v = dominance_check(
-                num_poly,
-                Bound.LEVI_PLUS_GRAD,
-                r,
-                probes if probes is not None else default_probes(r.nz, shell.seed),
-                j=j,
-            )
+            v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, probes, j=j)
             if worst is None or _verdict_rank(v) > _verdict_rank(worst):
                 worst = v
         verdict = worst

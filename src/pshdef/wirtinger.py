@@ -14,8 +14,12 @@ coefficient ring, the key layout and the variable names:
   derivatives are formal partials in this basis, so d/dz treats conj(z) as
   an independent variable, and conjugation swaps z with conj(z), w with
   conj(w).
-- `realconvex.RPoly`, polynomials in x_1..x_n, y with Fraction
-  coefficients, keyed (e_1..e_n, e_y).
+- `RPoly`, polynomials in x_1..x_n, y with Fraction coefficients, keyed
+  (e_1..e_n, e_y), for the real lane (`realconvex`).
+
+Each class declares its variable names once; they fix its key layout, its
+canonical text (`canonical_str`) and the names the expression parser
+accepts.
 
 Floats appear only in `eval` and the compiled evaluator; everything else
 is exact.
@@ -28,7 +32,7 @@ from operator import add
 
 import numpy as np
 
-from .gaussrat import GaussianRational, format_gaussian, INV_2I
+from .gaussrat import GaussianRational, I, format_gaussian, INV_2I
 from .numeval import compiled
 
 _SCALARS = (int, Fraction, GaussianRational)
@@ -55,19 +59,36 @@ class SparsePoly:
 
     Used as is, it has GaussianRational coefficients and one exponent slot
     per variable.  A lane overrides `ring` (the coefficient constructor)
-    and `width` (exponent slots for n variables), and gives the compiled
-    evaluator `columns` (the value of each slot at numeric points) and
-    `numeric` (a coefficient as a float or complex).  Ring operations need
-    operands of the same lane and n; int, Fraction and GaussianRational
-    scalars act as constants.
+    and its variable names, and gives the compiled evaluator `columns` (the
+    value of each slot at numeric points) and `numeric` (a coefficient as a
+    float or complex).  Ring operations need operands of the same lane and
+    n; int, Fraction and GaussianRational scalars act as constants.
     """
 
     __slots__ = ("n", "terms", "_compiled")
     ring = staticmethod(GaussianRational.of)
+    # Variable names: each family in `indexed` names a block of n slots
+    # (`v` alone when n == 1, else `v1`..`vn`), each name in `single` one
+    # slot after the blocks.
+    indexed = ("v",)
+    single = ()
+    # what the parser needs besides the names: the name of n, the value of
+    # `i` (None where there is none) and a note for messages about names
+    # the lane lacks
+    size_name = "n"
+    imag_unit = I
+    unknown_note = ""
 
-    @staticmethod
-    def width(n: int) -> int:
-        return n
+    @classmethod
+    def width(cls, n: int) -> int:
+        """Exponent slots for n variables."""
+        return len(cls.indexed) * n + len(cls.single)
+
+    @classmethod
+    def names(cls, n: int) -> list:
+        """The name of each exponent slot."""
+        out = [v for f in cls.indexed for v in indexed_names(f + "{}", n)]
+        return out + list(cls.single)
 
     def __init__(self, n: int, terms: dict | None = None):
         if n < 1:
@@ -173,6 +194,9 @@ class SparsePoly:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
+    def __repr__(self):
+        return f"{type(self).__name__}({canonical_str(self)!r})"
+
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -232,10 +256,10 @@ class WPoly(SparsePoly):
     # perfbench's tracer wraps WPoly.__mul__, so it must sit in this class
     __mul__ = SparsePoly.__mul__
     numeric = staticmethod(GaussianRational.to_complex)
-
-    @staticmethod
-    def width(nz: int) -> int:
-        return 2 * nz + 2
+    mode = "complex"
+    indexed = ("z", "zbar")
+    single = ("w", "wbar")
+    size_name = "nz"
 
     @staticmethod
     def columns(Z, W) -> list:
@@ -328,8 +352,54 @@ class WPoly(SparsePoly):
             acc = acc + c
         return acc
 
-    def __repr__(self):
-        return f"WPoly({canonical_str(self)!r})"
+
+class RPoly(SparsePoly):
+    """Polynomial over (x_1..x_nx, y) with exact rational coefficients.
+
+    Exponent keys are tuples of length nx + 1, the last slot for y.  Real
+    coefficients in real variables: conjugation is the identity.
+    """
+
+    __slots__ = ()
+    ring = Fraction
+    numeric = float
+    mode = "real"
+    indexed = ("x",)
+    single = ("y",)
+    size_name = "nx"
+    imag_unit = None
+    unknown_note = " in real mode"
+
+    @staticmethod
+    def columns(X, Y) -> list:
+        return [*X.T, Y]
+
+    @property
+    def nx(self) -> int:
+        return self.n
+
+    @classmethod
+    def var_x(cls, nx: int, j: int = 0) -> "RPoly":
+        return cls.var(nx, j)
+
+    @classmethod
+    def var_y(cls, nx: int) -> "RPoly":
+        return cls.var(nx, 0, nx)
+
+    def d_x(self, j: int = 0) -> "RPoly":
+        return self.partial(var_slot(j, self.n))
+
+    def d_y(self) -> "RPoly":
+        return self.partial(self.n)
+
+    def conjugate(self) -> "RPoly":
+        return self
+
+    def eval(self, X, Y) -> np.ndarray:
+        """Values at rows of X (m, nx) and Y (m,), float64."""
+        Y = np.asarray(Y, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64).reshape(len(Y), self.nx)
+        return compiled(self).eval(X, Y)
 
 
 # -- real-part builders --------------------------------------------------
@@ -397,11 +467,11 @@ def term_text(terms: dict, names, factor_sep: str = " ", coeff_sep: str = " * ")
     return " ".join(pieces) or "0"
 
 
-def canonical_str(p: WPoly) -> str:
-    """Sorted-monomial text form, `coeff * z^a zbar^b w^c wbar^d` terms.
+def canonical_str(p: SparsePoly) -> str:
+    """Sorted-monomial text form over the lane's variable names, such as
+    `coeff * z^a zbar^b w^c wbar^d` terms.
 
     Coefficients print as exact rationals; the output parses back through
-    the expression parser to an identical WPoly.
+    the expression parser to an identical polynomial.
     """
-    names = indexed_names("z{}", p.nz) + indexed_names("zbar{}", p.nz)
-    return term_text(p.terms, names + ["w", "wbar"])
+    return term_text(p.terms, p.names(p.n))

@@ -206,9 +206,9 @@ def test_criterion_8_real_convex_analog():
             rep = convex_multiplier(r)
             assert rep.status == "Certified", f"{src} did not certify"
             ry = r.d_y()
-            from pshdef.realconvex import canonical_rstr
+            from pshdef.wirtinger import canonical_str
 
-            assert rep.final["T"] == canonical_rstr(ry)
+            assert rep.final["T"] == canonical_str(ry)
             assert rep.final["K"] is not None
             assert rep.final["h"].startswith("1 + K * (")
             assert rep.verification["hessian"]["passed"]

@@ -76,11 +76,10 @@ def test_fifty_random_round_trips():
 
 def test_real_mode_round_trip():
     from pshdef.exprparse import parse_rpoly
-    from pshdef.realconvex import canonical_rstr
 
     for src in ("y + x^2", "y + x^4 - 2*x*y", "y"):
         p = parse_rpoly(src, 1)
-        assert parse_rpoly(canonical_rstr(p), 1) == p
+        assert parse_rpoly(canonical_str(p), 1) == p
 
 
 def test_syntax_errors_have_positions():
@@ -280,6 +279,20 @@ def test_construct_real(capsys):
     assert code == 1
 
 
+def test_construct_real_csv_points(capsys, tmp_path):
+    """construct --real writes the shell table that analyze --real writes."""
+    built, analyzed = tmp_path / "construct.csv", tmp_path / "analyze.csv"
+    lane = ["--real", "--r", "y + x1^2 + x2^4", "--samples", "50"]
+    code, out, _ = run(capsys, "construct", *lane, "--csv-points", str(built))
+    assert code == 0
+    assert out.startswith("status: Certified")
+    lines = built.read_text().splitlines()
+    assert lines[0] == "index,x1,x2,y,residual"
+    assert len(lines) == 51
+    assert run(capsys, "analyze", *lane, "--csv-points", str(analyzed))[0] == 0
+    assert analyzed.read_text() == built.read_text()
+
+
 def test_construct_deterministic(capsys):
     code1, out1, _ = run(capsys, "construct", "--r", R10, "--json")
     code2, out2, _ = run(capsys, "construct", "--r", R10, "--json")
@@ -414,6 +427,16 @@ def test_verify_real_rejects_K_flag(capsys):
     assert "complex-lane flag" in err
 
 
+def test_verify_real_rejects_collar_flag(capsys):
+    """The real lane samples no collar; --collar is refused, not dropped."""
+    code, out, err = run(
+        capsys, "verify", "--r", "y + x^2", "--h", "2 + y", "--real", "--collar", "1e-4"
+    )
+    assert code == 64
+    assert out == ""
+    assert err == "error: --collar is a complex-lane flag; --real checks the boundary only\n"
+
+
 def test_verify_real_vanishing_h_fails(capsys):
     code, out, _ = run(
         capsys, "verify", "--r", "y + x^2", "--h", "1 - 300*x", "--real", "--json"
@@ -421,6 +444,91 @@ def test_verify_real_vanishing_h_fails(capsys):
     assert code == 1
     d = json.loads(out)
     assert any("1/2" in m for m in d["messages"])
+
+
+# -- report layout ---------------------------------------------------------
+
+HEAD = ["schema_version", "mode", "command", "status", "defining_function"]
+REAL = ["--real", "--r", "y + x^2"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ["analyze", "--r", R10],
+            ["config", "normal_form", "levi", "levi_origin", "gate", "messages"],
+        ),
+        (
+            ["analyze", *REAL],
+            ["config", "normal_form", "convexity_precheck", "checks", "messages"],
+        ),
+        (
+            ["construct", "--r", R10],
+            [
+                "config",
+                "levi_precheck",
+                "gate",
+                "shortcut_used",
+                "stages",
+                "final",
+                "obstruction",
+                "verification",
+                "contraction",
+                "cancellation",
+                "messages",
+            ],
+        ),
+        (
+            ["construct", "--r", R7, "--seed", "3"],
+            ["config", "obstruction", "messages"],
+        ),
+        (
+            ["construct", *REAL],
+            [
+                "config",
+                "convexity_precheck",
+                "stages",
+                "final",
+                "obstruction",
+                "verification",
+                "k_search",
+                "messages",
+            ],
+        ),
+        (
+            ["verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64"],
+            ["config", "checks", "messages"],
+        ),
+        (
+            ["verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64", "--collar", "1e-4"],
+            ["config", "checks", "messages", "collar"],
+        ),
+        (["verify", *REAL, "--h", "2 + y"], ["config", "checks", "messages"]),
+        (["levi", "--r", BALL], ["levi", "messages"]),
+        (["levi", *REAL], ["tangential", "messages"]),
+    ],
+    ids=[
+        "analyze-complex",
+        "analyze-real",
+        "construct-complex",
+        "construct-not-pseudoconvex",
+        "construct-real",
+        "verify-complex",
+        "verify-complex-collar",
+        "verify-real",
+        "levi-complex",
+        "levi-real",
+    ],
+)
+def test_report_key_order(capsys, argv, keys):
+    """Every (subcommand, lane) report keeps its top-level key order."""
+    code, out, _ = run(capsys, *argv, "--samples", "300", "--json")
+    assert code in (0, 1, 2)
+    d = json.loads(out)
+    assert list(d) == HEAD + keys
+    assert d["command"] == argv[0]
+    assert d["mode"] == ("real" if "--real" in argv else "complex")
 
 
 # -- usage plumbing --------------------------------------------------------
@@ -504,3 +612,25 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1/4"
+
+
+def test_parser_defaults_are_the_config_defaults():
+    """Each CLI default is read from the config classes, not restated."""
+    from dataclasses import fields
+
+    from pshdef.cli import build_parser
+    from pshdef.construct import ConstructConfig
+    from pshdef.dominance import Bound
+    from pshdef.realconvex import RealConfig
+    from pshdef.verify import DEFAULT_TOL
+
+    for command in ("analyze", "construct", "verify", "levi"):
+        argv = [command, "--r", "y"] + (["--h", "1"] if command == "verify" else [])
+        args = build_parser().parse_args(argv)
+        for config in (ConstructConfig(), RealConfig()):
+            for f in fields(config):
+                value = getattr(args, f.name)
+                if f.name == "bound":
+                    value = Bound(value)
+                assert value == getattr(config, f.name), (command, f.name)
+    assert ConstructConfig().tol == RealConfig().tol == DEFAULT_TOL

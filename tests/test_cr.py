@@ -167,3 +167,28 @@ def test_grad_z_sq(r10):
     g = r10.grad_z_sq()
     assert g == r10.poly.dz(0) * r10.poly.dzbar(0)
     assert g.is_real()
+
+
+@pytest.mark.parametrize("lane", ["complex", "real"])
+def test_cached_builds_once_per_key(lane):
+    """A cached value is kept by key presence, so a build that returns None
+    (or any other falsy value) runs once per key, in both lanes."""
+    from pshdef.exprparse import parse_rpoly, parse_wpoly
+    from pshdef.realconvex import validate_real_normal_form
+
+    if lane == "complex":
+        r = validate_normal_form(parse_wpoly("Im(w) + abs2(z)"))
+    else:
+        r = validate_real_normal_form(parse_rpoly("y + x^2"))
+    calls = []
+
+    def build():
+        calls.append(1)
+        return None
+
+    assert r.cached("none", build) is None
+    assert r.cached("none", build) is None
+    assert len(calls) == 1
+    assert r.cached(("zero", 0), lambda: calls.append(2) or 0) == 0
+    assert r.cached(("zero", 0), lambda: calls.append(2) or 0) == 0
+    assert calls == [1, 2]

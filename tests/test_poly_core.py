@@ -8,8 +8,7 @@ import pytest
 
 from conftest import random_rpoly, random_wpoly
 from pshdef.exprparse import parse_rpoly, parse_wpoly
-from pshdef.realconvex import RPoly, canonical_rstr
-from pshdef.wirtinger import DimensionMismatch, WPoly, canonical_str
+from pshdef.wirtinger import DimensionMismatch, RPoly, WPoly, canonical_str
 
 
 N = 2  # variables per lane: enough to tell the slots of two variables apart
@@ -33,7 +32,7 @@ LANES = {
     "real": Lane(
         RPoly,
         lambda rng: random_rpoly(rng, nx=N, max_deg=3),
-        canonical_rstr,
+        canonical_str,
         lambda s: parse_rpoly(s, N),
     ),
 }

@@ -10,9 +10,7 @@ import pytest
 from conftest import random_rpoly
 from pshdef.exprparse import parse_rpoly
 from pshdef.realconvex import (
-    RPoly,
     RealNormalFormError,
-    canonical_rstr,
     convex_multiplier,
     convexity_check,
     project_to_real_boundary,
@@ -23,6 +21,7 @@ from pshdef.realconvex import (
     tangential_form,
     validate_real_normal_form,
 )
+from pshdef.wirtinger import RPoly, canonical_str
 
 X = RPoly.var_x(1)
 Y = RPoly.var_y(1)
@@ -92,7 +91,7 @@ def test_rpoly_round_trip():
     rng = random.Random(37)
     for _ in range(20):
         p = random_rpoly(rng)
-        assert parse_rpoly(canonical_rstr(p), 1) == p
+        assert parse_rpoly(canonical_str(p), 1) == p
 
 
 def test_real_violations():
