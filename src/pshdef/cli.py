@@ -33,10 +33,9 @@ from .report import SCHEMA_VERSION, dumps_report, envelope, hessian_csv, shell_c
 from .verify import (
     H_MIN,
     ProbeConfigurationError,
+    check_certificate,
     check_sampling,
-    identity_check_prop31,
     levi_scan,
-    necessary_conditions_check,
     psd_check,
     sample_boundary,
     sample_collar,
@@ -295,34 +294,17 @@ def _cmd_verify(args) -> int:
         T = p1 - WPoly.one(r.nz)
         if T.min_degree() == 0 and not T.is_zero():
             raise _UsageError("h must equal 1 at the origin")
-        h = p1 + r.poly.scale(Fraction(args.K))
         config["K"] = args.K
         shell = _shell(args, lane, r)
-        rho = h * r.poly
-        psd = psd_check(rho, shell, args.tol)
-        ident = identity_check_prop31(r, args.K, T, shell)
-        messages = []
-        try:
-            nec = necessary_conditions_check(r, h, shell, args.K, args.tol)
-            nec_dict = nec.as_dict()
-            nec_failed = not nec.all_hold or (
-                nec.log_deriv_verdict is not None
-                and nec.log_deriv_verdict.status == "NotDominated"
-            )
-        except ValueError as e:
-            nec, nec_dict, nec_failed = None, {"error": str(e)}, True
-            messages.append(str(e))
-        failed = (not psd.passed) or (not ident.passed) or nec_failed
-        checks = {
-            "psd": psd.as_dict(),
-            "identity": ident.as_dict(),
-            "necessary": nec_dict,
-        }
-        bits = [f"psd {'ok' if psd.passed else 'FAIL'} (min eig {psd.min_eig:.3e}"]
-        bits.append(f"min diag {psd.min_diag:.3e})")
-        bits.append(f"identity {'ok' if ident.passed else 'FAIL'}")
-        if nec is not None:
-            bits.append(f"necessary {'ok' if not nec_failed else 'FAIL'}")
+        rho = (p1 + r.poly.scale(Fraction(args.K))) * r.poly
+        checks, failed = check_certificate(r, T, args.K, shell, args.tol)
+        psd, nec = checks["psd"], checks["necessary"]
+        messages = [nec["error"]] if "error" in nec else []
+        bits = [f"psd {'FAIL' if 'psd' in failed else 'ok'} (min eig {psd['min_eig']:.3e}"]
+        bits.append(f"min diag {psd['min_diag']:.3e})")
+        bits.append(f"identity {'FAIL' if 'identity' in failed else 'ok'}")
+        if not messages:
+            bits.append(f"necessary {'FAIL' if 'necessary' in failed else 'ok'}")
         human = ", ".join(bits)
     status = "fail" if failed else "pass"
     report = _head(r, "verify", status)

@@ -12,7 +12,7 @@ obstruction reports carry the witness that stopped the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,12 +36,11 @@ from .report import SCHEMA_VERSION
 from .verify import (
     DEFAULT_TOL,
     H_MIN,
+    PsdCheckResult,
+    check_certificate,
     check_sampling,
     hessian_values,
-    identity_check_prop31,
     levi_scan,
-    necessary_conditions_check,
-    psd_check,
     psd_stats,
     sample_boundary,
 )
@@ -111,12 +110,6 @@ class MultiplierCandidate:
     residual: WPoly
     absorbed_terms: list
 
-    def h_poly(self, r: DefiningFunction) -> WPoly:
-        h = WPoly.one(r.nz) + self.T
-        if self.K:
-            h = h + r.poly.scale(Fraction(self.K))
-        return h
-
     def as_dict(self) -> dict:
         return {
             "T": real_basis_str(self.T),
@@ -135,6 +128,8 @@ class KSearchResult:
     witness: dict | None
     radius: float
     shrunk: bool
+    # the passing rung's PSD statistics; not part of the report
+    stats: PsdCheckResult | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -421,6 +416,37 @@ def k_ladder(base, step, factor, max_k_exp: int, stats):
     return ladder, 2**hi, results[hi]
 
 
+def radius_search(config, attempt) -> KSearchResult:
+    """The K search of either lane: the h floor, the K ladder and one shrink.
+
+    attempt(radius) samples the lane's shell of that radius and returns the
+    least |1 + T| on it and a callable that runs `k_ladder` there.  A shell
+    where |1 + T| drops below the h floor H_MIN skips the ladder; that, or
+    failure at every rung tried, shrinks the radius once by SHRINK.  The
+    result's ladder lists the rungs evaluated at the final radius; it is
+    empty when the h floor fails there.
+    """
+    radius = config.radius
+    for shrunk in (False, True):
+        if shrunk:
+            radius *= SHRINK
+        least_h, run_ladder = attempt(radius)
+        if least_h < H_MIN:
+            ladder, witness = [], {"min_abs_h": least_h, "h_floor": H_MIN}
+            continue
+        ladder, K, st = run_ladder()
+        if st.passed:
+            return KSearchResult(True, K, ladder, None, radius, shrunk, st)
+        witness = {
+            "K": K,
+            "point": st.worst_point,
+            "min_eig": st.min_eig,
+            "min_minor": st.min_minor,
+            "min_diag": st.min_diag,
+        }
+    return KSearchResult(False, None, ladder, witness, radius, True)
+
+
 def k_search(
     r: DefiningFunction,
     T: WPoly,
@@ -433,50 +459,33 @@ def k_search(
     positive semidefinite rank-one gradient term, so `k_ladder` searches
     the exponent of K by doubling and bisection over one set of
     evaluations.  The scan set is the sampled shell plus every in-ball
-    probe-curve point; failure at every rung tried, or |1 + T| below the
-    h floor on the shell, shrinks the radius once.  The result's ladder
-    lists the rungs evaluated at the final radius; it is empty when the h
-    floor fails at both radii.
+    probe-curve point; `radius_search` applies the h floor and the radius
+    shrink.
     """
     config = config or ConstructConfig()
     probes = probes if probes is not None else default_probes(r.nz, config.seed)
-    one = WPoly.one(r.nz)
-    radius = config.radius
-    shrunk = False
-    for attempt in (0, 1):
+    p = WPoly.one(r.nz) + T
+
+    def attempt(radius):
         shell = sample_boundary(r, radius, config.samples, config.seed)
-        habs = np.abs(compiled(one + T).eval(shell.Z, shell.W))
-        if habs.min() < H_MIN:
-            if attempt == 1:
-                witness = {"min_abs_h": float(habs.min()), "h_floor": H_MIN}
-                return KSearchResult(False, None, [], witness, radius, True)
-            radius *= SHRINK
-            shrunk = True
-            continue
-        Z, W = _scan_points(r, shell, probes, radius)
-        base = hessian_values((one + T) * r.poly, Z, W)
-        G = np.stack(
-            [compiled(r.d_z(j)).eval(Z, W) for j in range(r.nz)]
-            + [compiled(r.d_w()).eval(Z, W)],
-            axis=1,
-        )
-        step = 2.0 * (G[:, :, None] * np.conj(G)[:, None, :])
-        ladder, K, st = k_ladder(
-            base, step, G, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
-        )
-        if st.passed:
-            return KSearchResult(True, K, ladder, None, radius, shrunk)
-        if attempt == 0:
-            radius *= SHRINK
-            shrunk = True
-    witness = {
-        "K": K,
-        "point": st.worst_point,
-        "min_eig": st.min_eig,
-        "min_minor": st.min_minor,
-        "min_diag": st.min_diag,
-    }
-    return KSearchResult(False, None, ladder, witness, radius, shrunk)
+        least_h = float(np.abs(compiled(p).eval(shell.Z, shell.W)).min())
+
+        def run_ladder():
+            Z, W = _scan_points(r, shell, probes, radius)
+            base = hessian_values(p * r.poly, Z, W)
+            G = np.stack(
+                [compiled(r.d_z(j)).eval(Z, W) for j in range(r.nz)]
+                + [compiled(r.d_w()).eval(Z, W)],
+                axis=1,
+            )
+            step = 2.0 * (G[:, :, None] * np.conj(G)[:, None, :])
+            return k_ladder(
+                base, step, G, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
+            )
+
+        return least_h, run_ladder
+
+    return radius_search(config, attempt)
 
 
 def strong_psc_shortcut(r: DefiningFunction):
@@ -766,20 +775,9 @@ def run_construction(
         ks_rec = stages[-1].k_search
         radius = ks_rec.radius if ks_rec else config.radius
         shell = sample_boundary(r, radius, config.samples, config.seed)
-        h = final.h_poly(r)
-        rho = h * r.poly
-        psd = psd_check(rho, shell, config.tol)
-        ident = identity_check_prop31(r, final.K, final.T, shell)
-        nec = necessary_conditions_check(
-            r, h, shell, K=final.K, tol=config.tol, probes=probes
-        )
-        verification = {
-            "radius": radius,
-            "psd": psd.as_dict(),
-            "identity": ident.as_dict(),
-            "necessary": nec.as_dict(),
-        }
-        if not (psd.passed and ident.passed):
+        checks, failed = check_certificate(r, final.T, final.K, shell, config.tol, probes)
+        verification = {"radius": radius, **checks}
+        if failed:
             status = "Exhausted"
             messages.append("final verification failed; certificate withdrawn")
             final = None

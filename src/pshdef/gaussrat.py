@@ -8,9 +8,6 @@ happens only at evaluation time.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
@@ -122,9 +119,6 @@ class GaussianRational:
 
 
 I = GaussianRational(0, 1)
-ZERO = GaussianRational(0, 0)
-ONE = GaussianRational(1, 0)
-HALF = GaussianRational(Fraction(1, 2), 0)
 # 1/(2i) = -i/2, the coefficient of w in Im w
 INV_2I = GaussianRational(0, Fraction(-1, 2))
 

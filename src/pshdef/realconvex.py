@@ -8,7 +8,7 @@ polynomials are `wirtinger.RPoly`, the exact sparse polynomial with rational
 coefficients over (x_1..x_n, y), parsed and printed by the same code as
 `WPoly`, and the numeric side is the compiled evaluator (`numeval`),
 the Halton ball sampler, the Newton solver, the PSD statistics and the h
-floor (`verify`), and the K ladder and radius shrink (`construct`).  Only
+floor (`verify`), and the K ladder and the radius search (`construct`).  Only
 the coordinates differ.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
@@ -27,18 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import (
-    SHRINK,
-    ConstructConfig,
-    KSearchResult,
-    check_search_config,
-    k_ladder,
-)
+from .construct import ConstructConfig, check_search_config, k_ladder, radius_search
 from .cr import Domain
 from .report import SCHEMA_VERSION
 from .verify import (
     DEFAULT_TOL,
-    H_MIN,
     PsdCheckResult,
     Shell,
     ball_stream,
@@ -141,16 +134,22 @@ def sample_real_boundary(
     """Low-discrepancy boundary points filling the ball of the given radius.
 
     The x coordinates fill the ball (see `verify.sample_ball`) from r's
-    Halton stream of this seed; y is Newton-solved.
+    Halton stream of this seed; y is Newton-solved.  Cached on r like
+    `verify.sample_boundary`; the arrays are read-only.
     """
 
     def lift(X):
         Y, ok = project_to_real_boundary(r, X)
         return (X, Y), ok
 
-    X, Y = sample_ball(ball_stream(r, r.nx, seed), radius, count, lift)
-    res = np.abs(r.poly.eval(X, Y))
-    return RealShell(radius=radius, seed=seed, X=X, Y=Y, residuals=res)
+    def build():
+        X, Y = sample_ball(ball_stream(r, r.nx, seed), radius, count, lift)
+        res = np.abs(r.poly.eval(X, Y))
+        for a in (X, Y, res):
+            a.flags.writeable = False
+        return RealShell(radius=radius, seed=seed, X=X, Y=Y, residuals=res)
+
+    return r.cached(("shell", radius, count, seed), build)
 
 
 # -- Hessian checks -------------------------------------------------------
@@ -301,10 +300,11 @@ def convex_multiplier(
 ) -> RealReport:
     """Certify r * (1 + Kr + r_y) convex near 0, K from the searched K ladder.
 
-    Convexity of the input (every tangential form >= 0 on the shell) is a
-    precondition; a violation reports an obstruction with witness.  The h
-    floor |1 + r_y| >= 1/2 triggers the same single radius shrink as the
-    complex lane.
+    Convexity of the input (every tangential form >= 0 on the shell of
+    config.radius) is a precondition, checked once before the search; a
+    violation reports an obstruction with witness.  The search is the
+    complex lane's `construct.radius_search`: the h floor |1 + r_y| >= 1/2,
+    the K ladder and the single radius shrink.
     """
     config = config or RealConfig()
     ry = r.d_y()
@@ -312,20 +312,9 @@ def convex_multiplier(
     messages = [
         "h floor and ladder limits transplanted from the complex lane",
     ]
-
-    radius = config.radius
-    shrunk = False
-    shell = None
-    precheck = None
-    for attempt in range(2):
-        shell = sample_real_boundary(r, radius, config.samples, config.seed)
-        precheck = convexity_check(r, shell, config.tol)
-        hbase = 1.0 + ry.eval(shell.X, shell.Y)
-        if np.min(np.abs(hbase)) >= H_MIN or attempt:
-            break
-        radius *= SHRINK
-        shrunk = True
-
+    precheck = convexity_check(
+        r, sample_real_boundary(r, config.radius, config.samples, config.seed), config.tol
+    )
     report = RealReport(
         status="Exhausted",
         r_text=canonical_str(r.poly),
@@ -348,51 +337,49 @@ def convex_multiplier(
         }
         return report
 
-    # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2: Hessian is linear in K,
-    # and on the shell Hess(r^2) = 2 grad r grad r^T + 2 r Hess r is rank one
-    # up to the boundary residual
-    base = real_hessian_values(r.poly + r.poly * ry, shell.X, shell.Y)
-    quad = real_hessian_values(r.poly * r.poly, shell.X, shell.Y)
-    grad = np.stack(
-        [r.d_x(j).eval(shell.X, shell.Y) for j in range(r.nx)]
-        + [ry.eval(shell.X, shell.Y)],
-        axis=1,
-    )
-    ladder, K, stats = k_ladder(
-        base,
-        quad,
-        grad,
-        config.max_k_exp,
-        lambda H: real_psd_stats(H, shell.X, shell.Y, config.tol),
-    )
-    witness = None
-    if not stats.passed:
-        witness = {
-            "K": K,
-            "min_eig": stats.min_eig,
-            "min_minor": stats.min_minor,
-            "min_diag": stats.min_diag,
-        }
-    report.k_search = KSearchResult(
-        stats.passed, K if stats.passed else None, ladder, witness, radius, shrunk
-    ).as_dict()
-    if witness is not None:
+    def attempt(radius):
+        shell = sample_real_boundary(r, radius, config.samples, config.seed)
+        X, Y = shell.X, shell.Y
+        least_h = float(np.min(np.abs(1.0 + ry.eval(X, Y))))
+
+        def run_ladder():
+            # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2: Hessian is linear
+            # in K, and on the shell Hess(r^2) = 2 grad r grad r^T + 2 r Hess r
+            # is rank one up to the boundary residual
+            base = real_hessian_values(r.poly + r.poly * ry, X, Y)
+            quad = real_hessian_values(r.poly * r.poly, X, Y)
+            grad = np.stack(
+                [r.d_x(j).eval(X, Y) for j in range(r.nx)] + [ry.eval(X, Y)], axis=1
+            )
+            return k_ladder(
+                base,
+                quad,
+                grad,
+                config.max_k_exp,
+                lambda H: real_psd_stats(H, X, Y, config.tol),
+            )
+
+        return least_h, run_ladder
+
+    ks = radius_search(config, attempt)
+    report.k_search = ks.as_dict()
+    if not ks.found:
         report.obstruction = {
             "kind": "k_search_failed",
             "claim": "no ladder K makes the product Hessian positive "
             "semi-definite on the shell",
-            "witness": witness,
+            "witness": ks.witness,
         }
         return report
 
     report.status = "Certified"
     report.final = {
         "T": canonical_str(ry),
-        "K": K,
+        "K": ks.K,
         "stage": 0,
         "residual": "0",
         "absorbed_terms": [],
         "h": h_text,
     }
-    report.verification = {"hessian": stats.as_dict()}
+    report.verification = {"hessian": ks.stats.as_dict()}
     return report

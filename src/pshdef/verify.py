@@ -6,7 +6,8 @@ scrambled Halton stream of `sampler`, plain numpy) with Im w recovered by
 z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the closed-form
 eigenvalue, larger n a batched solve.  Everything is deterministic under a
 fixed seed.  The ball sampler, the Newton solver, the PSD statistics and
-the h floor serve the real lane too.
+the h floor serve the real lane too.  `check_certificate` is the one pass
+rule for a finished certificate, applied by `construct` and `pshdef verify`.
 """
 
 from __future__ import annotations
@@ -518,7 +519,6 @@ def necessary_conditions_check(
     K=0,
     tol: float = DEFAULT_TOL,
     probes=None,
-    check_log_deriv: bool = True,
 ) -> NecessaryConditionsResult:
     """Pointwise necessary inequalities for rho = h r plurisubharmonic.
 
@@ -560,23 +560,20 @@ def necessary_conditions_check(
                     worst_point=_point_dict(Z, W, i),
                 )
             )
+    from .dominance import Bound, dominance_check, default_probes
+
+    if probes is None:
+        probes = default_probes(r.nz, shell.seed)
     log_max = 0.0
     verdict = None
-    if check_log_deriv:
-        from .dominance import Bound, dominance_check, default_probes
-
-        if probes is None:
-            probes = default_probes(r.nz, shell.seed)
-        worst = None
-        for j in range(nz):
-            num_poly = p1.dz(j) * r.d_wbar() + p1 * r.poly.dz(j).dwbar()
-            num = compiled(num_poly).eval(Z, W)
-            den = compiled(p1).eval(Z, W) * compiled(r.d_wbar()).eval(Z, W)
-            log_max = max(log_max, float(np.max(np.abs(num / den))))
-            v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, probes, j=j)
-            if worst is None or _verdict_rank(v) > _verdict_rank(worst):
-                worst = v
-        verdict = worst
+    for j in range(nz):
+        num_poly = p1.dz(j) * r.d_wbar() + p1 * r.poly.dz(j).dwbar()
+        num = compiled(num_poly).eval(Z, W)
+        den = compiled(p1).eval(Z, W) * compiled(r.d_wbar()).eval(Z, W)
+        log_max = max(log_max, float(np.max(np.abs(num / den))))
+        v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, probes, j=j)
+        if verdict is None or _verdict_rank(v) > _verdict_rank(verdict):
+            verdict = v
     all_hold = all(q.holds for q in records)
     return NecessaryConditionsResult(
         inequalities=records,
@@ -589,3 +586,39 @@ def necessary_conditions_check(
 def _verdict_rank(v) -> int:
     order = {"Dominated": 0, "Unknown": 1, "NotDominated": 2}
     return order.get(v.status, 1)
+
+
+# -- the certificate ------------------------------------------------------
+
+
+def check_certificate(
+    r: DefiningFunction,
+    T: WPoly,
+    K,
+    shell: BoundaryShell,
+    tol: float = DEFAULT_TOL,
+    probes=None,
+) -> tuple[dict, list]:
+    """The pass rule for a certificate h = 1 + T + K r on a shell.
+
+    Runs the PSD scan of h r, the determinant identity and the necessary
+    conditions.  Returns their reports under "psd", "identity" and
+    "necessary", and the names of the checks that failed: the certificate
+    passes when that list is empty.  The necessary conditions pass when
+    every inequality holds and the log-derivative deviation is not
+    NotDominated.  When h drops below the h floor on the shell, the
+    necessary entry is {"error": message} and fails.
+    """
+    h = WPoly.one(r.nz) + T + r.poly.scale(Fraction(K))
+    psd = psd_check(h * r.poly, shell, tol)
+    ident = identity_check_prop31(r, K, T, shell)
+    try:
+        nec = necessary_conditions_check(r, h, shell, K, tol, probes)
+    except ValueError as e:
+        nec_dict, nec_passed = {"error": str(e)}, False
+    else:
+        nec_dict = nec.as_dict()
+        nec_passed = nec.all_hold and nec.log_deriv_verdict.status != "NotDominated"
+    checks = {"psd": psd.as_dict(), "identity": ident.as_dict(), "necessary": nec_dict}
+    passed = {"psd": psd.passed, "identity": ident.passed, "necessary": nec_passed}
+    return checks, [name for name, ok in passed.items() if not ok]

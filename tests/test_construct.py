@@ -11,14 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_k_ladder, random_wpoly
+from pshdef import verify
 from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
 from pshdef.construct import (
+    SHRINK,
     ConstructConfig,
     NotPseudoconvexError,
     absorb_r_multiples,
     k_ladder,
     k_search,
     predicted_exp,
+    radius_search,
     run_construction,
     solve_stage,
     strong_psc_shortcut,
@@ -27,7 +30,7 @@ from pshdef.cr import validate_normal_form
 from pshdef.exprparse import parse_rpoly, parse_wpoly
 from pshdef.gaussrat import GaussianRational
 from pshdef.realconvex import convex_multiplier, validate_real_normal_form
-from pshdef.verify import H_MIN, psd_check, psd_stats, sample_boundary
+from pshdef.verify import H_MIN, PsdCheckResult, psd_check, psd_stats, sample_boundary
 from pshdef.wirtinger import WPoly, im_z, re_w, re_z
 
 
@@ -163,7 +166,7 @@ def test_r8_run(r8, r8_report):
 def test_certified_replay(r8, r8_report):
     """A stored certificate re-verifies on a fresh shell."""
     rep = r8_report
-    h = rep.final.h_poly(r8)
+    h = WPoly.one(1) + rep.final.T + r8.poly.scale(Fraction(rep.final.K))
     rho = h * r8.poly
     shell = sample_boundary(r8, rep.verification["radius"], 500, seed=3)
     res = psd_check(rho, shell, 1e-9)
@@ -257,6 +260,82 @@ def test_k_search_h_floor_fails_at_both_radii(r10):
     assert ks.shrunk and ks.radius == 1e-2 * 0.25
     assert ks.witness["h_floor"] == H_MIN
     assert 0 <= ks.witness["min_abs_h"] < H_MIN
+
+
+def _scripted_attempt(script):
+    """attempt(radius) for radius_search, played from a script: per call, the
+    least |1 + T| and the (passed, K) its ladder returns.  Returns the attempt
+    and the list of radii it was called with."""
+    radii = []
+
+    def attempt(radius):
+        least_h, (passed, K) = script[len(radii)]
+        radii.append(radius)
+
+        def run_ladder():
+            assert least_h >= H_MIN, "the ladder runs only above the h floor"
+            eig = 1.0 if passed else -1.0
+            st = PsdCheckResult(passed, 1e-9, 2.0, 3.0, eig, {"radius": radius}, 5)
+            return [{"K": K, "passed": passed}], K, st
+
+        return least_h, run_ladder
+
+    return attempt, radii
+
+
+@pytest.mark.parametrize(
+    "script, found, K, witness",
+    [
+        ([(0.9, (True, 8))], True, 8, None),
+        (
+            [(0.1, (True, 8)), (0.2, (True, 8))],
+            False,
+            None,
+            {"min_abs_h": 0.2, "h_floor": H_MIN},
+        ),
+        ([(0.1, (True, 8)), (0.9, (True, 16))], True, 16, None),
+        ([(0.9, (False, 2**20)), (0.9, (True, 64))], True, 64, None),
+        (
+            [(0.9, (False, 2**20)), (0.9, (False, 4))],
+            False,
+            None,
+            {"K": 4, "point": {"radius": 2.5e-3}, "min_eig": -1.0, "min_minor": 3.0,
+             "min_diag": 2.0},
+        ),
+    ],
+    ids=["first_pass", "floor_twice", "floor_then_pass", "ladder_then_pass", "ladder_twice"],
+)
+def test_radius_search_branches(script, found, K, witness):
+    config = ConstructConfig()
+    attempt, radii = _scripted_attempt(script)
+    ks = radius_search(config, attempt)
+    assert radii == [config.radius, config.radius * SHRINK][: len(script)]
+    assert (ks.found, ks.K, ks.witness) == (found, K, witness)
+    assert ks.radius == radii[-1]
+    assert ks.shrunk == (len(script) == 2)
+    least_h, (passed, last_K) = script[-1]
+    if least_h < H_MIN:
+        assert ks.ladder == [] and ks.stats is None
+    else:
+        assert ks.ladder == [{"K": last_K, "passed": passed}]
+        assert (ks.stats is not None) == found
+
+
+def test_failed_final_check_withdraws_certificate(r10, monkeypatch):
+    """A failed necessary check withdraws the certificate, as it fails
+    `pshdef verify`; h below the floor is reported, not raised."""
+    message = "h vanishes (|h| < 1/2) on the sampled shell"
+
+    def vanishing(*args, **kwargs):
+        raise ValueError(message)
+
+    monkeypatch.setattr(verify, "necessary_conditions_check", vanishing)
+    rep = run_construction(r10)
+    assert rep.status == "Exhausted"
+    assert rep.final is None
+    assert "final verification failed; certificate withdrawn" in rep.messages
+    assert rep.verification["necessary"] == {"error": message}
+    assert rep.verification["psd"]["passed"] and rep.verification["identity"]["passed"]
 
 
 # -- the predicted K ladder against the linear walk ------------------------

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import random_rpoly
+from pshdef.construct import SHRINK
 from pshdef.exprparse import parse_rpoly
 from pshdef.realconvex import (
+    RealConfig,
     RealNormalFormError,
     convex_multiplier,
     convexity_check,
@@ -21,6 +23,7 @@ from pshdef.realconvex import (
     tangential_form,
     validate_real_normal_form,
 )
+from pshdef.verify import H_MIN
 from pshdef.wirtinger import RPoly, canonical_str
 
 X = RPoly.var_x(1)
@@ -223,6 +226,39 @@ def test_multiplier_two_variables():
     rep = convex_multiplier(rp("y + x1^2 + x2^4", 3))
     assert rep.status == "Certified"
     assert rep.verification["hessian"]["passed"]
+
+
+def test_multiplier_h_floor_stops_search():
+    """|1 + r_y| = |1 + 800 x| is below the h floor at both radii, so the
+    search stops with the h floor witness, as the complex lane's does."""
+    rep = convex_multiplier(rp("y + 10*x^2 + 800*x*y"))
+    assert rep.status == "Exhausted"
+    assert rep.final is None and rep.verification is None
+    ks = rep.k_search
+    assert not ks["found"] and ks["ladder"] == []
+    assert ks["shrunk"] and ks["radius"] == 1e-2 * SHRINK
+    assert ks["witness"]["h_floor"] == H_MIN
+    assert ks["witness"]["min_abs_h"] < H_MIN
+    assert rep.obstruction == {
+        "kind": "k_search_failed",
+        "claim": "no ladder K makes the product Hessian positive "
+        "semi-definite on the shell",
+        "witness": ks["witness"],
+    }
+    assert rep.convexity_precheck["passed"]
+
+
+def test_multiplier_ladder_failure_shrinks():
+    """A ladder that fails at every rung shrinks the radius once, and the
+    witness names the worst point, as in the complex lane."""
+    rep = convex_multiplier(rp("y + x^2 + 10*x*y"), RealConfig(max_k_exp=4))
+    assert rep.status == "Exhausted"
+    ks = rep.k_search
+    assert ks["shrunk"] and ks["radius"] == 1e-2 * SHRINK
+    assert ks["ladder"][-1]["K"] == ks["witness"]["K"] == 16
+    assert not ks["ladder"][-1]["passed"]
+    assert set(ks["witness"]) == {"K", "point", "min_eig", "min_minor", "min_diag"}
+    assert set(ks["witness"]["point"]) == {"x", "y"}
 
 
 def test_real_report_shape():

@@ -112,7 +112,8 @@ def test_psd_partial_multiplier_fails(r8, r8_report, watch_k_ladder):
 
 
 def test_psd_full_multiplier_passes(r8, r8_report):
-    h = r8_report.final.h_poly(r8)
+    final = r8_report.final
+    h = WPoly.one(1) + final.T + r8.poly.scale(Fraction(final.K))
     shell = sample_boundary(r8, r8_report.verification["radius"], 2000, seed=0)
     res = psd_check(h * r8.poly, shell, 1e-9)
     assert res.passed
@@ -161,7 +162,8 @@ def test_identity_deviation_tracks_residual(r10):
 
 
 def test_necessary_certified_r10(r10, r10_report):
-    h = r10_report.final.h_poly(r10)
+    final = r10_report.final
+    h = WPoly.one(1) + final.T + r10.poly.scale(Fraction(final.K))
     shell = sample_boundary(r10, 1e-2, 500, seed=0)
     res = necessary_conditions_check(r10, h, shell, K=r10_report.final.K)
     assert res.all_hold
@@ -179,8 +181,10 @@ def test_necessary_trivial_h_fails(r8):
 
 def test_necessary_halfspace_equalities(halfspace):
     shell = sample_boundary(halfspace, 1e-2, 200, seed=0)
-    res = necessary_conditions_check(halfspace, WPoly.one(1), shell, check_log_deriv=False)
+    res = necessary_conditions_check(halfspace, WPoly.one(1), shell)
     assert res.all_hold
+    assert res.log_deriv_max == 0.0
+    assert res.log_deriv_verdict.reason == "numerator is identically zero"
     for rec in res.inequalities:
         assert rec.min_slack == 0.0
 
