@@ -296,7 +296,7 @@ def _cmd_verify(args) -> int:
             raise _UsageError("h must equal 1 at the origin")
         config["K"] = args.K
         shell = _shell(args, lane, r)
-        rho = (p1 + r.poly.scale(Fraction(args.K))) * r.poly
+        rho = None  # h r, built below only for the flags that read it
         checks, failed = check_certificate(r, T, args.K, shell, args.tol)
         psd, nec = checks["psd"], checks["necessary"]
         messages = [nec["error"]] if "error" in nec else []
@@ -309,6 +309,8 @@ def _cmd_verify(args) -> int:
     status = "fail" if failed else "pass"
     report = _head(r, "verify", status)
     report.update(config=config, checks=checks, messages=messages)
+    if rho is None and (args.collar is not None or args.csv_stats):
+        rho = (p1 + r.poly.scale(Fraction(args.K))) * r.poly
     if args.collar is not None:
         collar = sample_collar(r, args.radius, args.samples, args.seed, args.collar)
         report["collar"] = {

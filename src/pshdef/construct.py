@@ -447,6 +447,18 @@ def radius_search(config, attempt) -> KSearchResult:
     return KSearchResult(False, None, ladder, witness, radius, True)
 
 
+def search_failure(witness: dict, h_part: str, ladder_claim: str) -> str:
+    """Why a failed `radius_search` failed, read from its witness: h_part
+    (the K-free part of h) dropped below the h floor, so no ladder ran, or
+    else ladder_claim."""
+    if "h_floor" in witness:
+        return (
+            f"|{h_part}| drops below the h floor {witness['h_floor']} on the "
+            "shell, so no ladder K was tried"
+        )
+    return ladder_claim
+
+
 def k_search(
     r: DefiningFunction,
     T: WPoly,
@@ -696,7 +708,8 @@ def run_construction(
                     "kind": "k_search_failed",
                     "stage": n,
                     "witness": ks.witness,
-                    "claim": "nothing left to cancel and no ladder K certifies",
+                    "claim": "nothing left to cancel and "
+                    + search_failure(ks.witness, "1 + T", "no ladder K certifies"),
                 }
             break
 

@@ -20,6 +20,7 @@ treat Unknown conservatively.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,9 +73,18 @@ class ProbeFamily:
     samples_per_shell: int
     seed: int
 
+    def __hash__(self):
+        return self._hash
 
-def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
-    """The stock probe family; only its 32 random curves depend on seed."""
+    @functools.cached_property
+    def _hash(self) -> int:
+        # a family keys the projection cache; hash its thousands of curves once
+        return hash((self.curves, self.shell_exps, self.samples_per_shell, self.seed))
+
+
+@functools.cache
+def _stock_curves(nz: int) -> tuple:
+    """The seed-free curves of the stock family, built once per nz."""
     curves = []
     scales = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -98,6 +108,12 @@ def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
                     for wp in (1, 2, 3):
                         for eta in (1.0, -1.0):
                             curves.append(Curve(unit(k, amp), zp, eta, wp))
+    return tuple(curves)
+
+
+def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
+    """The stock probe family; only its 32 random curves depend on seed."""
+    curves = list(_stock_curves(nz))
     rng = np.random.default_rng(seed)
     for _ in range(32):
         zdir = tuple(
@@ -285,10 +301,12 @@ def boundary_quadratic(B: WPoly, r: DefiningFunction):
     normal variable v = Im w is eliminated via v = -F + O(3), so a linear
     v term of B feeds -coeff * F_2 into the quadratic form.  Returns None
     when B has a tangential linear part (no order-2 certificate exists).
+    `real_form` keeps degrees, so only the parts of degree <= 2 of B and F
+    are expanded.
     """
     nz = B.nz
     d = 2 * nz + 1
-    rf = real_form(B)
+    rf = real_form(B.truncate(2))
     c_v = Fraction(0)
     quad: dict = {}
     for e, c in rf.items():
@@ -301,7 +319,7 @@ def boundary_quadratic(B: WPoly, r: DefiningFunction):
         elif deg == 2 and e[d] == 0:
             quad[e[:d]] = quad.get(e[:d], Fraction(0)) + c
     if c_v != 0:
-        f2 = real_form(r.higher_order_part())
+        f2 = real_form(r.higher_order_part().truncate(2))
         for e, c in f2.items():
             if sum(e) == 2 and e[d] == 0:
                 quad[e[:d]] = quad.get(e[:d], Fraction(0)) - c_v * c

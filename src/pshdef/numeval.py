@@ -44,11 +44,11 @@ class CompiledPoly:
                 t.append(t[-1] * col)
             tables.append(t)
         for row, c in zip(self.exps, self.coeffs):
-            term = np.full(m, c, dtype=acc.dtype)
+            term = c
             for k, e in enumerate(row):
                 if e:
                     term = term * tables[k][e]
-            acc += term
+            acc += term  # a constant term adds c itself
         return acc
 
 

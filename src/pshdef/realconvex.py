@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructConfig, check_search_config, k_ladder, radius_search
+from .construct import (
+    ConstructConfig,
+    check_search_config,
+    k_ladder,
+    radius_search,
+    search_failure,
+)
 from .cr import Domain
 from .report import SCHEMA_VERSION
 from .verify import (
@@ -366,8 +372,12 @@ def convex_multiplier(
     if not ks.found:
         report.obstruction = {
             "kind": "k_search_failed",
-            "claim": "no ladder K makes the product Hessian positive "
-            "semi-definite on the shell",
+            "claim": search_failure(
+                ks.witness,
+                "1 + r_y",
+                "no ladder K makes the product Hessian positive "
+                "semi-definite on the shell",
+            ),
             "witness": ks.witness,
         }
         return report

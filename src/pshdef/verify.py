@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gaussrat import GaussianRational
-from .cr import DefiningFunction, hessian_entries, hessian_minor_det
+from .cr import DefiningFunction, hessian_entries
 from .numeval import compiled
 from .sampler import BallStream
 from .wirtinger import WPoly, indexed_names
@@ -309,18 +309,12 @@ def _point_dict(Z, W, i) -> dict:
     }
 
 
-def psd_arrays(H: np.ndarray):
-    """Per-point PSD statistics of a Hermitian (or real symmetric) stack.
-
-    Returns the diagonals (m, n), the 2x2 minors of each slot with the
-    last one (m, n - 1) and the two least eigenvalues (m, 2).  An empty stack
-    raises ValueError: no points are no evidence.
-    """
-    if not len(H):
-        raise ValueError("PSD statistics need at least one point")
+def last_slot_minors(H: np.ndarray) -> np.ndarray:
+    """The 2x2 minors of each slot with the last one, (m, n - 1), of a
+    Hermitian (or real symmetric) stack: the z_j/w minors of a complex
+    Hessian."""
     n = H.shape[-1]
-    diags = np.stack([H[:, j, j].real for j in range(n)], axis=1)
-    minors = np.stack(
+    return np.stack(
         [
             H[:, j, j].real * H[:, n - 1, n - 1].real
             - np.abs(H[:, j, n - 1]) ** 2
@@ -328,7 +322,20 @@ def psd_arrays(H: np.ndarray):
         ],
         axis=1,
     )
-    return diags, minors, least_eigenvalues(H)
+
+
+def psd_arrays(H: np.ndarray):
+    """Per-point PSD statistics of a Hermitian (or real symmetric) stack.
+
+    Returns the diagonals (m, n), the `last_slot_minors` (m, n - 1) and the
+    two least eigenvalues (m, 2).  An empty stack raises ValueError: no
+    points are no evidence.
+    """
+    if not len(H):
+        raise ValueError("PSD statistics need at least one point")
+    n = H.shape[-1]
+    diags = np.stack([H[:, j, j].real for j in range(n)], axis=1)
+    return diags, last_slot_minors(H), least_eigenvalues(H)
 
 
 def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
@@ -392,33 +399,35 @@ def identity_check_prop31(
     T: WPoly,
     shell: BoundaryShell,
     rel_tol: float = 1e-8,
+    hessian: np.ndarray | None = None,
 ) -> IdentityCheckResult:
     """On-boundary determinant identity for rho = (1 + K r + T) r.
 
     Per j, the z_j/w Hessian minor of rho must equal
     2 K h L_j + (same minor of (1 + T) r); the deviation is O(boundary
-    residual) and is compared against rel_tol * (1 + max |LHS|).
+    residual) and is compared against rel_tol * (1 + max |LHS|).  Both
+    minors are read from numeric Hessian stacks on the shell, those of rho
+    and of (1 + T) r, so the two sides are computed independently.
+    `hessian` is rho's stack when the caller has it; otherwise it is built.
     """
     nz = r.nz
-    one = WPoly.one(nz)
-    h = one + r.poly.scale(Fraction(K)) + T
-    p = one + T
-    rho = h * r.poly
-    base = p * r.poly
+    Z, W = shell.Z, shell.W
+    p = WPoly.one(nz) + T
+    h = p + r.poly.scale(Fraction(K))
+    if hessian is None:
+        hessian = hessian_values(h * r.poly, Z, W)
+    lhs = last_slot_minors(hessian)
+    base = last_slot_minors(hessian_values(p * r.poly, Z, W))
     max_dev = 0.0
     max_lhs = 0.0
-    hv = compiled(h).eval(shell.Z, shell.W)
+    hv = compiled(h).eval(Z, W)
     for j in range(nz):
-        lhs = compiled(hessian_minor_det(rho, j)).eval(shell.Z, shell.W).real
         rhs = (
-            2.0
-            * float(K)
-            * hv.real
-            * compiled(r.levi(j)).eval(shell.Z, shell.W).real
-            + compiled(hessian_minor_det(base, j)).eval(shell.Z, shell.W).real
+            2.0 * float(K) * hv.real * compiled(r.levi(j)).eval(Z, W).real
+            + base[:, j]
         )
-        max_dev = max(max_dev, float(np.max(np.abs(lhs - rhs))))
-        max_lhs = max(max_lhs, float(np.max(np.abs(lhs))))
+        max_dev = max(max_dev, float(np.max(np.abs(lhs[:, j] - rhs))))
+        max_lhs = max(max_lhs, float(np.max(np.abs(lhs[:, j]))))
     tol = rel_tol * (1.0 + max_lhs)
     return IdentityCheckResult(
         max_deviation=max_dev, max_lhs=max_lhs, tolerance=tol, passed=max_dev <= tol
@@ -519,30 +528,34 @@ def necessary_conditions_check(
     K=0,
     tol: float = DEFAULT_TOL,
     probes=None,
+    hessian: np.ndarray | None = None,
 ) -> NecessaryConditionsResult:
     """Pointwise necessary inequalities for rho = h r plurisubharmonic.
 
     Evaluates, per j, the four tangential-frame inequalities (slack >= -tol
     reported with witnesses), then the log-derivative deviation
     d/dz_j log(1+T) + d/dz_j log r_wbar via its polynomial numerator,
-    classified by dominance against Levi + |grad_z r|^2.
+    classified by dominance against Levi + |grad_z r|^2.  The second
+    derivatives of rho are read from its Hessian stack on the shell:
+    `hessian` when the caller has it, otherwise built here.
     """
     nz = r.nz
     Z, W = shell.Z, shell.W
     hv = compiled(h).eval(Z, W)
     if np.abs(hv).min() < H_MIN:
         raise ValueError("h vanishes (|h| < 1/2) on the sampled shell")
-    rho = h * r.poly
+    if hessian is None:
+        hessian = hessian_values(h * r.poly, Z, W)
     p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
     hvals = hv.real
-    rww = compiled(rho.dw().dwbar()).eval(Z, W).real
+    rww = hessian[:, nz, nz].real
     rw2 = np.abs(compiled(r.d_w()).eval(Z, W)) ** 2
     records = []
     for j in range(nz):
         L = compiled(r.levi(j)).eval(Z, W).real
         rz2 = np.abs(compiled(r.d_z(j)).eval(Z, W)) ** 2
-        rzz = compiled(rho.dz(j).dzbar(j)).eval(Z, W).real
-        rzw2 = np.abs(compiled(rho.dz(j).dwbar()).eval(Z, W)) ** 2
+        rzz = hessian[:, j, j].real
+        rzw2 = np.abs(hessian[:, j, nz]) ** 2
         hL = hvals * L
         slacks = {
             "upper_zz": 2 * hL / rw2 + 2 * rww * rz2 / rw2 - rzz,
@@ -602,18 +615,20 @@ def check_certificate(
     """The pass rule for a certificate h = 1 + T + K r on a shell.
 
     Runs the PSD scan of h r, the determinant identity and the necessary
-    conditions.  Returns their reports under "psd", "identity" and
-    "necessary", and the names of the checks that failed: the certificate
-    passes when that list is empty.  The necessary conditions pass when
-    every inequality holds and the log-derivative deviation is not
-    NotDominated.  When h drops below the h floor on the shell, the
-    necessary entry is {"error": message} and fails.
+    conditions, all three on one numeric Hessian stack of h r over the
+    shell.  Returns their reports under "psd", "identity" and "necessary",
+    and the names of the checks that failed: the certificate passes when
+    that list is empty.  The necessary conditions pass when every
+    inequality holds and the log-derivative deviation is not NotDominated.
+    When h drops below the h floor on the shell, the necessary entry is
+    {"error": message} and fails.
     """
     h = WPoly.one(r.nz) + T + r.poly.scale(Fraction(K))
-    psd = psd_check(h * r.poly, shell, tol)
-    ident = identity_check_prop31(r, K, T, shell)
+    H = hessian_values(h * r.poly, shell.Z, shell.W)
+    psd = psd_stats(H, shell.Z, shell.W, tol)
+    ident = identity_check_prop31(r, K, T, shell, hessian=H)
     try:
-        nec = necessary_conditions_check(r, h, shell, K, tol, probes)
+        nec = necessary_conditions_check(r, h, shell, K, tol, probes, hessian=H)
     except ValueError as e:
         nec_dict, nec_passed = {"error": str(e)}, False
     else:

@@ -279,6 +279,22 @@ def test_construct_real(capsys):
     assert code == 1
 
 
+def test_construct_real_h_floor_claim(capsys):
+    """When |1 + r_y| drops below the h floor no ladder runs, and the
+    obstruction says so instead of blaming the ladder."""
+    code, out, _ = run(
+        capsys, "construct", "--real", "--r", "y + 10*x^2 + 800*x*y", "--json"
+    )
+    assert code == 2
+    d = json.loads(out)
+    assert d["k_search"]["ladder"] == []
+    assert d["obstruction"]["witness"]["h_floor"] == 0.5
+    assert d["obstruction"]["claim"] == (
+        "|1 + r_y| drops below the h floor 0.5 on the shell, so no ladder K was tried"
+    )
+    check_schema(d)
+
+
 def test_construct_real_csv_points(capsys, tmp_path):
     """construct --real writes the shell table that analyze --real writes."""
     built, analyzed = tmp_path / "construct.csv", tmp_path / "analyze.csv"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_k_ladder, random_wpoly
-from pshdef import verify
+from pshdef import construct, verify
 from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
 from pshdef.construct import (
     SHRINK,
@@ -23,6 +23,7 @@ from pshdef.construct import (
     predicted_exp,
     radius_search,
     run_construction,
+    search_failure,
     solve_stage,
     strong_psc_shortcut,
 )
@@ -319,6 +320,41 @@ def test_radius_search_branches(script, found, K, witness):
     else:
         assert ks.ladder == [{"K": last_K, "passed": passed}]
         assert (ks.stats is not None) == found
+
+
+FLOOR_CLAIM = f"|1 + T| drops below the h floor {H_MIN} on the shell, so no ladder K was tried"
+
+
+@pytest.mark.parametrize(
+    "script, claim",
+    [
+        ([(0.1, (True, 8)), (0.2, (True, 8))], FLOOR_CLAIM),
+        ([(0.9, (False, 2**20)), (0.9, (False, 4))], "no ladder K certifies"),
+        ([(0.9, (False, 2**20)), (0.2, (True, 8))], FLOOR_CLAIM),
+    ],
+    ids=["floor_twice", "ladder_twice", "ladder_then_floor"],
+)
+def test_search_failure_reads_the_witness(script, claim):
+    """The claim follows the witness of the final radius."""
+    attempt, _ = _scripted_attempt(script)
+    ks = radius_search(ConstructConfig(), attempt)
+    assert search_failure(ks.witness, "1 + T", "no ladder K certifies") == claim
+
+
+def test_k_search_failed_claim_names_h_floor(monkeypatch):
+    """With the h floor above |1 + T| everywhere, the ball's search stops
+    at the floor in the shortcut and in the stage loop; the obstruction
+    names the floor of the witness, not the ladder."""
+    monkeypatch.setattr(construct, "H_MIN", 10.0)
+    rep = run_construction(ball_like(1))
+    assert rep.status == "Exhausted"
+    assert rep.stages[-1].k_search.ladder == []
+    assert rep.obstruction["kind"] == "k_search_failed"
+    assert rep.obstruction["witness"]["h_floor"] == 10.0
+    assert rep.obstruction["claim"] == (
+        "nothing left to cancel and |1 + T| drops below the h floor 10.0 on "
+        "the shell, so no ladder K was tried"
+    )
 
 
 def test_failed_final_check_withdraws_certificate(r10, monkeypatch):

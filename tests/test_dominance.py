@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import loop_curve_escape, random_wpoly
-from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
+from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
 from pshdef.cr import validate_normal_form
 from pshdef.dominance import (
     ESCAPE_RUN,
@@ -205,6 +205,67 @@ def test_split_S_E_partition(r8):
         from pshdef.wirtinger import canonical_str
 
         assert canonical_str(WPoly(g.nz, {m: c})) in dominated
+
+
+def full_expansion_quadratic(B, r):
+    """Reference boundary quadratic: the real forms of all of B and F, of
+    which only the degree-2 part is kept."""
+    d = 2 * B.nz + 1
+    c_v, quad = Fraction(0), {}
+    for e, c in real_form(B).items():
+        if sum(e) == 1:
+            if e[d] != 1:
+                return None
+            c_v = c
+        elif sum(e) == 2 and e[d] == 0:
+            quad[e[:d]] = quad.get(e[:d], 0) + c
+    if c_v:
+        for e, c in real_form(r.higher_order_part()).items():
+            if sum(e) == 2 and e[d] == 0:
+                quad[e[:d]] = quad.get(e[:d], 0) - c_v * c
+    M = [[Fraction(0)] * d for _ in range(d)]
+    for e, c in quad.items():
+        a, b = [i for i in range(d) for _ in range(e[i])]
+        M[a][b] += c / 2
+        M[b][a] += c / 2
+    return M
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: half_space(1),
+        lambda: ball_like(1),
+        lambda: ball_like(3),
+        lambda: type4_domain(8),
+        lambda: type4_domain(10),
+        mixed_c3_example,
+    ],
+    ids=["half_space", "ball", "ball3", "A=8", "A=10", "mixed_c3"],
+)
+def test_boundary_quadratic_matches_full_expansion(make):
+    """Every bound the pipeline tests: Levi alone, with |grad_z r|^2, with
+    |r_{z_j}|^2 (cross checks) and the gate's Levi sum."""
+    r = make()
+    levi_sum = WPoly.zero(r.nz)
+    bounds = []
+    for j in range(r.nz):
+        bounds += [bound_poly_for(r, bound, j) for bound in Bound]
+        bounds.append(r.levi(j) + r.d_z(j) * r.d_zbar(j))
+        levi_sum = levi_sum + r.levi(j)
+    for B in bounds + [levi_sum]:
+        assert boundary_quadratic(B, r) == full_expansion_quadratic(B, r)
+
+
+def test_probe_families_share_the_stock_curves():
+    """Only the 32 seeded curves are built per family; the hash is taken once."""
+    a, b = default_probes(2, seed=0), default_probes(2, seed=1)
+    n = len(a.curves) - 32
+    assert all(x is y for x, y in zip(a.curves[:n], b.curves[:n]))
+    assert a.curves[n:] != b.curves[n:]
+    again = ProbeFamily(a.curves, a.shell_exps, a.samples_per_shell, a.seed)
+    assert again == a and hash(again) == hash(a)
+    assert vars(a)["_hash"] == hash(a)
 
 
 def test_probe_family_deterministic():

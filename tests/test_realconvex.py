@@ -230,7 +230,8 @@ def test_multiplier_two_variables():
 
 def test_multiplier_h_floor_stops_search():
     """|1 + r_y| = |1 + 800 x| is below the h floor at both radii, so the
-    search stops with the h floor witness, as the complex lane's does."""
+    search stops with the h floor witness, as the complex lane's does, and
+    the claim names the h floor, not the ladder that never ran."""
     rep = convex_multiplier(rp("y + 10*x^2 + 800*x*y"))
     assert rep.status == "Exhausted"
     assert rep.final is None and rep.verification is None
@@ -241,8 +242,8 @@ def test_multiplier_h_floor_stops_search():
     assert ks["witness"]["min_abs_h"] < H_MIN
     assert rep.obstruction == {
         "kind": "k_search_failed",
-        "claim": "no ladder K makes the product Hessian positive "
-        "semi-definite on the shell",
+        "claim": "|1 + r_y| drops below the h floor 0.5 on the shell, "
+        "so no ladder K was tried",
         "witness": ks["witness"],
     }
     assert rep.convexity_precheck["passed"]

@@ -1,17 +1,26 @@
 """Numeric verification: shells, PSD scans, the determinant identity."""
 
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from conftest import linear_k_ladder
+from pshdef import dominance
 from pshdef.catalog import ball_like, half_space, type4_domain
-from pshdef.construct import k_search
+from pshdef.cli import main
+from pshdef.construct import k_search, run_construction
+from pshdef.cr import hessian_minor_det, validate_normal_form
+from pshdef.exprparse import parse_wpoly
+from pshdef.numeval import compiled
 from pshdef.verify import (
     BoundaryShell,
     IdentityCheckResult,
+    check_certificate,
     identity_check_prop31,
     hessian_values,
+    last_slot_minors,
     least_eigenvalues,
     levi_scan,
     necessary_conditions_check,
@@ -21,6 +30,31 @@ from pshdef.verify import (
     sample_collar,
 )
 from pshdef.wirtinger import WPoly, abs2, im_z, re_z
+
+TYPE4 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - {A}*Re(w)^2"
+# (r, 1 + T, K) of certificates the construction finds
+CERTIFICATES = {
+    "A=8": (TYPE4.format(A=8), "1 - 4*Im(z) + 8*Im(z)^2 - 8*Re(z)^2", 16),
+    "A=10": (TYPE4.format(A=10), "1 - 4*Im(z)", 64),
+    "nz2_quartic": (
+        "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2",
+        "1 - 4*Im(z1)",
+        64,
+    ),
+    "ball3_tilted": (
+        "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2",
+        "1",
+        16,
+    ),
+}
+
+
+def certificate(name):
+    """(r, T, K, h) of a CERTIFICATES entry."""
+    r_text, p1_text, K = CERTIFICATES[name]
+    r = validate_normal_form(parse_wpoly(r_text))
+    p1 = parse_wpoly(p1_text, r.nz)
+    return r, p1 - WPoly.one(r.nz), K, p1 + r.poly.scale(Fraction(K))
 
 
 def one_point_shell(nz=1):
@@ -159,6 +193,79 @@ def test_identity_deviation_tracks_residual(r10):
     d2 = dev(2e-7)
     assert d1 > 0
     assert 1.5 <= d2 / d1 <= 2.5
+
+
+@pytest.mark.parametrize("name", CERTIFICATES)
+def test_stack_minors_match_exact_minor(name):
+    """The z_j/w minors read from the numeric Hessian stack agree with the
+    exact minor polynomial evaluated on the same shell."""
+    r, _, _, h = certificate(name)
+    rho = h * r.poly
+    shell = sample_boundary(r, 1e-2, 500, seed=0)
+    minors = last_slot_minors(hessian_values(rho, shell.Z, shell.W))
+    assert minors.shape == (500, r.nz)
+    for j in range(r.nz):
+        exact = compiled(hessian_minor_det(rho, j)).eval(shell.Z, shell.W).real
+        bound = 1e-12 * (1 + np.max(np.abs(exact)))
+        assert np.max(np.abs(minors[:, j] - exact)) <= bound
+
+
+def test_identity_fails_off_the_boundary(r10):
+    """Inward collar points break the identity by far more than its
+    tolerance: the check measures the boundary, not its own arithmetic."""
+    T = im_z(1).scale(Fraction(-4))
+    on = identity_check_prop31(r10, 64, T, sample_boundary(r10, 1e-2, 500, seed=0))
+    collar = sample_collar(r10, 1e-2, 500, seed=0, delta=1e-3)
+    off = identity_check_prop31(r10, 64, T, collar)
+    assert on.passed
+    assert not off.passed
+    assert off.max_deviation > 1e3 * off.tolerance
+
+
+@pytest.mark.parametrize("name", CERTIFICATES)
+def test_check_certificate_matches_standalone_checks(name):
+    """One shared Hessian stack gives the reports each check gives alone."""
+    r, T, K, h = certificate(name)
+    shell = sample_boundary(r, 1e-2, 500, seed=0)
+    checks, _ = check_certificate(r, T, K, shell)
+    assert checks["psd"] == psd_check(h * r.poly, shell).as_dict()
+    assert checks["identity"] == identity_check_prop31(r, K, T, shell).as_dict()
+    alone = necessary_conditions_check(r, h, shell, K)
+    assert checks["necessary"] == alone.as_dict()
+
+
+def test_verdicts_expand_no_exact_minor(monkeypatch, capsys):
+    """A construction and `pshdef verify` expand no exact Hessian minor, and
+    `boundary_quadratic` hands `real_form` nothing above degree 2."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact Hessian minor expanded")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pshdef" and hasattr(module, "hessian_minor_det"):
+            monkeypatch.setattr(module, "hessian_minor_det", refuse)
+    real_form, boundary_quadratic = dominance.real_form, dominance.boundary_quadratic
+    inside, degrees = [], []
+
+    def quadratic(B, r):
+        inside.append(B)
+        try:
+            return boundary_quadratic(B, r)
+        finally:
+            inside.pop()
+
+    def form(p):
+        if inside:
+            degrees.append(p.degree())
+        return real_form(p)
+
+    monkeypatch.setattr(dominance, "boundary_quadratic", quadratic)
+    monkeypatch.setattr(dominance, "real_form", form)
+    assert run_construction(type4_domain(8)).status == "Certified"
+    r_text, p1_text, K = CERTIFICATES["A=10"]
+    assert main(["verify", "--r", r_text, "--h", p1_text, "--K", str(K)]) == 0
+    assert "pass" in capsys.readouterr().out
+    assert degrees and max(degrees) <= 2
 
 
 def test_necessary_certified_r10(r10, r10_report):
