@@ -4,9 +4,9 @@ Constructing a plurisubharmonic defining function
 
 rho = (1 + Kr + T) r with T built stage by stage.  Each stage solves
 T_z = 2iS for the part S of the mixed derivative that nothing
-dominates.  Then a search over K = 2^e, e <= 20, finds the least K that
-passes: from K = 1 the rank-one step predicts the rung e*, and the
-search checks e* and e* - 1 (A = 10: K = 1, 32, 64).
+dominates.  Then K = 2^e, e <= 20, is read off the scan at K = 1: the
+rank-one step gives the least passing K in closed form, and one more
+scan there is the verdict (A = 10: K = 1, 64).
 """
 
 from pshdef.catalog import type4_domain

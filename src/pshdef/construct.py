@@ -4,7 +4,8 @@ The engine builds candidates h = 1 + Kr + T for a plurisubharmonic
 defining function rho = h r.  Each stage splits the current mixed
 derivative (rho_n)_{z w-bar} into a significant part S and a dominated
 error E, solves T_z = 2iS by z-antidifferentiation + realification,
-optionally drops r-multiples from the increment, and retries a K ladder.
+optionally drops r-multiples from the increment, and reads K off the
+scan at K = 1.
 Certification is numeric (PSD sampling plus the determinant identity);
 obstruction reports carry the witness that stopped the run.
 """
@@ -313,107 +314,81 @@ def _scan_points(r, shell, probes, radius):
     return shell.Z, shell.W
 
 
-def predicted_exp(base, step, factor, rung0, max_k_exp: int) -> int:
-    """Lowest exponent e in [1, max_k_exp] at which the rank-one step can
-    lift every point where rung 0 fails the least-eigenvalue test.
+def lift_exp(base, step, g, rung0) -> float:
+    """Least real e such that base + 2^e step passes the pass rule at every
+    point, in exact arithmetic; inf when no K does.
 
-    Rung 0's Hessian is H1 = base + step, with step = 2 g g* and g = factor
-    per point; rung0 is its PsdCheckResult.  At a point whose least
-    eigenvalue is below -tol, C = H1 + tol I has a negative eigenvalue.  If
-    it has a second one, no K passes: a rank-one update moves the least
-    eigenvalue at most up to the second.  Otherwise, with phi = g* C^-1 g,
-    the matrix determinant lemma gives det(C + 2k g g*) = det C (1 + 2k phi),
-    so the point passes at K = 1 + k exactly when phi < 0 and
-    k >= -1/(2 phi).  Returns max_k_exp when no K can lift some point or a
-    value is not finite, and 1 when no point fails the test.
+    step = 2 g g* per point and rung0 is the PsdCheckResult of rung 0's
+    stack H1 = base + step; with k = K - 1 the stack at K is H1 + 2k g g*,
+    and each statistic has a closed form in k.  A last-slot minor with
+    entries a, b, c is affine in k, the k^2 part cancelling:
+    m(k) = m0 + 2k (a |g_n|^2 + c |g_j|^2 - 2 Re(conj(b) g_j conj(g_n))),
+    so a failing minor needs a positive slope.  A point whose least
+    eigenvalue is below -tol can be lifted only if it is the only one
+    there: a rank-one update moves the least eigenvalue at most up to the
+    second.  Then, with C = H1 + tol I and phi = g* C^-1 g, the matrix
+    determinant lemma gives det(C + 2k g g*) = det C (1 + 2k phi), so the
+    point passes exactly when phi < 0 and k >= -1/(2 phi).  The diagonal
+    test is implied by the eigenvalue test.  A value that is not finite
+    lifts no point, nor does C singular at some point.
     """
+    tol = rung0.tol
     least, second = rung0.low_eigs.T
-    bad = least < -rung0.tol
-    if not bad.any():
-        return 1
-    if np.any(second[bad] < -rung0.tol):
-        return max_k_exp
+    bad = least < -tol
+    if not np.isfinite(rung0.low_eigs).all() or np.any(second[bad] < -tol):
+        return math.inf
     C = base[bad]  # a copy: the mask selects
     C += step[bad]
     diag = np.arange(C.shape[-1])
-    C[:, diag, diag] += rung0.tol
-    g = factor[bad]
+    C[:, diag, diag] += tol
+    try:
+        x = np.linalg.solve(C, g[bad][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # C singular at some point
+        return math.inf
+    phi = np.sum(np.conj(g[bad]) * x, axis=1).real
+    # the diagonal and last column of H1, without forming H1 again
+    d = (np.diagonal(base, axis1=1, axis2=2) + np.diagonal(step, axis1=1, axis2=2)).real
+    col = base[:, :-1, -1] + step[:, :-1, -1]
+    m0 = d[:, :-1] * d[:, -1:] - np.abs(col) ** 2  # as `last_slot_minors`
+    gj, gn = g[:, :-1], g[:, -1:]
+    cross = (np.conj(col) * gj * np.conj(gn)).real
+    slope = d[:, :-1] * np.abs(gn) ** 2 + d[:, -1:] * np.abs(gj) ** 2 - 2 * cross
+    fails = m0 < -tol
     with np.errstate(divide="ignore", invalid="ignore"):
-        if C.shape[-1] == 2:  # closed form, as in least_eigenvalues
-            a, b, c = C[:, 0, 0].real, C[:, 0, 1], C[:, 1, 1].real
-            g1, g2 = g[:, 0], g[:, 1]
-            quad = c * np.abs(g1) ** 2 + a * np.abs(g2) ** 2
-            phi = (quad - 2 * (np.conj(g1) * b * g2).real) / (a * c - np.abs(b) ** 2)
-        else:
-            try:
-                x = np.linalg.solve(C, g[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:  # C singular at some point
-                return max_k_exp
-            phi = np.sum(np.conj(g) * x, axis=1).real
-        need = -0.5 / phi
-    if not np.all((need > 0) & np.isfinite(need)):  # some phi >= 0 or not finite
-        return max_k_exp
-    e = math.ceil(math.log2(1.0 + float(need.max())))
-    return min(max(1, e), max_k_exp)
+        need = np.concatenate([(-tol - m0[fails]) / (2 * slope[fails]), -0.5 / phi])
+    if not len(need) or not np.all((need > 0) & np.isfinite(need)):
+        return math.inf
+    return math.log2(1.0 + float(need.max()))
 
 
 def k_ladder(base, step, factor, max_k_exp: int, stats):
-    """Smallest K = 2^e, 0 <= e <= max_k_exp, for which the Hessian
-    base + K step passes, searched from the rung the rank-one step predicts.
+    """The K = 2^e, 0 <= e <= max_k_exp, read off rung 0, and its scan.
 
-    step = 2 g g* is positive semidefinite at every point (g = factor), so
-    by Weyl's inequality the least eigenvalue of base + K step cannot fall
-    as K grows, and passing is monotone in e.  Rung 0 (K = 1) goes first.
-    If it fails, `predicted_exp` reads from its failing points the lowest
-    rung e* at which the least-eigenvalue test can pass; the pass rule
-    contains that test, so in exact arithmetic e* is a lower bound on the
-    answer.  If e* passes, the rung below it is tried and, if it passes too,
-    the search bisects between rung 0 and it.  If e* fails, the search
-    doubles the exponent, e* to 2 e*, 4 e*, ..., then max_k_exp, stops at
-    the first passing rung and bisects between it and the failing rung
-    below.  Rounding grows with K, so a high rung can fail where a lower one
-    passes; no rung above the first passing one in that climb is evaluated,
-    and that rung's K is at most the square of the answer's.  The K
-    returned did pass; only its minimality rests on monotonicity.  stats
-    maps a Hessian stack to its PsdCheckResult.  Returns the rows of the
-    rungs evaluated in ascending K, and the K returned with its result: the
-    lowest passing rung, or the top rung tried when none passes.
+    On the boundary step = 2 g g* with g = factor per point, so raising K
+    adds only a rank-one term.  Rung 0 (K = 1) goes first; if it fails,
+    `lift_exp` reads from it the least e at which the pass rule can hold,
+    e is rounded up and clipped to [1, max_k_exp], and the scan at 2^e is
+    the verdict.  stats maps a Hessian stack to its PsdCheckResult.
+    Returns the rows of the rungs evaluated (at most two) in ascending K,
+    and the last K with its result.
     """
-    results = {}
-
-    def passes(e: int) -> bool:
+    results = {0: stats(base + step)}
+    e = 0
+    if not results[0].passed and max_k_exp > 0:
+        lift = lift_exp(base, step, factor, results[0])
+        e = max_k_exp if lift > max_k_exp else max(1, math.ceil(lift))
         results[e] = stats(base + 2**e * step)
-        return results[e].passed
-
-    lo, hi = -1, 0  # lo: highest rung seen failing; hi: the rung tried
-    if not passes(0) and max_k_exp > 0:
-        first = predicted_exp(base, step, factor, results[0], max_k_exp)
-        lo, hi = 0, first
-        while not passes(hi) and hi < max_k_exp:
-            lo, hi = hi, min(2 * hi, max_k_exp)
-        if first > 1 and results[first].passed:
-            if passes(hi - 1):
-                hi -= 1
-            else:
-                lo = hi - 1
-    if results[hi].passed:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid
     ladder = [
         {
-            "K": 2**e,
+            "K": 2**k,
             "min_diag": st.min_diag,
             "min_minor": st.min_minor,
             "min_eig": st.min_eig,
             "passed": st.passed,
         }
-        for e, st in sorted(results.items())
+        for k, st in results.items()
     ]
-    return ladder, 2**hi, results[hi]
+    return ladder, 2**e, results[e]
 
 
 def radius_search(config, attempt) -> KSearchResult:
@@ -468,11 +443,10 @@ def k_search(
     """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan.
 
     On the boundary the Hessian is affine in K: H((1+T)r) plus K times a
-    positive semidefinite rank-one gradient term, so `k_ladder` searches
-    the exponent of K by doubling and bisection over one set of
-    evaluations.  The scan set is the sampled shell plus every in-ball
-    probe-curve point; `radius_search` applies the h floor and the radius
-    shrink.
+    positive semidefinite rank-one gradient term, so `k_ladder` reads the
+    exponent of K off the scan at K = 1 and scans once more there.  The
+    scan set is the sampled shell plus every in-ball probe-curve point;
+    `radius_search` applies the h floor and the radius shrink.
     """
     config = config or ConstructConfig()
     probes = probes if probes is not None else default_probes(r.nz, config.seed)
@@ -525,8 +499,16 @@ def _cross_bound(r: DefiningFunction, j: int) -> WPoly:
     )
 
 
-def _g_poly(r: DefiningFunction, T: WPoly, j: int) -> WPoly:
-    return ((WPoly.one(r.nz) + T) * r.poly).dz(j).dwbar()
+def _stage_split(r: DefiningFunction, T: WPoly, j: int, bound, probes):
+    """g = ((1 + T) r)_{z_j w-bar} and its S/E split, computed once per
+    (T, j, bound, probes) on r: the contraction metric splits g(T_next),
+    which the next stage splits again when nothing was absorbed."""
+
+    def build():
+        g = ((WPoly.one(r.nz) + T) * r.poly).dz(j).dwbar()
+        return g, split_S_E(g, r, bound, probes, j)
+
+    return r.cached(("stage_split", T, j, bound, probes), build)
 
 
 def _sup_abs(p: WPoly, shell) -> float:
@@ -610,8 +592,7 @@ def run_construction(
         incs = []
         obstructed_part = None
         for j in range(nz):
-            g = _g_poly(r, T, j)
-            sp = split_S_E(g, r, config.bound, probes, j)
+            g, sp = _stage_split(r, T, j, config.bound, probes)
             T_inc, residual = solve_stage(sp.S, j)
             rv = None
             if not residual.is_zero():
@@ -744,7 +725,7 @@ def run_construction(
             sup_cur = max(_sup_abs(p.split.S, inner) for p in parts)
         sup_next = 0.0
         for j in range(nz):
-            sp_tel = split_S_E(_g_poly(r, T_tel_next, j), r, config.bound, probes, j)
+            _, sp_tel = _stage_split(r, T_tel_next, j, config.bound, probes)
             sup_next = max(sup_next, _sup_abs(sp_tel.S, inner))
         entry = {"stage": n, "sup_S": sup_cur, "sup_S_next": sup_next}
         if sup_cur > 0:

@@ -167,20 +167,16 @@ def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
     """Project every curve of the family onto the boundary (cached on r)."""
 
     def build():
-        from .verify import project_to_boundary
+        from .verify import project_to_boundary, sample_boundary
 
         t = np.array([2.0**-e for e in family.shell_exps])
         nc, nt, nz = len(family.curves), len(t), r.nz
-        Z = np.empty((nc * nt, nz), dtype=complex)
-        U = np.empty(nc * nt)
-        for i, c in enumerate(family.curves):
-            tp = t ** c.zpow
-            for k in range(nz):
-                Z[i * nt : (i + 1) * nt, k] = c.zdir[k] * tp
-            U[i * nt : (i + 1) * nt] = c.wamp * t ** c.wpow
+        # curve i's nt points are rows i nt .. (i + 1) nt - 1
+        zdir, zpow, wamp, wpow = (np.array(a) for a in zip(*family.curves))
+        tz = t ** zpow[:, None]  # (nc, nt)
+        Z = (zdir.astype(complex)[:, None, :] * tz[:, :, None]).reshape(-1, nz)
+        U = (wamp[:, None] * t ** wpow[:, None]).reshape(-1)
         W, ok = project_to_boundary(r, Z, U)
-        from .verify import sample_boundary
-
         shells = [
             sample_boundary(r, 2.0**-e, family.samples_per_shell, family.seed)
             for e in family.shell_exps

@@ -35,19 +35,18 @@ class CompiledPoly:
         acc = np.zeros(m, dtype=np.result_type(W.dtype, self.coeffs.dtype))
         if not len(self.coeffs):
             return acc
-        # power tables up to the max exponent actually used per column
+        # power tables col^1 .. col^top, top the max exponent used per column
         tables = []
         for k, col in enumerate(self.columns(Z, W)):
-            top = int(self.exps[:, k].max())
-            t = [np.ones(m, dtype=col.dtype)]
-            for _ in range(top):
+            t = [col]
+            for _ in range(int(self.exps[:, k].max()) - 1):
                 t.append(t[-1] * col)
             tables.append(t)
         for row, c in zip(self.exps, self.coeffs):
             term = c
             for k, e in enumerate(row):
                 if e:
-                    term = term * tables[k][e]
+                    term = term * tables[k][e - 1]
             acc += term  # a constant term adds c itself
         return acc
 

@@ -304,7 +304,7 @@ class RealReport:
 def convex_multiplier(
     r: RealDefiningFunction, config: RealConfig | None = None
 ) -> RealReport:
-    """Certify r * (1 + Kr + r_y) convex near 0, K from the searched K ladder.
+    """Certify r * (1 + Kr + r_y) convex near 0, K read off the K ladder's rung 0.
 
     Convexity of the input (every tangential form >= 0 on the shell of
     config.radius) is a precondition, checked once before the search; a

@@ -72,10 +72,9 @@ def small_shell(r10):
 
 def linear_k_ladder(base, step, factor, max_k_exp, stats):
     """Reference K ladder: walk K = 1, 2, 4, ..., 2^max_k_exp until the
-    Hessian base + K step passes.  `construct.k_ladder` starts from the rung
-    the rank-one step's factor predicts and must agree with this walk on
-    K, pass/fail and rows; the walk needs no prediction and ignores
-    factor."""
+    Hessian base + K step passes.  `construct.k_ladder` reads its rung off
+    rung 0 through the rank-one step's factor and must agree with this walk
+    on K, pass/fail and rows; the walk ignores factor."""
     ladder = []
     for e in range(max_k_exp + 1):
         K = 2**e

@@ -20,7 +20,7 @@ from pshdef.construct import (
     absorb_r_multiples,
     k_ladder,
     k_search,
-    predicted_exp,
+    lift_exp,
     radius_search,
     run_construction,
     search_failure,
@@ -243,12 +243,30 @@ def test_absorb_disabled(r8):
         assert s.absorbed == []
 
 
+def test_stage_split_once_per_polynomial(monkeypatch):
+    """A = 8 absorbs nothing in stage 1, so stage 2 splits the g(T_1) the
+    contraction metric already split: three splits (g(0), g(T_1), g(T_2))
+    for four reads."""
+    calls = []
+    split = construct.split_S_E
+
+    def counting(g, *args):
+        calls.append(g)
+        return split(g, *args)
+
+    monkeypatch.setattr(construct, "split_S_E", counting)
+    rep = run_construction(type4_domain(8))
+    assert rep.status == "Certified" and len(rep.stages) == 2
+    assert not rep.stages[0].absorbed
+    assert len(calls) == len(set(calls)) == 3
+    assert calls[1] == rep.stages[1].parts[0].g
+
+
 def test_k_search_standalone(r10):
     ks = k_search(r10, im_z(1).scale(Fraction(-4)))
     assert ks.found and ks.K == 64
     rows = {step["K"]: step for step in ks.ladder}
     assert rows[64]["passed"]
-    assert not rows[32]["passed"]
     Ks = [step["K"] for step in ks.ladder]
     assert Ks == sorted(Ks)
 
@@ -374,25 +392,14 @@ def test_failed_final_check_withdraws_certificate(r10, monkeypatch):
     assert rep.verification["psd"]["passed"] and rep.verification["identity"]["passed"]
 
 
-# -- the predicted K ladder against the linear walk ------------------------
-
-
-def climb(first, max_k_exp):
-    """The exponents k_ladder tries after rung 0, before bisecting: the
-    predicted rung, then doubling, then max_k_exp."""
-    es = [first]
-    while es[-1] < max_k_exp:
-        es.append(min(2 * es[-1], max_k_exp))
-    return es
+# -- the computed K ladder against the linear walk -------------------------
 
 
 def check_against_linear(base, step, factor, max_k_exp, stats):
-    """k_ladder returns the linear walk's K, verdict and result, and its rows
-    agree byte for byte where both evaluated a rung.  It evaluates rung 0
-    first; when the predicted rung e* is the answer, only 0, e* - 1 and e*;
-    when nothing passes, rung 0 and the whole climb from e*; and never a
-    rung above the first passing rung of that climb.  Returns the number of
-    rungs evaluated."""
+    """k_ladder returns the linear walk's K, verdict and result, evaluates
+    at most two rungs, and its rows agree byte for byte with the walk's
+    wherever both evaluated a rung.  Returns the number of rungs
+    evaluated."""
     evaluated = []
 
     def counting(H):
@@ -403,34 +410,13 @@ def check_against_linear(base, step, factor, max_k_exp, stats):
     ref_ladder, ref_K, ref_st = linear_k_ladder(base, step, factor, max_k_exp, stats)
     assert (K, st.passed) == (ref_K, ref_st.passed)
     assert st.as_dict() == ref_st.as_dict()
+    assert len(ladder) == len(evaluated) <= 2
+    Ks = [row["K"] for row in ladder]
+    assert Ks[0] == 1 and Ks == sorted(set(Ks)) and Ks[-1] == K
     ref_rows = {row["K"]: json.dumps(row) for row in ref_ladder}
     for row in ladder:
         if row["K"] in ref_rows:
             assert json.dumps(row) == ref_rows[row["K"]]
-    Ks = [row["K"] for row in ladder]
-    assert Ks == sorted(set(Ks)) and len(ladder) == len(evaluated)
-    assert Ks[0] == 1
-    rows = {row["K"]: row for row in ladder}
-    assert rows[K]["passed"] == st.passed
-    if st.passed and K > 1:
-        assert not rows[K // 2]["passed"]
-    exps = [k.bit_length() - 1 for k in Ks]
-    if ladder[0]["passed"] or max_k_exp == 0:
-        assert exps == [0]
-        return len(evaluated)
-    first = predicted_exp(base, step, factor, stats(base + step), max_k_exp)
-    assert 1 <= first <= max_k_exp
-    e = K.bit_length() - 1
-    if not st.passed:
-        assert exps == [0] + climb(first, max_k_exp)
-    elif e == first:
-        assert exps == sorted({0, first - 1, first})
-    else:
-        # nothing above the first climb rung at or above K is tried, so a
-        # rounding failure high up cannot decide
-        assert exps[-1] == min(c for c in climb(first, max_k_exp) if c >= e)
-        bound = 2 + len(climb(first, max_k_exp)) + math.ceil(math.log2(max_k_exp))
-        assert len(evaluated) <= bound
     return len(evaluated)
 
 
@@ -471,7 +457,7 @@ LADDER_RUNS = {
 @pytest.mark.parametrize("name", list(LADDER_RUNS))
 def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
     """Every ladder a run searches, at every stage and radius, evaluates at
-    most three rungs."""
+    most two rungs."""
 
     def check(base, step, factor, max_k_exp, stats):
         assert check_against_linear(base, step, factor, 0, stats) == 1
@@ -479,7 +465,7 @@ def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
 
     checked = watch_k_ladder(check)
     LADDER_RUNS[name]()
-    assert checked and max(checked) <= 3
+    assert checked and max(checked) <= 2
 
 
 def test_k_ladder_high_top_rung(watch_k_ladder):
@@ -510,8 +496,8 @@ def _psd_stats(m, n):
 @pytest.mark.parametrize("seed", range(8))
 def test_k_ladder_random_rank_one_step(n, seed):
     """Hermitian base plus a PSD rank-one step 2 g g*, the shape of both
-    lanes: the prediction from g holds, so each search evaluates at most
-    three rungs."""
+    lanes: the rung read off rung 0 is the walk's, and each search
+    evaluates at most two rungs."""
     rng = np.random.default_rng(seed)
     m = 40
     M = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
@@ -523,28 +509,7 @@ def test_k_ladder_random_rank_one_step(n, seed):
     base = M @ M.conj().transpose(0, 2, 1) / n - a * gg
     step = 2.0 * gg
     for max_k_exp in (0, 1, 2, 5, 20, 30):
-        assert check_against_linear(base, step, g, max_k_exp, _psd_stats(m, n)) <= 3
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_predicted_exp_closed_form_matches_solver(seed):
-    """The 2x2 closed form predicts the rung the batched solver predicts
-    for the same points embedded in 3x3 with a decoupled third slot."""
-    rng = np.random.default_rng(seed)
-    m = 200
-    M = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
-    g = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
-    gg = g[:, :, None] * np.conj(g)[:, None, :]
-    a = 2.0 ** rng.uniform(0, 15) * rng.uniform(0.5, 1, size=(m, 1, 1))
-    base2 = M @ M.conj().transpose(0, 2, 1) / 2 - a * gg
-    base3 = np.zeros((m, 3, 3), dtype=complex)
-    base3[:, :2, :2] = base2
-    base3[:, 2, 2] = 1.0
-    g3 = np.concatenate([g, np.zeros((m, 1))], axis=1)
-    step2, step3 = 2.0 * gg, 2.0 * g3[:, :, None] * np.conj(g3)[:, None, :]
-    e2 = predicted_exp(base2, step2, g, _psd_stats(m, 2)(base2 + step2), 30)
-    e3 = predicted_exp(base3, step3, g3, _psd_stats(m, 3)(base3 + step3), 30)
-    assert 1 < e2 == e3 < 30
+        assert check_against_linear(base, step, g, max_k_exp, _psd_stats(m, n)) <= 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -565,17 +530,17 @@ def test_k_ladder_negative_direction_orthogonal_to_step(n):
     g = np.einsum("mjk,mk->mj", Q, g0)
     step = 2.0 * g[:, :, None] * np.conj(g)[:, None, :]
     stats = _psd_stats(m, n)
-    assert predicted_exp(base, step, g, stats(base + step), 20) == 20
+    assert lift_exp(base, step, g, stats(base + step)) == math.inf
     ladder, K, st = k_ladder(base, step, g, 20, stats)
     assert [row["K"] for row in ladder] == [1, 2**20] and not st.passed
     check_against_linear(base, step, g, 20, stats)
 
 
 def test_k_ladder_minor_failure_above_prediction():
-    """At K = 32 the least eigenvalue reads -tol/2, so the prediction is
-    e* = 5, but the (z, w) minor L (2K - 2 - b) stays below -tol until
-    K = 64: the search climbs from e*, bisects back and finds 64 like the
-    walk."""
+    """At K = 32 the least eigenvalue reads -tol/2, but the (z, w) minor
+    L (2K - 2 - b) stays below -tol until K = 64: the minor's threshold
+    sets e, so the search scans K = 1 and 64 only, like the walk's
+    answer."""
     m = 4
     L = 1e6 * (1 + np.arange(m))
     b = 62 + 0.5e-9  # 2 (K - 1) - b = -tol / 2 at K = 32
@@ -587,11 +552,33 @@ def test_k_ladder_minor_failure_above_prediction():
     H1[:, 1, 1] = -b
     base = (H1 - step).astype(complex)
     stats = _psd_stats(m, 2)
-    assert predicted_exp(base, step, g, stats(base + step), 20) == 5
     ladder, K, st = k_ladder(base, step, g, 20, stats)
-    rows = {row["K"]: row for row in ladder}
-    assert rows[32]["min_eig"] >= -1e-9 > rows[32]["min_minor"]
-    assert 2**10 in rows and K == 64 and st.passed
+    assert [row["K"] for row in ladder] == [1, 64] and K == 64 and st.passed
+    check_against_linear(base, step, g, 20, stats)
+    at32 = stats(base + 32 * step)
+    assert at32.min_eig >= -1e-9 > at32.min_minor
+
+
+@pytest.mark.parametrize("a, b", [(-0.5e-9, 0.0), (0.0, 1e-3)], ids=["falling", "flat"])
+def test_k_ladder_minor_cannot_lift(a, b):
+    """A failing (z, w) minor whose slope in K is negative (diagonal entry
+    -tol/2) or zero (diagonal entry 0, g along w) is lifted by no K: the
+    search scans rung 0 and the top rung only, and fails like the walk."""
+    m = 3
+    g = np.zeros((m, 2))
+    g[:, 1] = 1.0
+    step = 2.0 * g[:, :, None] * g[:, None, :]
+    H1 = np.zeros((m, 2, 2), dtype=complex)
+    H1[:, 0, 0] = a
+    H1[:, 0, 1] = H1[:, 1, 0] = b
+    H1[:, 1, 1] = 4.0 * (1 + np.arange(m))
+    base = H1 - step
+    stats = _psd_stats(m, 2)
+    rung0 = stats(H1)
+    assert rung0.min_minor < -1e-9 and not rung0.passed
+    assert lift_exp(base, step, g, rung0) == math.inf
+    ladder, K, st = k_ladder(base, step, g, 20, stats)
+    assert [row["K"] for row in ladder] == [1, 2**20] and not st.passed
     check_against_linear(base, step, g, 20, stats)
 
 

@@ -268,6 +268,24 @@ def test_probe_families_share_the_stock_curves():
     assert vars(a)["_hash"] == hash(a)
 
 
+@pytest.mark.parametrize("nz", [1, 2, 3])
+def test_project_probes_curve_points(nz):
+    """The curve points match a per-curve loop byte for byte: curve i's are
+    z = zdir t^zpow with Re w = wamp t^wpow at the family's t values."""
+    r = ball_like(nz)
+    family = default_probes(nz, 0)
+    proj = project_probes(r, family)
+    t = proj.t_values
+    Z = np.empty((len(family.curves), len(t), nz), dtype=complex)
+    U = np.empty((len(family.curves), len(t)))
+    for i, c in enumerate(family.curves):
+        for k in range(nz):
+            Z[i, :, k] = c.zdir[k] * t**c.zpow
+        U[i] = c.wamp * t**c.wpow
+    assert proj.curve_Z.tobytes() == Z.tobytes()
+    assert proj.curve_W.real.tobytes() == U.tobytes()
+
+
 def test_probe_family_deterministic():
     a = default_probes(1, seed=0)
     b = default_probes(1, seed=0)

@@ -49,7 +49,7 @@ def test_rung_counter_matches_ladder(monkeypatch):
         tracer.uninstall()
     metrics, summary = tracer_mod.analyse(tracer.spans, 1, 1.0)
     assert not ks.shrunk
-    assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 3
+    assert metrics["construct.k_search.rungs"] == len(ks.ladder) == 2
     assert summary["k_search_ladder_consistent"]
 
 
