@@ -50,14 +50,15 @@ from .wirtinger import WPoly, canonical_str, realify
 SHRINK = 0.25
 
 
-def check_search_config(config) -> None:
-    """Reject the sampling and ladder settings no scan can certify from.
-
-    Shared by the complex and the real lane's configs; raises ValueError.
-    """
+def check_search_config(config, *counts: str) -> None:
+    """Reject the sampling and ladder settings no scan can certify from,
+    and negative values of the named counts (None passes).  Shared by the
+    complex and the real lane's configs; raises ValueError."""
     check_sampling(config.radius, config.samples, config.tol)
-    if config.max_k_exp < 0:
-        raise ValueError(f"max_k_exp must be >= 0, got {config.max_k_exp}")
+    for name in ("max_k_exp", *counts):
+        value = getattr(config, name)
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class NotPseudoconvexError(RuntimeError):
@@ -85,20 +86,10 @@ class ConstructConfig:
 
     def __post_init__(self):
         self.bound = Bound(self.bound)
-        check_search_config(self)
+        check_search_config(self, "max_stages", "degree_cap")
 
     def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_stages": self.max_stages,
-            "degree_cap": self.degree_cap,
-            "max_k_exp": self.max_k_exp,
-            "tol": self.tol,
-            "bound": self.bound.value,
-            "absorb": self.absorb,
-        }
+        return {**vars(self), "bound": self.bound.value}
 
 
 @dataclass
@@ -133,14 +124,7 @@ class KSearchResult:
     stats: PsdCheckResult | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "K": self.K,
-            "ladder": self.ladder,
-            "witness": self.witness,
-            "radius": self.radius,
-            "shrunk": self.shrunk,
-        }
+        return {k: v for k, v in vars(self).items() if k != "stats"}
 
 
 @dataclass
@@ -314,31 +298,38 @@ def _scan_points(r, shell, probes, radius):
     return shell.Z, shell.W
 
 
-def lift_exp(base, step, g, rung0) -> float:
-    """Least real e such that base + 2^e step passes the pass rule at every
-    point, in exact arithmetic; inf when no K does.
+def _gg(g) -> np.ndarray:
+    """2 g g* per point, in the dtype g and the base stacks share."""
+    out = g[:, :, None] * np.conj(g)[:, None, :]
+    out *= 2.0
+    return out
 
-    step = 2 g g* per point and rung0 is the PsdCheckResult of rung 0's
-    stack H1 = base + step; with k = K - 1 the stack at K is H1 + 2k g g*,
-    and each statistic has a closed form in k.  A last-slot minor with
-    entries a, b, c is affine in k, the k^2 part cancelling:
+
+def lift_exp(base, g, rung0) -> float:
+    """Least real e such that the stack base + 2K g g* at K = 2^e passes
+    the pass rule at every point, in exact arithmetic; inf when no K does.
+
+    rung0 is the PsdCheckResult of rung 0's stack H1 = base + 2 g g*; with
+    k = K - 1 the stack at K is H1 + 2k g g*, and each statistic has a
+    closed form in k.  A last-slot minor with entries a, b, c is affine in
+    k, the k^2 part cancelling:
     m(k) = m0 + 2k (a |g_n|^2 + c |g_j|^2 - 2 Re(conj(b) g_j conj(g_n))),
     so a failing minor needs a positive slope.  A point whose least
     eigenvalue is below -tol can be lifted only if it is the only one
-    there: a rank-one update moves the least eigenvalue at most up to the
-    second.  Then, with C = H1 + tol I and phi = g* C^-1 g, the matrix
-    determinant lemma gives det(C + 2k g g*) = det C (1 + 2k phi), so the
-    point passes exactly when phi < 0 and k >= -1/(2 phi).  The diagonal
-    test is implied by the eigenvalue test.  A value that is not finite
-    lifts no point, nor does C singular at some point.
+    there: by interlacing, a rank-one update moves the least eigenvalue at
+    most up to the second.  Then, with C = H1 + tol I and phi = g* C^-1 g,
+    the matrix determinant lemma gives det(C + 2k g g*) = det C (1 + 2k phi),
+    so the point passes exactly when phi < 0 and k >= -1/(2 phi).  The
+    diagonal test is implied by the eigenvalue test.  A value that is not
+    finite lifts no point, nor does C singular at some point.
     """
     tol = rung0.tol
     least, second = rung0.low_eigs.T
     bad = least < -tol
     if not np.isfinite(rung0.low_eigs).all() or np.any(second[bad] < -tol):
         return math.inf
-    C = base[bad]  # a copy: the mask selects
-    C += step[bad]
+    C = _gg(g[bad])
+    C += base[bad]
     diag = np.arange(C.shape[-1])
     C[:, diag, diag] += tol
     try:
@@ -347,10 +338,10 @@ def lift_exp(base, step, g, rung0) -> float:
         return math.inf
     phi = np.sum(np.conj(g[bad]) * x, axis=1).real
     # the diagonal and last column of H1, without forming H1 again
-    d = (np.diagonal(base, axis1=1, axis2=2) + np.diagonal(step, axis1=1, axis2=2)).real
-    col = base[:, :-1, -1] + step[:, :-1, -1]
-    m0 = d[:, :-1] * d[:, -1:] - np.abs(col) ** 2  # as `last_slot_minors`
     gj, gn = g[:, :-1], g[:, -1:]
+    d = (np.diagonal(base, axis1=1, axis2=2) + 2.0 * (g * np.conj(g))).real
+    col = base[:, :-1, -1] + 2.0 * (gj * np.conj(gn))
+    m0 = d[:, :-1] * d[:, -1:] - np.abs(col) ** 2  # as `last_slot_minors`
     cross = (np.conj(col) * gj * np.conj(gn)).real
     slope = d[:, :-1] * np.abs(gn) ** 2 + d[:, -1:] * np.abs(gj) ** 2 - 2 * cross
     fails = m0 < -tol
@@ -361,23 +352,32 @@ def lift_exp(base, step, g, rung0) -> float:
     return math.log2(1.0 + float(need.max()))
 
 
-def k_ladder(base, step, factor, max_k_exp: int, stats):
+def k_ladder(base, g, max_k_exp: int, stats):
     """The K = 2^e, 0 <= e <= max_k_exp, read off rung 0, and its scan.
 
-    On the boundary step = 2 g g* with g = factor per point, so raising K
-    adds only a rank-one term.  Rung 0 (K = 1) goes first; if it fails,
-    `lift_exp` reads from it the least e at which the pass rule can hold,
-    e is rounded up and clipped to [1, max_k_exp], and the scan at 2^e is
-    the verdict.  stats maps a Hessian stack to its PsdCheckResult.
-    Returns the rows of the rungs evaluated (at most two) in ascending K,
-    and the last K with its result.
+    base is the Hessian of (h - K r) r and g the gradient of r, per point.
+    Hess(r^2) = 2 g g* + 2 r Hess r and r = 0 on the boundary, so there
+    the stack at K is base + 2K g g*.  Rung 0 (K = 1) goes first; if it
+    fails and `lift_exp` puts the least passing e at most max_k_exp, the
+    scan at 2^e, e rounded up to at least 1, is the verdict; else rung 0's
+    is.  stats maps a Hessian stack to its PsdCheckResult.  Returns the
+    rows of the rungs evaluated in ascending K, and the last K with its
+    result.
     """
-    results = {0: stats(base + step)}
+
+    def scan(e):
+        H = _gg(g)
+        H *= 2**e
+        H += base
+        return stats(H)
+
+    results = {0: scan(0)}
     e = 0
     if not results[0].passed and max_k_exp > 0:
-        lift = lift_exp(base, step, factor, results[0])
-        e = max_k_exp if lift > max_k_exp else max(1, math.ceil(lift))
-        results[e] = stats(base + 2**e * step)
+        lift = lift_exp(base, g, results[0])
+        if lift <= max_k_exp:
+            e = max(1, math.ceil(lift))
+            results[e] = scan(e)
     ladder = [
         {
             "K": 2**k,
@@ -442,11 +442,11 @@ def k_search(
 ) -> KSearchResult:
     """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan.
 
-    On the boundary the Hessian is affine in K: H((1+T)r) plus K times a
-    positive semidefinite rank-one gradient term, so `k_ladder` reads the
-    exponent of K off the scan at K = 1 and scans once more there.  The
-    scan set is the sampled shell plus every in-ball probe-curve point;
-    `radius_search` applies the h floor and the radius shrink.
+    On the boundary the Hessian is H((1+T)r) plus 2K g g*, g the complex
+    gradient of r, so `k_ladder` gets those two and reads K off the scan
+    at K = 1.  The scan set is the sampled shell plus every in-ball
+    probe-curve point; `radius_search` applies the h floor and the radius
+    shrink.
     """
     config = config or ConstructConfig()
     probes = probes if probes is not None else default_probes(r.nz, config.seed)
@@ -464,9 +464,8 @@ def k_search(
                 + [compiled(r.d_w()).eval(Z, W)],
                 axis=1,
             )
-            step = 2.0 * (G[:, :, None] * np.conj(G)[:, None, :])
             return k_ladder(
-                base, step, G, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
+                base, G, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
             )
 
         return least_h, run_ladder
@@ -570,13 +569,12 @@ def run_construction(
     cand = strong_psc_shortcut(r)
     if cand is not None:
         shortcut_used = True
-        ks = k_search(r, zero, config, probes)
+        ks = k_search(r, cand.T, config, probes)
         if ks.found:
-            final = MultiplierCandidate(zero, ks.K, 0, zero, [])
+            cand.K = ks.K
+            final = cand
             status = "Certified"
-            stages.append(
-                StageRecord(0, [], [], [], zero, zero, ks)
-            )
+            stages.append(StageRecord(0, [], [], [], zero, zero, ks))
         else:
             messages.append("shortcut K search failed; entering stage loop")
 

@@ -9,7 +9,7 @@ coefficients over (x_1..x_n, y), parsed and printed by the same code as
 `WPoly`, and the numeric side is the compiled evaluator (`numeval`),
 the Halton ball sampler, the Newton solver, the PSD statistics and the h
 floor (`verify`), and the K ladder and the radius search (`construct`).  Only
-the coordinates differ.
+the coordinates differ: the ladder gets the real Hessian and gradient.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -249,13 +249,7 @@ class RealConfig:
         check_search_config(self)
 
     def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_k_exp": self.max_k_exp,
-            "tol": self.tol,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -310,7 +304,8 @@ def convex_multiplier(
     config.radius) is a precondition, checked once before the search; a
     violation reports an obstruction with witness.  The search is the
     complex lane's `construct.radius_search`: the h floor |1 + r_y| >= 1/2,
-    the K ladder and the single radius shrink.
+    the K ladder and the single radius shrink.  The ladder gets only the
+    Hessian of r (1 + r_y) and the gradient of r.
     """
     config = config or RealConfig()
     ry = r.d_y()
@@ -349,20 +344,13 @@ def convex_multiplier(
         least_h = float(np.min(np.abs(1.0 + ry.eval(X, Y))))
 
         def run_ladder():
-            # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2: Hessian is linear
-            # in K, and on the shell Hess(r^2) = 2 grad r grad r^T + 2 r Hess r
-            # is rank one up to the boundary residual
+            # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2
             base = real_hessian_values(r.poly + r.poly * ry, X, Y)
-            quad = real_hessian_values(r.poly * r.poly, X, Y)
             grad = np.stack(
                 [r.d_x(j).eval(X, Y) for j in range(r.nx)] + [ry.eval(X, Y)], axis=1
             )
             return k_ladder(
-                base,
-                quad,
-                grad,
-                config.max_k_exp,
-                lambda H: real_psd_stats(H, X, Y, config.tol),
+                base, grad, config.max_k_exp, lambda H: real_psd_stats(H, X, Y, config.tol)
             )
 
         return least_h, run_ladder

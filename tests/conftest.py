@@ -70,11 +70,17 @@ def small_shell(r10):
 # -- the K ladder -------------------------------------------------------
 
 
-def linear_k_ladder(base, step, factor, max_k_exp, stats):
+def rank_one_term(g):
+    """2 g g* per point: on the boundary, the Hessian of r^2."""
+    return 2.0 * (g[:, :, None] * np.conj(g)[:, None, :])
+
+
+def linear_k_ladder(base, g, max_k_exp, stats):
     """Reference K ladder: walk K = 1, 2, 4, ..., 2^max_k_exp until the
-    Hessian base + K step passes.  `construct.k_ladder` reads its rung off
-    rung 0 through the rank-one step's factor and must agree with this walk
-    on K, pass/fail and rows; the walk ignores factor."""
+    Hessian base + 2K g g* passes.  `construct.k_ladder` reads its rung off
+    rung 0 and must agree with this walk on pass/fail, and on K and the
+    result when it passes."""
+    step = rank_one_term(g)
     ladder = []
     for e in range(max_k_exp + 1):
         K = 2**e
@@ -96,7 +102,7 @@ def linear_k_ladder(base, step, factor, max_k_exp, stats):
 @pytest.fixture
 def watch_k_ladder(monkeypatch):
     """watch_k_ladder(check) makes every K ladder either lane searches
-    call check(base, step, factor, max_k_exp, stats) first, and returns the
+    call check(base, g, max_k_exp, stats) first, and returns the
     list of check results.  The check runs inside the search because
     `stats` reads the scan points of its radius only until k_search moves
     on."""

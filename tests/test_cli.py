@@ -562,21 +562,35 @@ def test_normal_form_violation_exit_64(capsys):
     assert "error:" in err
 
 
+SEARCH_SETTINGS = [
+    ("max_k_exp", "--max-K-exp", "-1"),
+    ("samples", "--samples", "0"),
+    ("samples", "--samples", "-5"),
+    ("radius", "--radius", "0"),
+    ("radius", "--radius", "-0.01"),
+    ("radius", "--radius", "inf"),
+    ("radius", "--radius", "nan"),
+    ("tol", "--tol", "-1"),
+]
+LANES = {"complex": ["--r", R10], "real": ["--r", "y + x^2", "--real"]}
+# settings only the complex lane's staged search reads
+STAGE_SETTINGS = [
+    ("max_stages", "--max-stages", "-1"),
+    ("degree_cap", "--degree-cap", "-1"),
+]
+
+
 @pytest.mark.parametrize(
-    "field, flag, value",
+    "lane, field, flag, value",
     [
-        ("max_k_exp", "--max-K-exp", "-1"),
-        ("samples", "--samples", "0"),
-        ("samples", "--samples", "-5"),
-        ("radius", "--radius", "0"),
-        ("radius", "--radius", "-0.01"),
-        ("radius", "--radius", "inf"),
-        ("radius", "--radius", "nan"),
-        ("tol", "--tol", "-1"),
+        pytest.param(LANES[name], *case, id="-".join([name, *case]))
+        for name in LANES
+        for case in SEARCH_SETTINGS
+    ]
+    + [
+        pytest.param(LANES["complex"], *case, id="-".join(["complex", *case]))
+        for case in STAGE_SETTINGS
     ],
-)
-@pytest.mark.parametrize(
-    "lane", [["--r", R10], ["--r", "y + x^2", "--real"]], ids=["complex", "real"]
 )
 def test_invalid_config_exit_64(capsys, lane, field, flag, value):
     """Settings no scan can certify from are usage errors in both lanes."""

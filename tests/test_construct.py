@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_k_ladder, random_wpoly
+from conftest import linear_k_ladder, random_wpoly, rank_one_term
 from pshdef import construct, verify
 from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
 from pshdef.construct import (
@@ -30,7 +30,12 @@ from pshdef.construct import (
 from pshdef.cr import validate_normal_form
 from pshdef.exprparse import parse_rpoly, parse_wpoly
 from pshdef.gaussrat import GaussianRational
-from pshdef.realconvex import convex_multiplier, validate_real_normal_form
+from pshdef.numeval import compiled
+from pshdef.realconvex import (
+    convex_multiplier,
+    sample_real_boundary,
+    validate_real_normal_form,
+)
 from pshdef.verify import H_MIN, PsdCheckResult, psd_check, psd_stats, sample_boundary
 from pshdef.wirtinger import WPoly, im_z, re_w, re_z
 
@@ -395,22 +400,28 @@ def test_failed_final_check_withdraws_certificate(r10, monkeypatch):
 # -- the computed K ladder against the linear walk -------------------------
 
 
-def check_against_linear(base, step, factor, max_k_exp, stats):
-    """k_ladder returns the linear walk's K, verdict and result, evaluates
-    at most two rungs, and its rows agree byte for byte with the walk's
-    wherever both evaluated a rung.  Returns the number of rungs
-    evaluated."""
+def check_against_linear(base, g, max_k_exp, stats):
+    """k_ladder passes or fails with the linear walk, and when it passes it
+    returns the walk's K and result.  It evaluates at most two rungs, only
+    rung 0 when rung 0 puts every passing K above 2^max_k_exp, and its rows
+    agree byte for byte with the walk's wherever both evaluated a rung.
+    Returns the number of rungs evaluated."""
     evaluated = []
 
     def counting(H):
-        evaluated.append(H)
-        return stats(H)
+        evaluated.append(stats(H))
+        return evaluated[-1]
 
-    ladder, K, st = k_ladder(base, step, factor, max_k_exp, counting)
-    ref_ladder, ref_K, ref_st = linear_k_ladder(base, step, factor, max_k_exp, stats)
-    assert (K, st.passed) == (ref_K, ref_st.passed)
-    assert st.as_dict() == ref_st.as_dict()
+    ladder, K, st = k_ladder(base, g, max_k_exp, counting)
+    ref_ladder, ref_K, ref_st = linear_k_ladder(base, g, max_k_exp, stats)
+    assert st.passed == ref_st.passed
+    if st.passed:
+        assert K == ref_K
+        assert st.as_dict() == ref_st.as_dict()
     assert len(ladder) == len(evaluated) <= 2
+    rung0 = evaluated[0]
+    if not rung0.passed and lift_exp(base, g, rung0) > max_k_exp:
+        assert len(ladder) == 1
     Ks = [row["K"] for row in ladder]
     assert Ks[0] == 1 and Ks == sorted(set(Ks)) and Ks[-1] == K
     ref_rows = {row["K"]: json.dumps(row) for row in ref_ladder}
@@ -426,6 +437,49 @@ def _complex(text, nz):
 
 def _real(text, nx):
     return validate_real_normal_form(parse_rpoly(text, nx))
+
+
+@pytest.mark.parametrize(
+    "lane, text, n",
+    [
+        ("complex", "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 10*Re(w)^2", 1),
+        ("complex", "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3),
+        ("real", "y + x^2", 1),
+        ("real", "y + x y + x^2", 1),
+    ],
+    ids=["A=10", "ball3_tilted", "real y+x^2", "real y+xy+x^2"],
+)
+def test_boundary_hessian_of_r_squared_is_rank_one(lane, text, n):
+    """Both lanes scan K r as (K - 1) 2 g g* over rung 0.  That rests on
+    Hess(r^2) = 2 g g* + 2 r Hess r: on a shell the difference is at most
+    2 |r| |Hess r|, so a constant times the shell's max_residual, plus
+    rounding of the entries."""
+    if lane == "complex":
+        r = _complex(text, n)
+        shell = sample_boundary(r, 1e-2, 500, seed=0)
+        g = np.stack(
+            [compiled(r.d_z(j)).eval(shell.Z, shell.W) for j in range(r.nz)]
+            + [compiled(r.d_w()).eval(shell.Z, shell.W)],
+            axis=1,
+        )
+    else:
+        r = _real(text, n)
+        shell = sample_real_boundary(r, 1e-2, 500, seed=0)
+        g = np.stack(
+            [r.d_x(j).eval(shell.X, shell.Y) for j in range(r.nx)]
+            + [r.d_y().eval(shell.X, shell.Y)],
+            axis=1,
+        )
+    exact = shell.hessian(r.poly * r.poly)
+    hess_r = np.abs(shell.hessian(r.poly)).max()
+    gg = rank_one_term(g)
+    scale = max(1.0, np.abs(gg).max())
+    bound = 4 * shell.as_dict()["max_residual"] * hess_r + 16 * np.finfo(float).eps * scale
+    assert np.abs(exact - gg).max() <= bound
+    # the bound is tight enough to tell the wrong scale or orientation
+    assert np.abs(exact - gg / 2).max() > 1e6 * bound
+    if lane == "complex":
+        assert np.abs(exact - rank_one_term(np.conj(g))).max() > 1e6 * bound
 
 
 # every catalog fixture, the nz >= 2 inputs beside them, and the real lane
@@ -459,9 +513,9 @@ def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
     """Every ladder a run searches, at every stage and radius, evaluates at
     most two rungs."""
 
-    def check(base, step, factor, max_k_exp, stats):
-        assert check_against_linear(base, step, factor, 0, stats) == 1
-        return check_against_linear(base, step, factor, max_k_exp, stats)
+    def check(base, g, max_k_exp, stats):
+        assert check_against_linear(base, g, 0, stats) == 1
+        return check_against_linear(base, g, max_k_exp, stats)
 
     checked = watch_k_ladder(check)
     LADDER_RUNS[name]()
@@ -474,9 +528,7 @@ def test_k_ladder_high_top_rung(watch_k_ladder):
     -tol test although K = 64 passes.  The search must still find 64."""
     config = ConstructConfig(max_k_exp=40)
     checked = watch_k_ladder(
-        lambda base, step, factor, max_k_exp, stats: check_against_linear(
-            base, step, factor, 30, stats
-        )
+        lambda base, g, max_k_exp, stats: check_against_linear(base, g, 30, stats)
     )
     rep = run_construction(type4_domain(10), config)
     assert checked
@@ -507,15 +559,14 @@ def test_k_ladder_random_rank_one_step(n, seed):
     # sets the answer anywhere from rung 0 to beyond the top rung
     a = 2.0 ** rng.uniform(-3, 23) * rng.uniform(0, 1, size=(m, 1, 1))
     base = M @ M.conj().transpose(0, 2, 1) / n - a * gg
-    step = 2.0 * gg
     for max_k_exp in (0, 1, 2, 5, 20, 30):
-        assert check_against_linear(base, step, g, max_k_exp, _psd_stats(m, n)) <= 2
+        assert check_against_linear(base, g, max_k_exp, _psd_stats(m, n)) <= 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_k_ladder_negative_direction_orthogonal_to_step(n):
-    """A negative direction the step cannot reach: phi >= 0, so the search
-    tries only the top rung after rung 0, and fails like the walk."""
+    """A negative direction the rank-one term cannot reach: phi >= 0, so
+    no K lifts it; the search stops at rung 0 and fails like the walk."""
     rng = np.random.default_rng(n)
     m = 30
     D = np.zeros((m, n, n), dtype=complex)
@@ -528,12 +579,11 @@ def test_k_ladder_negative_direction_orthogonal_to_step(n):
     Q, _ = np.linalg.qr(rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n)))
     base = Q @ D @ Q.conj().transpose(0, 2, 1)
     g = np.einsum("mjk,mk->mj", Q, g0)
-    step = 2.0 * g[:, :, None] * np.conj(g)[:, None, :]
     stats = _psd_stats(m, n)
-    assert lift_exp(base, step, g, stats(base + step)) == math.inf
-    ladder, K, st = k_ladder(base, step, g, 20, stats)
-    assert [row["K"] for row in ladder] == [1, 2**20] and not st.passed
-    check_against_linear(base, step, g, 20, stats)
+    assert lift_exp(base, g, stats(base + rank_one_term(g))) == math.inf
+    ladder, K, st = k_ladder(base, g, 20, stats)
+    assert [row["K"] for row in ladder] == [1] and not st.passed
+    check_against_linear(base, g, 20, stats)
 
 
 def test_k_ladder_minor_failure_above_prediction():
@@ -544,18 +594,17 @@ def test_k_ladder_minor_failure_above_prediction():
     m = 4
     L = 1e6 * (1 + np.arange(m))
     b = 62 + 0.5e-9  # 2 (K - 1) - b = -tol / 2 at K = 32
-    g = np.zeros((m, 2))
+    g = np.zeros((m, 2), dtype=complex)
     g[:, 1] = 1.0
-    step = 2.0 * g[:, :, None] * g[:, None, :]
-    H1 = np.zeros((m, 2, 2))
+    H1 = np.zeros((m, 2, 2), dtype=complex)
     H1[:, 0, 0] = L
     H1[:, 1, 1] = -b
-    base = (H1 - step).astype(complex)
+    base = H1 - rank_one_term(g)
     stats = _psd_stats(m, 2)
-    ladder, K, st = k_ladder(base, step, g, 20, stats)
+    ladder, K, st = k_ladder(base, g, 20, stats)
     assert [row["K"] for row in ladder] == [1, 64] and K == 64 and st.passed
-    check_against_linear(base, step, g, 20, stats)
-    at32 = stats(base + 32 * step)
+    check_against_linear(base, g, 20, stats)
+    at32 = stats(base + 32 * rank_one_term(g))
     assert at32.min_eig >= -1e-9 > at32.min_minor
 
 
@@ -563,23 +612,44 @@ def test_k_ladder_minor_failure_above_prediction():
 def test_k_ladder_minor_cannot_lift(a, b):
     """A failing (z, w) minor whose slope in K is negative (diagonal entry
     -tol/2) or zero (diagonal entry 0, g along w) is lifted by no K: the
-    search scans rung 0 and the top rung only, and fails like the walk."""
+    search stops at rung 0 and fails like the walk."""
     m = 3
-    g = np.zeros((m, 2))
+    g = np.zeros((m, 2), dtype=complex)
     g[:, 1] = 1.0
-    step = 2.0 * g[:, :, None] * g[:, None, :]
     H1 = np.zeros((m, 2, 2), dtype=complex)
     H1[:, 0, 0] = a
     H1[:, 0, 1] = H1[:, 1, 0] = b
     H1[:, 1, 1] = 4.0 * (1 + np.arange(m))
-    base = H1 - step
+    base = H1 - rank_one_term(g)
     stats = _psd_stats(m, 2)
     rung0 = stats(H1)
     assert rung0.min_minor < -1e-9 and not rung0.passed
-    assert lift_exp(base, step, g, rung0) == math.inf
-    ladder, K, st = k_ladder(base, step, g, 20, stats)
-    assert [row["K"] for row in ladder] == [1, 2**20] and not st.passed
-    check_against_linear(base, step, g, 20, stats)
+    assert lift_exp(base, g, rung0) == math.inf
+    ladder, K, st = k_ladder(base, g, 20, stats)
+    assert [row["K"] for row in ladder] == [1] and not st.passed
+    check_against_linear(base, g, 20, stats)
+
+
+@pytest.mark.parametrize(
+    "max_k_exp, Ks", [(8, [1]), (9, [1, 512])], ids=["top_2^8", "top_2^9"]
+)
+def test_k_ladder_lift_above_top(max_k_exp, Ks):
+    """Rung 0 reads -1000 along w, which 2K g g* lifts from K = 501 on:
+    lift_exp lies between 8 and 9.  With the top rung at 2^8 the search
+    stops at rung 0 and fails like the walk; at 2^9 it scans 512 and
+    passes like the walk."""
+    m = 4
+    g = np.zeros((m, 2), dtype=complex)
+    g[:, 1] = 1.0
+    H1 = np.zeros((m, 2, 2), dtype=complex)
+    H1[:, 0, 0] = 1 + np.arange(m)
+    H1[:, 1, 1] = -1000.0
+    base = H1 - rank_one_term(g)
+    stats = _psd_stats(m, 2)
+    assert 8 < lift_exp(base, g, stats(H1)) < 9
+    ladder, K, st = k_ladder(base, g, max_k_exp, stats)
+    assert [row["K"] for row in ladder] == Ks and st.passed == (max_k_exp == 9)
+    assert check_against_linear(base, g, max_k_exp, stats) == len(Ks)
 
 
 def test_report_dict_shape(r10_report):

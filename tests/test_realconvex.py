@@ -251,12 +251,14 @@ def test_multiplier_h_floor_stops_search():
 
 def test_multiplier_ladder_failure_shrinks():
     """A ladder that fails at every rung shrinks the radius once, and the
-    witness names the worst point, as in the complex lane."""
+    witness names the worst point, as in the complex lane.  K = 128 passes,
+    so with the top rung at 16 rung 0 puts every passing K above the top:
+    the search stops at rung 0, whose scan is the witness."""
     rep = convex_multiplier(rp("y + x^2 + 10*x*y"), RealConfig(max_k_exp=4))
     assert rep.status == "Exhausted"
     ks = rep.k_search
     assert ks["shrunk"] and ks["radius"] == 1e-2 * SHRINK
-    assert ks["ladder"][-1]["K"] == ks["witness"]["K"] == 16
+    assert [row["K"] for row in ks["ladder"]] == [ks["witness"]["K"]] == [1]
     assert not ks["ladder"][-1]["passed"]
     assert set(ks["witness"]) == {"K", "point", "min_eig", "min_minor", "min_diag"}
     assert set(ks["witness"]["point"]) == {"x", "y"}
