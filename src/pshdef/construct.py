@@ -41,6 +41,8 @@ from .verify import (
     check_certificate,
     check_sampling,
     hessian_values,
+    last_slot_minors,
+    ldl,
     levi_scan,
     psd_stats,
     sample_boundary,
@@ -305,45 +307,40 @@ def _gg(g) -> np.ndarray:
     return out
 
 
-def lift_exp(base, g, rung0) -> float:
-    """Least real e such that the stack base + 2K g g* at K = 2^e passes
-    the pass rule at every point, in exact arithmetic; inf when no K does.
+def lift_exp(H1, g, tol: float) -> float:
+    """Least real e such that the stack H1 + 2k g g*, k = 2^e - 1, passes
+    the pass rule with tolerance tol at every point, in exact arithmetic;
+    inf when no K does.
 
-    rung0 is the PsdCheckResult of rung 0's stack H1 = base + 2 g g*; with
-    k = K - 1 the stack at K is H1 + 2k g g*, and each statistic has a
-    closed form in k.  A last-slot minor with entries a, b, c is affine in
-    k, the k^2 part cancelling:
+    H1 is rung 0's stack base + 2 g g*, so k = K - 1 reaches rung K, and
+    each statistic has a closed form in k.  A last-slot minor with
+    entries a, b, c is affine in k, the k^2 part cancelling:
     m(k) = m0 + 2k (a |g_n|^2 + c |g_j|^2 - 2 Re(conj(b) g_j conj(g_n))),
-    so a failing minor needs a positive slope.  A point whose least
-    eigenvalue is below -tol can be lifted only if it is the only one
-    there: by interlacing, a rank-one update moves the least eigenvalue at
-    most up to the second.  Then, with C = H1 + tol I and phi = g* C^-1 g,
-    the matrix determinant lemma gives det(C + 2k g g*) = det C (1 + 2k phi),
-    so the point passes exactly when phi < 0 and k >= -1/(2 phi).  The
-    diagonal test is implied by the eigenvalue test.  A value that is not
-    finite lifts no point, nor does C singular at some point.
+    so a failing minor needs a positive slope.  The eigenvalues are read
+    off one `ldl` of C = H1 + tol I with right side g.  A point whose
+    least eigenvalue is below -tol has a negative pivot; two negative
+    pivots mean, by Sylvester's law of inertia, a second eigenvalue below
+    -tol, which by interlacing no rank-one update lifts.  With one, and
+    phi = g* C^-1 g = sum |y|^2 / d, the matrix determinant lemma gives
+    det(C + 2k g g*) = det C (1 + 2k phi), so the point passes exactly
+    when phi < 0 and k >= -1/(2 phi).  The diagonal test is implied by the
+    eigenvalue test.  A value that is not finite lifts no point, and so
+    neither does C singular where it matters: a zero pivot leaves the
+    later pivots non-finite, or phi when it is a bad point's last.
     """
-    tol = rung0.tol
-    least, second = rung0.low_eigs.T
-    bad = least < -tol
-    if not np.isfinite(rung0.low_eigs).all() or np.any(second[bad] < -tol):
+    d, y = ldl(H1, -tol, g)
+    negative = np.sum(d < 0, axis=1)
+    if not np.isfinite(d).all() or np.any(negative > 1):
         return math.inf
-    C = _gg(g[bad])
-    C += base[bad]
-    diag = np.arange(C.shape[-1])
-    C[:, diag, diag] += tol
-    try:
-        x = np.linalg.solve(C, g[bad][:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # C singular at some point
-        return math.inf
-    phi = np.sum(np.conj(g[bad]) * x, axis=1).real
-    # the diagonal and last column of H1, without forming H1 again
+    bad = negative == 1
+    phi = np.sum((y[bad] * np.conj(y[bad])).real / d[bad], axis=1)
+    # the diagonal and last column of H1
     gj, gn = g[:, :-1], g[:, -1:]
-    d = (np.diagonal(base, axis1=1, axis2=2) + 2.0 * (g * np.conj(g))).real
-    col = base[:, :-1, -1] + 2.0 * (gj * np.conj(gn))
-    m0 = d[:, :-1] * d[:, -1:] - np.abs(col) ** 2  # as `last_slot_minors`
+    diag = np.diagonal(H1, axis1=1, axis2=2).real
+    col = H1[:, :-1, -1]
+    m0 = last_slot_minors(H1)
     cross = (np.conj(col) * gj * np.conj(gn)).real
-    slope = d[:, :-1] * np.abs(gn) ** 2 + d[:, -1:] * np.abs(gj) ** 2 - 2 * cross
+    slope = diag[:, :-1] * np.abs(gn) ** 2 + diag[:, -1:] * np.abs(gj) ** 2 - 2 * cross
     fails = m0 < -tol
     with np.errstate(divide="ignore", invalid="ignore"):
         need = np.concatenate([(-tol - m0[fails]) / (2 * slope[fails]), -0.5 / phi])
@@ -358,26 +355,28 @@ def k_ladder(base, g, max_k_exp: int, stats):
     base is the Hessian of (h - K r) r and g the gradient of r, per point.
     Hess(r^2) = 2 g g* + 2 r Hess r and r = 0 on the boundary, so there
     the stack at K is base + 2K g g*.  Rung 0 (K = 1) goes first; if it
-    fails and `lift_exp` puts the least passing e at most max_k_exp, the
-    scan at 2^e, e rounded up to at least 1, is the verdict; else rung 0's
-    is.  stats maps a Hessian stack to its PsdCheckResult.  Returns the
-    rows of the rungs evaluated in ascending K, and the last K with its
-    result.
+    fails and `lift_exp`, reading rung 0's stack, puts the least passing e
+    at most max_k_exp, the scan at 2^e, e rounded up to at least 1, is the
+    verdict; else rung 0's is.  stats maps a Hessian stack to its
+    PsdCheckResult.  Returns the rows of the rungs evaluated in ascending
+    K, and the last K with its result.
     """
 
-    def scan(e):
+    def rung(e):
         H = _gg(g)
         H *= 2**e
         H += base
-        return stats(H)
+        return H
 
-    results = {0: scan(0)}
+    H1 = rung(0)
+    results = {0: stats(H1)}
     e = 0
     if not results[0].passed and max_k_exp > 0:
-        lift = lift_exp(base, g, results[0])
+        lift = lift_exp(H1, g, results[0].tol)
+        del H1  # freed before rung e's stack is built
         if lift <= max_k_exp:
             e = max(1, math.ceil(lift))
-            results[e] = scan(e)
+            results[e] = stats(rung(e))
     ladder = [
         {
             "K": 2**k,

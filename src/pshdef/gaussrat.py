@@ -58,6 +58,8 @@ class GaussianRational:
         return GaussianRational.of(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # two products, not four
+            return GaussianRational(self.re * other, self.im * other)
         o = GaussianRational.of(other)
         return GaussianRational(
             self.re * o.re - self.im * o.im,

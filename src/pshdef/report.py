@@ -59,6 +59,6 @@ def hessian_csv(f, shell) -> str:
         vals = [str(i)]
         vals += [_fmt(diags[i, a]) for a in range(n)]
         vals += [_fmt(minors[i, j]) for j in range(n - 1)]
-        vals.append(_fmt(eigs[i, 0]))
+        vals.append(_fmt(eigs[i]))
         rows.append(",".join(vals))
     return "\n".join(rows) + "\n"

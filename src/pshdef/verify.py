@@ -4,16 +4,17 @@ Boundary points come from a low-discrepancy tangential sample (the
 scrambled Halton stream of `sampler`, plain numpy) with Im w recovered by
 1-D Newton (residual <= 1e-12).  PSD checks look at Hessian diagonals, all
 z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the closed-form
-eigenvalue, larger n a batched solve.  Everything is deterministic under a
-fixed seed.  The ball sampler, the Newton solver, the PSD statistics and
-the h floor serve the real lane too.  `check_certificate` is the one pass
-rule for a finished certificate, applied by `construct` and `pshdef verify`.
+eigenvalue, larger n a batched solve at the points a batched LDL* screen
+leaves.  Everything is deterministic under a fixed seed.  The ball
+sampler, the Newton solver, the PSD statistics and the h floor serve the
+real lane too.  `check_certificate` is the one pass rule for a finished
+certificate, applied by `construct` and `pshdef verify`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -263,18 +264,64 @@ def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
     return hessian_stack(hessian_entries(f), Z, W, complex)
 
 
+def least_2x2(a, b2, c):
+    """Least eigenvalue of [[a, b], [conj(b), c]] per point, given a and c
+    real and b2 = |b|^2."""
+    half = 0.5 * (a + c)
+    return half - np.sqrt((0.5 * (a - c)) ** 2 + b2)
+
+
 def least_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """The two smallest eigenvalues per point, ascending, shape (m, 2);
-    closed form for 2x2, solver otherwise."""
-    n = H.shape[-1]
-    if n == 2:
-        a = H[:, 0, 0].real
-        c = H[:, 1, 1].real
-        b = H[:, 0, 1]
-        half = 0.5 * (a + c)
-        disc = np.sqrt((0.5 * (a - c)) ** 2 + np.abs(b) ** 2)
-        return np.stack([half - disc, half + disc], axis=1)
-    return np.linalg.eigvalsh(H)[:, :2]
+    """The least eigenvalue per point, shape (m,); closed form for 2x2,
+    solver otherwise."""
+    if H.shape[-1] == 2:
+        return least_2x2(H[:, 0, 0].real, np.abs(H[:, 0, 1]) ** 2, H[:, 1, 1].real)
+    return np.linalg.eigvalsh(H)[:, 0]
+
+
+LDL_BLOCK = 2048  # points per `ldl` block: bounds its column temporaries
+
+
+def ldl(H: np.ndarray, shift, rhs: np.ndarray | None = None):
+    """LDL* of H - shift I at each point, without pivoting.
+
+    H is a Hermitian (or real symmetric) stack (m, n, n), read as 1-D
+    columns of its entries on and below the diagonal, which suits small n;
+    shift is a scalar or one value per point.  Returns the pivots d (m, n)
+    and, given rhs (m, n), the y (m, n) solving L y = rhs, so that
+    rhs* (H - shift I)^-1 rhs = sum |y|^2 / d; else None.  While every
+    pivot is nonzero, the number of negative pivots is the number of
+    eigenvalues below shift (Sylvester's law of inertia).  A zero pivot
+    leaves every later pivot non-finite, and a NaN entry some pivot.
+    Points go through in blocks of LDL_BLOCK.
+    """
+    m, n = H.shape[:2]
+    shift = np.broadcast_to(shift, (m,))
+    d = np.empty((m, n))
+    y = None if rhs is None else np.empty((m, n), np.result_type(H, rhs))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, m, LDL_BLOCK):
+            b = slice(lo, lo + LDL_BLOCK)
+            L = [[None] * n for _ in range(n)]
+            Ec = [[None] * n for _ in range(n)]  # Ec[j][k] = conj(L_jk) d_k
+            for k in range(n):
+                dk = H[b, k, k].real - shift[b]
+                for p in range(k):
+                    dk = dk - (L[k][p] * Ec[k][p]).real
+                d[b, k] = dk
+                for j in range(k + 1, n):
+                    e = H[b, j, k]
+                    for p in range(k):
+                        e = e - L[j][p] * Ec[k][p]
+                    Ec[j][k] = np.conj(e)
+                    L[j][k] = e / dk
+            if rhs is not None:
+                for k in range(n):
+                    yk = rhs[b, k]
+                    for p in range(k):
+                        yk = yk - L[k][p] * y[b, p]
+                    y[b, k] = yk
+    return d, y
 
 
 @dataclass
@@ -286,9 +333,6 @@ class PsdCheckResult:
     min_eig: float
     worst_point: dict
     count: int
-    # the two least eigenvalues per point, (m, 2), for the K search; not
-    # part of the report
-    low_eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -324,39 +368,89 @@ def last_slot_minors(H: np.ndarray) -> np.ndarray:
     )
 
 
-def psd_arrays(H: np.ndarray):
-    """Per-point PSD statistics of a Hermitian (or real symmetric) stack.
-
-    Returns the diagonals (m, n), the `last_slot_minors` (m, n - 1) and the
-    two least eigenvalues (m, 2).  An empty stack raises ValueError: no
-    points are no evidence.
-    """
+def diagonals(H: np.ndarray) -> np.ndarray:
+    """The real diagonals (m, n) of a Hermitian (or real symmetric) stack.
+    An empty stack raises ValueError: no points are no evidence."""
     if not len(H):
         raise ValueError("PSD statistics need at least one point")
+    return np.stack([H[:, j, j].real for j in range(H.shape[-1])], axis=1)
+
+
+def psd_arrays(H: np.ndarray):
+    """Per-point PSD statistics of a Hermitian (or real symmetric) stack:
+    the `diagonals` (m, n), the `last_slot_minors` (m, n - 1) and the
+    least eigenvalues (m,)."""
+    return diagonals(H), last_slot_minors(H), least_eigenvalues(H)
+
+
+SCREEN_SEEDS = 32  # points whose least eigenvalues give the screen's bound
+SCREEN_MARGIN = 2.0**-40  # the screen's shift above that bound, relative
+
+
+def eigen_candidates(H: np.ndarray, diags: np.ndarray):
+    """The points of an n >= 3 stack where the least eigenvalue can be the
+    stack's minimum, as indices in ascending order; None means every point.
+    diags are the stack's `diagonals`.
+
+    t is the least eigenvalue of the SCREEN_SEEDS points whose 2x2
+    principal submatrices have the smallest least eigenvalue, an upper
+    bound on the point's own (Cauchy interlacing).  A point drops out when
+    H - s I, with s = t + SCREEN_MARGIN (max |H_jk| + |t|) over its
+    entries, has only positive `ldl` pivots.  For n <= 4 that margin is
+    well over ten times the backward error of the LDL* and the eigen
+    solver together, so a dropped point's computed least eigenvalue lies
+    strictly above t.  The seed points stay in, so the minimum and its
+    first index over the candidates are those over the stack, the same
+    floats.  n = 2 has a closed form, and a t that is not finite screens
+    nothing.
+    """
     n = H.shape[-1]
-    diags = np.stack([H[:, j, j].real for j in range(n)], axis=1)
-    return diags, last_slot_minors(H), least_eigenvalues(H)
+    if n < 3 or len(H) <= SCREEN_SEEDS:
+        return None
+    bound = np.full(len(H), np.inf)
+    size2 = diags[:, 0] ** 2  # max |H_jk|^2 over the point's entries
+    for j in range(1, n):
+        np.maximum(size2, diags[:, j] ** 2, out=size2)
+    for j, k in zip(*np.triu_indices(n, 1)):
+        b2 = np.abs(H[:, j, k]) ** 2
+        np.minimum(bound, least_2x2(diags[:, j], b2, diags[:, k]), out=bound)
+        np.maximum(size2, b2, out=size2)
+    seeds = np.argpartition(bound, SCREEN_SEEDS)[:SCREEN_SEEDS]
+    t = float(least_eigenvalues(H[seeds]).min())
+    if not math.isfinite(t):
+        return None
+    shift = np.sqrt(size2, out=size2)  # s, formed in place of size2
+    shift += abs(t)
+    shift *= SCREEN_MARGIN
+    shift += t
+    keep = ~np.all(ldl(H, shift)[0] > 0, axis=1)
+    keep[seeds] = True
+    return np.flatnonzero(keep)
 
 
 def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
     """The pass rule: every diagonal, minor and least eigenvalue >= -tol.
 
-    point(i) describes point i for the report's worst point.
+    point(i) describes point i for the report's worst point, the first
+    point with the least eigenvalue.  Eigenvalues are solved only at the
+    `eigen_candidates`, which give the same minimum and the same point as
+    a scan of every point.
     """
-    diags, minors, low_eigs = psd_arrays(H)
-    eigs = low_eigs[:, 0]
+    diags = diagonals(H)
     min_diag = float(diags.min())
-    min_minor = float(minors.min())
-    min_eig = float(eigs.min())
+    min_minor = float(last_slot_minors(H).min())
+    idx = eigen_candidates(H, diags)
+    eigs = least_eigenvalues(H if idx is None else H[idx])
+    i = int(np.argmin(eigs))
+    min_eig = float(eigs[i])
     return PsdCheckResult(
         passed=bool(min(min_diag, min_minor, min_eig) >= -tol),
         tol=tol,
         min_diag=min_diag,
         min_minor=min_minor,
         min_eig=min_eig,
-        worst_point=point(int(np.argmin(eigs))),
-        count=len(eigs),
-        low_eigs=low_eigs,
+        worst_point=point(i if idx is None else int(idx[i])),
+        count=len(H),
     )
 
 

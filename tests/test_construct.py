@@ -267,6 +267,29 @@ def test_stage_split_once_per_polynomial(monkeypatch):
     assert calls[1] == rep.stages[1].parts[0].g
 
 
+def test_ladder_solves_few_eigenvalues(monkeypatch):
+    """ball3_tilted's K search scans about 32k 4x4 points per rung; the LDL*
+    screen hands the eigen solver under a tenth of them."""
+    scanned, solved = [], []
+    stats, least = verify.psd_result, verify.least_eigenvalues
+
+    def counting_stats(H, *args):
+        scanned.append(len(H))
+        return stats(H, *args)
+
+    def counting_least(H):
+        solved.append(len(H))
+        return least(H)
+
+    monkeypatch.setattr(verify, "psd_result", counting_stats)
+    monkeypatch.setattr(verify, "least_eigenvalues", counting_least)
+    r = _complex("Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3)
+    ks = k_search(r, WPoly.zero(3))
+    assert ks.found and ks.K == 16 and len(ks.ladder) == 2
+    assert len(scanned) == 2 and min(scanned) > 30_000
+    assert sum(solved) < 0.1 * sum(scanned)
+
+
 def test_k_search_standalone(r10):
     ks = k_search(r10, im_z(1).scale(Fraction(-4)))
     assert ks.found and ks.K == 64
@@ -420,7 +443,7 @@ def check_against_linear(base, g, max_k_exp, stats):
         assert st.as_dict() == ref_st.as_dict()
     assert len(ladder) == len(evaluated) <= 2
     rung0 = evaluated[0]
-    if not rung0.passed and lift_exp(base, g, rung0) > max_k_exp:
+    if not rung0.passed and lift_exp(base + rank_one_term(g), g, rung0.tol) > max_k_exp:
         assert len(ladder) == 1
     Ks = [row["K"] for row in ladder]
     assert Ks[0] == 1 and Ks == sorted(set(Ks)) and Ks[-1] == K
@@ -580,7 +603,7 @@ def test_k_ladder_negative_direction_orthogonal_to_step(n):
     base = Q @ D @ Q.conj().transpose(0, 2, 1)
     g = np.einsum("mjk,mk->mj", Q, g0)
     stats = _psd_stats(m, n)
-    assert lift_exp(base, g, stats(base + rank_one_term(g))) == math.inf
+    assert lift_exp(base + rank_one_term(g), g, 1e-9) == math.inf
     ladder, K, st = k_ladder(base, g, 20, stats)
     assert [row["K"] for row in ladder] == [1] and not st.passed
     check_against_linear(base, g, 20, stats)
@@ -624,7 +647,7 @@ def test_k_ladder_minor_cannot_lift(a, b):
     stats = _psd_stats(m, 2)
     rung0 = stats(H1)
     assert rung0.min_minor < -1e-9 and not rung0.passed
-    assert lift_exp(base, g, rung0) == math.inf
+    assert lift_exp(H1, g, rung0.tol) == math.inf
     ladder, K, st = k_ladder(base, g, 20, stats)
     assert [row["K"] for row in ladder] == [1] and not st.passed
     check_against_linear(base, g, 20, stats)
@@ -646,7 +669,7 @@ def test_k_ladder_lift_above_top(max_k_exp, Ks):
     H1[:, 1, 1] = -1000.0
     base = H1 - rank_one_term(g)
     stats = _psd_stats(m, 2)
-    assert 8 < lift_exp(base, g, stats(H1)) < 9
+    assert 8 < lift_exp(H1, g, 1e-9) < 9
     ladder, K, st = k_ladder(base, g, max_k_exp, stats)
     assert [row["K"] for row in ladder] == Ks and st.passed == (max_k_exp == 9)
     assert check_against_linear(base, g, max_k_exp, stats) == len(Ks)

@@ -14,18 +14,23 @@ from pshdef.construct import k_search, run_construction
 from pshdef.cr import hessian_minor_det, validate_normal_form
 from pshdef.exprparse import parse_wpoly
 from pshdef.numeval import compiled
+from pshdef.report import hessian_csv
 from pshdef.verify import (
     BoundaryShell,
     IdentityCheckResult,
     check_certificate,
     identity_check_prop31,
     hessian_values,
+    diagonals,
+    eigen_candidates,
     last_slot_minors,
+    ldl,
     least_eigenvalues,
     levi_scan,
     necessary_conditions_check,
     project_to_boundary,
     psd_check,
+    psd_result,
     sample_boundary,
     sample_collar,
 )
@@ -332,7 +337,7 @@ def test_collar_points_inside(r10):
 def test_least_eigenvalues_closed_form(r10, small_shell):
     H = hessian_values(r10.poly, small_shell.Z, small_shell.W)
     fast = least_eigenvalues(H)
-    ref = np.linalg.eigvalsh(H)
+    ref = np.linalg.eigvalsh(H)[:, 0]
     assert np.max(np.abs(fast - ref)) <= 1e-12
 
 
@@ -341,3 +346,151 @@ def test_psd_check_rejects_empty_shell(r10):
     assert shell.count == 0
     with pytest.raises(ValueError, match="at least one point"):
         psd_check(r10.poly, shell)
+
+
+# -- the LDL* kernel and the eigenvalue screen ------------------------------
+
+
+def _hermitian(rng, m, n, real=False):
+    M = rng.normal(size=(m, n, n))
+    if not real:
+        M = M + 1j * rng.normal(size=(m, n, n))
+    return (M + np.conj(np.swapaxes(M, 1, 2))) / 2
+
+
+def _spectrum(rng, lam, real=False):
+    """Q diag(lam) Q* per point, Q a random orthogonal or unitary frame."""
+    m, n = lam.shape
+    M = _hermitian(rng, m, n, real)
+    Q, _ = np.linalg.qr(M + 3 * np.eye(n))
+    return (Q * lam[:, None, :]) @ np.conj(np.swapaxes(Q, 1, 2))
+
+
+def _scan_outcome(scan):
+    """(least eigenvalue, first point holding it), or the error raised."""
+    try:
+        return scan()
+    except np.linalg.LinAlgError as e:
+        return type(e)
+
+
+def _full(H):
+    eigs = least_eigenvalues(H)
+    i = int(np.argmin(eigs))
+    return float(eigs[i]), i
+
+
+def _screened(H):
+    st = psd_result(H, 1e-9, lambda i: i)
+    return st.min_eig, st.worst_point
+
+
+def _screen_stacks():
+    rng = np.random.default_rng(7)
+    stacks = {}
+    for n in (3, 4):
+        stacks[f"complex n={n}"] = _hermitian(rng, 600, n)
+        stacks[f"real n={n}"] = _hermitian(rng, 600, n, real=True)
+        # mostly clear of the minimum, as passing rungs are
+        stacks[f"shifted n={n}"] = _hermitian(rng, 600, n) + 5 * np.eye(n)
+        stacks[f"all bad n={n}"] = -_spectrum(rng, rng.uniform(1, 2, size=(600, n)))
+        # least eigenvalue 0 in exact arithmetic, rounding noise of both
+        # signs: a plateau the width of the screen's margin
+        lam = rng.uniform(0.5, 2, size=(600, n))
+        lam[:, 0] = 0.0
+        stacks[f"near-zero PSD n={n}"] = _spectrum(rng, lam)
+    # a constant Levi-like matrix with eigenvalues (5/2, -1/2, 1), repeated
+    # between random points clear of it: the minimum is a tied plateau
+    levi = np.array([[1, 1.5, 0], [1.5, 1, 0], [0, 0, 1]], dtype=complex)
+    plateau = _hermitian(rng, 600, 3) + 5 * np.eye(3)
+    plateau[rng.choice(600, size=200, replace=False)] = levi
+    stacks["plateau"] = plateau
+    for entry, name in (((1, 2), "NaN off-diagonal"), ((1, 1), "NaN diagonal")):
+        H = _hermitian(rng, 600, 3) + 5 * np.eye(3)
+        H[300][entry] = H[300][entry[::-1]] = np.nan
+        stacks[name] = H
+    return stacks
+
+
+SCREEN_STACKS = _screen_stacks()
+
+
+@pytest.mark.parametrize("name", list(SCREEN_STACKS))
+def test_screen_keeps_minimum_and_first_point(name):
+    """The screened scan's least eigenvalue and worst point are the full
+    scan's least eigenvalue and its first argmin, the same floats, or the
+    same error."""
+    H = SCREEN_STACKS[name]
+    full = _scan_outcome(lambda: _full(H))
+    assert _scan_outcome(lambda: _screened(H)) == full
+    if name in ("complex n=4", "real n=4", "shifted n=4"):
+        assert len(eigen_candidates(H, diagonals(H))) < len(H) / 2
+
+
+def test_screen_plateau_keeps_every_tie():
+    """Every point of the plateau is a candidate, so the first of them is
+    the worst point."""
+    H = SCREEN_STACKS["plateau"]
+    idx = eigen_candidates(H, diagonals(H))
+    tied = np.flatnonzero(np.all(H == H[np.argmin(least_eigenvalues(H))], axis=(1, 2)))
+    assert set(tied) <= set(idx)
+    assert _screened(H)[1] == tied[0]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ldl_inertia_matches_eigenvalues(n, real):
+    """The number of negative pivots of H + tol I is the number of
+    eigenvalues of H below -tol (Sylvester's law of inertia)."""
+    rng = np.random.default_rng(n + 10 * real)
+    tol = 1e-9
+    stacks = [_hermitian(rng, 500, n, real)]
+    if n > 2 and not real:
+        stacks.append(SCREEN_STACKS[f"near-zero PSD n={n}"])
+    for H in stacks:
+        d, y = ldl(H, -tol)
+        assert y is None
+        below = np.sum(np.linalg.eigvalsh(H) < -tol, axis=1)
+        assert np.array_equal(np.sum(d < 0, axis=1), below)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ldl_quadratic_form_matches_solve(n):
+    """sum |y|^2 / d is g* (H + tol I)^-1 g, to 1e-12 of the sum of the
+    terms' sizes, which is |phi| itself where H + tol I is positive
+    definite; the stacks hold at most one negative eigenvalue, as
+    `lift_exp` reads them."""
+    rng = np.random.default_rng(n)
+    tol = 1e-9
+    lam = rng.uniform(0.5, 2, size=(400, n))
+    lam[:200, 0] *= -1
+    H = _spectrum(rng, lam)
+    g = rng.normal(size=(400, n)) + 1j * rng.normal(size=(400, n))
+    d, y = ldl(H, -tol, g)
+    terms = (y * np.conj(y)).real / d
+    phi = terms.sum(axis=1)
+    C = H + tol * np.eye(n)
+    ref = np.sum(np.conj(g) * np.linalg.solve(C, g[:, :, None])[:, :, 0], axis=1).real
+    assert np.all(np.abs(phi - ref) <= 1e-12 * np.abs(terms).sum(axis=1))
+    assert np.all(phi[200:] > 0)
+
+
+@pytest.mark.parametrize("name", ["nz2_quartic", "ball3_tilted"])
+def test_hessian_csv_minimum_is_psd_worst_point(name):
+    """The CSV table solves every point's least eigenvalue and the PSD check
+    only its screen's candidates: the table's least `least_eig` and its
+    first row are the check's min_eig and worst point."""
+    r, T, K, h = certificate(name)
+    f = h * r.poly
+    shell = sample_boundary(r, 1e-2, 2000, seed=0)
+    lines = hessian_csv(f, shell).splitlines()
+    col = lines[0].split(",").index("least_eig")
+    eigs = np.array([float(line.split(",")[col]) for line in lines[1:]])
+    i = int(np.argmin(eigs))
+    psd = psd_check(f, shell)
+    assert psd.min_eig == eigs[i]
+    Z, W = shell.Z, shell.W
+    assert psd.worst_point == {
+        "z": [[float(z.real), float(z.imag)] for z in Z[i]],
+        "w": [float(W[i].real), float(W[i].imag)],
+    }

@@ -196,3 +196,22 @@ def test_multivariable_derivatives():
     assert p.dz(0) == z1.scale(GaussianRational(2, 0)) * z2
     assert p.dz(1) == z1 * z1
     assert p.dzbar(0).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_factor_product_matches_promoted(seed):
+    """An int or Fraction factor takes the two-product branch of
+    `GaussianRational.__mul__`; the result equals the product with the
+    factor promoted to a Gaussian rational, from either side."""
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    for _ in range(200):
+        c = GaussianRational(frac(), frac())
+        k = rng.choice([rng.randint(-50, 50), frac()])
+        promoted = c * GaussianRational(k, 0)
+        for product in (c * k, k * c):
+            assert product == promoted
+            assert type(product.re) is Fraction and type(product.im) is Fraction
