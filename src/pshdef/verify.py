@@ -434,11 +434,24 @@ def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
     point(i) describes point i for the report's worst point, the first
     point with the least eigenvalue.  Eigenvalues are solved only at the
     `eigen_candidates`, which give the same minimum and the same point as
-    a scan of every point.
+    a scan of every point.  A stack with a non-finite entry fails, with
+    min_eig nan and the first point holding such an entry as the worst.
     """
     diags = diagonals(H)
     min_diag = float(diags.min())
     min_minor = float(last_slot_minors(H).min())
+    if not np.isfinite(H.sum()):  # a non-finite entry, or the sum overflowed
+        finite = np.isfinite(H).all(axis=(1, 2))
+        if not finite.all():
+            return PsdCheckResult(
+                passed=False,
+                tol=tol,
+                min_diag=min_diag,
+                min_minor=min_minor,
+                min_eig=math.nan,
+                worst_point=point(int(np.argmin(finite))),
+                count=len(H),
+            )
     idx = eigen_candidates(H, diags)
     eigs = least_eigenvalues(H if idx is None else H[idx])
     i = int(np.argmin(eigs))

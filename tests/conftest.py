@@ -17,6 +17,7 @@ from pshdef.dominance import (
     _num_sq,
     _ratios,
 )
+from pshdef.gaussrat import format_gaussian
 from pshdef.numeval import compiled
 from pshdef.verify import point_norms, sample_boundary
 from pshdef.wirtinger import WPoly, im_w, im_z, re_w, re_z
@@ -194,6 +195,116 @@ def loop_curve_escape(numerators, bound_poly, probes):
         "ratios": [float(x) for x in ratio],
         "final_ratio": final,
     }
+
+
+# -- Gaussian rationals ---------------------------------------------------
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+class PairGaussian:
+    """Reference Gaussian rational: a + b*i as a pair of Fractions, each
+    operation done in Fraction arithmetic.  `gaussrat.GaussianRational`
+    holds (a + b i) / d as three ints and must give the same values, text
+    and floats."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    @staticmethod
+    def of(x) -> "PairGaussian":
+        if isinstance(x, PairGaussian):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return PairGaussian(x, 0)
+        if isinstance(x, complex):
+            raise TypeError("floats are not exact; build from Fraction instead")
+        raise TypeError(f"cannot coerce {x!r} to GaussianRational")
+
+    def __add__(self, other):
+        o = PairGaussian.of(other)
+        return PairGaussian(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = PairGaussian.of(other)
+        return PairGaussian(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return PairGaussian.of(other) - self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # two products, not four
+            return PairGaussian(self.re * other, self.im * other)
+        o = PairGaussian.of(other)
+        return PairGaussian(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = PairGaussian.of(other)
+        den = o.re * o.re + o.im * o.im
+        if den == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return PairGaussian(
+            (self.re * o.re + self.im * o.im) / den,
+            (self.im * o.re - self.re * o.im) / den,
+        )
+
+    def __rtruediv__(self, other):
+        return PairGaussian.of(other) / self
+
+    def __neg__(self):
+        return PairGaussian(-self.re, -self.im)
+
+    def conjugate(self) -> "PairGaussian":
+        return PairGaussian(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        try:
+            o = PairGaussian.of(other)
+        except TypeError:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return format_gaussian(self)
 
 
 # -- deterministic random polynomials -------------------------------------

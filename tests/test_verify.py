@@ -1,5 +1,6 @@
 """Numeric verification: shells, PSD scans, the determinant identity."""
 
+import math
 import sys
 
 import numpy as np
@@ -366,14 +367,6 @@ def _spectrum(rng, lam, real=False):
     return (Q * lam[:, None, :]) @ np.conj(np.swapaxes(Q, 1, 2))
 
 
-def _scan_outcome(scan):
-    """(least eigenvalue, first point holding it), or the error raised."""
-    try:
-        return scan()
-    except np.linalg.LinAlgError as e:
-        return type(e)
-
-
 def _full(H):
     eigs = least_eigenvalues(H)
     i = int(np.argmin(eigs))
@@ -418,13 +411,41 @@ SCREEN_STACKS = _screen_stacks()
 @pytest.mark.parametrize("name", list(SCREEN_STACKS))
 def test_screen_keeps_minimum_and_first_point(name):
     """The screened scan's least eigenvalue and worst point are the full
-    scan's least eigenvalue and its first argmin, the same floats, or the
-    same error."""
+    scan's least eigenvalue and its first argmin, the same floats; a stack
+    holding a NaN fails at its NaN point instead."""
     H = SCREEN_STACKS[name]
-    full = _scan_outcome(lambda: _full(H))
-    assert _scan_outcome(lambda: _screened(H)) == full
+    if name.startswith("NaN"):
+        st = psd_result(H, 1e-9, lambda i: i)
+        assert not st.passed and math.isnan(st.min_eig) and st.worst_point == 300
+        return
+    assert _screened(H) == _full(H)
     if name in ("complex n=4", "real n=4", "shifted n=4"):
         assert len(eigen_candidates(H, diagonals(H))) < len(H) / 2
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["one entry", "mirrored"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "n, entry",
+    # (0, 1) of a 3x3 stack lies in no last-slot minor
+    [(4, (0, 1)), (3, (1, 2)), (3, (0, 1))],
+    ids=["4x4 (0,1)", "3x3 (1,2)", "3x3 (0,1)"],
+)
+def test_psd_result_fails_non_finite(n, entry, value, mirrored):
+    """A non-finite entry fails the pass rule and raises nothing: Python's
+    min drops a NaN that is not its first argument, and eigvalsh can give
+    a finite least eigenvalue at a NaN point or raise at a NaN diagonal.
+    The worst point is the first one holding such an entry."""
+    bad = [40, 70]
+    H = np.tile(np.eye(n, dtype=complex), (100, 1, 1))
+    for i in bad:
+        H[i][entry] = value
+        if mirrored:
+            H[i][entry[::-1]] = value
+    st = psd_result(H, 1e-9, lambda i: i)
+    assert not st.passed
+    assert math.isnan(st.min_eig)
+    assert st.worst_point == bad[0]
 
 
 def test_screen_plateau_keeps_every_tie():
