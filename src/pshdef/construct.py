@@ -155,7 +155,6 @@ class StagePart:
 class StageRecord:
     index: int
     parts: list
-    cross_checks: list
     absorbed: list
     T_increment: WPoly
     T_after: WPoly
@@ -165,7 +164,6 @@ class StageRecord:
         return {
             "index": self.index,
             "parts": [p.as_dict() for p in self.parts],
-            "cross_checks": self.cross_checks,
             "absorbed": list(self.absorbed),
             "T_increment": real_basis_str(self.T_increment),
             "T_after": real_basis_str(self.T_after),
@@ -490,13 +488,6 @@ def strong_psc_shortcut(r: DefiningFunction):
 # -- the loop -------------------------------------------------------------
 
 
-def _cross_bound(r: DefiningFunction, j: int) -> WPoly:
-    """Levi form along v_j plus |r_{z_j}|^2, the cross-derivative bound."""
-    return r.cached(
-        ("cross_bound", j), lambda: r.levi(j) + r.d_z(j) * r.d_z(j).conjugate()
-    )
-
-
 def _stage_split(r: DefiningFunction, T: WPoly, j: int, bound, probes):
     """g = ((1 + T) r)_{z_j w-bar} and its S/E split, computed once per
     (T, j, bound, probes) on r: the contraction metric splits g(T_next),
@@ -516,23 +507,29 @@ def _sup_abs(p: WPoly, shell) -> float:
 
 
 def _merge_increments(incs: list):
-    """Union of per-j increments; same monomial must carry the same
-    coefficient everywhere it appears.  Returns (merged, conflict)."""
+    """One real T for the stage system T_{z_j} = 2i S_j + residual_j, all j.
+
+    The merge is the union of the per-j increments, a monomial keeping its
+    first coefficient.  `solve_stage` makes incs[j] solve equation j, so
+    the merge solves it exactly when its z_j derivative equals incs[j]'s.
+    A real T solving every equation agrees with each incs[j] on the terms
+    in z_j or zbar_j, so it is the merge up to terms free of z; hence a
+    failing j proves the system has no real solution.  Returns (merged,
+    None), or (None, failure) naming the first failing j and the first
+    monomial where merged_{z_j} is wrong.
+    """
     nz = incs[0].nz
     merged = {}
-    owner = {}
-    for j, inc in enumerate(incs):
+    for inc in incs:
         for m, c in inc.terms.items():
-            if m in merged:
-                if merged[m] != c:
-                    return None, {
-                        "pair": [owner[m] + 1, j + 1],
-                        "monomial": canonical_str(WPoly(nz, {m: c})),
-                    }
-            else:
-                merged[m] = c
-                owner[m] = j
-    return WPoly(nz, merged), None
+            merged.setdefault(m, c)
+    merged = WPoly(nz, merged)
+    for j, inc in enumerate(incs):
+        wrong = merged.dz(j) - inc.dz(j)
+        if not wrong.is_zero():
+            m, c = wrong.sorted_terms()[0]
+            return None, {"j": j + 1, "monomial": canonical_str(WPoly(nz, {m: c}))}
+    return merged, None
 
 
 def run_construction(
@@ -573,7 +570,7 @@ def run_construction(
             cand.K = ks.K
             final = cand
             status = "Certified"
-            stages.append(StageRecord(0, [], [], [], zero, zero, ks))
+            stages.append(StageRecord(0, [], [], zero, zero, ks))
         else:
             messages.append("shortcut K search failed; entering stage loop")
 
@@ -586,7 +583,6 @@ def run_construction(
     while status is None and n < config.max_stages:
         n += 1
         parts = []
-        incs = []
         obstructed_part = None
         for j in range(nz):
             g, sp = _stage_split(r, T, j, config.bound, probes)
@@ -597,7 +593,6 @@ def run_construction(
                 if rv.status == "NotDominated":
                     obstructed_part = (j, rv)
             parts.append(StagePart(j, g, sp, T_inc, residual, rv))
-            incs.append(T_inc)
             if sp.has_unknown:
                 messages.append(
                     f"stage {n}, j={j + 1}: unknown dominance verdicts kept in S"
@@ -611,70 +606,31 @@ def run_construction(
                 "j": j + 1,
                 "verdict": rv.as_dict(),
                 "claim": (
-                    "the stage equation leaves a residual that no Levi "
-                    "multiple dominates; no multiplier of this form can "
-                    "produce a plurisubharmonic defining function near 0"
+                    f"the residual for z_{j + 1} at stage {n} is not "
+                    "dominated, so the stages stop here; this does not rule "
+                    "out another multiplier"
                 ),
             }
-            stages.append(StageRecord(n, parts, [], [], zero, T, None))
+            stages.append(StageRecord(n, parts, [], zero, T, None))
             break
 
-        cross = []
-        cross_obstructed = None
-        if nz >= 2:
-            for j in range(nz):
-                for k in range(j + 1, nz):
-                    d = incs[j].dz(k) - incs[k].dz(j)
-                    if d.is_zero():
-                        continue
-                    rec = {"pair": [j + 1, k + 1], "difference": canonical_str(d)}
-                    verdicts = []
-                    for idx in (j, k):
-                        v = dominance_check(
-                            d,
-                            Bound.LEVI_PLUS_GRAD,
-                            r,
-                            probes,
-                            j=idx,
-                            bound_poly=_cross_bound(r, idx),
-                        )
-                        verdicts.append(v)
-                    rec["verdicts"] = [v.as_dict() for v in verdicts]
-                    cross.append(rec)
-                    if any(v.status == "NotDominated" for v in verdicts):
-                        cross_obstructed = rec
-                    elif any(v.status == "Unknown" for v in verdicts):
-                        messages.append(
-                            f"stage {n}: cross-derivative check unknown for "
-                            f"pair ({j + 1}, {k + 1})"
-                        )
-        if cross_obstructed is not None:
+        merged, failure = _merge_increments([p.T_inc for p in parts])
+        if failure is not None:
             status = "Obstructed"
             obstruction = {
                 "kind": "incompatible_system",
                 "stage": n,
-                "pair": cross_obstructed["pair"],
-                "difference": cross_obstructed["difference"],
-                "claim": "per-coordinate increments have incompatible mixed derivatives",
+                **failure,
+                "claim": "no real T solves T_{z_j} = 2i S_j + residual_j for "
+                "every j: the union of the increments fails equation j at "
+                "the monomial shown",
             }
-            stages.append(StageRecord(n, parts, cross, [], zero, T, None))
-            break
-
-        merged, conflict = _merge_increments(incs)
-        if conflict is not None:
-            status = "Obstructed"
-            obstruction = {
-                "kind": "coefficient_conflict",
-                "stage": n,
-                **conflict,
-                "claim": "per-coordinate increments disagree on a shared monomial",
-            }
-            stages.append(StageRecord(n, parts, cross, [], zero, T, None))
+            stages.append(StageRecord(n, parts, [], zero, T, None))
             break
 
         if merged.is_zero():
             ks = k_search(r, T, config, probes)
-            stages.append(StageRecord(n, parts, cross, [], zero, T, ks))
+            stages.append(StageRecord(n, parts, [], zero, T, ks))
             if ks.found:
                 status = "Certified"
                 final = MultiplierCandidate(
@@ -713,7 +669,7 @@ def run_construction(
                 "claim": "stage produced no change in T",
             }
             stages.append(
-                StageRecord(n, parts, cross, absorbed_strs, inc_absorbed, T, None)
+                StageRecord(n, parts, absorbed_strs, inc_absorbed, T, None)
             )
             break
 
@@ -742,7 +698,7 @@ def run_construction(
 
         ks = k_search(r, T_next, config, probes)
         stages.append(
-            StageRecord(n, parts, cross, absorbed_strs, inc_absorbed, T_next, ks)
+            StageRecord(n, parts, absorbed_strs, inc_absorbed, T_next, ks)
         )
         T = T_next
         T_tel = T_tel_next

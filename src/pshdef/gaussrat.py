@@ -141,6 +141,9 @@ class GaussianRational:
         return self._a == a and self._b == b and self._d == d
 
     def __hash__(self):
+        # a real value hashes as the int or Fraction it equals
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     # -- conversion ------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,43 @@ def test_construct_r7_obstructed(capsys):
     assert d["status"] == "Obstructed"
     assert d["obstruction"]["kind"] == "not_pseudoconvex"
     assert d["obstruction"]["witness"]["min_value"] < 0
+    check_schema(d)
+
+
+# every obstruction kind `construct` can report, with an input reaching it
+OBSTRUCTIONS = {
+    "not_pseudoconvex": (["--r", R7], "Obstructed"),
+    "residual_not_dominated": (["--r", "Im(w) + abs2(z)^3 + abs2(z)*Im(w)"], "Obstructed"),
+    "incompatible_system": (
+        ["--r", "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Im(z2)*Re(w) - 10*Re(w)^2"],
+        "Obstructed",
+    ),
+    "fixpoint": (["--r", C3], "Exhausted"),
+    "max_stages": (["--r", R8, "--max-stages", "1"], "Exhausted"),
+    # K = 64 is the first rung that certifies A=10
+    "k_search_failed": (["--r", R10, "--max-K-exp", "2"], "Exhausted"),
+}
+
+
+def test_obstruction_table_names_every_kind():
+    """A kind that construct.py or cli.py can emit needs a row above."""
+    src = Path(__file__).parent.parent / "src" / "pshdef"
+    emitted = set()
+    for name in ("construct.py", "cli.py"):
+        emitted |= set(re.findall(r'"kind": "(\w+)"', (src / name).read_text()))
+    assert emitted == set(OBSTRUCTIONS)
+
+
+@pytest.mark.parametrize("kind", list(OBSTRUCTIONS))
+def test_construct_reaches_obstruction(capsys, kind):
+    argv, status = OBSTRUCTIONS[kind]
+    code, out, _ = run(capsys, "construct", *argv, "--json")
+    d = json.loads(out)
+    assert (code, d["status"], d["obstruction"]["kind"]) == (
+        {"Obstructed": 1, "Exhausted": 2}[status],
+        status,
+        kind,
+    )
     check_schema(d)
 
 

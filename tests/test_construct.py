@@ -36,7 +36,14 @@ from pshdef.realconvex import (
     sample_real_boundary,
     validate_real_normal_form,
 )
-from pshdef.verify import H_MIN, PsdCheckResult, psd_check, psd_stats, sample_boundary
+from pshdef.verify import (
+    H_MIN,
+    PsdCheckResult,
+    check_certificate,
+    psd_check,
+    psd_stats,
+    sample_boundary,
+)
 from pshdef.wirtinger import WPoly, im_z, re_w, re_z
 
 
@@ -231,6 +238,86 @@ def test_c3_mixed_stage_algebra(c3_mixed):
     assert st1.k_search is not None and not st1.k_search.found
     assert rep.obstruction["kind"] == "fixpoint"
     assert rep.final is None
+
+
+RE_Z1Z2 = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1*z2)*Re(w) - 10*Re(w)^2"
+RE_Z1_IM_Z2 = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Im(z2)*Re(w) - 10*Re(w)^2"
+
+
+@pytest.mark.parametrize(
+    "source, merged, failure",
+    [
+        (RE_Z1Z2, "-4*Im(z1*z2)", None),
+        (RE_Z1_IM_Z2, None, {"j": 2, "monomial": "-2 * zbar1"}),
+        (["Re(z1*z2)", "3*Re(z1*z2)"], None, {"j": 2, "monomial": "-z1"}),
+    ],
+    ids=["Re(z1 z2)", "Re(z1) Im(z2)", "conflicting pair"],
+)
+def test_stage_system_rule(source, merged, failure):
+    """The union of the increments must solve every z_j's stage equation.
+
+    Re(z1 z2): both increments are -4 Im(z1 z2), which solves both
+    equations.  Re(z1) Im(z2): the increments are -4 Im z1 Im z2 and
+    4 Re z1 Re z2; the union keeps the first whole, whose z2 derivative
+    z1 - zbar1 misses equation 2's z1 + zbar1 by -2 zbar1.  The pair
+    Re(z1 z2), 3 Re(z1 z2) shares a monomial with two coefficients; the
+    first one wins and misses equation 2 by -z1.
+    """
+    if isinstance(source, list):
+        rep, incs = None, [parse_wpoly(s, 2) for s in source]
+    else:
+        r = validate_normal_form(parse_wpoly(source, 2))
+        rep = run_construction(r, ConstructConfig(max_stages=1))
+        incs = [p.T_inc for p in rep.stages[0].parts]
+    expected = None if merged is None else parse_wpoly(merged, 2)
+    assert construct._merge_increments(incs) == (expected, failure)
+    if rep is None:
+        return
+    stage = rep.stages[0]
+    if failure is None:
+        # only the stage algebra is pinned here, not the final status
+        assert incs == [expected, expected]
+        assert stage.T_increment == expected and stage.k_search is not None
+    else:
+        assert rep.status == "Obstructed" and stage.k_search is None
+        assert rep.obstruction == {
+            "kind": "incompatible_system",
+            "stage": 1,
+            **failure,
+            "claim": rep.obstruction["claim"],
+        }
+        assert rep.obstruction["claim"].startswith("no real T solves")
+
+
+RESIDUAL_BLOCKED = "Im(w) + abs2(z)^3 + abs2(z)*Im(w)"
+
+
+def test_residual_not_dominated_stage_algebra():
+    """S = (i/2) zbar solves to T_inc = -2|z|^2 with residual -zbar, which
+    the dominance check rejects; the claim names that residual only."""
+    rep = run_construction(validate_normal_form(parse_wpoly(RESIDUAL_BLOCKED, 1)))
+    assert rep.status == "Obstructed"
+    assert rep.obstruction["kind"] == "residual_not_dominated"
+    assert rep.obstruction["stage"] == 1 and rep.obstruction["j"] == 1
+    assert rep.obstruction["claim"].startswith("the residual for z_1 at stage 1")
+    part = rep.stages[0].parts[0]
+    assert part.split.S == parse_wpoly("(i/2)*zbar", 1)
+    assert part.T_inc == parse_wpoly("-2*abs2(z)", 1)
+    assert part.residual == parse_wpoly("-zbar", 1)
+    assert part.residual_verdict.status == "NotDominated"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_residual_not_dominated_input_has_a_certificate(seed):
+    """The blocked input is not a negative verdict: T = -|z|^2, K = 1
+    passes the full certificate check.  -|z|^2 solves T_z = 2iS exactly;
+    the stage's realify doubles the self-conjugate |z|^2 term instead."""
+    r = validate_normal_form(parse_wpoly(RESIDUAL_BLOCKED, 1))
+    T = parse_wpoly("-abs2(z)", 1)
+    assert T.dz(0) == parse_wpoly("(i/2)*zbar", 1).scale(GaussianRational(0, 2))
+    shell = sample_boundary(r, 1e-2, 2000, seed)
+    checks, failed = check_certificate(r, T, 1, shell)
+    assert failed == [] and checks["psd"]["passed"]
 
 
 def test_degree_cap(r8):

@@ -244,8 +244,8 @@ def full_expansion_quadratic(B, r):
     ids=["half_space", "ball", "ball3", "A=8", "A=10", "mixed_c3"],
 )
 def test_boundary_quadratic_matches_full_expansion(make):
-    """Every bound the pipeline tests: Levi alone, with |grad_z r|^2, with
-    |r_{z_j}|^2 (cross checks) and the gate's Levi sum."""
+    """Every bound the pipeline tests (Levi alone, with |grad_z r|^2, and the
+    gate's Levi sum), plus Levi with |r_{z_j}|^2 as one more input."""
     r = make()
     levi_sum = WPoly.zero(r.nz)
     bounds = []

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import PairGaussian
-from pshdef import cr
+from pshdef import cr, gaussrat
 from pshdef.catalog import type4_domain
 from pshdef.gaussrat import GaussianRational, format_gaussian
 from pshdef.wirtinger import WPoly
@@ -131,6 +131,23 @@ def test_equal_values_hash_equally():
             paths.append(x * y / y)
         for v in paths:
             assert v == x and hash(v) == hash(x)
+
+
+def test_real_values_hash_like_int_and_fraction_keys(monkeypatch):
+    """A real value is the same dict key and set member as the int or
+    Fraction it equals; the int case hashes without building a Fraction."""
+    for x in (0, 3, -7, 10**40, Fraction(1, 2), Fraction(-5, 3), Fraction(1, 10**30)):
+        g = GaussianRational.of(x)
+        assert hash(g) == hash(x)
+        assert {x: "x"}.get(g) == "x" and {g: "g"}.get(x) == "g"
+        assert len({g, x}) == 1
+    assert {3: "x"}.get(GaussianRational(3, 1)) is None
+    built = []
+    monkeypatch.setattr(gaussrat, "Fraction", lambda *a: built.append(a) or Fraction(*a))
+    hash(GaussianRational(3))
+    hash(GaussianRational(3, 2))
+    assert built == []
+    assert hash(GaussianRational(3) / 2) == hash(Fraction(3, 2)) and built == [(3, 2)]
 
 
 def test_division_by_zero_raises():
