@@ -232,6 +232,11 @@ class ConstructionReport:
             lines.append(
                 f"final: T = {real_basis_str(self.final.T)}, K = {self.final.K}"
             )
+        if self.obstruction:
+            ob = self.obstruction
+            lines.append(f"obstruction: {ob['kind']} at stage {ob['stage']}")
+            if "monomial" in ob:
+                lines.append(f"  j={ob['j']}: monomial {ob['monomial']}")
         for m in self.messages:
             lines.append(f"note: {m}")
         return "\n".join(lines)
@@ -686,10 +691,10 @@ def run_construction(
         contraction.append(entry)
 
         if n == 1:
+            # the next stage's mixed derivatives against this stage's S
             rho1 = (one + T_next) * r.poly
-            g1 = rho1.dz(0).dwbar()
-            s_sup = max(_sup_abs(p.split.S, inner) for p in parts)
-            g_sup = _sup_abs(g1, inner)
+            g_sup = max(_sup_abs(rho1.dz(j).dwbar(), inner) for j in range(nz))
+            s_sup = entry["sup_S"]
             cancellation = {
                 "sup_next_mixed": g_sup,
                 "sup_S": s_sup,

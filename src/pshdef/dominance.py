@@ -131,62 +131,109 @@ def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
 
 @dataclass
 class ProjectedProbes:
-    """Probe family pushed onto the boundary of a specific domain."""
+    """Probe family pushed onto the boundary of a specific domain.
+
+    Z and W hold every probe point as one set: first the curve points
+    (curve i's n_t points are rows i n_t .. (i + 1) n_t - 1), then the
+    points of each shell in shell_exps order, shell k from cuts[k] to
+    cuts[k + 1].  The curve arrays and the shells are views into the set.
+    """
 
     family: ProbeFamily
-    curve_Z: np.ndarray  # (n_curves, n_t, nz)
-    curve_W: np.ndarray  # (n_curves, n_t)
-    curve_ok: np.ndarray  # bool mask
+    Z: np.ndarray  # (n_points, nz)
+    W: np.ndarray  # (n_points,)
+    curve_ok: np.ndarray  # bool (n_curves, n_t)
     t_values: np.ndarray
+    cuts: np.ndarray  # shell offsets; cuts[0] = n_curves n_t, cuts[-1] = n_points
     shells: list  # BoundaryShell per shell_exps entry
     _bound_values: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def curve_Z(self) -> np.ndarray:
+        """(n_curves, n_t, nz)"""
+        return self.Z[: self.cuts[0]].reshape(*self.curve_ok.shape, -1)
+
+    @property
+    def curve_W(self) -> np.ndarray:
+        """(n_curves, n_t)"""
+        return self.W[: self.cuts[0]].reshape(self.curve_ok.shape)
+
     def in_ball_points(self, radius: float):
         """Converged curve points with |(z, w)| <= radius, flattened."""
-        Z = self.curve_Z.reshape(-1, self.curve_Z.shape[-1])
-        W = self.curve_W.reshape(-1)
-        ok = self.curve_ok.reshape(-1)
+        Z, W = self.Z[: self.cuts[0]], self.W[: self.cuts[0]]
         norms = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
-        keep = ok & (norms <= radius)
+        keep = self.curve_ok.reshape(-1) & (norms <= radius)
         return Z[keep], W[keep]
 
-    def bound_values(self, B: WPoly):
-        """Re B on the curve points, shape (n_curves, n_t), and on each
-        shell; evaluated once per bound polynomial."""
-        v = self._bound_values.get(B)
-        if v is None:
-            nc, nt, nz = self.curve_Z.shape
-            ev = compiled(B).eval
-            curves = ev(self.curve_Z.reshape(-1, nz), self.curve_W.reshape(-1))
-            shells = [ev(s.Z, s.W).real for s in self.shells]
-            v = self._bound_values[B] = (curves.real.reshape(nc, nt), shells)
-        return v
+    def bound_values(self, B: WPoly, lo: int = 0) -> np.ndarray:
+        """Re B at the points from index lo on: 0 for the whole set,
+        cuts[0] for the shells alone.  Evaluated once per bound
+        polynomial, from the least lo asked for so far."""
+        hit = self._bound_values.get(B)
+        if hit is None or hit[0] > lo:
+            vals = compiled(B).eval(self.Z[lo:], self.W[lo:]).real
+            hit = self._bound_values[B] = (lo, vals)
+        return hit[1][lo - hit[0] :]
+
+
+def _curve_points(curves, t, out):
+    """Fill out (n_curves, n_t, nz) with each curve's z at the parameters
+    t, and return its Re w, flattened in the same order."""
+    zdir, zpow, wamp, wpow = (np.array(a) for a in zip(*curves))
+    tz = t ** zpow[:, None]  # (n_curves, n_t)
+    np.multiply(zdir.astype(complex)[:, None, :], tz[:, :, None], out=out)
+    return (wamp[:, None] * t ** wpow[:, None]).reshape(-1)
 
 
 def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
-    """Project every curve of the family onto the boundary (cached on r)."""
+    """Project every curve of the family onto the boundary and sample its
+    shells, into one point set (cached on r).
+
+    The shells are sampled together (`verify.boundary_points`), and each
+    is also r's `verify.sample_boundary` shell of its (radius, count,
+    seed); one sampled before keeps its own arrays.
+    """
 
     def build():
-        from .verify import project_to_boundary, sample_boundary
+        from .verify import boundary_points, frozen_shell, project_to_boundary
 
-        t = np.array([2.0**-e for e in family.shell_exps])
+        radii = [2.0**-e for e in family.shell_exps]
+        t = np.array(radii)
         nc, nt, nz = len(family.curves), len(t), r.nz
-        # curve i's nt points are rows i nt .. (i + 1) nt - 1
-        zdir, zpow, wamp, wpow = (np.array(a) for a in zip(*family.curves))
-        tz = t ** zpow[:, None]  # (nc, nt)
-        Z = (zdir.astype(complex)[:, None, :] * tz[:, :, None]).reshape(-1, nz)
-        U = (wamp[:, None] * t ** wpow[:, None]).reshape(-1)
-        W, ok = project_to_boundary(r, Z, U)
-        shells = [
-            sample_boundary(r, 2.0**-e, family.samples_per_shell, family.seed)
-            for e in family.shell_exps
-        ]
+        count, seed = family.samples_per_shell, family.seed
+        cuts = nc * nt + count * np.arange(nt + 1)
+        # the curve Newton solve runs before the shells are sampled, so
+        # that the set's W and the shells are not held through it
+        Z = np.empty((cuts[-1], nz), dtype=complex)
+        curve_Z = Z[: cuts[0]]
+        U = _curve_points(family.curves, t, curve_Z.reshape(nc, nt, nz))
+        curve_W, ok = project_to_boundary(r, curve_Z, U)
+        shell_W = []
+        for a, (zs, ws) in zip(cuts, boundary_points(r, radii, count, seed)):
+            Z[a : a + count] = zs
+            shell_W.append(ws)
+        W = np.concatenate([curve_W, *shell_W])
+        res = np.abs(compiled(r.poly).eval(Z[cuts[0] :], W[cuts[0] :]).real)
+        shells = []
+        for k, x in enumerate(radii):
+            a, b = cuts[k], cuts[k + 1]
+            shells.append(
+                r.cached(
+                    ("shell", x, count, seed),
+                    lambda: frozen_shell(
+                        x, seed, Z[a:b], W[a:b], res[a - cuts[0] : b - cuts[0]]
+                    ),
+                )
+            )
+        for arr in (Z, W, res):
+            arr.flags.writeable = False
         return ProjectedProbes(
             family=family,
-            curve_Z=Z.reshape(nc, nt, nz),
-            curve_W=W.reshape(nc, nt),
+            Z=Z,
+            W=W,
             curve_ok=ok.reshape(nc, nt),
             t_values=t,
+            cuts=cuts,
             shells=shells,
         )
 
@@ -361,20 +408,25 @@ def _direction(z_row, w) -> list:
     return [x / n for x in vec] if n > 0 else vec
 
 
-def _curve_escape(numerators, bound_poly, probes: ProjectedProbes):
-    """Best escaping curve, or None.
+def _probe_values(numerators, B: WPoly, probes: ProjectedProbes, lo: int = 0):
+    """|P|^2 summed over the numerators, and Re B, at the probe points from
+    index lo on (see `ProjectedProbes.bound_values`): one evaluation of
+    each numerator over the set."""
+    Z, W = probes.Z[lo:], probes.W[lo:]
+    return _num_sq(numerators, Z, W), probes.bound_values(B, lo)
+
+
+def _curve_escape(num, bvals, probes: ProjectedProbes):
+    """Best escaping curve, or None.  num and bvals are `_probe_values` at
+    the curve points (the first cuts[0] points of the set).
 
     Escape means: along the last ESCAPE_RUN converged dyadic parameters the
     ratio is finite, strictly increasing, grows by >= ESCAPE_GROWTH overall,
     and ends above ESCAPE_FLOOR.  The curve with the largest final ratio
     wins; the first one on ties.
     """
-    nc, nt, nz = probes.curve_Z.shape
     ok = probes.curve_ok
-    num = _num_sq(
-        numerators, probes.curve_Z.reshape(-1, nz), probes.curve_W.reshape(-1)
-    ).reshape(nc, nt)
-    ratio = _ratios(num, probes.bound_values(bound_poly)[0])
+    ratio = _ratios(num.reshape(ok.shape), bvals.reshape(ok.shape))
     # t decreases along a row, so a row's tail is its last ESCAPE_RUN
     # converged entries: those with at most ESCAPE_RUN converged from the end
     from_end = np.cumsum(ok[:, ::-1], axis=1)[:, ::-1]
@@ -410,13 +462,15 @@ def _curve_escape(numerators, bound_poly, probes: ProjectedProbes):
     }
 
 
-def _shell_ratios(numerators, bound_poly, probes: ProjectedProbes):
-    sups = []
-    for shell, bv in zip(probes.shells, probes.bound_values(bound_poly)[1]):
-        ratio = _ratios(_num_sq(numerators, shell.Z, shell.W), bv)
-        finite = ratio[np.isfinite(ratio)]
-        sups.append(float(np.max(finite)) if len(finite) else 0.0)
-    return sups
+def _shell_ratios(num, bvals, probes: ProjectedProbes) -> list:
+    """Per shell, the sup of the finite ratios (0.0 when none is finite).
+    num and bvals are `_probe_values` at the shell points (from cuts[0])."""
+    if not probes.shells:
+        return []
+    ratio = _ratios(num, bvals)
+    ratio[~np.isfinite(ratio)] = -np.inf
+    sups = np.maximum.reduceat(ratio, probes.cuts[:-1] - probes.cuts[0])
+    return [float(x) if x > -np.inf else 0.0 for x in sups]
 
 
 def _quadratic_pd(B: WPoly, r: DefiningFunction) -> bool:
@@ -477,7 +531,7 @@ def dominance_check(
     if b0.re > 0 and b0.im == 0:
         probes = probes if probes is not None else default_probes(r.nz, 0)
         proj = project_probes(r, probes)
-        sups = _shell_ratios(numerators, B, proj)
+        sups = _shell_ratios(*_probe_values(numerators, B, proj, proj.cuts[0]), proj)
         return verdict(
             "Dominated",
             2.0 * max(sups),
@@ -504,7 +558,7 @@ def dominance_check(
 
     # every numerator vanishes at 0 here
     if b0.is_zero() and _quadratic_pd(B, r):
-        sups = _shell_ratios(numerators, B, proj)
+        sups = _shell_ratios(*_probe_values(numerators, B, proj, proj.cuts[0]), proj)
         return verdict(
             "Dominated",
             2.0 * max(sups),
@@ -512,7 +566,9 @@ def dominance_check(
             sups=sups,
         )
 
-    escape = _curve_escape(numerators, B, proj)
+    num, bvals = _probe_values(numerators, B, proj)
+    n = proj.cuts[0]
+    escape = _curve_escape(num[:n], bvals[:n], proj)
     if escape is not None:
         return verdict(
             "NotDominated",
@@ -521,7 +577,7 @@ def dominance_check(
             witness=escape,
         )
 
-    sups = _shell_ratios(numerators, B, proj)
+    sups = _shell_ratios(num[n:], bvals[n:], proj)
     finite = [s for s in sups if math.isfinite(s)]
     if len(finite) == len(sups) and len(sups) >= 3:
         a, b, c = sups[-3], sups[-2], sups[-1]

@@ -35,6 +35,7 @@ from .construct import (
     search_failure,
 )
 from .cr import Domain
+from .numeval import compiled
 from .report import SCHEMA_VERSION
 from .verify import (
     DEFAULT_TOL,
@@ -103,14 +104,17 @@ class RealDefiningFunction(Domain):
 # -- boundary sampling ----------------------------------------------------
 
 
-def project_to_real_boundary(r: RealDefiningFunction, X):
+def project_to_real_boundary(r: RealDefiningFunction, X, starts=None):
     """Solve y so r(x, y) = 0 by Newton from y = 0.
 
-    Returns (Y, ok) where ok flags points with |r| <= 1e-12.
+    `starts` splits the points into `verify.newton` groups; X stays fixed,
+    so r and r_y are evaluated through `CompiledPoly.at`.  Returns (Y, ok)
+    where ok flags points with |r| <= 1e-12.
     """
     X = np.asarray(X, dtype=np.float64).reshape(-1, r.nx)
-    ry = r.d_y()
-    return newton(lambda Y: r.poly.eval(X, Y), lambda Y: ry.eval(X, Y), np.zeros(len(X)))
+    rp = compiled(r.poly).at(X)
+    ry = compiled(r.d_y()).at(X)
+    return newton(rp, ry, np.zeros(len(X)), starts)
 
 
 @dataclass
@@ -125,7 +129,7 @@ class RealShell(Shell):
         return point_norms(self.X, self.Y)
 
     def coordinates(self) -> dict:
-        return dict(zip(RPoly.names(self.X.shape[1]), RPoly.columns(self.X, self.Y)))
+        return dict(zip(RPoly.names(self.X.shape[1]), [*self.X.T, self.Y]))
 
     def hessian(self, f: RPoly) -> np.ndarray:
         return real_hessian_values(f, self.X, self.Y)
@@ -144,12 +148,12 @@ def sample_real_boundary(
     `verify.sample_boundary`; the arrays are read-only.
     """
 
-    def lift(X):
-        Y, ok = project_to_real_boundary(r, X)
+    def lift(X, starts=None):
+        Y, ok = project_to_real_boundary(r, X, starts)
         return (X, Y), ok
 
     def build():
-        X, Y = sample_ball(ball_stream(r, r.nx, seed), radius, count, lift)
+        [(X, Y)] = sample_ball(ball_stream(r, r.nx, seed), [radius], count, lift)
         res = np.abs(r.poly.eval(X, Y))
         for a in (X, Y, res):
             a.flags.writeable = False

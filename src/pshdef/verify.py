@@ -53,41 +53,56 @@ def _dv_poly(r: DefiningFunction) -> WPoly:
     )
 
 
-def newton(value, slope, v):
+def newton(value, slope, v, starts=None):
     """Solve value(v) = 0 per point by Newton steps from v.
 
-    Stops after 60 steps or once every |value| <= NEWTON_TARGET; slopes
-    smaller than 1e-6 in size are clamped to +-1.  Returns (v, ok) where ok
-    flags points with |value| <= RESIDUAL_BOUND.
+    The points form groups that start at the offsets `starts` (one group
+    when None).  A group takes no step after 60, nor once each of its
+    |value| <= NEWTON_TARGET, so it gets the floats a run on it alone would
+    give.  value and slope are evaluated at every point, and the points of
+    a stopped group keep their v.  Slopes smaller than 1e-6 in size are
+    clamped to +-1.  Returns (v, ok) where ok flags points with
+    |value| <= RESIDUAL_BOUND.
     """
+    cuts = [0, len(v)] if starts is None else [*starts, len(v)]
+    sizes = np.diff(cuts)
     vals = value(v)
     for _ in range(60):
-        if np.max(np.abs(vals), initial=0.0) <= NEWTON_TARGET:
+        moving = [
+            not np.max(np.abs(vals[a:b]), initial=0.0) <= NEWTON_TARGET  # NaN moves
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        if not any(moving):
             break
         s = slope(v)
-        s = np.where(np.abs(s) < 1e-6, np.sign(s + 1e-30), s)
-        v = v - vals / s
+        step = v - vals / np.where(np.abs(s) < 1e-6, np.sign(s + 1e-30), s)
+        del s, vals  # not held through the next evaluation
+        v = step if all(moving) else np.where(np.repeat(moving, sizes), step, v)
         vals = value(v)
     return v, np.abs(vals) <= RESIDUAL_BOUND
 
 
-def project_to_boundary(r: DefiningFunction, Z, U, dtype=np.complex128, targets=None):
+def project_to_boundary(
+    r: DefiningFunction, Z, U, dtype=np.complex128, targets=None, starts=None
+):
     """Solve Im w so r(z, u + i v) = target by Newton from v = 0.
 
     The default target is 0 (the boundary); per-point negative targets give
-    inward collar points.  Returns (W, ok) where ok flags points with
+    inward collar points.  `starts` splits the points into `newton` groups.
+    Z stays fixed, so r and its v-slope are evaluated through
+    `CompiledPoly.at`.  Returns (W, ok) where ok flags points with
     |r - target| <= 1e-12.
     """
-    rp = compiled(r.poly)
-    rv = compiled(_dv_poly(r))
     Z = np.asarray(Z, dtype=dtype).reshape(len(U), r.nz)
+    rp = compiled(r.poly).at(Z)
+    rv = compiled(_dv_poly(r)).at(Z)
     U = np.asarray(U, dtype=np.float64)
     tgt = 0.0 if targets is None else np.asarray(targets, dtype=np.float64)
-    V = np.zeros(len(U), dtype=np.longdouble if dtype == np.clongdouble else np.float64)
     V, ok = newton(
-        lambda V: rp.eval(Z, (U + 1j * V).astype(dtype)).real - tgt,
-        lambda V: rv.eval(Z, (U + 1j * V).astype(dtype)).real,
-        V,
+        lambda V: rp((U + 1j * V).astype(dtype, copy=False)).real - tgt,
+        lambda V: rv((U + 1j * V).astype(dtype, copy=False)).real,
+        np.zeros(len(U), dtype=np.longdouble if dtype == np.clongdouble else np.float64),
+        starts,
     )
     return (U + 1j * V).astype(np.complex128), ok
 
@@ -152,33 +167,81 @@ def ball_stream(r, d: int, seed: int) -> BallStream:
     return r.cached(("halton", d, seed), lambda: BallStream(d, seed))
 
 
-def sample_ball(stream: BallStream, radius: float, count: int, lift):
-    """Boundary points over a low-discrepancy fill of a ball.
+def sample_ball(stream: BallStream, radii, count: int, lift):
+    """Boundary points over a low-discrepancy fill of a ball, per radius.
 
-    Tangential coordinates are Halton-distributed in the ball of
-    0.93*radius in R^d, read from the start of `stream`.  lift(coords)
-    solves for the rest of each point and returns ((P, q), ok): the points
-    as in `point_norms` and a convergence flag.  Non-convergent or
-    out-of-ball points are dropped and topped up from the next stream
-    indices, for at most 8 rounds.  Returns P and q, cut to `count` points.
+    For each radius, tangential coordinates are Halton-distributed in the
+    ball of 0.93*radius in R^d, read from the start of `stream`.
+    lift(coords, starts) solves for the rest of each point and returns
+    ((P, q), ok): the points as in `point_norms` and a convergence flag;
+    each radius' coordinates form one `newton` group, starting at its
+    offset in starts.  Non-convergent or out-of-ball points are dropped and
+    topped up from the next stream indices, for at most 8 rounds, and one
+    lift call per round takes every radius still short.  Each radius reads
+    the stream as a call with it alone would.  Returns [P, q] per radius,
+    cut to `count` points.
     """
-    kept = []
-    have = start = 0
+    kept = [[] for _ in radii]
+    have = [0] * len(radii)
+    start = [0] * len(radii)
+    short = list(range(len(radii)))
     for _ in range(8):
-        n = max(64, int((count - have) * 1.25))
-        dirs, radial = stream.take(start, n)
-        start += n
-        parts, ok = lift(dirs * (0.93 * radius * radial)[:, None])
-        keep = ok & (point_norms(*parts) <= radius)
-        kept.append([a[keep] for a in parts])
-        have += int(np.sum(keep))
-        if have >= count:
+        coords = []
+        for i in short:
+            n = max(64, int((count - have[i]) * 1.25))
+            dirs, radial = stream.take(start[i], n)
+            start[i] += n
+            coords.append(dirs * (0.93 * radii[i] * radial)[:, None])
+        cuts = np.cumsum([0] + [len(c) for c in coords])
+        parts, ok = lift(np.concatenate(coords), cuts[:-1])
+        norms = point_norms(*parts)
+        for i, a, b in zip(short, cuts, cuts[1:]):
+            keep = ok[a:b] & (norms[a:b] <= radii[i])
+            kept[i].append([x[a:b][keep] for x in parts])
+            have[i] += int(np.sum(keep))
+        short = [i for i in short if have[i] < count]
+        if not short:
             break
-    if have < count:
+    if short:
+        i = short[0]
         raise ProbeConfigurationError(
-            f"only {have}/{count} boundary points projectable at radius {radius}"
+            f"only {have[i]}/{count} boundary points projectable "
+            f"at radius {radii[i]}"
         )
-    return [np.concatenate(arrays)[:count] for arrays in zip(*kept)]
+    return [[np.concatenate(arrays)[:count] for arrays in zip(*k)] for k in kept]
+
+
+def boundary_points(r: DefiningFunction, radii, count: int, seed: int = 0) -> list:
+    """Boundary points (Z, W) filling the ball of each radius.
+
+    Tangential coordinates (Re z, Im z, Re w) fill the ball (see
+    `sample_ball`) from r's Halton stream of this seed; Im w is
+    Newton-solved, in extended precision below radius 1e-4, in one
+    `sample_ball` per precision.
+    """
+    nz = r.nz
+    out = [None] * len(radii)
+    for dtype, low in ((np.complex128, False), (np.clongdouble, True)):
+        idx = [i for i, x in enumerate(radii) if (x < 1e-4) == low]
+        if not idx:
+            continue
+
+        def lift(coords, starts=None):
+            Z = coords[:, :nz] + 1j * coords[:, nz : 2 * nz]
+            W, ok = project_to_boundary(r, Z, coords[:, -1], dtype, starts=starts)
+            return (Z, W), ok
+
+        stream = ball_stream(r, 2 * nz + 1, seed)
+        for i, pts in zip(idx, sample_ball(stream, [radii[i] for i in idx], count, lift)):
+            out[i] = pts
+    return out
+
+
+def frozen_shell(radius: float, seed: int, Z, W, residuals) -> BoundaryShell:
+    """A BoundaryShell whose arrays are made read-only."""
+    for a in (Z, W, residuals):
+        a.flags.writeable = False
+    return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=residuals)
 
 
 def sample_boundary(
@@ -189,26 +252,16 @@ def sample_boundary(
 ) -> BoundaryShell:
     """Low-discrepancy boundary points filling the ball of the given radius.
 
-    Tangential coordinates (Re z, Im z, Re w) fill the ball (see
-    `sample_ball`); Im w is Newton-solved.  The shell is cached on r by
+    The points are `boundary_points`.  The shell is cached on r by
     (radius, count, seed), so every scan of one domain at those settings
     reads the same points; its arrays are read-only.  Shells of one seed
     share r's Halton stream.
     """
-    nz = r.nz
-    dtype = np.clongdouble if radius < 1e-4 else np.complex128
-
-    def lift(coords):
-        Z = coords[:, :nz] + 1j * coords[:, nz : 2 * nz]
-        W, ok = project_to_boundary(r, Z, coords[:, -1], dtype=dtype)
-        return (Z, W), ok
 
     def build():
-        Z, W = sample_ball(ball_stream(r, 2 * nz + 1, seed), radius, count, lift)
+        [(Z, W)] = boundary_points(r, [radius], count, seed)
         res = np.abs(compiled(r.poly).eval(Z, W).real)
-        for a in (Z, W, res):
-            a.flags.writeable = False
-        return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
+        return frozen_shell(radius, seed, Z, W, res)
 
     return r.cached(("shell", radius, count, seed), build)
 

@@ -59,10 +59,12 @@ class SparsePoly:
 
     Used as is, it has GaussianRational coefficients and one exponent slot
     per variable.  A lane overrides `ring` (the coefficient constructor)
-    and its variable names, and gives the compiled evaluator `columns` (the
-    value of each slot at numeric points) and `numeric` (a coefficient as a
-    float or complex).  Ring operations need operands of the same lane and
-    n; int, Fraction and GaussianRational scalars act as constants.
+    and its variable names, and gives the compiled evaluator `z_columns`
+    and `w_columns` (the value of each slot at numeric points: the
+    `indexed` slots from the first coordinates, the `single` ones from the
+    last) and `numeric` (a coefficient as a float or complex).  Ring
+    operations need operands of the same lane and n; int, Fraction and
+    GaussianRational scalars act as constants.
     """
 
     __slots__ = ("n", "terms", "_compiled")
@@ -262,8 +264,12 @@ class WPoly(SparsePoly):
     size_name = "nz"
 
     @staticmethod
-    def columns(Z, W) -> list:
-        return [*Z.T, *np.conj(Z).T, W, np.conj(W)]
+    def z_columns(Z) -> list:
+        return [*Z.T, *np.conj(Z).T]
+
+    @staticmethod
+    def w_columns(W) -> list:
+        return [W, np.conj(W)]
 
     @property
     def nz(self) -> int:
@@ -371,8 +377,12 @@ class RPoly(SparsePoly):
     unknown_note = " in real mode"
 
     @staticmethod
-    def columns(X, Y) -> list:
-        return [*X.T, Y]
+    def z_columns(X) -> list:
+        return [*X.T]
+
+    @staticmethod
+    def w_columns(Y) -> list:
+        return [Y]
 
     @property
     def nx(self) -> int:

@@ -297,6 +297,24 @@ def test_construct_reaches_obstruction(capsys, kind):
     check_schema(d)
 
 
+@pytest.mark.parametrize(
+    "kind", [k for k in OBSTRUCTIONS if k != "not_pseudoconvex"]
+)
+def test_construct_trace_names_obstruction(capsys, kind):
+    """Plain-text output says what blocked the run, as --json does: the
+    kind and stage, and for incompatible_system the j and monomial."""
+    argv, status = OBSTRUCTIONS[kind]
+    code, out, _ = run(capsys, "construct", *argv)
+    _, js, _ = run(capsys, "construct", *argv, "--json")
+    ob = json.loads(js)["obstruction"]
+    lines = out.splitlines()
+    assert lines[0] == f"status: {status}"
+    assert f"obstruction: {kind} at stage {ob['stage']}" in lines
+    if kind == "incompatible_system":
+        assert f"  j={ob['j']}: monomial {ob['monomial']}" in lines
+        assert lines[-1] == "  j=2: monomial -2 * zbar1"
+
+
 def test_construct_c3_exhausted(capsys):
     code, out, _ = run(capsys, "construct", "--r", C3, "--samples", "600", "--json")
     assert code == 2

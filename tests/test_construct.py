@@ -221,6 +221,28 @@ def test_c3_ball_shortcut():
     assert rep.final.T.is_zero()
 
 
+def test_cancellation_reads_every_j():
+    """The cancellation record's sup_next_mixed is the max over every j of
+    sup |((1 + T_next) r)_{z_j wbar}| on the inner probe shell, recomputed
+    here on that shell sampled by a fresh domain.  On this input the z_2
+    derivative gives the larger sup, so reading z_1 alone falls short.  (The
+    input's Certified verdict is itself wrong: along z = (0, t) its Levi
+    matrix is indefinite, below what the absolute tol can see.)"""
+    text = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1*z2)*Re(w) - 10*Re(w)^2"
+    r = validate_normal_form(parse_wpoly(text, 2))
+    rep = run_construction(r, ConstructConfig(seed=3))
+    rho1 = (WPoly.one(2) + rep.stages[0].T_after) * r.poly
+    inner = sample_boundary(
+        validate_normal_form(parse_wpoly(text, 2)), 2.0**-16, 160, seed=3
+    )
+    sups = [
+        float(np.max(np.abs(compiled(rho1.dz(j).dwbar()).eval(inner.Z, inner.W))))
+        for j in range(2)
+    ]
+    assert sups[1] > sups[0] > 0
+    assert rep.cancellation["sup_next_mixed"] == max(sups)
+
+
 def test_c3_mixed_stage_algebra(c3_mixed):
     # The first stage reproduces the single-variable algebra: the z1
     # equation has source 1 (so T gains -4 Im z1) and the z2 equation

@@ -18,6 +18,7 @@ from pshdef.dominance import (
     ProbeFamily,
     ProjectedProbes,
     _curve_escape,
+    _probe_values,
     boundary_quadratic,
     bound_poly_for,
     default_probes,
@@ -325,7 +326,9 @@ def assert_same_escape(numerators, B, proj):
     """Vectorized scan and loop reference pick the same curve and witness.
     Returns the witness, or None."""
     i, expected = loop_curve_escape(numerators, B, proj)
-    got = _curve_escape(numerators, B, proj)
+    n = proj.cuts[0]
+    num, bvals = _probe_values(numerators, B, proj)
+    got = _curve_escape(num[:n], bvals[:n], proj)
     if i is None:
         assert got is None
         return None
@@ -379,10 +382,11 @@ def synthetic_probes(rows, ok):
     curves = tuple(Curve((complex(i + 1),), 1, 0.0, 1) for i in range(nc))
     return ProjectedProbes(
         family=ProbeFamily(curves, tuple(range(3, 3 + nt)), 0, 0),
-        curve_Z=Z[:, :, None],
-        curve_W=W,
+        Z=Z.reshape(-1, 1),
+        W=W.reshape(-1),
         curve_ok=np.asarray(ok, dtype=bool),
         t_values=np.array([2.0**-e for e in range(3, 3 + nt)]),
+        cuts=np.array([nc * nt]),
         shells=[],
     )
 

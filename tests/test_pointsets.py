@@ -1,0 +1,270 @@
+"""Whole point sets: the Z-fixed evaluator, grouped Newton, the multi-radius
+sampler and the single probe point set.
+
+Each path must give the floats of the per-piece computation it replaces,
+byte for byte, so the reports built on them stay as they were.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from conftest import random_rpoly, random_wpoly
+from pshdef import dominance, numeval, verify
+from pshdef.catalog import ball_like, type4_domain
+from pshdef.construct import ConstructConfig, run_construction
+from pshdef.cr import validate_normal_form
+from pshdef.exprparse import parse_rpoly, parse_wpoly
+from pshdef.numeval import compiled
+from pshdef.sampler import BallStream
+from pshdef.wirtinger import RPoly, WPoly
+
+BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
+
+
+def same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- the Z-fixed evaluator ---------------------------------------------------
+
+
+def complex_points(rng, m, n, dtype):
+    Z = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).astype(dtype)
+    Ws = [
+        (rng.standard_normal(m) + 1j * rng.standard_normal(m)).astype(dtype)
+        for _ in range(3)
+    ]
+    return Z, Ws
+
+
+def real_points(rng, m, n, dtype):
+    return rng.standard_normal((m, n)), [rng.standard_normal(m) for _ in range(3)]
+
+
+FIXED_CASES = {
+    "constant": (lambda: WPoly.const(2, 3), complex_points),
+    "W-free": (
+        lambda: parse_wpoly("abs2(z1)^2 + 3*Re(z2) - z1*z2^2", 2),
+        complex_points,
+    ),
+    "zero": (lambda: WPoly.zero(2), complex_points),
+    "with constant": (
+        lambda: parse_wpoly("2 + Im(w) + abs2(z1)*Re(w)^2", 2),
+        complex_points,
+    ),
+    "real lane": (lambda: parse_rpoly("1 + y + x1^2*y^3 - 5*x2", 2), real_points),
+    "real zero": (lambda: RPoly.zero(2), real_points),
+}
+
+
+def check_fixed(p, Z, Ws):
+    ev = compiled(p)
+    fixed = ev.at(Z)
+    # a second pass reads the same prefixes: no call may alter them
+    for W in Ws + Ws:
+        assert same(fixed(W), ev.eval(Z, W))
+
+
+@pytest.mark.parametrize("name", list(FIXED_CASES))
+def test_fixed_z_equals_eval(name):
+    make, points = FIXED_CASES[name]
+    for dtype in (np.complex128, np.clongdouble):  # the real lane reads floats
+        Z, Ws = points(np.random.default_rng(5), 40, 2, dtype)
+        check_fixed(make(), Z, Ws)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_fixed_z_equals_eval_random(dtype):
+    rng = random.Random(17)
+    points = np.random.default_rng(7)
+    for nz in (1, 2, 3):
+        for _ in range(20):
+            p = random_wpoly(rng, nz=nz, max_deg=5)
+            check_fixed(p, *complex_points(points, 30, nz, dtype))
+    for nx in (1, 2):
+        for _ in range(20):
+            p = random_rpoly(rng, nx=nx, max_deg=5)
+            check_fixed(p, *real_points(points, 30, nx, None))
+
+
+def test_fixed_z_stores_one_prefix_per_z_part():
+    """One array per distinct (coefficient, Z exponents) pair; a term with
+    no Z factor keeps its coefficient as a scalar."""
+    r = validate_normal_form(parse_wpoly(BALL3_TILTED, 3))
+    fixed = compiled(r.poly).at(np.ones((4, 3), dtype=complex))
+    arrays = {id(p): p for p, _ in fixed.terms if np.ndim(p)}
+    # |z1|^2, |z2|^2, |z3|^2 and z1, zbar1 (each shared by w and wbar)
+    assert len(arrays) == 5
+    assert len(fixed.terms) == len(r.poly.terms) == 12
+    pure_w = [p for p, _ in fixed.terms if not np.ndim(p)]
+    assert len(pure_w) == 5  # w, wbar, w^2, w wbar, wbar^2
+
+
+# -- grouped Newton ------------------------------------------------------------
+
+
+def test_grouped_newton_equals_solo_runs():
+    """Groups stop on their own.  v^2 = c has no real root for c < 0, so
+    that group runs into the 60-step cap while the others stop early."""
+    rng = np.random.default_rng(3)
+    groups = [
+        (rng.uniform(1, 2, 7), rng.uniform(0.5, 3, 7)),  # root sqrt(c)
+        (np.full(5, -1.0), rng.uniform(0.5, 3, 5)),  # no root: the cap
+        (rng.uniform(1e-6, 1e-4, 9), rng.uniform(1e-3, 1e-2, 9)),
+        (np.array([4.0]), np.array([2.0])),  # converged at the start
+    ]
+    c = np.concatenate([g[0] for g in groups])
+    v0 = np.concatenate([g[1] for g in groups])
+    starts = np.cumsum([0] + [len(g[0]) for g in groups])[:-1]
+    calls = []
+
+    def solve(c, v0, starts=None):
+        def value(v):
+            calls.append(len(v))
+            return v * v - c
+
+        return verify.newton(value, lambda v: 2 * v, v0, starts)
+
+    v, ok = solve(c, v0, starts)
+    assert len(calls) == 61  # the capped group ran all 60 steps
+    for a, (cg, vg) in zip(starts, groups):
+        calls.clear()
+        v1, ok1 = solve(cg, vg)
+        assert same(v[a : a + len(cg)], v1) and same(ok[a : a + len(cg)], ok1)
+    assert not ok[starts[1] : starts[2]].any() and ok[: starts[1]].all()
+
+
+@pytest.mark.parametrize(
+    "dtype, radii",
+    [
+        (np.complex128, [0.5, 1e-2, 1e-3, 2.0**-13]),
+        (np.clongdouble, [2.0**-14, 2.0**-15, 2.0**-16]),
+    ],
+)
+def test_grouped_projection_equals_solo(dtype, radii):
+    """project_to_boundary with groups, one per radius, gives each group
+    the W and flags of its own call, in either precision."""
+    r = type4_domain(8)
+    rng = np.random.default_rng(11)
+    parts = []
+    for x in radii:
+        z = x * (rng.standard_normal(50) + 1j * rng.standard_normal(50)) / 3
+        parts.append((z[:, None], x * rng.standard_normal(50) / 3))
+    Z = np.concatenate([p[0] for p in parts])
+    U = np.concatenate([p[1] for p in parts])
+    starts = np.arange(len(radii)) * 50
+    W, ok = verify.project_to_boundary(r, Z, U, dtype, starts=starts)
+    for a, (z, u) in zip(starts, parts):
+        W1, ok1 = verify.project_to_boundary(r, z, u, dtype)
+        assert same(W[a : a + 50], W1) and same(ok[a : a + 50], ok1)
+
+
+# -- one sampler for many radii ----------------------------------------------
+
+
+def test_sample_ball_radii_equal_solo_calls():
+    """Each radius reads the stream as its own call would, with top-up
+    rounds taken by some radii and not by others."""
+
+    def lift(coords, starts=None):
+        # fails points by their first coordinate, pushes some out of the ball
+        keep = coords[:, 0] > -0.2 * np.abs(coords).max(axis=1)
+        return (1.1 * coords, np.zeros(len(coords))), keep
+
+    radii = [1e-6, 0.5, 1e-3, 0.1]
+    for count in (30, 200):
+        got = verify.sample_ball(BallStream(3, 5), radii, count, lift)
+        for x, pts in zip(radii, got):
+            [want] = verify.sample_ball(BallStream(3, 5), [x], count, lift)
+            assert all(same(a, b) for a, b in zip(pts, want))
+
+
+def test_boundary_points_equal_solo_calls():
+    """Both precisions, one sample_ball each, against one call per radius."""
+    radii = [2.0**-e for e in (3, 9, 13, 14, 16)]
+    got = verify.boundary_points(ball_like(2), radii, 120, seed=4)
+    for x, (Z, W) in zip(radii, got):
+        [(Z1, W1)] = verify.boundary_points(ball_like(2), [x], 120, seed=4)
+        assert same(Z, Z1) and same(W, W1)
+
+
+# -- the single probe point set ----------------------------------------------
+
+
+def test_probe_set_is_one_array_with_views():
+    r = ball_like(2)
+    proj = dominance.project_probes(r, dominance.default_probes(2, 1))
+    n = proj.cuts[0]
+    assert np.shares_memory(proj.curve_Z, proj.Z)
+    assert np.shares_memory(proj.curve_W, proj.W)
+    assert len(proj.shells) == len(dominance.DYADIC_EXPS) == len(proj.cuts) - 1
+    for k, shell in enumerate(proj.shells):
+        a, b = proj.cuts[k], proj.cuts[k + 1]
+        assert np.shares_memory(shell.Z, proj.Z) and np.shares_memory(shell.W, proj.W)
+        assert same(shell.Z, proj.Z[a:b]) and shell.count == 160
+        # the shell is r's sample_boundary shell, equal to a fresh domain's
+        assert verify.sample_boundary(r, shell.radius, 160, 1) is shell
+        fresh = verify.sample_boundary(ball_like(2), shell.radius, 160, 1)
+        assert same(fresh.Z, shell.Z) and same(fresh.W, shell.W)
+        assert same(fresh.residuals, shell.residuals)
+    assert n == proj.curve_ok.size
+    assert not (proj.Z.flags.writeable or proj.W.flags.writeable)
+
+
+def test_probe_projection_and_bounds_structure(monkeypatch):
+    """On a fresh domain project_probes makes at most three projections
+    (the curves, then one per precision), and a construction evaluates
+    each bound polynomial once over the projected family."""
+    projections = []
+    project = verify.project_to_boundary
+
+    def counted(*args, **kwargs):
+        projections.append(len(args[2]))
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "project_to_boundary", counted)
+    r = type4_domain(8)
+    family = dominance.default_probes(1, 2)
+    proj = dominance.project_probes(r, family)
+    assert len(projections) <= 3
+    assert projections[0] == proj.cuts[0]  # the curves, first
+
+    on_set = {}
+    evaluate = numeval.CompiledPoly.eval
+
+    def recorded(self, Z, W):
+        if np.shares_memory(W, proj.W):
+            on_set[id(self)] = on_set.get(id(self), 0) + 1
+        return evaluate(self, Z, W)
+
+    monkeypatch.setattr(numeval.CompiledPoly, "eval", recorded)
+    report = run_construction(r, ConstructConfig(seed=2))
+    assert report.status == "Certified"
+    assert len(proj._bound_values) >= 2
+    for B in proj._bound_values:
+        assert on_set[id(compiled(B))] == 1
+
+
+def test_blocks_leave_the_floats(monkeypatch):
+    """An evaluation in blocks of points equals one in a single block."""
+    rng = random.Random(23)
+    points = np.random.default_rng(9)
+    polys = [random_wpoly(rng, nz=2, max_deg=5) for _ in range(10)]
+    # 21 points: five blocks of 4 and one of a single point
+    sets = [complex_points(points, 21, 2, dt) for dt in (np.complex128, np.clongdouble)]
+    whole = [
+        (compiled(p).eval(Z, Ws[0]), compiled(p).at(Z)(Ws[0]))
+        for p in polys
+        for Z, Ws in sets
+    ]
+    monkeypatch.setattr(numeval, "EVAL_BLOCK", 4)
+    blocked = [
+        (compiled(p).eval(Z, Ws[0]), compiled(p).at(Z)(Ws[0]))
+        for p in polys
+        for Z, Ws in sets
+    ]
+    for (a, b), (c, d) in zip(whole, blocked):
+        assert same(a, c) and same(b, d) and same(a, b)

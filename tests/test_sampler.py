@@ -113,12 +113,12 @@ def test_top_up_rounds_equal_reference():
     """Rounds after the first read the next stream indices, as successive
     draws of the per-call sampler do, also on a stream read before."""
 
-    def half(coords):  # keeps about half the points of each round
+    def half(coords, starts=None):  # keeps about half the points of each round
         return (coords, np.zeros(len(coords))), coords[:, 0] > 0.0
 
     stream = BallStream(3, 5)
     for count in (500, 90, 700):
-        got = verify.sample_ball(stream, 0.5, count, half)
+        [got] = verify.sample_ball(stream, [0.5], count, half)
         want = reference_sample_ball(3, 0.5, count, 5, half)
         assert all(same_bytes(a, b) for a, b in zip(got, want))
         assert len(got[0]) == count
@@ -130,17 +130,20 @@ def test_top_up_rounds_equal_reference():
 @pytest.fixture
 def checked_sample_ball(monkeypatch):
     """Makes every sample_ball call of either lane also run the per-call
-    scipy reference and require the same bytes; records the streams built
-    and the (radius, count, seed) of every shell checked."""
+    scipy reference for each of its radii and require the same bytes;
+    records the streams built and the (radius, count, seed) of every shell
+    checked."""
     seen = {"shells": [], "streams": []}
     sample_ball = verify.sample_ball
 
-    def checked(stream, radius, count, lift):
-        got = sample_ball(stream, radius, count, lift)
-        want = reference_sample_ball(stream.d, radius, count, stream.seed, lift)
-        assert len(got) == len(want)
-        assert all(same_bytes(a, b) for a, b in zip(got, want)), (radius, count)
-        seen["shells"].append((radius, count, stream.seed))
+    def checked(stream, radii, count, lift):
+        got = sample_ball(stream, radii, count, lift)
+        assert len(got) == len(radii)
+        for radius, pts in zip(radii, got):
+            want = reference_sample_ball(stream.d, radius, count, stream.seed, lift)
+            assert len(pts) == len(want)
+            assert all(same_bytes(a, b) for a, b in zip(pts, want)), (radius, count)
+            seen["shells"].append((radius, count, stream.seed))
         return got
 
     class Recorded(BallStream):

@@ -94,13 +94,14 @@ def test_bound_caches_live_on_the_domain(monkeypatch):
 def test_shells_sampled_once_per_domain(monkeypatch):
     """A run Newton-projects each (radius, samples, seed) shell once, however
     many scans read it, and a second DefiningFunction of the same domain
-    samples its own: the shell cache lives on the domain."""
+    samples its own: the shell cache lives on the domain.  The probe shells
+    are sampled by `project_probes`, not read through `sample_boundary`."""
     built = []
     sample_ball = verify.sample_ball
 
-    def recording(stream, radius, count, lift):
-        built[-1].append((radius, count, stream.seed))
-        return sample_ball(stream, radius, count, lift)
+    def recording(stream, radii, count, lift):
+        built[-1].extend((radius, count, stream.seed) for radius in radii)
+        return sample_ball(stream, radii, count, lift)
 
     monkeypatch.setattr(verify, "sample_ball", recording)
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -122,7 +123,9 @@ def test_shells_sampled_once_per_domain(monkeypatch):
             if s[0] == "verify.sample_boundary" and s[4] == request
         ]
         assert len(shells) == len(set(shells)) >= 1
-        assert len(reads) > len(shells)  # the other reads hit the cache
+        probe = {(2.0**-e, 160, 0) for e in dominance.DYADIC_EXPS}
+        assert probe <= set(shells)
+        assert len(reads) > len(set(shells) - probe)  # the other reads hit the cache
     assert built[0] == built[1]
     a, b = (json.dumps(rep.as_dict(), sort_keys=True) for rep in reports)
     assert a == b
