@@ -13,8 +13,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .construct import ConstructConfig, NotPseudoconvexError, run_construction
 from .cr import levi_form, levi_origin_value, validate_normal_form
 from .dominance import Bound, default_probes, levi_dominance_gate
@@ -22,6 +20,7 @@ from .exprparse import parse_poly
 from .gaussrat import format_gaussian
 from .realconvex import (
     RealConfig,
+    check_real_certificate,
     convex_multiplier,
     convexity_check,
     real_hessian_check,
@@ -31,7 +30,6 @@ from .realconvex import (
 )
 from .report import SCHEMA_VERSION, dumps_report, envelope, hessian_csv, shell_csv
 from .verify import (
-    H_MIN,
     ProbeConfigurationError,
     check_certificate,
     check_sampling,
@@ -279,15 +277,11 @@ def _cmd_verify(args) -> int:
     config["h"] = canonical_str(p1)
     if args.real:
         shell = _shell(args, lane, r)
-        rho = p1 * r.poly
-        check = real_hessian_check(rho, shell, args.tol)
+        checks, failed = check_real_certificate(r, p1, shell, args.tol)
         messages = ["identity and necessary-condition checks are complex-lane only"]
-        floor_ok = bool(np.abs(p1.eval(shell.X, shell.Y)).min() >= H_MIN)
-        if not floor_ok:
+        if "h_floor" in failed:
             messages.append("h drops below 1/2 on the shell; Hessian sign is unreliable")
-        failed = not (check.passed and floor_ok)
-        checks = {"hessian": check.as_dict()}
-        human = f"Hessian min eig {check.min_eig:.3e}"
+        human = f"Hessian min eig {checks['hessian']['min_eig']:.3e}"
     else:
         if not p1.is_real():
             raise _UsageError("h must be a real-valued expression")
@@ -296,7 +290,6 @@ def _cmd_verify(args) -> int:
             raise _UsageError("h must equal 1 at the origin")
         config["K"] = args.K
         shell = _shell(args, lane, r)
-        rho = None  # h r, built below only for the flags that read it
         checks, failed = check_certificate(r, T, args.K, shell, args.tol)
         psd, nec = checks["psd"], checks["necessary"]
         messages = [nec["error"]] if "error" in nec else []
@@ -309,7 +302,7 @@ def _cmd_verify(args) -> int:
     status = "fail" if failed else "pass"
     report = _head(r, "verify", status)
     report.update(config=config, checks=checks, messages=messages)
-    if rho is None and (args.collar is not None or args.csv_stats):
+    if args.collar is not None or args.csv_stats:  # they read h r
         rho = (p1 + r.poly.scale(Fraction(args.K))) * r.poly
     if args.collar is not None:
         collar = sample_collar(r, args.radius, args.samples, args.seed, args.collar)

@@ -26,7 +26,6 @@ from .dominance import (
     SplitResult,
     default_probes,
     dominance_check,
-    levi_dominance_gate,
     project_probes,
     real_basis_str,
     split_S_E,
@@ -36,10 +35,10 @@ from .numeval import compiled
 from .report import SCHEMA_VERSION
 from .verify import (
     DEFAULT_TOL,
-    H_MIN,
     PsdCheckResult,
     check_certificate,
     check_sampling,
+    h_floor_failure,
     hessian_values,
     last_slot_minors,
     ldl,
@@ -178,7 +177,6 @@ class ConstructionReport:
     nz: int
     config: ConstructConfig
     levi_precheck: dict
-    gate: dict
     shortcut_used: bool
     stages: list
     final: MultiplierCandidate | None
@@ -196,7 +194,6 @@ class ConstructionReport:
             "defining_function": {"nz": self.nz, "text": self.r_text},
             "config": self.config.as_dict(),
             "levi_precheck": self.levi_precheck,
-            "gate": self.gate,
             "shortcut_used": self.shortcut_used,
             "stages": [s.as_dict() for s in self.stages],
             "final": self.final.as_dict() if self.final else None,
@@ -398,7 +395,7 @@ def radius_search(config, attempt) -> KSearchResult:
 
     attempt(radius) samples the lane's shell of that radius and returns the
     least |1 + T| on it and a callable that runs `k_ladder` there.  A shell
-    where |1 + T| drops below the h floor H_MIN skips the ladder; that, or
+    where |1 + T| fails `verify.h_floor_failure` skips the ladder; that, or
     failure at every rung tried, shrinks the radius once by SHRINK.  The
     result's ladder lists the rungs evaluated at the final radius; it is
     empty when the h floor fails there.
@@ -408,8 +405,9 @@ def radius_search(config, attempt) -> KSearchResult:
         if shrunk:
             radius *= SHRINK
         least_h, run_ladder = attempt(radius)
-        if least_h < H_MIN:
-            ladder, witness = [], {"min_abs_h": least_h, "h_floor": H_MIN}
+        witness = h_floor_failure(least_h)
+        if witness is not None:
+            ladder = []
             continue
         ladder, K, st = run_ladder()
         if st.passed:
@@ -505,10 +503,10 @@ def _stage_split(r: DefiningFunction, T: WPoly, j: int, bound, probes):
     return r.cached(("stage_split", T, j, bound, probes), build)
 
 
-def _sup_abs(p: WPoly, shell) -> float:
+def _sup_abs(p: WPoly, points) -> float:
     if p.is_zero():
         return 0.0
-    return float(np.max(np.abs(compiled(p).eval(shell.Z, shell.W))))
+    return float(np.max(np.abs(compiled(p).eval(*points))))
 
 
 def _merge_increments(incs: list):
@@ -552,12 +550,9 @@ def run_construction(
     scan = levi_scan(r, config.radius, config.samples, config.seed, config.tol)
     if scan.min_value < -config.tol:
         raise NotPseudoconvexError(scan)
-    gate = levi_dominance_gate(r, probes)
-    if not gate.dominated:
-        messages.append("gradient-vs-Levi gate: " + gate.status)
 
     proj = project_probes(r, probes)
-    inner = proj.shells[-1]
+    inner = proj.Z[proj.cuts[-2] :], proj.W[proj.cuts[-2] :]  # the last probe shell
 
     stages = []
     contraction = []
@@ -740,7 +735,6 @@ def run_construction(
         nz=nz,
         config=config,
         levi_precheck=scan.as_dict(),
-        gate=gate.as_dict(),
         shortcut_used=shortcut_used,
         stages=stages,
         final=final,

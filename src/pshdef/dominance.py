@@ -32,6 +32,7 @@ import numpy as np
 from .cr import DefiningFunction
 from .gaussrat import I
 from .numeval import compiled
+from .verify import point_norms
 from .wirtinger import SparsePoly, WPoly, canonical_str, indexed_names, term_text
 
 DYADIC_EXPS = tuple(range(3, 17))  # t = 2^-3 .. 2^-16
@@ -136,7 +137,7 @@ class ProjectedProbes:
     Z and W hold every probe point as one set: first the curve points
     (curve i's n_t points are rows i n_t .. (i + 1) n_t - 1), then the
     points of each shell in shell_exps order, shell k from cuts[k] to
-    cuts[k + 1].  The curve arrays and the shells are views into the set.
+    cuts[k + 1].  The curve arrays are views into the set.
     """
 
     family: ProbeFamily
@@ -145,7 +146,6 @@ class ProjectedProbes:
     curve_ok: np.ndarray  # bool (n_curves, n_t)
     t_values: np.ndarray
     cuts: np.ndarray  # shell offsets; cuts[0] = n_curves n_t, cuts[-1] = n_points
-    shells: list  # BoundaryShell per shell_exps entry
     _bound_values: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -158,11 +158,15 @@ class ProjectedProbes:
         """(n_curves, n_t)"""
         return self.W[: self.cuts[0]].reshape(self.curve_ok.shape)
 
+    @functools.cached_property
+    def _curve_norms(self) -> np.ndarray:
+        """|(z, w)| per curve point, flattened; computed once per family."""
+        return point_norms(self.Z[: self.cuts[0]], self.W[: self.cuts[0]])
+
     def in_ball_points(self, radius: float):
         """Converged curve points with |(z, w)| <= radius, flattened."""
         Z, W = self.Z[: self.cuts[0]], self.W[: self.cuts[0]]
-        norms = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
-        keep = self.curve_ok.reshape(-1) & (norms <= radius)
+        keep = self.curve_ok.reshape(-1) & (self._curve_norms <= radius)
         return Z[keep], W[keep]
 
     def bound_values(self, B: WPoly, lo: int = 0) -> np.ndarray:
@@ -189,13 +193,12 @@ def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
     """Project every curve of the family onto the boundary and sample its
     shells, into one point set (cached on r).
 
-    The shells are sampled together (`verify.boundary_points`), and each
-    is also r's `verify.sample_boundary` shell of its (radius, count,
-    seed); one sampled before keeps its own arrays.
+    The shells are sampled together (`verify.boundary_points`): each holds
+    the points `verify.sample_boundary` gives for its (radius, count, seed).
     """
 
     def build():
-        from .verify import boundary_points, frozen_shell, project_to_boundary
+        from .verify import boundary_points, project_to_boundary
 
         radii = [2.0**-e for e in family.shell_exps]
         t = np.array(radii)
@@ -213,19 +216,7 @@ def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
             Z[a : a + count] = zs
             shell_W.append(ws)
         W = np.concatenate([curve_W, *shell_W])
-        res = np.abs(compiled(r.poly).eval(Z[cuts[0] :], W[cuts[0] :]).real)
-        shells = []
-        for k, x in enumerate(radii):
-            a, b = cuts[k], cuts[k + 1]
-            shells.append(
-                r.cached(
-                    ("shell", x, count, seed),
-                    lambda: frozen_shell(
-                        x, seed, Z[a:b], W[a:b], res[a - cuts[0] : b - cuts[0]]
-                    ),
-                )
-            )
-        for arr in (Z, W, res):
+        for arr in (Z, W):
             arr.flags.writeable = False
         return ProjectedProbes(
             family=family,
@@ -234,7 +225,6 @@ def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
             curve_ok=ok.reshape(nc, nt),
             t_values=t,
             cuts=cuts,
-            shells=shells,
         )
 
     return r.cached(("probes", family), build)
@@ -255,15 +245,7 @@ class DominanceVerdict:
         return self.status == "Dominated"
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "constant": self.constant,
-            "reason": self.reason,
-            "witness": self.witness,
-            "shell_ratios": self.shell_ratios,
-            "numerators": self.numerators,
-            "bound": self.bound,
-        }
+        return dict(vars(self))
 
 
 # -- exact real form and the quadratic certificate ------------------------
@@ -465,7 +447,7 @@ def _curve_escape(num, bvals, probes: ProjectedProbes):
 def _shell_ratios(num, bvals, probes: ProjectedProbes) -> list:
     """Per shell, the sup of the finite ratios (0.0 when none is finite).
     num and bvals are `_probe_values` at the shell points (from cuts[0])."""
-    if not probes.shells:
+    if len(probes.cuts) == 1:  # no shells
         return []
     ratio = _ratios(num, bvals)
     ratio[~np.isfinite(ratio)] = -np.inf

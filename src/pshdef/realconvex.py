@@ -42,6 +42,7 @@ from .verify import (
     PsdCheckResult,
     Shell,
     ball_stream,
+    h_floor_failure,
     hessian_stack,
     newton,
     point_norms,
@@ -197,6 +198,21 @@ def real_hessian_check(f: RPoly, shell: RealShell, tol: float = DEFAULT_TOL) -> 
     """Full real Hessian PSD sampling of f over the shell."""
     H = real_hessian_values(f, shell.X, shell.Y)
     return real_psd_stats(H, shell.X, shell.Y, tol)
+
+
+def check_real_certificate(
+    r: RealDefiningFunction, h: RPoly, shell: RealShell, tol: float = DEFAULT_TOL
+) -> tuple[dict, list]:
+    """The pass rule for a real-lane multiplier h on a shell, the
+    counterpart of `verify.check_certificate`: the real Hessian of h r
+    passes the PSD scan, and |h| clears the h floor.  Returns the scan's
+    report under "hessian" and the names of the checks that failed,
+    "hessian" and "h_floor": the certificate passes when that list is
+    empty."""
+    hessian = real_hessian_check(h * r.poly, shell, tol)
+    least_h = float(np.abs(h.eval(shell.X, shell.Y)).min())
+    passed = {"hessian": hessian.passed, "h_floor": h_floor_failure(least_h) is None}
+    return {"hessian": hessian.as_dict()}, [name for name, ok in passed.items() if not ok]
 
 
 # -- tangential convexity -------------------------------------------------

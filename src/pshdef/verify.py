@@ -8,7 +8,8 @@ eigenvalue, larger n a batched solve at the points a batched LDL* screen
 leaves.  Everything is deterministic under a fixed seed.  The ball
 sampler, the Newton solver, the PSD statistics and the h floor serve the
 real lane too.  `check_certificate` is the one pass rule for a finished
-certificate, applied by `construct` and `pshdef verify`.
+certificate, applied by `construct` and `pshdef verify`, and
+`h_floor_failure` the one h floor test of both lanes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
 DEFAULT_TOL = 1e-9
 H_MIN = 0.5  # floor on |h| (and |1 + T|) over a shell
+
+
+def h_floor_failure(least_h: float) -> dict | None:
+    """The one h floor test: None when a shell's least |h| (or |1 + T|)
+    is at least H_MIN, else the witness {"min_abs_h", "h_floor"}.  A NaN
+    least |h| fails."""
+    if least_h >= H_MIN:
+        return None
+    return {"min_abs_h": least_h, "h_floor": H_MIN}
 
 
 def check_sampling(radius: float, samples: int, tol: float) -> None:
@@ -237,13 +247,6 @@ def boundary_points(r: DefiningFunction, radii, count: int, seed: int = 0) -> li
     return out
 
 
-def frozen_shell(radius: float, seed: int, Z, W, residuals) -> BoundaryShell:
-    """A BoundaryShell whose arrays are made read-only."""
-    for a in (Z, W, residuals):
-        a.flags.writeable = False
-    return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=residuals)
-
-
 def sample_boundary(
     r: DefiningFunction,
     radius: float,
@@ -261,7 +264,9 @@ def sample_boundary(
     def build():
         [(Z, W)] = boundary_points(r, [radius], count, seed)
         res = np.abs(compiled(r.poly).eval(Z, W).real)
-        return frozen_shell(radius, seed, Z, W, res)
+        for a in (Z, W, res):
+            a.flags.writeable = False
+        return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
 
     return r.cached(("shell", radius, count, seed), build)
 
@@ -388,15 +393,7 @@ class PsdCheckResult:
     count: int
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tol": self.tol,
-            "min_diag": self.min_diag,
-            "min_minor": self.min_minor,
-            "min_eig": self.min_eig,
-            "worst_point": self.worst_point,
-            "count": self.count,
-        }
+        return dict(vars(self))
 
 
 def _point_dict(Z, W, i) -> dict:
@@ -545,12 +542,7 @@ class IdentityCheckResult:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "max_lhs": self.max_lhs,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return dict(vars(self))
 
 
 def identity_check_prop31(
@@ -655,12 +647,7 @@ class InequalityRecord:
     worst_point: dict
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "min_slack": self.min_slack,
-            "holds": self.holds,
-            "worst_point": self.worst_point,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -702,7 +689,7 @@ def necessary_conditions_check(
     nz = r.nz
     Z, W = shell.Z, shell.W
     hv = compiled(h).eval(Z, W)
-    if np.abs(hv).min() < H_MIN:
+    if h_floor_failure(float(np.abs(hv).min())) is not None:
         raise ValueError("h vanishes (|h| < 1/2) on the sampled shell")
     if hessian is None:
         hessian = hessian_values(h * r.poly, Z, W)

@@ -1,5 +1,6 @@
 """Command surface: parsing, exit codes, JSON reports, golden files."""
 
+import ast
 import csv
 import json
 import random
@@ -24,6 +25,7 @@ R10 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 10*Re(w)^2"
 R8 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 8*Re(w)^2"
 R7 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 7*Re(w)^2"
 BALL = "Im(w) + abs2(z)"
+BALL2 = "Im(w) + abs2(z1) + abs2(z2)"
 C3 = "Im(w) + abs2(z1)^2 + abs2(z2) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -518,6 +520,60 @@ def test_verify_real_vanishing_h_fails(capsys):
     assert any("1/2" in m for m in d["messages"])
 
 
+# (name, r, h, exit code, text): `pshdef verify --real` on each, its JSON in
+# tests/golden/verify_real_<name>.json
+VERIFY_REAL = [
+    ("pass", "y + x^2", "2 + y + x^2", 0, "pass: Hessian min eig 1.999e+00"),
+    ("hessian_fail", "y - x^2", "1", 1, "fail: Hessian min eig -2.000e+00"),
+    ("floor_fail", "y + x^2", "1 - 300*x", 1, "fail: Hessian min eig -3.075e+02"),
+    # h r = r / 4 passes the Hessian scan; the h floor alone fails it
+    ("floor_only", "y + x^2", "1/4", 1, "fail: Hessian min eig 0.000e+00"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, r, h, code, text", VERIFY_REAL, ids=[row[0] for row in VERIFY_REAL]
+)
+def test_verify_real_outputs(capsys, name, r, h, code, text):
+    """The real lane's certificate rule, pinned through the CLI: text, JSON
+    and exit code."""
+    argv = ["verify", "--real", "--r", r, "--h", h]
+    assert run(capsys, *argv) == (code, text + "\n", "")
+    got, out, _ = run(capsys, *argv, "--json")
+    assert got == code
+    assert out == (GOLDEN / f"verify_real_{name}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("r10", ["--r", R10]), ("r8", ["--r", R8]), ("ball2", ["--r", BALL2, "--nz", "2"])],
+)
+def test_analyze_golden(capsys, name, argv):
+    """analyze keeps the gradient-vs-Levi gate, byte for byte."""
+    code, out, _ = run(capsys, "analyze", *argv, "--json")
+    assert code == 0
+    assert out == (GOLDEN / f"analyze_{name}.json").read_text()
+
+
+def test_h_floor_has_one_test():
+    """Only `verify.h_floor_failure` compares anything with H_MIN."""
+    src = Path(__file__).parent.parent / "src" / "pshdef"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                getattr(x, "id", getattr(x, "attr", None)) == "H_MIN"
+                for x in ast.walk(node)
+            ):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parent[scope]
+                found.append((path.stem, getattr(scope, "name", "<module>")))
+    assert found == [("verify", "h_floor_failure")]
+
+
 # -- report layout ---------------------------------------------------------
 
 HEAD = ["schema_version", "mode", "command", "status", "defining_function"]
@@ -540,7 +596,6 @@ REAL = ["--real", "--r", "y + x^2"]
             [
                 "config",
                 "levi_precheck",
-                "gate",
                 "shortcut_used",
                 "stages",
                 "final",

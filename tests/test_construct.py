@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_k_ladder, random_wpoly, rank_one_term
-from pshdef import construct, verify
+from pshdef import cli, construct, dominance, verify
 from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
 from pshdef.construct import (
     SHRINK,
@@ -44,7 +45,7 @@ from pshdef.verify import (
     psd_stats,
     sample_boundary,
 )
-from pshdef.wirtinger import WPoly, im_z, re_w, re_z
+from pshdef.wirtinger import WPoly, canonical_str, im_z, re_w, re_z
 
 
 @given(st.integers(0, 10_000))
@@ -144,7 +145,6 @@ def test_r10_run(r10, r10_report):
     assert rep.verification["psd"]["passed"]
     assert rep.verification["identity"]["passed"]
     assert rep.verification["necessary"]["all_hold"]
-    assert rep.gate["status"] == "Dominated"
 
 
 def test_r8_run(r8, r8_report):
@@ -173,7 +173,28 @@ def test_r8_run(r8, r8_report):
     for entry in rep.contraction:
         assert entry["ratio"] < 1.0
     assert rep.verification["psd"]["passed"]
-    assert rep.gate["status"] == "NotDominated"
+
+
+def test_construction_runs_no_gate(monkeypatch):
+    """No construction verdict reads the gradient-vs-Levi gate (A=8
+    certifies with it NotDominated), so run_construction never calls it;
+    `pshdef analyze` does."""
+    gate = dominance.levi_dominance_gate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gate(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pshdef") and getattr(module, "levi_dominance_gate", None) is gate:
+            monkeypatch.setattr(module, "levi_dominance_gate", counted)
+    rep = run_construction(type4_domain(8))
+    assert rep.status == "Certified" and calls == []
+    assert "gate" not in rep.as_dict()
+    assert not any("gate" in m for m in rep.messages)
+    cli.main(["analyze", "--r", canonical_str(type4_domain(8).poly)])
+    assert len(calls) == 1
 
 
 def test_certified_replay(r8, r8_report):
@@ -500,7 +521,7 @@ def test_k_search_failed_claim_names_h_floor(monkeypatch):
     """With the h floor above |1 + T| everywhere, the ball's search stops
     at the floor in the shortcut and in the stage loop; the obstruction
     names the floor of the witness, not the ladder."""
-    monkeypatch.setattr(construct, "H_MIN", 10.0)
+    monkeypatch.setattr(verify, "H_MIN", 10.0)
     rep = run_construction(ball_like(1))
     assert rep.status == "Exhausted"
     assert rep.stages[-1].k_search.ladder == []

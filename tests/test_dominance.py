@@ -387,7 +387,6 @@ def synthetic_probes(rows, ok):
         curve_ok=np.asarray(ok, dtype=bool),
         t_values=np.array([2.0**-e for e in range(3, 3 + nt)]),
         cuts=np.array([nc * nt]),
-        shells=[],
     )
 
 

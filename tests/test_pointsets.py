@@ -200,18 +200,40 @@ def test_probe_set_is_one_array_with_views():
     n = proj.cuts[0]
     assert np.shares_memory(proj.curve_Z, proj.Z)
     assert np.shares_memory(proj.curve_W, proj.W)
-    assert len(proj.shells) == len(dominance.DYADIC_EXPS) == len(proj.cuts) - 1
-    for k, shell in enumerate(proj.shells):
+    assert len(dominance.DYADIC_EXPS) == len(proj.cuts) - 1
+    for k, e in enumerate(dominance.DYADIC_EXPS):
         a, b = proj.cuts[k], proj.cuts[k + 1]
-        assert np.shares_memory(shell.Z, proj.Z) and np.shares_memory(shell.W, proj.W)
-        assert same(shell.Z, proj.Z[a:b]) and shell.count == 160
-        # the shell is r's sample_boundary shell, equal to a fresh domain's
-        assert verify.sample_boundary(r, shell.radius, 160, 1) is shell
-        fresh = verify.sample_boundary(ball_like(2), shell.radius, 160, 1)
-        assert same(fresh.Z, shell.Z) and same(fresh.W, shell.W)
-        assert same(fresh.residuals, shell.residuals)
+        assert b - a == 160
+        # the probe shell holds the points of a fresh domain's sample_boundary
+        fresh = verify.sample_boundary(ball_like(2), 2.0**-e, 160, 1)
+        assert same(fresh.Z, proj.Z[a:b]) and same(fresh.W, proj.W[a:b])
+    # sample_boundary is the one route into r's shell cache
+    assert not [key for key in r._cache if key[0] == "shell"]
     assert n == proj.curve_ok.size
     assert not (proj.Z.flags.writeable or proj.W.flags.writeable)
+
+
+BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
+
+
+def test_in_ball_points_match_fresh_norms(monkeypatch):
+    """The curve-point norms are computed once per projected family, and
+    each radius selects the points a fresh norm computation selects."""
+    calls = []
+    norms = dominance.point_norms
+    monkeypatch.setattr(
+        dominance, "point_norms", lambda *a: calls.append(1) or norms(*a)
+    )
+    for r, nz in ((type4_domain(8), 1), (validate_normal_form(parse_wpoly(BALL3_TILTED, 3)), 3)):
+        proj = dominance.project_probes(r, dominance.default_probes(nz, 2))
+        n = proj.cuts[0]
+        Z, W = proj.Z[:n], proj.W[:n]
+        fresh = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
+        for radius in (1e-2, 2.5e-3, 2.0**-10, 1e-5, 0.3):
+            keep = proj.curve_ok.reshape(-1) & (fresh <= radius)
+            pz, pw = proj.in_ball_points(radius)
+            assert same(pz, Z[keep]) and same(pw, W[keep])
+    assert len(calls) == 2
 
 
 def test_probe_projection_and_bounds_structure(monkeypatch):

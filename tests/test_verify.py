@@ -17,6 +17,7 @@ from pshdef.exprparse import parse_wpoly
 from pshdef.numeval import compiled
 from pshdef.report import hessian_csv
 from pshdef.verify import (
+    H_MIN,
     BoundaryShell,
     IdentityCheckResult,
     check_certificate,
@@ -24,6 +25,7 @@ from pshdef.verify import (
     hessian_values,
     diagonals,
     eigen_candidates,
+    h_floor_failure,
     last_slot_minors,
     ldl,
     least_eigenvalues,
@@ -307,6 +309,19 @@ def test_necessary_rejects_vanishing_h(r10):
     h = WPoly.one(1) + re_z(1).scale(Fraction(-150))
     with pytest.raises(ValueError, match="vanishes"):
         necessary_conditions_check(r10, h, shell)
+
+
+@pytest.mark.parametrize(
+    "least_h, fails", [(0.5, False), (7.0, False), (0.4999, True), (0.0, True), (math.nan, True)]
+)
+def test_h_floor_failure_edges(least_h, fails):
+    """At the floor passes, below it or NaN fails with the witness."""
+    got = h_floor_failure(least_h)
+    if fails:
+        assert got.keys() == {"min_abs_h", "h_floor"} and got["h_floor"] == H_MIN
+        assert got["min_abs_h"] is least_h
+    else:
+        assert got is None
 
 
 def test_levi_scan_clean(r10):
