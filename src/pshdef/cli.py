@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
+from . import verify
 from .construct import ConstructConfig, NotPseudoconvexError, run_construction
 from .cr import levi_form, levi_origin_value, validate_normal_form
 from .dominance import Bound, default_probes, levi_dominance_gate
@@ -277,10 +278,13 @@ def _cmd_verify(args) -> int:
     config["h"] = canonical_str(p1)
     if args.real:
         shell = _shell(args, lane, r)
-        checks, failed = check_real_certificate(r, p1, shell, args.tol)
+        checks, failed, rho = check_real_certificate(r, p1, shell, args.tol)
         messages = ["identity and necessary-condition checks are complex-lane only"]
         if "h_floor" in failed:
-            messages.append("h drops below 1/2 on the shell; Hessian sign is unreliable")
+            messages.append(
+                f"h drops below {Fraction(verify.H_MIN)} on the shell; "
+                "Hessian sign is unreliable"
+            )
         human = f"Hessian min eig {checks['hessian']['min_eig']:.3e}"
     else:
         if not p1.is_real():
@@ -290,7 +294,7 @@ def _cmd_verify(args) -> int:
             raise _UsageError("h must equal 1 at the origin")
         config["K"] = args.K
         shell = _shell(args, lane, r)
-        checks, failed = check_certificate(r, T, args.K, shell, args.tol)
+        checks, failed, rho = check_certificate(r, T, args.K, shell, args.tol)
         psd, nec = checks["psd"], checks["necessary"]
         messages = [nec["error"]] if "error" in nec else []
         bits = [f"psd {'FAIL' if 'psd' in failed else 'ok'} (min eig {psd['min_eig']:.3e}"]
@@ -302,8 +306,6 @@ def _cmd_verify(args) -> int:
     status = "fail" if failed else "pass"
     report = _head(r, "verify", status)
     report.update(config=config, checks=checks, messages=messages)
-    if args.collar is not None or args.csv_stats:  # they read h r
-        rho = (p1 + r.poly.scale(Fraction(args.K))) * r.poly
     if args.collar is not None:
         collar = sample_collar(r, args.radius, args.samples, args.seed, args.collar)
         report["collar"] = {

@@ -539,7 +539,11 @@ def run_construction(
     r: DefiningFunction, config: ConstructConfig | None = None
 ) -> ConstructionReport:
     """Run the staged construction until certified, obstructed, or out of
-    stages.  Raises NotPseudoconvexError when the Levi precheck fails."""
+    stages.  Raises NotPseudoconvexError when the Levi precheck fails.
+
+    `ks` holds the K search of the current T, which a stage that merges
+    nothing reads, so no T is searched twice.  A stage exit only sets the
+    obstruction; the status is read once, after the loop."""
     config = config or ConstructConfig()
     nz = r.nz
     probes = default_probes(nz, config.seed)
@@ -557,32 +561,35 @@ def run_construction(
     stages = []
     contraction = []
     cancellation = None
-    shortcut_used = False
-    status = None
-    final = None
     obstruction = None
+    T = zero
+    ks = None  # the K search of T, once run
 
-    cand = strong_psc_shortcut(r)
-    if cand is not None:
-        shortcut_used = True
-        ks = k_search(r, cand.T, config, probes)
+    shortcut_used = strong_psc_shortcut(r) is not None
+    if shortcut_used:
+        ks = k_search(r, T, config, probes)
         if ks.found:
-            cand.K = ks.K
-            final = cand
-            status = "Certified"
-            stages.append(StageRecord(0, [], [], zero, zero, ks))
+            stages.append(StageRecord(0, [], [], zero, T, ks))
         else:
             messages.append("shortcut K search failed; entering stage loop")
 
-    T = zero
     T_tel = zero  # un-absorbed telescoping sum, used for the contraction metric
     degree_cap = config.degree_cap
     sup_cur = None
 
     n = 0
-    while status is None and n < config.max_stages:
+    while not (ks and ks.found):
+        if n == config.max_stages:
+            obstruction = {
+                "kind": "max_stages",
+                "stage": n,
+                "witness": stages[-1].k_search.witness if stages else None,
+                "claim": "stage budget exhausted without certification",
+            }
+            break
         n += 1
-        parts = []
+        stage = StageRecord(n, [], [], zero, T, None)
+        stages.append(stage)
         obstructed_part = None
         for j in range(nz):
             g, sp = _stage_split(r, T, j, config.bound, probes)
@@ -592,14 +599,13 @@ def run_construction(
                 rv = dominance_check(residual, config.bound, r, probes, j=j)
                 if rv.status == "NotDominated":
                     obstructed_part = (j, rv)
-            parts.append(StagePart(j, g, sp, T_inc, residual, rv))
+            stage.parts.append(StagePart(j, g, sp, T_inc, residual, rv))
             if sp.has_unknown:
                 messages.append(
                     f"stage {n}, j={j + 1}: unknown dominance verdicts kept in S"
                 )
         if obstructed_part is not None:
             j, rv = obstructed_part
-            status = "Obstructed"
             obstruction = {
                 "kind": "residual_not_dominated",
                 "stage": n,
@@ -611,12 +617,10 @@ def run_construction(
                     "out another multiplier"
                 ),
             }
-            stages.append(StageRecord(n, parts, [], zero, T, None))
             break
 
-        merged, failure = _merge_increments([p.T_inc for p in parts])
+        merged, failure = _merge_increments([p.T_inc for p in stage.parts])
         if failure is not None:
-            status = "Obstructed"
             obstruction = {
                 "kind": "incompatible_system",
                 "stage": n,
@@ -625,19 +629,11 @@ def run_construction(
                 "every j: the union of the increments fails equation j at "
                 "the monomial shown",
             }
-            stages.append(StageRecord(n, parts, [], zero, T, None))
             break
 
         if merged.is_zero():
-            ks = k_search(r, T, config, probes)
-            stages.append(StageRecord(n, parts, [], zero, T, ks))
-            if ks.found:
-                status = "Certified"
-                final = MultiplierCandidate(
-                    T, ks.K, n, zero, _all_absorbed(stages)
-                )
-            else:
-                status = "Exhausted"
+            ks = stage.k_search = ks or k_search(r, T, config, probes)
+            if not ks.found:
                 obstruction = {
                     "kind": "k_search_failed",
                     "stage": n,
@@ -647,11 +643,11 @@ def run_construction(
                 }
             break
 
-        absorbed_polys = []
         inc_absorbed = merged
         if config.absorb:
             inc_absorbed, absorbed_polys = absorb_r_multiples(merged, r)
-        absorbed_strs = [canonical_str(p) for p in absorbed_polys]
+            stage.absorbed = [canonical_str(p) for p in absorbed_polys]
+        stage.T_increment = inc_absorbed
 
         T_next = T + inc_absorbed
         T_tel_next = T_tel + merged
@@ -662,20 +658,16 @@ def run_construction(
         T_tel_next = T_tel_next.truncate(degree_cap)
 
         if T_next == T:
-            status = "Exhausted"
             obstruction = {
                 "kind": "fixpoint",
                 "stage": n,
                 "claim": "stage produced no change in T",
             }
-            stages.append(
-                StageRecord(n, parts, absorbed_strs, inc_absorbed, T, None)
-            )
             break
 
         # contraction metric on the un-absorbed telescoping sums
         if sup_cur is None:
-            sup_cur = max(_sup_abs(p.split.S, inner) for p in parts)
+            sup_cur = max(_sup_abs(p.split.S, inner) for p in stage.parts)
         sup_next = 0.0
         for j in range(nz):
             _, sp_tel = _stage_split(r, T_tel_next, j, config.bound, probes)
@@ -696,38 +688,32 @@ def run_construction(
                 "ok": bool(s_sup == 0.0 or g_sup <= 0.5 * s_sup),
             }
 
-        ks = k_search(r, T_next, config, probes)
-        stages.append(
-            StageRecord(n, parts, absorbed_strs, inc_absorbed, T_next, ks)
-        )
-        T = T_next
-        T_tel = T_tel_next
-        sup_cur = sup_next
-        if ks.found:
-            status = "Certified"
-            final = MultiplierCandidate(T, ks.K, n, zero, _all_absorbed(stages))
+        T, T_tel, sup_cur = T_next, T_tel_next, sup_next
+        ks = stage.k_search = k_search(r, T, config, probes)
+        stage.T_after = T
 
-    if status is None:
-        status = "Exhausted"
-        last_ks = stages[-1].k_search if stages else None
-        obstruction = {
-            "kind": "max_stages",
-            "stage": n,
-            "witness": last_ks.witness if last_ks and not last_ks.found else None,
-            "claim": "stage budget exhausted without certification",
-        }
-
+    final = None
     verification = None
-    if status == "Certified":
-        ks_rec = stages[-1].k_search
-        radius = ks_rec.radius if ks_rec else config.radius
-        shell = sample_boundary(r, radius, config.samples, config.seed)
-        checks, failed = check_certificate(r, final.T, final.K, shell, config.tol, probes)
-        verification = {"radius": radius, **checks}
+    if obstruction is None:  # the loop stops unobstructed only on a found K
+        final = MultiplierCandidate(
+            T, ks.K, n, zero, [a for s in stages for a in s.absorbed]
+        )
+        shell = sample_boundary(r, ks.radius, config.samples, config.seed)
+        checks, failed, _ = check_certificate(r, T, ks.K, shell, config.tol, probes)
+        verification = {"radius": ks.radius, **checks}
         if failed:
-            status = "Exhausted"
             messages.append("final verification failed; certificate withdrawn")
             final = None
+
+    if final is not None:
+        status = "Certified"
+    elif obstruction and obstruction["kind"] in (
+        "residual_not_dominated",
+        "incompatible_system",
+    ):
+        status = "Obstructed"
+    else:
+        status = "Exhausted"
 
     return ConstructionReport(
         status=status,
@@ -744,10 +730,3 @@ def run_construction(
         cancellation=cancellation,
         messages=messages,
     )
-
-
-def _all_absorbed(stages) -> list:
-    out = []
-    for s in stages:
-        out.extend(s.absorbed)
-    return out

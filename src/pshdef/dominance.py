@@ -32,7 +32,7 @@ import numpy as np
 from .cr import DefiningFunction
 from .gaussrat import I
 from .numeval import compiled
-from .verify import point_norms
+from .verify import boundary_points, point_norms, project_to_boundary
 from .wirtinger import SparsePoly, WPoly, canonical_str, indexed_names, term_text
 
 DYADIC_EXPS = tuple(range(3, 17))  # t = 2^-3 .. 2^-16
@@ -198,8 +198,6 @@ def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
     """
 
     def build():
-        from .verify import boundary_points, project_to_boundary
-
         radii = [2.0**-e for e in family.shell_exps]
         t = np.array(radii)
         nc, nt, nz = len(family.curves), len(t), r.nz

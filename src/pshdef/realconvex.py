@@ -206,13 +206,15 @@ def check_real_certificate(
     """The pass rule for a real-lane multiplier h on a shell, the
     counterpart of `verify.check_certificate`: the real Hessian of h r
     passes the PSD scan, and |h| clears the h floor.  Returns the scan's
-    report under "hessian" and the names of the checks that failed,
-    "hessian" and "h_floor": the certificate passes when that list is
-    empty."""
-    hessian = real_hessian_check(h * r.poly, shell, tol)
+    report under "hessian", the names of the checks that failed, "hessian"
+    and "h_floor" (the certificate passes when that list is empty), and
+    h r."""
+    rho = h * r.poly
+    hessian = real_hessian_check(rho, shell, tol)
     least_h = float(np.abs(h.eval(shell.X, shell.Y)).min())
     passed = {"hessian": hessian.passed, "h_floor": h_floor_failure(least_h) is None}
-    return {"hessian": hessian.as_dict()}, [name for name, ok in passed.items() if not ok]
+    failed = [name for name, ok in passed.items() if not ok]
+    return {"hessian": hessian.as_dict()}, failed, rho
 
 
 # -- tangential convexity -------------------------------------------------

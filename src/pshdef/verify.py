@@ -138,14 +138,6 @@ class Shell:
     def count(self) -> int:
         return len(self.residuals)
 
-    def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "seed": self.seed,
-            "count": self.count,
-            "max_residual": float(np.max(self.residuals)) if self.count else 0.0,
-        }
-
 
 @dataclass
 class BoundaryShell(Shell):
@@ -690,7 +682,7 @@ def necessary_conditions_check(
     Z, W = shell.Z, shell.W
     hv = compiled(h).eval(Z, W)
     if h_floor_failure(float(np.abs(hv).min())) is not None:
-        raise ValueError("h vanishes (|h| < 1/2) on the sampled shell")
+        raise ValueError(f"h vanishes (|h| < {Fraction(H_MIN)}) on the sampled shell")
     if hessian is None:
         hessian = hessian_values(h * r.poly, Z, W)
     p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
@@ -764,14 +756,15 @@ def check_certificate(
     Runs the PSD scan of h r, the determinant identity and the necessary
     conditions, all three on one numeric Hessian stack of h r over the
     shell.  Returns their reports under "psd", "identity" and "necessary",
-    and the names of the checks that failed: the certificate passes when
-    that list is empty.  The necessary conditions pass when every
+    the names of the checks that failed (the certificate passes when that
+    list is empty) and h r.  The necessary conditions pass when every
     inequality holds and the log-derivative deviation is not NotDominated.
     When h drops below the h floor on the shell, the necessary entry is
     {"error": message} and fails.
     """
     h = WPoly.one(r.nz) + T + r.poly.scale(Fraction(K))
-    H = hessian_values(h * r.poly, shell.Z, shell.W)
+    rho = h * r.poly
+    H = hessian_values(rho, shell.Z, shell.W)
     psd = psd_stats(H, shell.Z, shell.W, tol)
     ident = identity_check_prop31(r, K, T, shell, hessian=H)
     try:
@@ -783,4 +776,4 @@ def check_certificate(
         nec_passed = nec.all_hold and nec.log_deriv_verdict.status != "NotDominated"
     checks = {"psd": psd.as_dict(), "identity": ident.as_dict(), "necessary": nec_dict}
     passed = {"psd": psd.passed, "identity": ident.passed, "necessary": nec_passed}
-    return checks, [name for name, ok in passed.items() if not ok]
+    return checks, [name for name, ok in passed.items() if not ok], rho

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from pshdef import verify
 from pshdef.cli import main
 from pshdef.exprparse import ExprSyntaxError, parse_wpoly
 from pshdef.report import load_schema
@@ -553,6 +554,20 @@ def test_analyze_golden(capsys, name, argv):
     code, out, _ = run(capsys, "analyze", *argv, "--json")
     assert code == 0
     assert out == (GOLDEN / f"analyze_{name}.json").read_text()
+
+
+def test_h_floor_messages_read_h_min(capsys, monkeypatch):
+    """Both messages naming the h floor print `verify.H_MIN` as it is at
+    the call: the necessary conditions' error and `verify --real`'s note."""
+    monkeypatch.setattr(verify, "H_MIN", 10)
+    argv = ["verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64", "--json"]
+    _, out, _ = run(capsys, *argv)
+    assert "h vanishes (|h| < 10) on the sampled shell" in json.loads(out)["messages"]
+    _, out, _ = run(capsys, "verify", "--real", "--r", "y + x^2", "--h", "2 + y", "--json")
+    assert (
+        "h drops below 10 on the shell; Hessian sign is unreliable"
+        in json.loads(out)["messages"]
+    )
 
 
 def test_h_floor_has_one_test():

@@ -359,7 +359,7 @@ def test_residual_not_dominated_input_has_a_certificate(seed):
     T = parse_wpoly("-abs2(z)", 1)
     assert T.dz(0) == parse_wpoly("(i/2)*zbar", 1).scale(GaussianRational(0, 2))
     shell = sample_boundary(r, 1e-2, 2000, seed)
-    checks, failed = check_certificate(r, T, 1, shell)
+    checks, failed, _ = check_certificate(r, T, 1, shell)
     assert failed == [] and checks["psd"]["passed"]
 
 
@@ -627,13 +627,17 @@ def test_boundary_hessian_of_r_squared_is_rank_one(lane, text, n):
     hess_r = np.abs(shell.hessian(r.poly)).max()
     gg = rank_one_term(g)
     scale = max(1.0, np.abs(gg).max())
-    bound = 4 * shell.as_dict()["max_residual"] * hess_r + 16 * np.finfo(float).eps * scale
+    bound = 4 * shell.residuals.max() * hess_r + 16 * np.finfo(float).eps * scale
     assert np.abs(exact - gg).max() <= bound
     # the bound is tight enough to tell the wrong scale or orientation
     assert np.abs(exact - gg / 2).max() > 1e6 * bound
     if lane == "complex":
         assert np.abs(exact - rank_one_term(np.conj(g))).max() > 1e6 * bound
 
+
+NZ2_QUARTIC = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2"
+BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
+LEVI_MATRIX = "Im(w) + abs2(z1) + abs2(z2) + 3*Re(z1*zbar2)"
 
 # every catalog fixture, the nz >= 2 inputs beside them, and the real lane
 LADDER_RUNS = {
@@ -643,17 +647,9 @@ LADDER_RUNS = {
     "ball1": lambda: run_construction(ball_like(1)),
     "ball2": lambda: run_construction(ball_like(2)),
     "ball3": lambda: run_construction(ball_like(3)),
-    "nz2_quartic": lambda: run_construction(
-        _complex("Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2", 2)
-    ),
-    "ball3_tilted": lambda: run_construction(
-        _complex(
-            "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3
-        )
-    ),
-    "levi_matrix": lambda: run_construction(
-        _complex("Im(w) + abs2(z1) + abs2(z2) + 3*Re(z1*zbar2)", 2)
-    ),
+    "nz2_quartic": lambda: run_construction(_complex(NZ2_QUARTIC, 2)),
+    "ball3_tilted": lambda: run_construction(_complex(BALL3_TILTED, 3)),
+    "levi_matrix": lambda: run_construction(_complex(LEVI_MATRIX, 2)),
     "real y+x^2": lambda: convex_multiplier(_real("y + x^2", 1)),
     "real y+x^4": lambda: convex_multiplier(_real("y + x^4", 1)),
     "real y+x1^2+x2^4": lambda: convex_multiplier(_real("y + x1^2 + x2^4", 2)),
@@ -673,6 +669,43 @@ def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
     checked = watch_k_ladder(check)
     LADDER_RUNS[name]()
     assert checked and max(checked) <= 2
+
+
+# the nz >= 2 benchmark rows and the two type4 worked examples
+SEARCH_ONCE = {
+    "A=10": lambda: type4_domain(10),
+    "A=8": lambda: type4_domain(8),
+    "mixed_c3": mixed_c3_example,
+    "nz2_quartic": lambda: _complex(NZ2_QUARTIC, 2),
+    "ball3_tilted": lambda: _complex(BALL3_TILTED, 3),
+    "ball2": lambda: ball_like(2),
+    "levi_matrix": lambda: _complex(LEVI_MATRIX, 2),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", list(SEARCH_ONCE))
+def test_each_candidate_is_k_searched_once(monkeypatch, name, seed):
+    """A run K-searches no T twice: a stage that merges nothing reads the
+    search its T already had.  levi_matrix's shortcut search of T = 0
+    fails and its stage 1 merges nothing, so its one search is stage 1's."""
+    searched = []
+    search = construct.k_search
+
+    def counted(r, T, *args):
+        searched.append(T)
+        return search(r, T, *args)
+
+    monkeypatch.setattr(construct, "k_search", counted)
+    config = ConstructConfig(seed=seed)
+    rep = run_construction(SEARCH_ONCE[name](), config)
+    assert searched and len(set(searched)) == len(searched)
+    if name == "levi_matrix":
+        assert len(searched) == 1
+        r = SEARCH_ONCE[name]()
+        fresh = search(r, WPoly.zero(2), config, dominance.default_probes(2, seed))
+        assert rep.stages[0].index == 1
+        assert rep.stages[0].k_search.as_dict() == fresh.as_dict()
 
 
 def test_k_ladder_high_top_rung(watch_k_ladder):

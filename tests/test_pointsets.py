@@ -247,7 +247,9 @@ def test_probe_projection_and_bounds_structure(monkeypatch):
         projections.append(len(args[2]))
         return project(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "project_to_boundary", counted)
+    # dominance binds the name at import, as verify's own callers read it
+    for module in (verify, dominance):
+        monkeypatch.setattr(module, "project_to_boundary", counted)
     r = type4_domain(8)
     family = dominance.default_probes(1, 2)
     proj = dominance.project_probes(r, family)

@@ -235,8 +235,9 @@ def test_check_certificate_matches_standalone_checks(name):
     """One shared Hessian stack gives the reports each check gives alone."""
     r, T, K, h = certificate(name)
     shell = sample_boundary(r, 1e-2, 500, seed=0)
-    checks, _ = check_certificate(r, T, K, shell)
-    assert checks["psd"] == psd_check(h * r.poly, shell).as_dict()
+    checks, _, rho = check_certificate(r, T, K, shell)
+    assert rho == h * r.poly
+    assert checks["psd"] == psd_check(rho, shell).as_dict()
     assert checks["identity"] == identity_check_prop31(r, K, T, shell).as_dict()
     alone = necessary_conditions_check(r, h, shell, K)
     assert checks["necessary"] == alone.as_dict()
