@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass(frozen=True)
 class _Lane:
-    poly: type  # WPoly | RPoly: variable names, parsing, printing, report mode
+    poly: type  # WPoly | RPoly: names, parsing, printing, point tables, report mode
     validate: Callable  # polynomial -> domain, or a normal-form error
     config: type  # the construction's config, built from the shared flags
     construct: Callable  # (domain, config) -> report
@@ -238,7 +238,7 @@ def _cmd_analyze(args) -> int:
     report["normal_form"] = {"ok": True, "degree": r.poly.degree()}
     report.update(body, messages=[])
     if args.csv_points:
-        _write(args.csv_points, shell_csv(shell))
+        _write(args.csv_points, shell_csv(shell, lane.poly))
     _emit(args, report, human)
     return _EXIT[status]
 
@@ -261,7 +261,7 @@ def _cmd_construct(args) -> int:
         _emit(args, report, f"Obstructed: {e}")
         return EXIT_FAIL
     if args.csv_points:
-        _write(args.csv_points, shell_csv(_shell(args, lane, r)))
+        _write(args.csv_points, shell_csv(_shell(args, lane, r), lane.poly))
     _emit(args, envelope("construct", rep.as_dict()), rep.trace())
     return _EXIT[rep.status]
 
@@ -314,7 +314,7 @@ def _cmd_verify(args) -> int:
             "psd": psd_check(rho, collar, args.tol).as_dict(),
         }
     if args.csv_points:
-        _write(args.csv_points, shell_csv(shell))
+        _write(args.csv_points, shell_csv(shell, lane.poly))
     if args.csv_stats:
         _write(args.csv_stats, hessian_csv(rho, shell))
     _emit(args, report, f"{status}: {human}")

@@ -542,8 +542,10 @@ def run_construction(
     stages.  Raises NotPseudoconvexError when the Levi precheck fails.
 
     `ks` holds the K search of the current T, which a stage that merges
-    nothing reads, so no T is searched twice.  A stage exit only sets the
-    obstruction; the status is read once, after the loop."""
+    nothing reads, so no T is searched twice; a stage that returns a T
+    already tried (0 or one an earlier stage reached) ends the loop at a
+    fixpoint.  A stage exit only sets the obstruction; the status is read
+    once, after the loop."""
     config = config or ConstructConfig()
     nz = r.nz
     probes = default_probes(nz, config.seed)
@@ -563,6 +565,7 @@ def run_construction(
     cancellation = None
     obstruction = None
     T = zero
+    tried = {T}  # every T the run has reached
     ks = None  # the K search of T, once run
 
     shortcut_used = strong_psc_shortcut(r) is not None
@@ -657,11 +660,11 @@ def run_construction(
         T_next = T_next.truncate(degree_cap)
         T_tel_next = T_tel_next.truncate(degree_cap)
 
-        if T_next == T:
+        if T_next in tried:
             obstruction = {
                 "kind": "fixpoint",
                 "stage": n,
-                "claim": "stage produced no change in T",
+                "claim": "stage returned a T already tried",
             }
             break
 
@@ -689,6 +692,7 @@ def run_construction(
             }
 
         T, T_tel, sup_cur = T_next, T_tel_next, sup_next
+        tried.add(T)
         ks = stage.k_search = k_search(r, T, config, probes)
         stage.T_after = T
 

@@ -20,7 +20,8 @@ _W_COEFF = GaussianRational(0, Fraction(-1, 2))
 
 
 class NormalFormError(ValueError):
-    """Input fails the r = Im w + F normal form; lists every violated clause."""
+    """Input fails its lane's normal form, r = Im w + F or r = y + G; lists
+    every violated clause."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -102,12 +103,12 @@ class DefiningFunction(Domain):
         return self.cached("gradsq", lambda: gradient_z_sq(self))
 
 
-def hessian_entries(f: WPoly) -> list[list[WPoly]]:
-    """H[j][k] = f_{x_j xbar_k} with slots (z_1..z_m, w)."""
-    first = [f.dz(j) for j in range(f.nz)] + [f.dw()]
-    return [
-        [d.dzbar(k) for k in range(f.nz)] + [d.dwbar()] for d in first
-    ]
+def hessian_entries(f: SparsePoly) -> list[list[SparsePoly]]:
+    """H[a][b], the partial of f in its class's a-th Hessian row slot and
+    b-th column slot: f_{u_a ubar_b} with u = (z_1..z_m, w) for a WPoly,
+    f_{x_a x_b} with x = (x_1..x_n, y) for an RPoly."""
+    rows, cols = (f.slots(s, f.n) for s in (f.hessian_rows, f.hessian_cols))
+    return [[d.partial(b) for b in cols] for d in (f.partial(a) for a in rows)]
 
 
 def hessian_minor_det(f: WPoly, j: int = 0) -> WPoly:

@@ -238,10 +238,6 @@ class DominanceVerdict:
     numerators: list
     bound: str
 
-    @property
-    def dominated(self) -> bool:
-        return self.status == "Dominated"
-
     def as_dict(self) -> dict:
         return dict(vars(self))
 

@@ -6,10 +6,16 @@ and the whole staged construction collapses to the fixed choice T = r_y plus
 a ladder over K.  The lane runs on the complex lane's cores: its
 polynomials are `wirtinger.RPoly`, the exact sparse polynomial with rational
 coefficients over (x_1..x_n, y), parsed and printed by the same code as
-`WPoly`, and the numeric side is the compiled evaluator (`numeval`),
-the Halton ball sampler, the Newton solver, the PSD statistics and the h
-floor (`verify`), and the K ladder and the radius search (`construct`).  Only
-the coordinates differ: the ladder gets the real Hessian and gradient.
+`WPoly`; its Hessian entries come from `cr.hessian_entries` and its
+normal-form error is `cr.NormalFormError`; and the numeric side is the
+compiled evaluator (`numeval`), the shell, the Halton ball sampler, the
+Newton solver, the Hessian stack, the PSD statistics and the h floor
+(`verify`), and the K ladder and the radius search (`construct`).  Its own
+parts are the r = y + G normal form, the Newton lift of y, the point
+reports and the tangential forms.  A real shell holds x in Z and y in W.
+The sampler, the Hessian values, the PSD statistics, the Hessian check
+and the normal-form check keep their real-lane names: the benchmark calls
+or traces each by name.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -34,7 +40,7 @@ from .construct import (
     radius_search,
     search_failure,
 )
-from .cr import Domain
+from .cr import Domain, NormalFormError, hessian_entries
 from .numeval import compiled
 from .report import SCHEMA_VERSION
 from .verify import (
@@ -45,7 +51,6 @@ from .verify import (
     h_floor_failure,
     hessian_stack,
     newton,
-    point_norms,
     psd_result,
     sample_ball,
 )
@@ -53,14 +58,6 @@ from .wirtinger import RPoly, canonical_str
 
 
 # -- normal form ----------------------------------------------------------
-
-
-class RealNormalFormError(ValueError):
-    """Input fails the r = y + G normal form; lists every violated clause."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
 
 
 def real_normal_form_violations(p: RPoly) -> list[str]:
@@ -81,7 +78,7 @@ def real_normal_form_violations(p: RPoly) -> list[str]:
 def validate_real_normal_form(p: RPoly) -> "RealDefiningFunction":
     violations = real_normal_form_violations(p)
     if violations:
-        raise RealNormalFormError(violations)
+        raise NormalFormError(violations)
     return RealDefiningFunction(p)
 
 
@@ -118,35 +115,18 @@ def project_to_real_boundary(r: RealDefiningFunction, X, starts=None):
     return newton(rp, ry, np.zeros(len(X)), starts)
 
 
-@dataclass
-class RealShell(Shell):
-    """Points (x, y) on the boundary."""
-
-    X: np.ndarray  # (count, nx)
-    Y: np.ndarray  # (count,)
-    residuals: np.ndarray
-
-    def norms(self) -> np.ndarray:
-        return point_norms(self.X, self.Y)
-
-    def coordinates(self) -> dict:
-        return dict(zip(RPoly.names(self.X.shape[1]), [*self.X.T, self.Y]))
-
-    def hessian(self, f: RPoly) -> np.ndarray:
-        return real_hessian_values(f, self.X, self.Y)
-
-
 def sample_real_boundary(
     r: RealDefiningFunction,
     radius: float,
     count: int,
     seed: int = 0,
-) -> RealShell:
+) -> Shell:
     """Low-discrepancy boundary points filling the ball of the given radius.
 
     The x coordinates fill the ball (see `verify.sample_ball`) from r's
-    Halton stream of this seed; y is Newton-solved.  Cached on r like
-    `verify.sample_boundary`; the arrays are read-only.
+    Halton stream of this seed; y is Newton-solved.  The shell holds x in Z
+    and y in W, and is cached on r like `verify.sample_boundary`; the arrays
+    are read-only.
     """
 
     def lift(X, starts=None):
@@ -158,7 +138,7 @@ def sample_real_boundary(
         res = np.abs(r.poly.eval(X, Y))
         for a in (X, Y, res):
             a.flags.writeable = False
-        return RealShell(radius=radius, seed=seed, X=X, Y=Y, residuals=res)
+        return Shell(radius=radius, seed=seed, Z=X, W=Y, residuals=res)
 
     return r.cached(("shell", radius, count, seed), build)
 
@@ -166,21 +146,10 @@ def sample_real_boundary(
 # -- Hessian checks -------------------------------------------------------
 
 
-def real_hessian_entries(f: RPoly) -> list:
-    """Upper-triangular (nx+1)x(nx+1) second-derivative polynomials, in the
-    slot order (x_1..x_nx, y)."""
-    n = f.nx + 1
-    firsts = [f.partial(a) for a in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            out[a][b] = firsts[a].partial(b)
-    return out
-
-
 def real_hessian_values(f: RPoly, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Real Hessian of f at each point: array (m, n, n), symmetric."""
-    return hessian_stack(real_hessian_entries(f), X, Y, np.float64)
+    """Real Hessian of f at each point: array (m, n, n), symmetric, in the
+    slot order (x_1..x_nx, y)."""
+    return hessian_stack(hessian_entries(f), X, Y)
 
 
 def _real_point_dict(X, Y, i) -> dict:
@@ -194,14 +163,14 @@ def real_psd_stats(H: np.ndarray, X, Y, tol: float) -> PsdCheckResult:
     return psd_result(H, tol, lambda i: _real_point_dict(X, Y, i))
 
 
-def real_hessian_check(f: RPoly, shell: RealShell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
+def real_hessian_check(f: RPoly, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
     """Full real Hessian PSD sampling of f over the shell."""
-    H = real_hessian_values(f, shell.X, shell.Y)
-    return real_psd_stats(H, shell.X, shell.Y, tol)
+    H = real_hessian_values(f, shell.Z, shell.W)
+    return real_psd_stats(H, shell.Z, shell.W, tol)
 
 
 def check_real_certificate(
-    r: RealDefiningFunction, h: RPoly, shell: RealShell, tol: float = DEFAULT_TOL
+    r: RealDefiningFunction, h: RPoly, shell: Shell, tol: float = DEFAULT_TOL
 ) -> tuple[dict, list]:
     """The pass rule for a real-lane multiplier h on a shell, the
     counterpart of `verify.check_certificate`: the real Hessian of h r
@@ -211,7 +180,7 @@ def check_real_certificate(
     h r."""
     rho = h * r.poly
     hessian = real_hessian_check(rho, shell, tol)
-    least_h = float(np.abs(h.eval(shell.X, shell.Y)).min())
+    least_h = float(np.abs(h.eval(shell.Z, shell.W)).min())
     passed = {"hessian": hessian.passed, "h_floor": h_floor_failure(least_h) is None}
     failed = [name for name, ok in passed.items() if not ok]
     return {"hessian": hessian.as_dict()}, failed, rho
@@ -235,12 +204,12 @@ def tangential_form(r: RealDefiningFunction, j: int = 0) -> RPoly:
 
 
 def convexity_check(
-    r: RealDefiningFunction, shell: RealShell, tol: float = DEFAULT_TOL
+    r: RealDefiningFunction, shell: Shell, tol: float = DEFAULT_TOL
 ) -> dict:
     """Minimum of every tangential form over the shell, with witness."""
     worst = None
     for j in range(r.nx):
-        vals = tangential_form(r, j).eval(shell.X, shell.Y)
+        vals = tangential_form(r, j).eval(shell.Z, shell.W)
         i = int(np.argmin(vals))
         if worst is None or vals[i] < worst[0]:
             worst = (float(vals[i]), j, i)
@@ -250,7 +219,7 @@ def convexity_check(
     if not passed:
         out["witness"] = {
             "j": j + 1,
-            "point": _real_point_dict(shell.X, shell.Y, i),
+            "point": _real_point_dict(shell.Z, shell.W, i),
             "value": value,
         }
     return out
@@ -362,7 +331,7 @@ def convex_multiplier(
 
     def attempt(radius):
         shell = sample_real_boundary(r, radius, config.samples, config.seed)
-        X, Y = shell.X, shell.Y
+        X, Y = shell.Z, shell.W
         least_h = float(np.min(np.abs(1.0 + ry.eval(X, Y))))
 
         def run_ladder():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 
-from .verify import psd_arrays
+from .verify import hessian_values, psd_arrays
 
 SCHEMA_VERSION = 1
 
@@ -35,9 +35,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def shell_csv(shell) -> str:
-    """Point table for a boundary shell of either lane."""
-    cols = shell.coordinates()
+def shell_csv(shell, lane) -> str:
+    """Point table for a boundary shell of either lane, with the columns of
+    the lane's polynomial class (WPoly or RPoly)."""
+    cols = lane.point_columns(shell.Z, shell.W)
     rows = [",".join(["index", *cols, "residual"])]
     values = [*cols.values(), shell.residuals]
     for i in range(shell.count):
@@ -47,7 +48,7 @@ def shell_csv(shell) -> str:
 
 def hessian_csv(f, shell) -> str:
     """Per-point Hessian statistics table for f over the shell."""
-    H = shell.hessian(f)
+    H = hessian_values(f, shell.Z, shell.W)
     diags, minors, eigs = psd_arrays(H)
     n = H.shape[-1]
     cols = ["index"]

@@ -5,11 +5,11 @@ scrambled Halton stream of `sampler`, plain numpy) with Im w recovered by
 1-D Newton (residual <= 1e-12).  PSD checks look at Hessian diagonals, all
 z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the closed-form
 eigenvalue, larger n a batched solve at the points a batched LDL* screen
-leaves.  Everything is deterministic under a fixed seed.  The ball
-sampler, the Newton solver, the PSD statistics and the h floor serve the
-real lane too.  `check_certificate` is the one pass rule for a finished
-certificate, applied by `construct` and `pshdef verify`, and
-`h_floor_failure` the one h floor test of both lanes.
+leaves.  Everything is deterministic under a fixed seed.  The shell, the
+ball sampler, the Newton solver, the Hessian stack, the PSD statistics and
+the h floor serve the real lane too.  `check_certificate` is the one pass
+rule for a finished certificate, applied by `construct` and `pshdef
+verify`, and `h_floor_failure` the one h floor test of both lanes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .gaussrat import GaussianRational
 from .cr import DefiningFunction, hessian_entries
 from .numeval import compiled
 from .sampler import BallStream
-from .wirtinger import WPoly, indexed_names
+from .wirtinger import WPoly
 
 NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
@@ -124,44 +124,19 @@ def point_norms(P: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Shell:
-    """Boundary sample within the closed ball of `radius`.
-
-    Subclasses hold the points of one lane and a residual per point, and
-    give their real coordinate columns by name (`coordinates`) and the
-    Hessian of a polynomial at each point (`hessian`).
-    """
+    """Boundary points within the closed ball of `radius`, with a residual
+    per point.  Both lanes hold their points as `CompiledPoly.eval` reads
+    them: (z, w) complex, or real with x in Z and y in W."""
 
     radius: float
     seed: int
+    Z: np.ndarray  # (count, n)
+    W: np.ndarray  # (count,)
+    residuals: np.ndarray
 
     @property
     def count(self) -> int:
         return len(self.residuals)
-
-
-@dataclass
-class BoundaryShell(Shell):
-    """Points (z, w) on the boundary."""
-
-    Z: np.ndarray  # (count, nz) complex
-    W: np.ndarray  # (count,) complex
-    residuals: np.ndarray
-
-    def norms(self) -> np.ndarray:
-        return point_norms(self.Z, self.W)
-
-    def coordinates(self) -> dict:
-        nz = self.Z.shape[1]
-        out = {}
-        for z, re, im in zip(
-            self.Z.T, indexed_names("re_z{}", nz), indexed_names("im_z{}", nz)
-        ):
-            out[re], out[im] = z.real, z.imag
-        out["re_w"], out["im_w"] = self.W.real, self.W.imag
-        return out
-
-    def hessian(self, f: WPoly) -> np.ndarray:
-        return hessian_values(f, self.Z, self.W)
 
 
 def ball_stream(r, d: int, seed: int) -> BallStream:
@@ -244,7 +219,7 @@ def sample_boundary(
     radius: float,
     count: int,
     seed: int = 0,
-) -> BoundaryShell:
+) -> Shell:
     """Low-discrepancy boundary points filling the ball of the given radius.
 
     The points are `boundary_points`.  The shell is cached on r by
@@ -258,7 +233,7 @@ def sample_boundary(
         res = np.abs(compiled(r.poly).eval(Z, W).real)
         for a in (Z, W, res):
             a.flags.writeable = False
-        return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
+        return Shell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
 
     return r.cached(("shell", radius, count, seed), build)
 
@@ -269,7 +244,7 @@ def sample_collar(
     count: int,
     seed: int = 0,
     delta: float = 1e-4,
-) -> BoundaryShell:
+) -> Shell:
     """Inward points with r in (-delta, 0), for exploratory use only.
 
     Nothing normative is checked off the boundary; callers must label any
@@ -286,23 +261,26 @@ def sample_collar(
         )
     Z, W, targets = shell.Z[keep], W[keep], targets[keep]
     res = np.abs(compiled(r.poly).eval(Z, W).real - targets)
-    return BoundaryShell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
+    return Shell(radius=radius, seed=seed, Z=Z, W=W, residuals=res)
 
 
 # -- Hessian evaluation ---------------------------------------------------
 
 
-def hessian_stack(H: list, Z, W, dtype) -> np.ndarray:
+def hessian_stack(H: list, Z, W) -> np.ndarray:
     """Values (m, n, n) of the n x n Hessian entry table H at each point.
 
     Entries on and above the diagonal are evaluated; those below are their
-    conjugates.
+    conjugates.  The stack takes the dtype of the evaluated entries: complex
+    for a WPoly table, float for an RPoly one.
     """
     n = len(H)
-    out = np.empty((len(W), n, n), dtype=dtype)
+    out = None
     for j in range(n):
         for k in range(j, n):
             vals = compiled(H[j][k]).eval(Z, W)
+            if out is None:
+                out = np.empty((len(W), n, n), dtype=vals.dtype)
             out[:, j, k] = vals
             if k != j:
                 out[:, k, j] = np.conj(vals)
@@ -310,8 +288,9 @@ def hessian_stack(H: list, Z, W, dtype) -> np.ndarray:
 
 
 def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Complex Hessian of f at each point: array (m, n, n), Hermitian."""
-    return hessian_stack(hessian_entries(f), Z, W, complex)
+    """Complex Hessian of f at each point: array (m, n, n), Hermitian.  An
+    RPoly at real points gives its real symmetric Hessian."""
+    return hessian_stack(hessian_entries(f), Z, W)
 
 
 def least_2x2(a, b2, c):
@@ -513,7 +492,7 @@ def psd_stats(H: np.ndarray, Z, W, tol: float) -> PsdCheckResult:
     return psd_result(H, tol, lambda i: _point_dict(Z, W, i))
 
 
-def psd_check(f: WPoly, shell: BoundaryShell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
+def psd_check(f: WPoly, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
     """Sampled positive-semidefiniteness of the complex Hessian of f.
 
     Checks diagonal entries, every (z_j, w) 2x2 minor, and the least
@@ -541,7 +520,7 @@ def identity_check_prop31(
     r: DefiningFunction,
     K,
     T: WPoly,
-    shell: BoundaryShell,
+    shell: Shell,
     rel_tol: float = 1e-8,
     hessian: np.ndarray | None = None,
 ) -> IdentityCheckResult:
@@ -663,7 +642,7 @@ class NecessaryConditionsResult:
 def necessary_conditions_check(
     r: DefiningFunction,
     h: WPoly,
-    shell: BoundaryShell,
+    shell: Shell,
     K=0,
     tol: float = DEFAULT_TOL,
     probes=None,
@@ -747,7 +726,7 @@ def check_certificate(
     r: DefiningFunction,
     T: WPoly,
     K,
-    shell: BoundaryShell,
+    shell: Shell,
     tol: float = DEFAULT_TOL,
     probes=None,
 ) -> tuple[dict, list]:

@@ -58,13 +58,14 @@ class SparsePoly:
     """Polynomial with exact coefficients over `n` variables.
 
     Used as is, it has GaussianRational coefficients and one exponent slot
-    per variable.  A lane overrides `ring` (the coefficient constructor)
-    and its variable names, and gives the compiled evaluator `z_columns`
-    and `w_columns` (the value of each slot at numeric points: the
-    `indexed` slots from the first coordinates, the `single` ones from the
-    last) and `numeric` (a coefficient as a float or complex).  Ring
-    operations need operands of the same lane and n; int, Fraction and
-    GaussianRational scalars act as constants.
+    per variable.  A lane overrides `ring` (the coefficient constructor),
+    its variable names and its Hessian slots.  It gives the compiled
+    evaluator `z_columns` and `w_columns` (the value of each slot at
+    numeric points: the `indexed` slots from the first coordinates, the
+    `single` ones from the last) and `numeric` (a coefficient as a float or
+    complex), and the point tables `point_columns` (the real coordinates of
+    points by column name).  Ring operations need operands of the same lane
+    and n; int, Fraction and GaussianRational scalars act as constants.
     """
 
     __slots__ = ("n", "terms", "_compiled")
@@ -74,6 +75,9 @@ class SparsePoly:
     # slot after the blocks.
     indexed = ("v",)
     single = ()
+    # the families whose slots index the rows, and those whose slots index
+    # the columns, of the Hessian entry table (`cr.hessian_entries`)
+    hessian_rows = hessian_cols = ("v",)
     # what the parser needs besides the names: the name of n, the value of
     # `i` (None where there is none) and a note for messages about names
     # the lane lacks
@@ -91,6 +95,12 @@ class SparsePoly:
         """The name of each exponent slot."""
         out = [v for f in cls.indexed for v in indexed_names(f + "{}", n)]
         return out + list(cls.single)
+
+    @classmethod
+    def slots(cls, families, n: int) -> list:
+        """The exponent slots of the named variable families, in order."""
+        family = [f for f in cls.indexed for _ in range(n)] + list(cls.single)
+        return [i for f in families for i, g in enumerate(family) if g == f]
 
     def __init__(self, n: int, terms: dict | None = None):
         if n < 1:
@@ -261,6 +271,8 @@ class WPoly(SparsePoly):
     mode = "complex"
     indexed = ("z", "zbar")
     single = ("w", "wbar")
+    hessian_rows = ("z", "w")
+    hessian_cols = ("zbar", "wbar")
     size_name = "nz"
 
     @staticmethod
@@ -270,6 +282,18 @@ class WPoly(SparsePoly):
     @staticmethod
     def w_columns(W) -> list:
         return [W, np.conj(W)]
+
+    @staticmethod
+    def point_columns(Z, W) -> dict:
+        """The real coordinates of points (Z, W) as named table columns."""
+        nz = Z.shape[1]
+        out = {}
+        for z, re, im in zip(
+            Z.T, indexed_names("re_z{}", nz), indexed_names("im_z{}", nz)
+        ):
+            out[re], out[im] = z.real, z.imag
+        out["re_w"], out["im_w"] = W.real, W.imag
+        return out
 
     @property
     def nz(self) -> int:
@@ -372,6 +396,7 @@ class RPoly(SparsePoly):
     mode = "real"
     indexed = ("x",)
     single = ("y",)
+    hessian_rows = hessian_cols = ("x", "y")
     size_name = "nx"
     imag_unit = None
     unknown_note = " in real mode"
@@ -383,6 +408,11 @@ class RPoly(SparsePoly):
     @staticmethod
     def w_columns(Y) -> list:
         return [Y]
+
+    @classmethod
+    def point_columns(cls, X, Y) -> dict:
+        """The coordinates of points (X, Y) as named table columns."""
+        return dict(zip(cls.names(X.shape[1]), [*X.T, Y]))
 
     @property
     def nx(self) -> int:

@@ -41,6 +41,7 @@ from pshdef.verify import (
     H_MIN,
     PsdCheckResult,
     check_certificate,
+    hessian_values,
     psd_check,
     psd_stats,
     sample_boundary,
@@ -369,13 +370,25 @@ def test_degree_cap(r8):
     assert rep.final.T.degree() <= 2
 
 
-def test_absorb_disabled(r8):
+def test_absorb_disabled():
     # Without absorption the re-entrant Re z Re w term keeps feeding the
-    # mixed derivative, so the loop cannot close within the stage budget.
-    rep = run_construction(r8, ConstructConfig(absorb=False))
-    assert rep.status == "Exhausted"
-    for s in rep.stages:
-        assert s.absorbed == []
+    # mixed derivative: stage 4 returns stage 2's T, so the loop ends at a
+    # fixpoint there, whatever the stage budget, and K-searches each T once.
+    for seed, max_stages in [(0, 4), (3, 4), (0, 8)]:
+        rep = run_construction(
+            type4_domain(8),
+            ConstructConfig(absorb=False, seed=seed, max_stages=max_stages),
+        )
+        assert rep.status == "Exhausted"
+        assert rep.obstruction["kind"] == "fixpoint"
+        assert rep.obstruction["stage"] == len(rep.stages) == 4
+        for s in rep.stages:
+            assert s.absorbed == []
+        searched = [s.T_after for s in rep.stages if s.k_search is not None]
+        assert len(searched) == len(set(searched)) == 3
+        assert WPoly.zero(1) not in searched
+        repeat = rep.stages[2].T_after + rep.stages[3].T_increment
+        assert repeat == rep.stages[1].T_after
 
 
 def test_stage_split_once_per_polynomial(monkeypatch):
@@ -619,12 +632,12 @@ def test_boundary_hessian_of_r_squared_is_rank_one(lane, text, n):
         r = _real(text, n)
         shell = sample_real_boundary(r, 1e-2, 500, seed=0)
         g = np.stack(
-            [r.d_x(j).eval(shell.X, shell.Y) for j in range(r.nx)]
-            + [r.d_y().eval(shell.X, shell.Y)],
+            [r.d_x(j).eval(shell.Z, shell.W) for j in range(r.nx)]
+            + [r.d_y().eval(shell.Z, shell.W)],
             axis=1,
         )
-    exact = shell.hessian(r.poly * r.poly)
-    hess_r = np.abs(shell.hessian(r.poly)).max()
+    exact = hessian_values(r.poly * r.poly, shell.Z, shell.W)
+    hess_r = np.abs(hessian_values(r.poly, shell.Z, shell.W)).max()
     gg = rank_one_term(g)
     scale = max(1.0, np.abs(gg).max())
     bound = 4 * shell.residuals.max() * hess_r + 16 * np.finfo(float).eps * scale

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_normal_form
+from pshdef.catalog import type4_domain
 from pshdef.cr import (
     DefiningFunction,
     NormalFormError,
@@ -16,8 +17,9 @@ from pshdef.cr import (
     normal_form_violations,
     validate_normal_form,
 )
+from pshdef.exprparse import parse_rpoly
 from pshdef.gaussrat import GaussianRational
-from pshdef.wirtinger import WPoly, abs2, im_w, re_w, re_z
+from pshdef.wirtinger import RPoly, WPoly, abs2, im_w, re_w, re_z
 
 
 def tangent_vector(r, j=0):
@@ -108,12 +110,26 @@ def test_type4_hessian_facts(r10, r8):
         assert levi_origin_value(r) == GaussianRational(0, 0)
 
 
-def test_hessian_entries_symmetry(r10):
-    H = hessian_entries(r10.poly)
-    n = r10.nz + 1
-    for j in range(n):
-        for k in range(n):
-            assert H[j][k] == H[k][j].conjugate()
+@pytest.mark.parametrize(
+    "f",
+    [type4_domain(10).poly, parse_rpoly("y + x1*y + x1^2*x2^2")],
+    ids=["A=10", "real"],
+)
+def test_hessian_entries_symmetry(f):
+    """One table serves both lanes: f_{u_j ubar_k} over (z, w) for a WPoly,
+    f_{x_a x_b} over (x, y) for an RPoly, Hermitian or symmetric."""
+    H = hessian_entries(f)
+    n = f.n + 1
+    assert len(H) == n and all(len(row) == n for row in H)
+    for a in range(n):
+        for b in range(n):
+            assert H[a][b] == H[b][a].conjugate()
+    if isinstance(f, RPoly):
+        for a in range(n):
+            assert H[a] == [f.partial(a).partial(b) for b in range(n)]
+    else:
+        rows = [f.dz(j) for j in range(f.nz)] + [f.dw()]
+        assert H == [[d.dzbar(k) for k in range(f.nz)] + [d.dwbar()] for d in rows]
 
 
 def test_minor_det_structure(r10):

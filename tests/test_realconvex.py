@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import random_rpoly
+from pshdef.catalog import type4_domain
 from pshdef.construct import SHRINK
+from pshdef.cr import NormalFormError
 from pshdef.exprparse import parse_rpoly
 from pshdef.realconvex import (
     RealConfig,
-    RealNormalFormError,
     convex_multiplier,
     convexity_check,
     project_to_real_boundary,
@@ -23,7 +24,7 @@ from pshdef.realconvex import (
     tangential_form,
     validate_real_normal_form,
 )
-from pshdef.verify import H_MIN
+from pshdef.verify import H_MIN, hessian_values, point_norms, sample_boundary
 from pshdef.wirtinger import RPoly, canonical_str
 
 X = RPoly.var_x(1)
@@ -102,7 +103,7 @@ def test_real_violations():
     assert any("constant" in v for v in real_normal_form_violations(Y + RPoly.const(1, 1)))
     assert any("y" in v for v in real_normal_form_violations(Y.scale(2) + X * X))
     assert any("linear" in v for v in real_normal_form_violations(Y + X))
-    with pytest.raises(RealNormalFormError):
+    with pytest.raises(NormalFormError):
         validate_real_normal_form(Y + X)
 
 
@@ -114,10 +115,27 @@ def test_projection_and_shell():
     shell = sample_real_boundary(r, 1e-2, 200, seed=0)
     assert shell.count == 200
     assert float(np.max(shell.residuals)) <= 1e-12
-    assert float(np.max(shell.norms())) <= 1e-2
+    assert float(np.max(point_norms(shell.Z, shell.W))) <= 1e-2
     again = sample_real_boundary(r, 1e-2, 200, seed=0)
-    assert np.array_equal(shell.X, again.X)
-    assert np.array_equal(shell.Y, again.Y)
+    assert np.array_equal(shell.Z, again.Z)
+    assert np.array_equal(shell.W, again.W)
+
+
+def test_one_hessian_stack_for_both_lanes():
+    """verify.hessian_values reads an RPoly's table from the shared
+    cr.hessian_entries and gives the real lane's float64 stack, bit for
+    bit; a complex shell's stack stays complex128."""
+    r = validate_real_normal_form(parse_rpoly("y + x1*y + x1^2*x2^2 + x2^2"))
+    shell = sample_real_boundary(r, 1e-2, 200, seed=0)
+    f = r.poly * (RPoly.one(2) + r.d_y())
+    real = real_hessian_values(f, shell.Z, shell.W)
+    shared = hessian_values(f, shell.Z, shell.W)
+    assert real.dtype == shared.dtype == np.float64
+    assert real.shape == (200, 3, 3)
+    assert real.tobytes() == shared.tobytes()
+    r10 = type4_domain(10)
+    cshell = sample_boundary(r10, 1e-2, 50, seed=0)
+    assert hessian_values(r10.poly, cshell.Z, cshell.W).dtype == np.complex128
 
 
 def test_hessian_check_examples():

@@ -33,6 +33,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert (verify.psd_stats, construct.psd_stats, verify.least_eigenvalues) == originals
 
 
+def test_wrapped_targets_are_distinct(monkeypatch):
+    """Every function the tracer wraps resolves, and no two entries name
+    one object: an alias would be wrapped twice, its spans nested."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    targets = []
+    for modname, path, *_ in tracer_mod.WRAPPED:
+        owner = importlib.import_module(f"pshdef.{modname}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        targets.append(owner)
+    assert len({id(t) for t in targets}) == len(targets)
+
+
 def test_rung_counter_matches_ladder(monkeypatch):
     """The benchmark's construct.k_search.rungs counts psd_stats spans
     directly under k_search; every rung the search evaluates at the final

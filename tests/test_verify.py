@@ -18,7 +18,7 @@ from pshdef.numeval import compiled
 from pshdef.report import hessian_csv
 from pshdef.verify import (
     H_MIN,
-    BoundaryShell,
+    Shell,
     IdentityCheckResult,
     check_certificate,
     identity_check_prop31,
@@ -31,6 +31,7 @@ from pshdef.verify import (
     least_eigenvalues,
     levi_scan,
     necessary_conditions_check,
+    point_norms,
     project_to_boundary,
     psd_check,
     psd_result,
@@ -66,7 +67,7 @@ def certificate(name):
 
 
 def one_point_shell(nz=1):
-    return BoundaryShell(
+    return Shell(
         radius=0.0,
         seed=0,
         Z=np.zeros((1, nz), dtype=complex),
@@ -79,7 +80,7 @@ def test_shell_invariants(r10, small_shell):
     s = small_shell
     assert s.count == 300
     assert float(np.max(s.residuals)) <= 1e-12
-    assert float(np.max(s.norms())) <= 1e-2
+    assert float(np.max(point_norms(s.Z, s.W))) <= 1e-2
     again = sample_boundary(r10, 1e-2, 300, seed=0)
     assert np.array_equal(s.Z, again.Z)
     assert np.array_equal(s.W, again.W)
@@ -141,7 +142,7 @@ def test_psd_partial_multiplier_fails(r8, r8_report, watch_k_ladder):
     Z = (4 * t).reshape(-1, 1).astype(complex)
     W, ok = project_to_boundary(r8, Z, t)
     assert ok.all()
-    shell = BoundaryShell(
+    shell = Shell(
         radius=float(np.max(np.abs(W))) + 0.13,
         seed=0,
         Z=Z,
@@ -188,7 +189,7 @@ def test_identity_deviation_tracks_residual(r10):
     T = im_z(1).scale(Fraction(-4))
 
     def dev(eps):
-        off = BoundaryShell(
+        off = Shell(
             radius=shell.radius,
             seed=shell.seed,
             Z=shell.Z,
@@ -348,7 +349,7 @@ def test_collar_points_inside(r10):
     )
     assert np.all(vals < 0)
     assert np.all(vals > -1e-4)
-    assert float(np.max(collar.norms())) <= 1e-2
+    assert float(np.max(point_norms(collar.Z, collar.W))) <= 1e-2
 
 
 def test_least_eigenvalues_closed_form(r10, small_shell):
