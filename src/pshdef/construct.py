@@ -300,13 +300,6 @@ def _scan_points(r, shell, probes, radius):
     return shell.Z, shell.W
 
 
-def _gg(g) -> np.ndarray:
-    """2 g g* per point, in the dtype g and the base stacks share."""
-    out = g[:, :, None] * np.conj(g)[:, None, :]
-    out *= 2.0
-    return out
-
-
 def lift_exp(H1, g, tol: float) -> float:
     """Least real e such that the stack H1 + 2k g g*, k = 2^e - 1, passes
     the pass rule with tolerance tol at every point, in exact arithmetic;
@@ -359,13 +352,22 @@ def k_ladder(base, g, max_k_exp: int, stats):
     at most max_k_exp, the scan at 2^e, e rounded up to at least 1, is the
     verdict; else rung 0's is.  stats maps a Hessian stack to its
     PsdCheckResult.  Returns the rows of the rungs evaluated in ascending
-    K, and the last K with its result.
+    K, and the last K with its result.  A rung is built entry by entry into
+    an entry-planar stack (see `verify.hessian_stack`), in g's dtype, from
+    the columns base[:, j, k] and g[:, j]; no dense g g* stack is formed.
     """
+    m, n = g.shape
 
     def rung(e):
-        H = _gg(g)
-        H *= 2**e
-        H += base
+        gc = np.conj(g)
+        H = np.empty((n, n, m), g.dtype).transpose(2, 0, 1)
+        for j in range(n):
+            for k in range(n):
+                t = H[:, j, k]
+                np.multiply(g[:, j], gc[:, k], out=t)
+                t *= 2.0
+                t *= 2**e
+                t += base[:, j, k]
         return H
 
     H1 = rung(0)
@@ -462,8 +464,8 @@ def k_search(
             G = np.stack(
                 [compiled(r.d_z(j)).eval(Z, W) for j in range(r.nz)]
                 + [compiled(r.d_w()).eval(Z, W)],
-                axis=1,
-            )
+                axis=0,
+            ).T
             return k_ladder(
                 base, G, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
             )

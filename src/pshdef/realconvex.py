@@ -171,7 +171,7 @@ def real_hessian_check(f: RPoly, shell: Shell, tol: float = DEFAULT_TOL) -> PsdC
 
 def check_real_certificate(
     r: RealDefiningFunction, h: RPoly, shell: Shell, tol: float = DEFAULT_TOL
-) -> tuple[dict, list]:
+) -> tuple[dict, list, RPoly]:
     """The pass rule for a real-lane multiplier h on a shell, the
     counterpart of `verify.check_certificate`: the real Hessian of h r
     passes the PSD scan, and |h| clears the h floor.  Returns the scan's
@@ -338,8 +338,8 @@ def convex_multiplier(
             # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2
             base = real_hessian_values(r.poly + r.poly * ry, X, Y)
             grad = np.stack(
-                [r.d_x(j).eval(X, Y) for j in range(r.nx)] + [ry.eval(X, Y)], axis=1
-            )
+                [r.d_x(j).eval(X, Y) for j in range(r.nx)] + [ry.eval(X, Y)], axis=0
+            ).T
             return k_ladder(
                 base, grad, config.max_k_exp, lambda H: real_psd_stats(H, X, Y, config.tol)
             )

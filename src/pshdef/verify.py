@@ -272,7 +272,10 @@ def hessian_stack(H: list, Z, W) -> np.ndarray:
 
     Entries on and above the diagonal are evaluated; those below are their
     conjugates.  The stack takes the dtype of the evaluated entries: complex
-    for a WPoly table, float for an RPoly one.
+    for a WPoly table, float for an RPoly one.  It is entry-planar: the
+    (m, n, n) view of an (n, n, m) array, so each entry H[:, j, k] over
+    the points is one contiguous array, as the PSD statistics and `ldl`
+    read it.
     """
     n = len(H)
     out = None
@@ -280,7 +283,7 @@ def hessian_stack(H: list, Z, W) -> np.ndarray:
         for k in range(j, n):
             vals = compiled(H[j][k]).eval(Z, W)
             if out is None:
-                out = np.empty((len(W), n, n), dtype=vals.dtype)
+                out = np.empty((n, n, len(W)), dtype=vals.dtype).transpose(2, 0, 1)
             out[:, j, k] = vals
             if k != j:
                 out[:, k, j] = np.conj(vals)
@@ -316,7 +319,9 @@ def ldl(H: np.ndarray, shift, rhs: np.ndarray | None = None):
 
     H is a Hermitian (or real symmetric) stack (m, n, n), read as 1-D
     columns of its entries on and below the diagonal, which suits small n;
-    shift is a scalar or one value per point.  Returns the pivots d (m, n)
+    each column is contiguous in an entry-planar stack (see
+    `hessian_stack`), and a C-ordered one gives the same floats.  shift is
+    a scalar or one value per point.  Returns the pivots d (m, n)
     and, given rhs (m, n), the y (m, n) solving L y = rhs, so that
     rhs* (H - shift I)^-1 rhs = sum |y|^2 / d; else None.  While every
     pivot is nonzero, the number of negative pivots is the number of
@@ -377,7 +382,7 @@ def _point_dict(Z, W, i) -> dict:
 def last_slot_minors(H: np.ndarray) -> np.ndarray:
     """The 2x2 minors of each slot with the last one, (m, n - 1), of a
     Hermitian (or real symmetric) stack: the z_j/w minors of a complex
-    Hessian."""
+    Hessian.  Like `diagonals`, each column is contiguous."""
     n = H.shape[-1]
     return np.stack(
         [
@@ -385,16 +390,17 @@ def last_slot_minors(H: np.ndarray) -> np.ndarray:
             - np.abs(H[:, j, n - 1]) ** 2
             for j in range(n - 1)
         ],
-        axis=1,
-    )
+        axis=0,
+    ).T
 
 
 def diagonals(H: np.ndarray) -> np.ndarray:
-    """The real diagonals (m, n) of a Hermitian (or real symmetric) stack.
+    """The real diagonals (m, n) of a Hermitian (or real symmetric) stack,
+    each column contiguous, as the stack's entries are in `hessian_stack`.
     An empty stack raises ValueError: no points are no evidence."""
     if not len(H):
         raise ValueError("PSD statistics need at least one point")
-    return np.stack([H[:, j, j].real for j in range(H.shape[-1])], axis=1)
+    return np.stack([H[:, j, j].real for j in range(H.shape[-1])], axis=0).T
 
 
 def psd_arrays(H: np.ndarray):
@@ -423,7 +429,12 @@ def eigen_candidates(H: np.ndarray, diags: np.ndarray):
     strictly above t.  The seed points stay in, so the minimum and its
     first index over the candidates are those over the stack, the same
     floats.  n = 2 has a closed form, and a t that is not finite screens
-    nothing.
+    nothing.  The screen also serves n = 5 and 6 (`catalog.ball_like(4)`
+    reaches the ladder at n = 5), where the margin is not argued; there the
+    tests pin the screened minimum and its first index to the full scan's
+    on random, near-zero PSD and shifted stacks, and on plateaus C + 2 g g*
+    whose g is 0 at some points and orthogonal to C's least eigenvector at
+    others, so that many points tie the minimum within rounding.
     """
     n = H.shape[-1]
     if n < 3 or len(H) <= SCREEN_SEEDS:
@@ -729,7 +740,7 @@ def check_certificate(
     shell: Shell,
     tol: float = DEFAULT_TOL,
     probes=None,
-) -> tuple[dict, list]:
+) -> tuple[dict, list, WPoly]:
     """The pass rule for a certificate h = 1 + T + K r on a shell.
 
     Runs the PSD scan of h r, the determinant identity and the necessary

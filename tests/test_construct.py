@@ -37,10 +37,12 @@ from pshdef.realconvex import (
     sample_real_boundary,
     validate_real_normal_form,
 )
+from pshdef.cr import hessian_entries
 from pshdef.verify import (
     H_MIN,
     PsdCheckResult,
     check_certificate,
+    hessian_stack,
     hessian_values,
     psd_check,
     psd_stats,
@@ -682,6 +684,61 @@ def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
     checked = watch_k_ladder(check)
     LADDER_RUNS[name]()
     assert checked and max(checked) <= 2
+
+
+def _is_entry_planar(A) -> bool:
+    """Whether each entry of a stack (m, n, n), or each column of points
+    (m, n), is one contiguous array over the points."""
+    return all(A[(slice(None), *i)].flags.c_contiguous for i in np.ndindex(A.shape[1:]))
+
+
+@pytest.mark.parametrize(
+    "lane, text, n",
+    [("complex", BALL3_TILTED, 3), ("real", "y + x1^2 + x2^4 + x1 y", 2)],
+    ids=["WPoly", "RPoly"],
+)
+def test_hessian_stack_is_entry_planar(lane, text, n):
+    """hessian_stack stores each entry's values over the points contiguously,
+    for a WPoly table (complex) and an RPoly one (real)."""
+    if lane == "complex":
+        r = _complex(text, n)
+        shell = sample_boundary(r, 1e-2, 300, seed=0)
+    else:
+        r = _real(text, n)
+        shell = sample_real_boundary(r, 1e-2, 300, seed=0)
+    H = hessian_stack(hessian_entries(r.poly * r.poly), shell.Z, shell.W)
+    assert H.shape == (300, n + 1, n + 1)
+    assert H.dtype == (np.complex128 if lane == "complex" else np.float64)
+    assert _is_entry_planar(H)
+
+
+@pytest.mark.parametrize(
+    "name, rungs",
+    [("A=8", 2), ("ball3_tilted", 2), ("levi_matrix", 1), ("real y+xy+x^2", 2)],
+)
+def test_k_ladder_rungs_are_base_plus_rank_one(name, rungs, watch_k_ladder):
+    """Both lanes hand the ladder an entry-planar base and gradient, and
+    every stack the ladder hands its stats is entry-planar and equals
+    base + 2^e 2 g g*, formed densely, float for float."""
+
+    def check(base, g, max_k_exp, stats):
+        assert _is_entry_planar(base) and _is_entry_planar(g)
+        stacks = []
+
+        def recording(H):
+            stacks.append(H)
+            return stats(H)
+
+        ladder, _, _ = k_ladder(base, g, max_k_exp, recording)
+        assert len(stacks) == len(ladder)
+        for row, H in zip(ladder, stacks):
+            assert _is_entry_planar(H)
+            assert np.array_equal(H, base + row["K"] * rank_one_term(g))
+        return len(stacks)
+
+    counts = watch_k_ladder(check)
+    LADDER_RUNS[name]()
+    assert counts and max(counts) == rungs
 
 
 # the nz >= 2 benchmark rows and the two type4 worked examples

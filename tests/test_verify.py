@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from conftest import linear_k_ladder
+from conftest import linear_k_ladder, rank_one_term
 from pshdef import dominance
 from pshdef.catalog import ball_like, half_space, type4_domain
 from pshdef.cli import main
-from pshdef.construct import k_search, run_construction
+from pshdef.construct import k_ladder, k_search, lift_exp, run_construction
 from pshdef.cr import hessian_minor_det, validate_normal_form
 from pshdef.exprparse import parse_wpoly
 from pshdef.numeval import compiled
@@ -395,6 +395,25 @@ def _screened(H):
     return st.min_eig, st.worst_point
 
 
+def _rank_one_plateau(rng, n, share, real, C=None):
+    """C + 2 g g* at 600 points, as a ladder rung over a constant base C:
+    g is 0 at a share of the points, which copy C exactly, and orthogonal
+    to C's least eigenvector at half the others, whose least eigenvalue is
+    C's in exact arithmetic and ties it within rounding.  C defaults to a
+    random Hermitian (or real symmetric) matrix."""
+    if C is None:
+        C = _hermitian(rng, 1, n, real)[0]
+    v = np.linalg.eigh(C)[1][:, 0]
+    g = rng.normal(size=(600, n))
+    if not real:
+        g = g + 1j * rng.normal(size=(600, n))
+    zero = rng.random(600) < share
+    g[zero] = 0
+    orth = ~zero & (rng.random(600) < 0.5)
+    g[orth] -= np.outer(g[orth] @ np.conj(v), v)
+    return C + rank_one_term(g)
+
+
 def _screen_stacks():
     rng = np.random.default_rng(7)
     stacks = {}
@@ -419,6 +438,22 @@ def _screen_stacks():
         H = _hermitian(rng, 600, 3) + 5 * np.eye(3)
         H[300][entry] = H[300][entry[::-1]] = np.nan
         stacks[name] = H
+    # n = 5 and 6, which the screen serves (ball_like(4) reaches the ladder
+    # at n = 5) without the margin argument of n <= 4
+    rng = np.random.default_rng(8)
+    for n in (5, 6):
+        stacks[f"complex n={n}"] = _hermitian(rng, 600, n)
+        stacks[f"real n={n}"] = _hermitian(rng, 600, n, real=True)
+        stacks[f"shifted n={n}"] = _hermitian(rng, 600, n) + 5 * np.eye(n)
+        lam = rng.uniform(0.5, 2, size=(600, n))
+        lam[:, 0] = 0.0
+        stacks[f"near-zero PSD n={n}"] = _spectrum(rng, lam)
+        # the Levi-matrix counterexample's form: eigenvalues 5/2, -1/2, 1, ...
+        levi = np.eye(n, dtype=complex)
+        levi[0, 1] = levi[1, 0] = 1.5
+        for share, real, C in ((0.1, False, levi), (0.5, False, None), (0.9, True, None)):
+            name = f"rank-one plateau n={n} {'real' if real else 'complex'} zero g {share}"
+            stacks[name] = _rank_one_plateau(rng, n, share, real, C)
     return stacks
 
 
@@ -511,6 +546,71 @@ def test_ldl_quadratic_form_matches_solve(n):
     ref = np.sum(np.conj(g) * np.linalg.solve(C, g[:, :, None])[:, :, 0], axis=1).real
     assert np.all(np.abs(phi - ref) <= 1e-12 * np.abs(terms).sum(axis=1))
     assert np.all(phi[200:] > 0)
+
+
+def _entry_planar(A):
+    """A copy of a stack (m, n, n), or of points (m, n), that holds each
+    entry's values over the points contiguously, as `hessian_stack` does."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
+
+
+def _layout_outputs(H, base, g, tol):
+    """Everything the scan kernels return on H, and the K ladder on base
+    and g, with the stacks the ladder hands its stats copied out."""
+    stacks = []
+
+    def stats(A):
+        stacks.append(np.ascontiguousarray(A))
+        return psd_result(A, tol, lambda i: i)
+
+    ladder, K, st = k_ladder(base, g, 20, stats)
+    return {
+        "ldl": ldl(H, -tol),
+        "ldl rhs": ldl(H, -tol, g),
+        "eigen_candidates": eigen_candidates(H, diagonals(H)),
+        "psd_result": psd_result(H, tol, lambda i: i).as_dict(),
+        "lift_exp": lift_exp(H, g, tol),
+        "k_ladder": (ladder, K, st.as_dict()),
+        "rungs": stacks,
+    }
+
+
+def _bitwise(x):
+    """x with every float and array spelled out bit for bit."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, np.ascontiguousarray(x).tobytes())
+    if isinstance(x, (list, tuple)):
+        return [_bitwise(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _bitwise(v) for k, v in x.items()}
+    return repr(x)
+
+
+@pytest.mark.parametrize(
+    "n, real", [(2, False), (3, False), (4, False), (3, True)], ids=["2", "3", "4", "real 3"]
+)
+def test_kernels_read_either_layout(n, real):
+    """`ldl` (with and without a right side), the eigen screen, the pass
+    rule, `lift_exp` and the K ladder give the same floats and indices on a
+    C-ordered stack and on its entry-planar copy: the pipeline builds
+    entry-planar stacks, and tests and other callers hand either layout.  A
+    third of the points have one small negative eigenvalue, which the
+    ladder lifts at a second rung."""
+    rng = np.random.default_rng(0)
+    m, tol = 300, 1e-9
+    lam = rng.uniform(0.5, 2, size=(m, n))
+    lam[: m // 3, 0] = -rng.uniform(1e-6, 1e-4, size=m // 3)
+    H = _spectrum(rng, lam, real)
+    g = rng.normal(size=(m, n))
+    if not real:
+        g = g + 1j * rng.normal(size=(m, n))
+    base = H - rank_one_term(g)  # rung 0 is H, up to rounding
+    c_order = _layout_outputs(H, base, g, tol)
+    planar = _layout_outputs(_entry_planar(H), _entry_planar(base), _entry_planar(g), tol)
+    assert _entry_planar(H)[:, n - 1, 0].flags.c_contiguous
+    assert _bitwise(planar) == _bitwise(c_order)
+    assert math.isfinite(c_order["lift_exp"]) and len(c_order["rungs"]) == 2
+    assert (c_order["eigen_candidates"] is None) == (n == 2)
 
 
 @pytest.mark.parametrize("name", ["nz2_quartic", "ball3_tilted"])
