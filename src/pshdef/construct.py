@@ -40,7 +40,6 @@ from .verify import (
     check_sampling,
     h_floor_failure,
     hessian_values,
-    last_slot_minors,
     ldl,
     levi_scan,
     psd_stats,
@@ -49,13 +48,18 @@ from .verify import (
 from .wirtinger import WPoly, canonical_str, realify
 
 SHRINK = 0.25
+MAX_K_EXP = 1022  # the top rung's scale 2^(e + 1) stays a finite double
 
 
 def check_search_config(config, *counts: str) -> None:
     """Reject the sampling and ladder settings no scan can certify from,
-    and negative values of the named counts (None passes).  Shared by the
-    complex and the real lane's configs; raises ValueError."""
+    and negative values of the named counts (None passes).  max_k_exp is
+    at most MAX_K_EXP, so that a rung's scale 2^(max_k_exp + 1) is a
+    finite double.  Shared by the complex and the real lane's configs;
+    raises ValueError."""
     check_sampling(config.radius, config.samples, config.tol)
+    if config.max_k_exp > MAX_K_EXP:
+        raise ValueError(f"max_k_exp must be <= {MAX_K_EXP}, got {config.max_k_exp}")
     for name in ("max_k_exp", *counts):
         value = getattr(config, name)
         if value is not None and value < 0:
@@ -300,6 +304,12 @@ def _scan_points(r, shell, probes, radius):
     return shell.Z, shell.W
 
 
+def _at(mask, *columns):
+    """The columns at the points where mask holds: the columns themselves,
+    not copies, when it holds at every point."""
+    return columns if mask.all() else tuple(x[mask] for x in columns)
+
+
 def lift_exp(H1, g, tol: float) -> float:
     """Least real e such that the stack H1 + 2k g g*, k = 2^e - 1, passes
     the pass rule with tolerance tol at every point, in exact arithmetic;
@@ -320,23 +330,40 @@ def lift_exp(H1, g, tol: float) -> float:
     eigenvalue test.  A value that is not finite lifts no point, and so
     neither does C singular where it matters: a zero pivot leaves the
     later pivots non-finite, or phi when it is a bad point's last.
+
+    `ldl` returns d and y column-planar, so phi is summed column by column:
+    over every point, with no copy, when every point is bad, else over
+    the bad points.  Each minor and its slope are formed from the
+    contiguous entries H1[:, j, j], H1[:, j, -1], H1[:, -1, -1] and the
+    columns g[:, j], g[:, -1], not from strided diagonals of the stack.
     """
     d, y = ldl(H1, -tol, g)
     negative = np.sum(d < 0, axis=1)
     if not np.isfinite(d).all() or np.any(negative > 1):
         return math.inf
     bad = negative == 1
-    phi = np.sum((y[bad] * np.conj(y[bad])).real / d[bad], axis=1)
-    # the diagonal and last column of H1
-    gj, gn = g[:, :-1], g[:, -1:]
-    diag = np.diagonal(H1, axis1=1, axis2=2).real
-    col = H1[:, :-1, -1]
-    m0 = last_slot_minors(H1)
-    cross = (np.conj(col) * gj * np.conj(gn)).real
-    slope = diag[:, :-1] * np.abs(gn) ** 2 + diag[:, -1:] * np.abs(gj) ** 2 - 2 * cross
-    fails = m0 < -tol
+    n = H1.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.concatenate([(-tol - m0[fails]) / (2 * slope[fails]), -0.5 / phi])
+        for k in range(n):
+            yk, dk = _at(bad, y[:, k], d[:, k])
+            term = (yk * np.conj(yk)).real / dk
+            phi = term if k == 0 else phi + term
+        need = [-0.5 / phi]
+        del phi, term  # freed, like cross below, to keep the call's peak low
+        c, gn = H1[:, -1, -1].real, g[:, -1]
+        for j in range(n - 1):
+            a, b, gj = H1[:, j, j].real, H1[:, j, -1], g[:, j]
+            m0 = a * c - np.abs(b) ** 2
+            fails = m0 < -tol
+            if fails.any():
+                cross = np.conj(b)
+                cross *= gj
+                cross *= np.conj(gn)
+                slope = a * np.abs(gn) ** 2 + c * np.abs(gj) ** 2 - 2 * cross.real
+                del cross
+                m0, slope = _at(fails, m0, slope)
+                need.append((-tol - m0) / (2 * slope))
+    need = np.concatenate(need)
     if not len(need) or not np.all((need > 0) & np.isfinite(need)):
         return math.inf
     return math.log2(1.0 + float(need.max()))
@@ -355,6 +382,9 @@ def k_ladder(base, g, max_k_exp: int, stats):
     K, and the last K with its result.  A rung is built entry by entry into
     an entry-planar stack (see `verify.hessian_stack`), in g's dtype, from
     the columns base[:, j, k] and g[:, j]; no dense g g* stack is formed.
+    Each entry g_j conj(g_k) is scaled once, by 2^(e + 1) = 2K, which is
+    exact, so a rung with finite entries equals base + K (2 g g*) float for
+    float.
     """
     m, n = g.shape
 
@@ -365,8 +395,7 @@ def k_ladder(base, g, max_k_exp: int, stats):
             for k in range(n):
                 t = H[:, j, k]
                 np.multiply(g[:, j], gc[:, k], out=t)
-                t *= 2.0
-                t *= 2**e
+                t *= 2.0 ** (e + 1)
                 t += base[:, j, k]
         return H
 

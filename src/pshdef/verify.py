@@ -323,16 +323,17 @@ def ldl(H: np.ndarray, shift, rhs: np.ndarray | None = None):
     `hessian_stack`), and a C-ordered one gives the same floats.  shift is
     a scalar or one value per point.  Returns the pivots d (m, n)
     and, given rhs (m, n), the y (m, n) solving L y = rhs, so that
-    rhs* (H - shift I)^-1 rhs = sum |y|^2 / d; else None.  While every
-    pivot is nonzero, the number of negative pivots is the number of
-    eigenvalues below shift (Sylvester's law of inertia).  A zero pivot
-    leaves every later pivot non-finite, and a NaN entry some pivot.
-    Points go through in blocks of LDL_BLOCK.
+    rhs* (H - shift I)^-1 rhs = sum |y|^2 / d; else None.  d and y are
+    column-planar, (m, n) views of (n, m) arrays, so each column d[:, k]
+    or y[:, k] is contiguous.  While every pivot is nonzero, the number of
+    negative pivots is the number of eigenvalues below shift (Sylvester's
+    law of inertia).  A zero pivot leaves every later pivot non-finite,
+    and a NaN entry some pivot.  Points go through in blocks of LDL_BLOCK.
     """
     m, n = H.shape[:2]
     shift = np.broadcast_to(shift, (m,))
-    d = np.empty((m, n))
-    y = None if rhs is None else np.empty((m, n), np.result_type(H, rhs))
+    d = np.empty((n, m))
+    y = None if rhs is None else np.empty((n, m), np.result_type(H, rhs))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, m, LDL_BLOCK):
             b = slice(lo, lo + LDL_BLOCK)
@@ -342,7 +343,7 @@ def ldl(H: np.ndarray, shift, rhs: np.ndarray | None = None):
                 dk = H[b, k, k].real - shift[b]
                 for p in range(k):
                     dk = dk - (L[k][p] * Ec[k][p]).real
-                d[b, k] = dk
+                d[k, b] = dk
                 for j in range(k + 1, n):
                     e = H[b, j, k]
                     for p in range(k):
@@ -353,9 +354,9 @@ def ldl(H: np.ndarray, shift, rhs: np.ndarray | None = None):
                 for k in range(n):
                     yk = rhs[b, k]
                     for p in range(k):
-                        yk = yk - L[k][p] * y[b, p]
-                    y[b, k] = yk
-    return d, y
+                        yk = yk - L[k][p] * y[p, b]
+                    y[k, b] = yk
+    return d.T, None if y is None else y.T
 
 
 @dataclass
@@ -423,18 +424,20 @@ def eigen_candidates(H: np.ndarray, diags: np.ndarray):
     principal submatrices have the smallest least eigenvalue, an upper
     bound on the point's own (Cauchy interlacing).  A point drops out when
     H - s I, with s = t + SCREEN_MARGIN (max |H_jk| + |t|) over its
-    entries, has only positive `ldl` pivots.  For n <= 4 that margin is
-    well over ten times the backward error of the LDL* and the eigen
-    solver together, so a dropped point's computed least eigenvalue lies
-    strictly above t.  The seed points stay in, so the minimum and its
-    first index over the candidates are those over the stack, the same
-    floats.  n = 2 has a closed form, and a t that is not finite screens
-    nothing.  The screen also serves n = 5 and 6 (`catalog.ball_like(4)`
-    reaches the ladder at n = 5), where the margin is not argued; there the
-    tests pin the screened minimum and its first index to the full scan's
-    on random, near-zero PSD and shifted stacks, and on plateaus C + 2 g g*
-    whose g is 0 at some points and orthogonal to C's least eigenvector at
-    others, so that many points tie the minimum within rounding.
+    entries, has only positive `ldl` pivots; a NaN pivot, which a zero
+    pivot leaves in every later slot, is not positive, so its point stays.
+    For n <= 4 that margin is well over ten times the backward error of
+    the LDL* and the eigen solver together, so a dropped point's computed
+    least eigenvalue lies strictly above t.  The seed points stay in, so
+    the minimum and its first index over the candidates are those over the
+    stack, the same floats.  n = 2 has a closed form, and a t that is not
+    finite screens nothing.  The screen also serves n = 5 and 6
+    (`catalog.ball_like(4)` reaches the ladder at n = 5), where the margin
+    is not argued; there the tests pin the screened minimum and its first
+    index to the full scan's on random, near-zero PSD and shifted stacks,
+    and on plateaus C + 2 g g* whose g is 0 at some points and orthogonal
+    to C's least eigenvector at others, so that many points tie the
+    minimum within rounding.
     """
     n = H.shape[-1]
     if n < 3 or len(H) <= SCREEN_SEEDS:

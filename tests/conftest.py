@@ -1,5 +1,6 @@
 """Shared fixtures and deterministic polynomial generators."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from pshdef.dominance import (
 )
 from pshdef.gaussrat import format_gaussian
 from pshdef.numeval import compiled
-from pshdef.verify import point_norms, sample_boundary
+from pshdef.verify import last_slot_minors, ldl, point_norms, sample_boundary
 from pshdef.wirtinger import WPoly, im_w, im_z, re_w, re_z
 
 
@@ -71,6 +72,12 @@ def small_shell(r10):
 # -- the K ladder -------------------------------------------------------
 
 
+def entry_planar(A):
+    """A copy of a stack (m, n, n), or of points (m, n), that holds each
+    entry's values over the points contiguously, as `hessian_stack` does."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
+
+
 def rank_one_term(g):
     """2 g g* per point: on the boundary, the Hessian of r^2."""
     return 2.0 * (g[:, :, None] * np.conj(g)[:, None, :])
@@ -98,6 +105,32 @@ def linear_k_ladder(base, g, max_k_exp, stats):
         if st.passed:
             break
     return ladder, K, st
+
+
+def reference_lift_exp(H1, g, tol):
+    """Reference lift: the least e whose rung passes, read off rung 0 with
+    dense (m, n) arrays: phi over the bad points' rows of y and d, and
+    every minor and slope from the stack's diagonal and last column at
+    once.  `construct.lift_exp` reads columns and must return the same
+    float."""
+    d, y = ldl(H1, -tol, g)
+    negative = np.sum(d < 0, axis=1)
+    if not np.isfinite(d).all() or np.any(negative > 1):
+        return math.inf
+    bad = negative == 1
+    phi = np.sum((y[bad] * np.conj(y[bad])).real / d[bad], axis=1)
+    gj, gn = g[:, :-1], g[:, -1:]
+    diag = np.diagonal(H1, axis1=1, axis2=2).real
+    col = H1[:, :-1, -1]
+    m0 = last_slot_minors(H1)
+    cross = (np.conj(col) * gj * np.conj(gn)).real
+    slope = diag[:, :-1] * np.abs(gn) ** 2 + diag[:, -1:] * np.abs(gj) ** 2 - 2 * cross
+    fails = m0 < -tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.concatenate([(-tol - m0[fails]) / (2 * slope[fails]), -0.5 / phi])
+    if not len(need) or not np.all((need > 0) & np.isfinite(need)):
+        return math.inf
+    return math.log2(1.0 + float(need.max()))
 
 
 @pytest.fixture

@@ -690,6 +690,7 @@ def test_normal_form_violation_exit_64(capsys):
 
 SEARCH_SETTINGS = [
     ("max_k_exp", "--max-K-exp", "-1"),
+    ("max_k_exp", "--max-K-exp", "1023"),
     ("samples", "--samples", "0"),
     ("samples", "--samples", "-5"),
     ("radius", "--radius", "0"),

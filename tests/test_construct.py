@@ -11,10 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_k_ladder, random_wpoly, rank_one_term
+from conftest import (
+    entry_planar,
+    linear_k_ladder,
+    random_wpoly,
+    rank_one_term,
+    reference_lift_exp,
+)
 from pshdef import cli, construct, dominance, verify
 from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
 from pshdef.construct import (
+    MAX_K_EXP,
     SHRINK,
     ConstructConfig,
     NotPseudoconvexError,
@@ -33,6 +40,7 @@ from pshdef.exprparse import parse_rpoly, parse_wpoly
 from pshdef.gaussrat import GaussianRational
 from pshdef.numeval import compiled
 from pshdef.realconvex import (
+    RealConfig,
     convex_multiplier,
     sample_real_boundary,
     validate_real_normal_form,
@@ -906,6 +914,143 @@ def test_k_ladder_lift_above_top(max_k_exp, Ks):
     ladder, K, st = k_ladder(base, g, max_k_exp, stats)
     assert [row["K"] for row in ladder] == Ks and st.passed == (max_k_exp == 9)
     assert check_against_linear(base, g, max_k_exp, stats) == len(Ks)
+
+
+# -- lift_exp against the dense reference -------------------------------
+
+
+def _assert_lift_matches_reference(H1, g, tol):
+    """lift_exp returns the dense reference's float on a C-ordered stack
+    and on its entry-planar copy; returns that float."""
+    want = reference_lift_exp(H1, g, tol)
+    assert lift_exp(H1, g, tol) == want
+    assert lift_exp(entry_planar(H1), entry_planar(g), tol) == want
+    return want
+
+
+def _rung0(rng, m, n, real, share):
+    """Rung 0 H1 = P + (2 - a) g g* of a base P - a g g*, P with
+    eigenvalues in [1/2, 2] and |g| = 1: a share of the points has a in
+    [6, 2^12], so one eigenvalue below -2 that a finite K lifts, and the
+    others a = 0, no eigenvalue below 1/2.  Returns H1, g and the bad
+    points."""
+    M = rng.normal(size=(m, n, n))
+    g = rng.normal(size=(m, n))
+    if not real:
+        M = M + 1j * rng.normal(size=(m, n, n))
+        g = g + 1j * rng.normal(size=(m, n))
+    Q, _ = np.linalg.qr(M)
+    P = (Q * rng.uniform(0.5, 2, size=(m, 1, n))) @ np.conj(np.swapaxes(Q, 1, 2))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    bad = rng.uniform(size=m) < share
+    a = np.where(bad, 2.0 ** rng.uniform(np.log2(6), 12, size=m), 0.0)
+    return P + (2 - a)[:, None, None] * rank_one_term(g) / 2, g, bad
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "share", [1.0, 0.5, 0.0], ids=["all bad", "some bad", "none bad"]
+)
+def test_lift_exp_matches_reference_on_random_rungs(share, n, real):
+    """Every point, some points or no point with one eigenvalue below
+    -tol: the column-planar lift reads the reference's float, finite
+    exactly when some point is bad."""
+    rng = np.random.default_rng([n, int(real), int(4 * share)])
+    tol = 1e-9
+    H1, g, bad = _rung0(rng, 300, n, real, share)
+    d, _ = verify.ldl(H1, -tol)
+    assert np.array_equal(np.sum(d < 0, axis=1), bad.astype(int))
+    lift = _assert_lift_matches_reference(H1, g, tol)
+    assert math.isfinite(lift) == bool(bad.any())
+
+
+def _diagonal_rung0(m, n, diag):
+    H1 = np.zeros((m, n, n), dtype=complex)
+    for j, v in enumerate(diag):
+        H1[:, j, j] = v
+    return H1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lift_exp_matches_reference_on_each_inf_path(n):
+    """Two negative pivots, phi >= 0, a non-finite pivot and a failing
+    minor that does not grow each lift no point: both read inf.  A minor
+    that fails while no point is bad, and grows, gives a finite lift."""
+    m, tol = 20, 1e-9
+    g = np.zeros((m, n), dtype=complex)
+    g[:, -1] = 1.0
+    ones = [1.0] * (n - 2)
+    cases = {
+        # a second eigenvalue below -tol, which no rank-one term lifts
+        "two negative pivots": _diagonal_rung0(m, n, [-1.0, *ones, -2.0]),
+        # the negative direction is orthogonal to g
+        "phi >= 0": _diagonal_rung0(m, n, [-1.0, *ones, 2.0]),
+        # minor L (-tol / 2) < -tol with slope -tol / 2 < 0
+        "falling minor": _diagonal_rung0(m, n, [*ones, -0.5 * tol, 4.0]),
+        # a zero pivot of C = H1 + tol I: every later pivot is not finite
+        "zero pivot": _diagonal_rung0(m, n, [-tol, *ones, -1.0]),
+        "non-finite pivot": _diagonal_rung0(m, n, [-1.0, *ones, 2.0]),
+    }
+    H1 = cases["non-finite pivot"]
+    H1[7, -1, 0] = H1[7, 0, -1] = np.nan
+    for name, H1 in cases.items():
+        assert _assert_lift_matches_reference(H1, g, tol) == math.inf, name
+    # the minor's slope L |g_n|^2 is positive: no point is bad, yet K lifts it
+    grows = _diagonal_rung0(m, n, [1e6, *ones, -0.25 * tol])
+    assert math.isfinite(_assert_lift_matches_reference(grows, g, tol))
+
+
+@pytest.mark.parametrize("name", list(LADDER_RUNS))
+def test_lift_exp_matches_reference_on_ladder_runs(name, watch_k_ladder):
+    """On the rung-0 stack of every ladder a run searches, lift_exp and the
+    dense reference return the same float."""
+
+    def check(base, g, max_k_exp, stats):
+        rung0 = []
+
+        def recording(H):
+            rung0.append((H, stats(H)))
+            return rung0[0][1]
+
+        k_ladder(base, g, 0, recording)
+        H1, st = rung0[0]
+        return _assert_lift_matches_reference(H1, g, st.tol)
+
+    lifts = watch_k_ladder(check)
+    LADDER_RUNS[name]()
+    assert lifts
+
+
+# -- the top rung ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [ConstructConfig, RealConfig], ids=["complex", "real"])
+def test_max_k_exp_is_bounded(make):
+    """A rung scales by 2^(e + 1), a finite double only for e <= 1022."""
+    assert MAX_K_EXP == 1022
+    assert make(max_k_exp=MAX_K_EXP).max_k_exp == MAX_K_EXP
+    for value in (MAX_K_EXP + 1, 1100):
+        with pytest.raises(ValueError, match=f"max_k_exp must be <= 1022, got {value}"):
+            make(max_k_exp=value)
+
+
+def test_k_ladder_top_rung_at_max_k_exp():
+    """g = 2^-500 along w and rung 0 reads -2^22.5 there, so lift_exp lies
+    between 1021 and 1022: the ladder scans the top rung K = 2^1022, whose
+    scale 2^1023 is a finite double, and the rung passes."""
+    m = 4
+    g = np.zeros((m, 2), dtype=complex)
+    g[:, 1] = 2.0**-500
+    H1 = np.zeros((m, 2, 2), dtype=complex)
+    H1[:, 0, 0] = 1 + np.arange(m)
+    H1[:, 1, 1] = -(2.0**22.5)
+    base = H1 - rank_one_term(g)
+    stats = _psd_stats(m, 2)
+    assert 1021 < lift_exp(H1, g, 1e-9) < 1022
+    ladder, K, st = k_ladder(base, g, MAX_K_EXP, stats)
+    assert [row["K"] for row in ladder] == [1, 2**1022] and K == 2**1022 and st.passed
+    assert check_against_linear(base, g, MAX_K_EXP, stats) == 2
 
 
 def test_report_dict_shape(r10_report):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from conftest import linear_k_ladder, rank_one_term
-from pshdef import dominance
+from conftest import entry_planar, linear_k_ladder, rank_one_term
+from pshdef import dominance, verify
 from pshdef.catalog import ball_like, half_space, type4_domain
 from pshdef.cli import main
 from pshdef.construct import k_ladder, k_search, lift_exp, run_construction
@@ -500,6 +500,32 @@ def test_psd_result_fails_non_finite(n, entry, value, mirrored):
     assert st.worst_point == bad[0]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_screen_keeps_points_with_non_finite_pivots(monkeypatch, n):
+    """A zero pivot leaves every later pivot NaN, which is not > 0: the
+    screen cannot show such a point clear of the minimum, so it keeps it,
+    whether the NaN is its first pivot or its last."""
+    H = SCREEN_STACKS[f"shifted n={n}"]
+    dropped = np.setdiff1d(np.arange(len(H)), eigen_candidates(H, diagonals(H)))
+    first, last = dropped[:5], dropped[-5:]
+    assert len(dropped) > len(H) / 2
+    screen_ldl = verify.ldl
+
+    def nan_pivots(A, shift, rhs=None):
+        d, y = screen_ldl(A, shift, rhs)
+        d = d.copy()
+        d[first, 0] = 0.0
+        d[first, 1:] = np.nan
+        d[last, -1] = np.nan
+        return d, y
+
+    monkeypatch.setattr(verify, "ldl", nan_pivots)
+    kept = eigen_candidates(H, diagonals(H))
+    assert set(first) | set(last) <= set(kept)
+    others = np.setdiff1d(kept, np.concatenate([first, last]))
+    assert np.array_equal(others, np.setdiff1d(np.arange(len(H)), dropped))
+
+
 def test_screen_plateau_keeps_every_tie():
     """Every point of the plateau is a candidate, so the first of them is
     the worst point."""
@@ -546,12 +572,6 @@ def test_ldl_quadratic_form_matches_solve(n):
     ref = np.sum(np.conj(g) * np.linalg.solve(C, g[:, :, None])[:, :, 0], axis=1).real
     assert np.all(np.abs(phi - ref) <= 1e-12 * np.abs(terms).sum(axis=1))
     assert np.all(phi[200:] > 0)
-
-
-def _entry_planar(A):
-    """A copy of a stack (m, n, n), or of points (m, n), that holds each
-    entry's values over the points contiguously, as `hessian_stack` does."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
 
 
 def _layout_outputs(H, base, g, tol):
@@ -606,8 +626,8 @@ def test_kernels_read_either_layout(n, real):
         g = g + 1j * rng.normal(size=(m, n))
     base = H - rank_one_term(g)  # rung 0 is H, up to rounding
     c_order = _layout_outputs(H, base, g, tol)
-    planar = _layout_outputs(_entry_planar(H), _entry_planar(base), _entry_planar(g), tol)
-    assert _entry_planar(H)[:, n - 1, 0].flags.c_contiguous
+    planar = _layout_outputs(entry_planar(H), entry_planar(base), entry_planar(g), tol)
+    assert entry_planar(H)[:, n - 1, 0].flags.c_contiguous
     assert _bitwise(planar) == _bitwise(c_order)
     assert math.isfinite(c_order["lift_exp"]) and len(c_order["rungs"]) == 2
     assert (c_order["eigen_candidates"] is None) == (n == 2)
