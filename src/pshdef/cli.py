@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import verify
 from .construct import ConstructConfig, NotPseudoconvexError, run_construction
-from .cr import levi_form, levi_origin_value, validate_normal_form
+from .cr import levi_origin_value, validate_normal_form
 from .dominance import Bound, default_probes, levi_dominance_gate
 from .exprparse import parse_poly
 from .gaussrat import format_gaussian
@@ -26,7 +26,6 @@ from .realconvex import (
     convexity_check,
     real_hessian_check,
     sample_real_boundary,
-    tangential_form,
     validate_real_normal_form,
 )
 from .report import SCHEMA_VERSION, dumps_report, envelope, hessian_csv, shell_csv
@@ -323,12 +322,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_levi(args) -> int:
     lane, r = _load(args)
-    if args.real:
-        key, label, form = "tangential", "L~", tangential_form
-    else:
-        key, label, form = "levi", "L", levi_form
+    key, label = ("tangential", "L~") if args.real else ("levi", "L")
     n = r.poly.n
-    forms = [canonical_str(form(r, j)) for j in range(n)]
+    forms = [canonical_str(r.levi(j)) for j in range(n)]
     report = _head(r, "levi", "ok")
     report[key] = forms
     report["messages"] = []

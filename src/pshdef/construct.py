@@ -38,6 +38,7 @@ from .verify import (
     PsdCheckResult,
     check_certificate,
     check_sampling,
+    gradient_stack,
     h_floor_failure,
     hessian_values,
     ldl,
@@ -343,7 +344,7 @@ def lift_exp(H1, g, tol: float) -> float:
         return math.inf
     bad = negative == 1
     n = H1.shape[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(n):
             yk, dk = _at(bad, y[:, k], d[:, k])
             term = (yk * np.conj(yk)).real / dk
@@ -490,13 +491,9 @@ def k_search(
         def run_ladder():
             Z, W = _scan_points(r, shell, probes, radius)
             base = hessian_values(p * r.poly, Z, W)
-            G = np.stack(
-                [compiled(r.d_z(j)).eval(Z, W) for j in range(r.nz)]
-                + [compiled(r.d_w()).eval(Z, W)],
-                axis=0,
-            ).T
+            g = gradient_stack(r, Z, W)
             return k_ladder(
-                base, G, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
+                base, g, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
             )
 
         return least_h, run_ladder
@@ -585,7 +582,7 @@ def run_construction(
     messages = []
 
     scan = levi_scan(r, config.radius, config.samples, config.seed, config.tol)
-    if scan.min_value < -config.tol:
+    if not scan.nonnegative:
         raise NotPseudoconvexError(scan)
 
     proj = project_probes(r, probes)

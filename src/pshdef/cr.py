@@ -2,9 +2,11 @@
 
 The hypersurface is {r = 0} with F real of degree >= 2, so the w-linear part
 is exactly Im w and dr never vanishes near the origin.  The Levi form is
-taken along the tangential frame v_j = <0,..,r_w,..,0, -r_{z_j}> and is kept
+the Hessian of r on the tangential frame v_j = r_w e_j - r_{z_j} e_w, kept
 as an exact polynomial; one general-n code path, with j = 0 the only index
-in complex dimension 2.
+in complex dimension 2.  The frame and the form serve both lanes: for a
+real domain r = y + G the frame is v_j = r_y e_j - r_{x_j} e_y, and the
+form is the real Hessian of r there, whose sign decides convexity.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gaussrat import GaussianRational
-from .wirtinger import SparsePoly, WPoly, im_w
+from .wirtinger import SparsePoly, WPoly, im_w, var_slot
 
 # coefficient of w in Im w: 1/(2i)
 _W_COEFF = GaussianRational(0, Fraction(-1, 2))
@@ -69,6 +71,19 @@ class Domain:
             v = self._cache[key] = build()
             return v
 
+    def gradient(self) -> list:
+        """r's partials in its Hessian row slots (see `hessian_entries`),
+        built once; the lanes' d_z, d_w and d_y return its entries."""
+        p = self.poly
+        return self.cached(
+            "gradient", lambda: [p.partial(a) for a in p.slots(p.hessian_rows, p.n)]
+        )
+
+    def levi(self, j: int = 0, k: int | None = None) -> SparsePoly:
+        """`levi_form(self, j, k)`, built once per entry."""
+        k = j if k is None else k
+        return self.cached(("levi", j, k), lambda: levi_form(self, j, k))
+
 
 @dataclass
 class DefiningFunction(Domain):
@@ -85,19 +100,16 @@ class DefiningFunction(Domain):
         return self.poly - im_w(self.poly.nz)
 
     def d_z(self, j: int) -> WPoly:
-        return self.cached(("dz", j), lambda: self.poly.dz(j))
+        return self.gradient()[var_slot(j, self.nz)]
 
     def d_zbar(self, j: int) -> WPoly:
         return self.cached(("dzbar", j), lambda: self.poly.dzbar(j))
 
     def d_w(self) -> WPoly:
-        return self.cached("dw", lambda: self.poly.dw())
+        return self.gradient()[-1]
 
     def d_wbar(self) -> WPoly:
         return self.cached("dwbar", lambda: self.poly.dwbar())
-
-    def levi(self, j: int = 0) -> WPoly:
-        return self.cached(("levi", j), lambda: levi_form(self, j))
 
     def grad_z_sq(self) -> WPoly:
         return self.cached("gradsq", lambda: gradient_z_sq(self))
@@ -116,23 +128,18 @@ def hessian_minor_det(f: WPoly, j: int = 0) -> WPoly:
     return f.dz(j).dzbar(j) * f.dw().dwbar() - f.dz(j).dwbar() * f.dzbar(j).dw()
 
 
-def levi_form(r: DefiningFunction, j: int = 0) -> WPoly:
-    """Exact tangential Levi polynomial along v_j.
-
-    r_{z_j zbar_j}|r_w|^2 + r_{w wbar}|r_{z_j}|^2
-      - (r_{z_j wbar} r_w r_{zbar_j} + conjugate).
-    """
-    p = r.poly
-    rz = r.d_z(j)
-    rzb = r.d_zbar(j)
-    rw = r.d_w()
-    rwb = r.d_wbar()
-    cross = p.dz(j).dwbar() * rw * rzb
-    return (
-        p.dz(j).dzbar(j) * rw * rwb
-        + p.dw().dwbar() * rz * rzb
-        - (cross + cross.conjugate())
-    )
+def levi_form(r: Domain, j: int = 0, k: int | None = None) -> SparsePoly:
+    """Entry (j, k) of r's Hessian on the tangential frame, exactly:
+    v_j^T H conj(v_k), H = `hessian_entries(r.poly)`, v_j = g_last e_j -
+    g_j e_last, g = r.gradient(); k defaults to j.  Entry (j, j) is the
+    Levi form r_{z_j zbar_j}|r_w|^2 + r_{w wbar}|r_{z_j}|^2 -
+    2 Re(r_{z_j wbar} r_w r_{zbar_j}) of a WPoly, and the tangential form
+    r_xx r_y^2 - 2 r_xy r_x r_y + r_yy r_x^2 in x_j of an RPoly."""
+    g = r.gradient()
+    H = r.cached("hessian", lambda: hessian_entries(r.poly))
+    # the nonzero (slot, entry) pairs of v_j and v_k
+    vj, vk = [((i, g[-1]), (-1, -g[i])) for i in (j, j if k is None else k)]
+    return sum(x * sum(H[a][b] * y.conjugate() for b, y in vk) for a, x in vj)
 
 
 def gradient_z_sq(r: DefiningFunction) -> WPoly:

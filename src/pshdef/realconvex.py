@@ -6,16 +6,17 @@ and the whole staged construction collapses to the fixed choice T = r_y plus
 a ladder over K.  The lane runs on the complex lane's cores: its
 polynomials are `wirtinger.RPoly`, the exact sparse polynomial with rational
 coefficients over (x_1..x_n, y), parsed and printed by the same code as
-`WPoly`; its Hessian entries come from `cr.hessian_entries` and its
+`WPoly`; its gradient, Hessian entries and tangential forms (`cr.levi_form`
+on the frame v_j = r_y e_j - r_{x_j} e_y) are `cr.Domain`'s, and its
 normal-form error is `cr.NormalFormError`; and the numeric side is the
 compiled evaluator (`numeval`), the shell, the Halton ball sampler, the
-Newton solver, the Hessian stack, the PSD statistics and the h floor
-(`verify`), and the K ladder and the radius search (`construct`).  Its own
-parts are the r = y + G normal form, the Newton lift of y, the point
-reports and the tangential forms.  A real shell holds x in Z and y in W.
-The sampler, the Hessian values, the PSD statistics, the Hessian check
-and the normal-form check keep their real-lane names: the benchmark calls
-or traces each by name.
+Newton solver, the Hessian and gradient stacks, the PSD statistics and the
+h floor (`verify`), and the K ladder and the radius search (`construct`).
+Its own parts are the r = y + G normal form, the Newton lift of y and the
+point reports.  A real shell holds x in Z and y in W.  The sampler, the
+Hessian values, the PSD statistics, the Hessian check and the normal-form
+check keep their real-lane names: the benchmark calls or traces each by
+name.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -23,7 +24,7 @@ tangential (x_j, y) plane expands as
     H_rh = H_rp + 4 K^2 r^2 H_r + 4 K^2 r L_r + 2 K L_rp
            + 2 K r [(rp)_xx r_yy + (rp)_yy r_xx - 2 (rp)_xy r_xy]
 
-with L the tangential form below.  Documented for reference; nothing here
+with L the tangential form.  Documented for reference; nothing here
 evaluates it, positivity is only ever checked on the boundary itself.
 """
 
@@ -48,8 +49,10 @@ from .verify import (
     PsdCheckResult,
     Shell,
     ball_stream,
+    gradient_stack,
     h_floor_failure,
     hessian_stack,
+    least_eigenvalues,
     newton,
     psd_result,
     sample_ball,
@@ -92,11 +95,8 @@ class RealDefiningFunction(Domain):
     def nx(self) -> int:
         return self.poly.nx
 
-    def d_x(self, j: int = 0) -> RPoly:
-        return self.cached(("dx", j), lambda: self.poly.d_x(j))
-
     def d_y(self) -> RPoly:
-        return self.cached("dy", lambda: self.poly.d_y())
+        return self.gradient()[-1]
 
 
 # -- boundary sampling ----------------------------------------------------
@@ -189,36 +189,24 @@ def check_real_certificate(
 # -- tangential convexity -------------------------------------------------
 
 
-def tangential_form(r: RealDefiningFunction, j: int = 0) -> RPoly:
-    """Hessian of r on the tangential vector v_j = r_y e_j - r_{x_j} e_y.
-
-    Equals r_xx r_y^2 - 2 r_xy r_x r_y + r_yy r_x^2; nonnegative on the
-    boundary exactly when the domain is convex in the x_j direction.
-    """
-    rx = r.d_x(j)
-    ry = r.d_y()
-    rxx = rx.d_x(j)
-    rxy = rx.d_y()
-    ryy = ry.d_y()
-    return rxx * ry * ry - (rxy * rx * ry).scale(2) + ryy * rx * rx
-
-
 def convexity_check(
     r: RealDefiningFunction, shell: Shell, tol: float = DEFAULT_TOL
 ) -> dict:
-    """Minimum of every tangential form over the shell, with witness."""
-    worst = None
-    for j in range(r.nx):
-        vals = tangential_form(r, j).eval(shell.Z, shell.W)
-        i = int(np.argmin(vals))
-        if worst is None or vals[i] < worst[0]:
-            worst = (float(vals[i]), j, i)
-    value, j, i = worst
+    """Least eigenvalue of the tangential matrix r.levi(j, k) over the
+    shell, with witness: the first point holding it and its least diagonal
+    entry j."""
+    n = r.nx
+    # symmetric: one polynomial per pair j <= k
+    L = [[r.levi(min(j, k), max(j, k)) for k in range(n)] for j in range(n)]
+    H = hessian_stack(L, shell.Z, shell.W)
+    eigs = least_eigenvalues(H)
+    i = int(np.argmin(eigs))
+    value = float(eigs[i])
     passed = value >= -tol
     out = {"min_value": value, "passed": passed, "witness": None}
     if not passed:
         out["witness"] = {
-            "j": j + 1,
+            "j": int(np.argmin(np.diagonal(H[i]))) + 1,
             "point": _real_point_dict(shell.Z, shell.W, i),
             "value": value,
         }
@@ -291,7 +279,7 @@ def convex_multiplier(
 ) -> RealReport:
     """Certify r * (1 + Kr + r_y) convex near 0, K read off the K ladder's rung 0.
 
-    Convexity of the input (every tangential form >= 0 on the shell of
+    Convexity of the input (the tangential matrix PSD on the shell of
     config.radius) is a precondition, checked once before the search; a
     violation reports an obstruction with witness.  The search is the
     complex lane's `construct.radius_search`: the h floor |1 + r_y| >= 1/2,
@@ -337,11 +325,9 @@ def convex_multiplier(
         def run_ladder():
             # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2
             base = real_hessian_values(r.poly + r.poly * ry, X, Y)
-            grad = np.stack(
-                [r.d_x(j).eval(X, Y) for j in range(r.nx)] + [ry.eval(X, Y)], axis=0
-            ).T
+            g = gradient_stack(r, X, Y)
             return k_ladder(
-                base, grad, config.max_k_exp, lambda H: real_psd_stats(H, X, Y, config.tol)
+                base, g, config.max_k_exp, lambda H: real_psd_stats(H, X, Y, config.tol)
             )
 
         return least_h, run_ladder

@@ -6,10 +6,11 @@ scrambled Halton stream of `sampler`, plain numpy) with Im w recovered by
 z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the closed-form
 eigenvalue, larger n a batched solve at the points a batched LDL* screen
 leaves.  Everything is deterministic under a fixed seed.  The shell, the
-ball sampler, the Newton solver, the Hessian stack, the PSD statistics and
-the h floor serve the real lane too.  `check_certificate` is the one pass
-rule for a finished certificate, applied by `construct` and `pshdef
-verify`, and `h_floor_failure` the one h floor test of both lanes.
+ball sampler, the Newton solver, the Hessian and gradient stacks, the
+least eigenvalues, the PSD statistics and the h floor serve the real lane
+too.  `check_certificate` is the one pass rule for a finished
+certificate, applied by `construct` and `pshdef verify`, and
+`h_floor_failure` the one h floor test of both lanes.
 """
 
 from __future__ import annotations
@@ -290,24 +291,55 @@ def hessian_stack(H: list, Z, W) -> np.ndarray:
     return out
 
 
+def gradient_stack(r, Z, W) -> np.ndarray:
+    """r.gradient() at each point, (m, n), as `k_ladder` reads it: the view
+    of an (n, m) array, so each partial's values are contiguous."""
+    return np.stack([compiled(d).eval(Z, W) for d in r.gradient()], axis=0).T
+
+
 def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Complex Hessian of f at each point: array (m, n, n), Hermitian.  An
     RPoly at real points gives its real symmetric Hessian."""
     return hessian_stack(hessian_entries(f), Z, W)
 
 
-def least_2x2(a, b2, c):
+RESCALE = 2.0**-600  # takes entries below 2^1024 under 2^424: their squares are finite
+
+
+def _in_range(form, degree: int, a, b, c):
+    """form(a, b, c) per point, for a form homogeneous of `degree` in the
+    entries of [[a, b], [conj(b), c]] (a, c real, b = |b|).  Where it is
+    not finite, it is evaluated again on the entries times RESCALE, exact
+    powers of two, and scaled back, so finite entries give a finite value
+    wherever the form's value is a double; elsewhere its floats stand."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = form(a, b, c)
+        redo = ~np.isfinite(out)
+        if redo.any():
+            low = form(*(x[redo] * RESCALE for x in (a, b, c)))
+            for _ in range(degree):
+                low /= RESCALE
+            out[redo] = low
+    return out
+
+
+def _least_2x2(a, b, c):
+    return 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+
+
+def least_2x2(a, b, c):
     """Least eigenvalue of [[a, b], [conj(b), c]] per point, given a and c
-    real and b2 = |b|^2."""
-    half = 0.5 * (a + c)
-    return half - np.sqrt((0.5 * (a - c)) ** 2 + b2)
+    real and b = |b|; in range for entries across the double range."""
+    return _in_range(_least_2x2, 1, a, b, c)
 
 
 def least_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """The least eigenvalue per point, shape (m,); closed form for 2x2,
-    solver otherwise."""
+    """The least eigenvalue per point, shape (m,); the entry itself for
+    1x1, closed form for 2x2, solver otherwise."""
+    if H.shape[-1] == 1:
+        return H[:, 0, 0].real
     if H.shape[-1] == 2:
-        return least_2x2(H[:, 0, 0].real, np.abs(H[:, 0, 1]) ** 2, H[:, 1, 1].real)
+        return least_2x2(H[:, 0, 0].real, np.abs(H[:, 0, 1]), H[:, 1, 1].real)
     return np.linalg.eigvalsh(H)[:, 0]
 
 
@@ -387,12 +419,17 @@ def last_slot_minors(H: np.ndarray) -> np.ndarray:
     n = H.shape[-1]
     return np.stack(
         [
-            H[:, j, j].real * H[:, n - 1, n - 1].real
-            - np.abs(H[:, j, n - 1]) ** 2
+            _in_range(
+                _minor, 2, H[:, j, j].real, np.abs(H[:, j, n - 1]), H[:, n - 1, n - 1].real
+            )
             for j in range(n - 1)
         ],
         axis=0,
     ).T
+
+
+def _minor(a, b, c):
+    return a * c - b**2
 
 
 def diagonals(H: np.ndarray) -> np.ndarray:
@@ -447,9 +484,9 @@ def eigen_candidates(H: np.ndarray, diags: np.ndarray):
     for j in range(1, n):
         np.maximum(size2, diags[:, j] ** 2, out=size2)
     for j, k in zip(*np.triu_indices(n, 1)):
-        b2 = np.abs(H[:, j, k]) ** 2
-        np.minimum(bound, least_2x2(diags[:, j], b2, diags[:, k]), out=bound)
-        np.maximum(size2, b2, out=size2)
+        b = np.abs(H[:, j, k])
+        np.minimum(bound, least_2x2(diags[:, j], b, diags[:, k]), out=bound)
+        np.maximum(size2, b**2, out=size2)
     seeds = np.argpartition(bound, SCREEN_SEEDS)[:SCREEN_SEEDS]
     t = float(least_eigenvalues(H[seeds]).min())
     if not math.isfinite(t):

@@ -207,6 +207,36 @@ def test_analyze_real_modes(capsys):
     check_schema(d)
 
 
+# convex in each coordinate direction, but its tangential matrix at 0,
+# [[2, 3], [3, 2]], has the eigenvalue -1: the domain is not convex
+SADDLE = "y + x1^2 + x2^2 + 3*x1*x2"
+
+
+def test_analyze_real_reads_the_full_tangential_matrix(capsys):
+    code, out, _ = run(capsys, "analyze", "--real", "--r", SADDLE)
+    assert code == 1
+    assert out.startswith("fail: tangential convexity min -1.000e+00")
+    code, out, _ = run(capsys, "analyze", "--real", "--r", SADDLE, "--json")
+    assert code == 1
+    d = json.loads(out)
+    assert d["convexity_precheck"]["min_value"] == pytest.approx(-1.0, abs=1e-12)
+    assert set(d["convexity_precheck"]["witness"]) == {"j", "point", "value"}
+    check_schema(d)
+
+
+def test_construct_real_obstructed_off_the_diagonal(capsys):
+    code, out, _ = run(capsys, "construct", "--real", "--r", SADDLE, "--json")
+    assert code == 1
+    d = json.loads(out)
+    assert d["status"] == "Obstructed"
+    assert d["obstruction"]["kind"] == "not_convex"
+    assert d["k_search"] is None
+    check_schema(d)
+    code, out, _ = run(capsys, "construct", "--real", "--r", SADDLE)
+    assert code == 1
+    assert "obstruction: not_convex" in out
+
+
 def test_analyze_csv(capsys, tmp_path):
     target = tmp_path / "points.csv"
     code, _, _ = run(

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -642,7 +643,7 @@ def test_boundary_hessian_of_r_squared_is_rank_one(lane, text, n):
         r = _real(text, n)
         shell = sample_real_boundary(r, 1e-2, 500, seed=0)
         g = np.stack(
-            [r.d_x(j).eval(shell.Z, shell.W) for j in range(r.nx)]
+            [r.gradient()[j].eval(shell.Z, shell.W) for j in range(r.nx)]
             + [r.d_y().eval(shell.Z, shell.W)],
             axis=1,
         )
@@ -1051,6 +1052,23 @@ def test_k_ladder_top_rung_at_max_k_exp():
     ladder, K, st = k_ladder(base, g, MAX_K_EXP, stats)
     assert [row["K"] for row in ladder] == [1, 2**1022] and K == 2**1022 and st.passed
     assert check_against_linear(base, g, MAX_K_EXP, stats) == 2
+
+
+@pytest.mark.parametrize(
+    "H1, g",
+    [
+        ([[1.0, 0.0], [0.0, -(2.0**-20)]], [0.0, 2.0**-530]),
+        ([[1e200, 0.0], [0.0, -1e200]], [0.0, 1.0]),
+    ],
+    ids=["threshold", "minor"],
+)
+def test_lift_exp_out_of_range_is_silent(H1, g):
+    """A lift out of double range is inf, with no warning: the threshold
+    -1/(2 phi) overflows the divide for phi = -2^-1040, and the minor a c
+    overflows the multiply for entries of 1e200."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lift_exp(np.array([H1]), np.array([g]), 1e-9) == math.inf
 
 
 def test_report_dict_shape(r10_report):

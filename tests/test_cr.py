@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_normal_form
+from conftest import random_normal_form, random_rpoly
 from pshdef.catalog import type4_domain
 from pshdef.cr import (
     DefiningFunction,
@@ -19,6 +19,7 @@ from pshdef.cr import (
 )
 from pshdef.exprparse import parse_rpoly
 from pshdef.gaussrat import GaussianRational
+from pshdef.realconvex import validate_real_normal_form
 from pshdef.wirtinger import RPoly, WPoly, abs2, im_w, re_w, re_z
 
 
@@ -30,13 +31,14 @@ def tangent_vector(r, j=0):
     return v
 
 
-def hessian_form(f, v):
-    """Complex Hessian of f applied to v: sum of f_{jk} v_j conj(v_k)."""
+def hessian_form(f, v, u=None):
+    """Complex Hessian of f applied to v and u (default v): sum of
+    f_{jk} v_j conj(u_k)."""
     H = hessian_entries(f)
     acc = WPoly.zero(f.nz)
     for j, vj in enumerate(v):
-        for k, vk in enumerate(v):
-            acc = acc + H[j][k] * vj * vk.conjugate()
+        for k, uk in enumerate(v if u is None else u):
+            acc = acc + H[j][k] * vj * uk.conjugate()
     return acc
 
 
@@ -81,6 +83,56 @@ def test_levi_formula_on_random_domains():
         L = levi_form(r, 0)
         assert L.is_real()
         assert L == hessian_form(p, tangent_vector(r, 0))
+    # the real lane's form is the real Hessian of r on v_j = r_y e_j - r_{x_j} e_y
+    for nx in (1, 1, 1, 2, 2, 3):
+        G = random_rpoly(rng, nx)
+        G = RPoly(nx, {e: c for e, c in G.terms.items() if sum(e) >= 2})
+        r = validate_real_normal_form(RPoly.var_y(nx) + G)
+        p = r.poly
+        for j in range(nx):
+            rx, ry = p.d_x(j), p.d_y()
+            expected = (
+                rx.d_x(j) * ry * ry - (rx.d_y() * rx * ry).scale(2) + ry.d_y() * rx * rx
+            )
+            assert levi_form(r, j) == expected
+
+
+@pytest.mark.parametrize("nz", [2, 3])
+def test_levi_entries_on_random_domains(nz):
+    """Entry (j, k) is the Hessian of r on v_j and v_k, Hermitian in (j, k),
+    and entry (j, j) is the Levi form of j, as `levi` caches it."""
+    rng = random.Random(nz)
+    for _ in range(4):
+        p = random_normal_form(rng, nz, max_deg=4)
+        r = validate_normal_form(p)
+        for j in range(nz):
+            assert r.levi(j, j) is r.levi(j)
+            assert r.levi(j) == levi_form(r, j)
+            for k in range(nz):
+                L = levi_form(r, j, k)
+                assert L == hessian_form(p, tangent_vector(r, j), tangent_vector(r, k))
+                assert L.conjugate() == levi_form(r, k, j)
+
+
+def test_gradient_is_the_hessian_row_partials():
+    """r.gradient() lists the partials in the Hessian row slots, in both
+    lanes, and the lane's partials are its entries, built once."""
+    rng = random.Random(5)
+    for nz in (1, 2, 3):
+        r = validate_normal_form(random_normal_form(rng, nz, max_deg=4))
+        p = r.poly
+        assert r.gradient() == [p.dz(j) for j in range(nz)] + [p.dw()]
+        assert r.gradient() is r.gradient()
+        for j in range(nz):
+            assert r.d_z(j) is r.gradient()[j]
+        assert r.d_w() is r.gradient()[-1]
+        with pytest.raises(IndexError):
+            r.d_z(nz)
+    for text in ("y + x^2 + x y", "y + x1^2 + x2^4 + x1 y"):
+        r = validate_real_normal_form(parse_rpoly(text))
+        p, nx = r.poly, r.nx
+        assert r.gradient() == [p.d_x(j) for j in range(nx)] + [p.d_y()]
+        assert r.d_y() is r.gradient()[-1]
 
 
 def test_levi_matches_hessian_on_tangent_vector(r10):

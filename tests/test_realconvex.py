@@ -10,7 +10,7 @@ import pytest
 from conftest import random_rpoly
 from pshdef.catalog import type4_domain
 from pshdef.construct import SHRINK
-from pshdef.cr import NormalFormError
+from pshdef.cr import NormalFormError, levi_form
 from pshdef.exprparse import parse_rpoly
 from pshdef.realconvex import (
     RealConfig,
@@ -21,7 +21,6 @@ from pshdef.realconvex import (
     real_hessian_values,
     real_normal_form_violations,
     sample_real_boundary,
-    tangential_form,
     validate_real_normal_form,
 )
 from pshdef.verify import H_MIN, hessian_values, point_norms, sample_boundary
@@ -170,10 +169,10 @@ def test_hessian_check_rejects_empty_shell():
 
 def test_tangential_form_values():
     conv = validate_real_normal_form(Y + X * X)
-    tf = tangential_form(conv, 0)
+    tf = levi_form(conv, 0)
     assert tf.coeff((0, 0)) == 2
     conc = validate_real_normal_form(Y - X * X)
-    assert tangential_form(conc, 0).coeff((0, 0)) == -2
+    assert levi_form(conc, 0).coeff((0, 0)) == -2
 
 
 def test_tangential_form_fd_probe():
@@ -188,14 +187,14 @@ def test_tangential_form_fd_probe():
         y = float(Yv[0])
         Xa, Ya = np.array([[x]]), np.array([y])
         vx = float(r.d_y().eval(Xa, Ya)[0])
-        vy = -float(r.d_x(0).eval(Xa, Ya)[0])
+        vy = -float(r.gradient()[0].eval(Xa, Ya)[0])
         t = 1e-4
 
         def at(s):
             return float(p.eval(np.array([[x + s * vx]]), np.array([y + s * vy]))[0])
 
         second = (at(t) - 2 * at(0) + at(-t)) / (t * t)
-        form = float(tangential_form(r, 0).eval(Xa, Ya)[0])
+        form = float(levi_form(r, 0).eval(Xa, Ya)[0])
         assert abs(second - form) <= 1e-6 * (1 + abs(form))
 
 
@@ -207,6 +206,37 @@ def test_convexity_check_witness():
     assert out["witness"]["j"] == 1
     assert abs(out["witness"]["value"] + 2.0) <= 1e-9
     assert out["min_value"] < -1
+
+
+def test_convexity_check_reads_the_full_matrix():
+    """The precheck takes the least eigenvalue of the tangential matrix:
+    [[2, 3], [3, 2]] reads -1 where its diagonal reads 2, and the witness
+    names the least diagonal entry at its point."""
+    r = rp("y + x1^2 + x2^2 + 3*x1*x2", 2)
+    shell = sample_real_boundary(r, 1e-2, 300, seed=0)
+    diag = min(float(levi_form(r, j).eval(shell.Z, shell.W).min()) for j in range(2))
+    assert diag == 2.0
+    out = convexity_check(r, shell)
+    assert not out["passed"]
+    assert out["min_value"] == pytest.approx(-1.0, abs=1e-12)
+    assert out["witness"]["j"] == 1 and out["witness"]["value"] == out["min_value"]
+    # positive definite off the diagonal: least eigenvalue 1, not 2
+    r = rp("y + x1^2 + x2^2 + x3^2 + x1*x2", 3)
+    out = convexity_check(r, sample_real_boundary(r, 1e-2, 300, seed=0))
+    assert out["passed"] and out["min_value"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", ["y + x^4", "y - x^2 + x y", "y + x^2 + x^3 y"])
+def test_convexity_check_one_variable_is_the_form(text):
+    """At nx = 1 the 1x1 matrix's eigenvalue is the form itself, float for
+    float, so the precheck reads what the form's minimum reads."""
+    r = rp(text)
+    shell = sample_real_boundary(r, 1e-2, 500, seed=1)
+    vals = levi_form(r, 0).eval(shell.Z, shell.W)
+    out = convexity_check(r, shell)
+    assert out["min_value"] == float(vals.min())
+    if not out["passed"]:
+        assert out["witness"]["point"]["x"] == [float(shell.Z[np.argmin(vals), 0])]
 
 
 def test_multiplier_parabola():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,49 @@ def test_least_eigenvalues_closed_form(r10, small_shell):
     fast = least_eigenvalues(H)
     ref = np.linalg.eigvalsh(H)[:, 0]
     assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+def test_closed_form_keeps_its_floats_in_ordinary_range():
+    """On 2x2 stacks whose squares are finite, the least eigenvalue and the
+    minor are the plain closed forms, float for float."""
+    rng = np.random.default_rng(11)
+    for real, scale in ((False, 1.0), (True, 1.0), (False, 1e-100), (False, 1e100)):
+        H = _hermitian(rng, 3000, 2, real) * scale
+        a, b, c = H[:, 0, 0].real, H[:, 0, 1], H[:, 1, 1].real
+        half = 0.5 * (a + c)
+        want = half - np.sqrt((0.5 * (a - c)) ** 2 + np.abs(b) ** 2)
+        assert np.array_equal(least_eigenvalues(H), want)
+        assert np.array_equal(last_slot_minors(H)[:, 0], a * c - np.abs(b) ** 2)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e250, 1e300])
+def test_least_2x2_across_the_double_range(scale):
+    """Where the closed form's squares overflow, the least eigenvalue stays
+    finite and agrees with the solver's, with no warning."""
+    rng = np.random.default_rng(3)
+    H = _spectrum(rng, rng.uniform(-2.0, 2.0, size=(500, 2))) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = least_eigenvalues(H)
+    assert np.isfinite(fast).all()
+    assert np.max(np.abs(fast - np.linalg.eigvalsh(H)[:, 0])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "M, least",
+    [([[1.0, 0.0], [0.0, 1e160]], 0.0), ([[2e160, 1e160j], [-1e160j, 2e160]], 1e160)],
+    ids=["diagonal", "off_diagonal"],
+)
+def test_psd_result_passes_psd_stacks_at_1e160(M, least):
+    """PSD stacks at 1e160 pass, with a finite least eigenvalue and no NaN
+    minor (the off-diagonal one's minor, 3e320, is out of range: inf)."""
+    H = np.repeat(np.array([M], dtype=complex), 4, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = psd_result(H, 1e-9, lambda i: i)
+    assert st.passed
+    assert st.min_eig == pytest.approx(least, rel=1e-12)
+    assert st.min_minor > 0
 
 
 def test_psd_check_rejects_empty_shell(r10):
