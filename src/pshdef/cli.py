@@ -24,8 +24,6 @@ from .realconvex import (
     check_real_certificate,
     convex_multiplier,
     convexity_check,
-    real_hessian_check,
-    sample_real_boundary,
     validate_real_normal_form,
 )
 from .report import SCHEMA_VERSION, dumps_report, envelope, hessian_csv, shell_csv
@@ -132,20 +130,11 @@ class _Lane:
     validate: Callable  # polynomial -> domain, or a normal-form error
     config: type  # the construction's config, built from the shared flags
     construct: Callable  # (domain, config) -> report
-    sample: Callable  # (domain, radius, samples, seed) -> shell
 
 
 _LANES = {
-    False: _Lane(
-        WPoly, validate_normal_form, ConstructConfig, run_construction, sample_boundary
-    ),
-    True: _Lane(
-        RPoly,
-        validate_real_normal_form,
-        RealConfig,
-        convex_multiplier,
-        sample_real_boundary,
-    ),
+    False: _Lane(WPoly, validate_normal_form, ConstructConfig, run_construction),
+    True: _Lane(RPoly, validate_real_normal_form, RealConfig, convex_multiplier),
 }
 
 
@@ -155,8 +144,8 @@ def _load(args):
     return lane, lane.validate(parse_poly(args.r, lane.poly, args.nz))
 
 
-def _shell(args, lane: _Lane, r):
-    return lane.sample(r, args.radius, args.samples, args.seed)
+def _shell(args, r):
+    return sample_boundary(r, args.radius, args.samples, args.seed)
 
 
 def _head(r, command: str, status: str) -> dict:
@@ -196,12 +185,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    check_sampling(args.radius, args.samples, args.tol)
+    check_sampling(args.radius, args.samples, args.seed, args.tol)
     lane, r = _load(args)
-    shell = _shell(args, lane, r)
+    shell = _shell(args, r)
     if args.real:
         conv = convexity_check(r, shell, args.tol)
-        self_check = real_hessian_check(r.poly, shell, args.tol)
+        self_check = psd_check(r.poly, shell, args.tol)
         status = "pass" if conv["passed"] else "fail"
         body = {
             "convexity_precheck": conv,
@@ -260,13 +249,13 @@ def _cmd_construct(args) -> int:
         _emit(args, report, f"Obstructed: {e}")
         return EXIT_FAIL
     if args.csv_points:
-        _write(args.csv_points, shell_csv(_shell(args, lane, r), lane.poly))
+        _write(args.csv_points, shell_csv(_shell(args, r), lane.poly))
     _emit(args, envelope("construct", rep.as_dict()), rep.trace())
     return _EXIT[rep.status]
 
 
 def _cmd_verify(args) -> int:
-    check_sampling(args.radius, args.samples, args.tol)
+    check_sampling(args.radius, args.samples, args.seed, args.tol)
     if args.real and args.K:
         raise _UsageError("--K is a complex-lane flag; fold K into --h with --real")
     if args.real and args.collar is not None:
@@ -276,7 +265,7 @@ def _cmd_verify(args) -> int:
     config = _sampling(args)
     config["h"] = canonical_str(p1)
     if args.real:
-        shell = _shell(args, lane, r)
+        shell = _shell(args, r)
         checks, failed, rho = check_real_certificate(r, p1, shell, args.tol)
         messages = ["identity and necessary-condition checks are complex-lane only"]
         if "h_floor" in failed:
@@ -292,7 +281,7 @@ def _cmd_verify(args) -> int:
         if T.min_degree() == 0 and not T.is_zero():
             raise _UsageError("h must equal 1 at the origin")
         config["K"] = args.K
-        shell = _shell(args, lane, r)
+        shell = _shell(args, r)
         checks, failed, rho = check_certificate(r, T, args.K, shell, args.tol)
         psd, nec = checks["psd"], checks["necessary"]
         messages = [nec["error"]] if "error" in nec else []

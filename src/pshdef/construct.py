@@ -58,7 +58,7 @@ def check_search_config(config, *counts: str) -> None:
     at most MAX_K_EXP, so that a rung's scale 2^(max_k_exp + 1) is a
     finite double.  Shared by the complex and the real lane's configs;
     raises ValueError."""
-    check_sampling(config.radius, config.samples, config.tol)
+    check_sampling(config.radius, config.samples, config.seed, config.tol)
     if config.max_k_exp > MAX_K_EXP:
         raise ValueError(f"max_k_exp must be <= {MAX_K_EXP}, got {config.max_k_exp}")
     for name in ("max_k_exp", *counts):

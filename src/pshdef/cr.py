@@ -111,6 +111,13 @@ class DefiningFunction(Domain):
     def d_wbar(self) -> WPoly:
         return self.cached("dwbar", lambda: self.poly.dwbar())
 
+    def normal_slope(self) -> WPoly:
+        """d r / d(Im w) = i (r_w - r_wbar), the slope of a boundary
+        projection's Newton solve."""
+        return self.cached(
+            "dv", lambda: (self.d_w() - self.d_wbar()).scale(GaussianRational(0, 1))
+        )
+
     def grad_z_sq(self) -> WPoly:
         return self.cached("gradsq", lambda: gradient_z_sq(self))
 

@@ -9,14 +9,15 @@ coefficients over (x_1..x_n, y), parsed and printed by the same code as
 `WPoly`; its gradient, Hessian entries and tangential forms (`cr.levi_form`
 on the frame v_j = r_y e_j - r_{x_j} e_y) are `cr.Domain`'s, and its
 normal-form error is `cr.NormalFormError`; and the numeric side is the
-compiled evaluator (`numeval`), the shell, the Halton ball sampler, the
-Newton solver, the Hessian and gradient stacks, the PSD statistics and the
-h floor (`verify`), and the K ladder and the radius search (`construct`).
-Its own parts are the r = y + G normal form, the Newton lift of y and the
-point reports.  A real shell holds x in Z and y in W.  The sampler, the
-Hessian values, the PSD statistics, the Hessian check and the normal-form
-check keep their real-lane names: the benchmark calls or traces each by
-name.
+compiled evaluator (`numeval`), the boundary layer of `verify` (the shell,
+sampled and Newton-projected on the slope r_y, the point reports, the
+Hessian and gradient stacks, the PSD statistics and the h floor), and the
+K ladder and the radius search (`construct`).  Its own parts are the
+r = y + G normal form, the convexity precheck and the multiplier.  A real
+shell holds x in Z and y in W.  `sample_real_boundary`,
+`real_hessian_values`, `real_psd_stats` and `real_hessian_check` are each
+one call into `verify`, kept by name with `validate_real_normal_form`
+because the benchmark calls or traces each by name.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -41,21 +42,21 @@ from .construct import (
     radius_search,
     search_failure,
 )
-from .cr import Domain, NormalFormError, hessian_entries
-from .numeval import compiled
+from .cr import Domain, NormalFormError
 from .report import SCHEMA_VERSION
 from .verify import (
     DEFAULT_TOL,
     PsdCheckResult,
     Shell,
-    ball_stream,
     gradient_stack,
     h_floor_failure,
     hessian_stack,
+    hessian_values,
     least_eigenvalues,
-    newton,
-    psd_result,
-    sample_ball,
+    point_report,
+    psd_check,
+    psd_stats,
+    sample_boundary,
 )
 from .wirtinger import RPoly, canonical_str
 
@@ -98,75 +99,34 @@ class RealDefiningFunction(Domain):
     def d_y(self) -> RPoly:
         return self.gradient()[-1]
 
+    def normal_slope(self) -> RPoly:
+        """r_y, the slope of a boundary projection's Newton solve for y."""
+        return self.d_y()
 
-# -- boundary sampling ----------------------------------------------------
 
-
-def project_to_real_boundary(r: RealDefiningFunction, X, starts=None):
-    """Solve y so r(x, y) = 0 by Newton from y = 0.
-
-    `starts` splits the points into `verify.newton` groups; X stays fixed,
-    so r and r_y are evaluated through `CompiledPoly.at`.  Returns (Y, ok)
-    where ok flags points with |r| <= 1e-12.
-    """
-    X = np.asarray(X, dtype=np.float64).reshape(-1, r.nx)
-    rp = compiled(r.poly).at(X)
-    ry = compiled(r.d_y()).at(X)
-    return newton(rp, ry, np.zeros(len(X)), starts)
+# -- the real lane's names for the boundary layer -------------------------
 
 
 def sample_real_boundary(
-    r: RealDefiningFunction,
-    radius: float,
-    count: int,
-    seed: int = 0,
+    r: RealDefiningFunction, radius: float, count: int, seed: int = 0
 ) -> Shell:
-    """Low-discrepancy boundary points filling the ball of the given radius.
-
-    The x coordinates fill the ball (see `verify.sample_ball`) from r's
-    Halton stream of this seed; y is Newton-solved.  The shell holds x in Z
-    and y in W, and is cached on r like `verify.sample_boundary`; the arrays
-    are read-only.
-    """
-
-    def lift(X, starts=None):
-        Y, ok = project_to_real_boundary(r, X, starts)
-        return (X, Y), ok
-
-    def build():
-        [(X, Y)] = sample_ball(ball_stream(r, r.nx, seed), [radius], count, lift)
-        res = np.abs(r.poly.eval(X, Y))
-        for a in (X, Y, res):
-            a.flags.writeable = False
-        return Shell(radius=radius, seed=seed, Z=X, W=Y, residuals=res)
-
-    return r.cached(("shell", radius, count, seed), build)
-
-
-# -- Hessian checks -------------------------------------------------------
+    """`verify.sample_boundary`: x fills the ball, y is Newton-solved."""
+    return sample_boundary(r, radius, count, seed)
 
 
 def real_hessian_values(f: RPoly, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Real Hessian of f at each point: array (m, n, n), symmetric, in the
-    slot order (x_1..x_nx, y)."""
-    return hessian_stack(hessian_entries(f), X, Y)
-
-
-def _real_point_dict(X, Y, i) -> dict:
-    return {
-        "x": [float(X[i, j]) for j in range(X.shape[1])],
-        "y": float(Y[i]),
-    }
+    """`verify.hessian_values`: symmetric, slots (x_1..x_nx, y)."""
+    return hessian_values(f, X, Y)
 
 
 def real_psd_stats(H: np.ndarray, X, Y, tol: float) -> PsdCheckResult:
-    return psd_result(H, tol, lambda i: _real_point_dict(X, Y, i))
+    """`verify.psd_stats`, its worst point as {"x", "y"}."""
+    return psd_stats(H, X, Y, tol)
 
 
 def real_hessian_check(f: RPoly, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
-    """Full real Hessian PSD sampling of f over the shell."""
-    H = real_hessian_values(f, shell.Z, shell.W)
-    return real_psd_stats(H, shell.Z, shell.W, tol)
+    """`verify.psd_check`: the full real Hessian of f over the shell."""
+    return psd_check(f, shell, tol)
 
 
 def check_real_certificate(
@@ -207,7 +167,7 @@ def convexity_check(
     if not passed:
         out["witness"] = {
             "j": int(np.argmin(np.diagonal(H[i]))) + 1,
-            "point": _real_point_dict(shell.Z, shell.W, i),
+            "point": point_report(shell.Z, shell.W, i),
             "value": value,
         }
     return out

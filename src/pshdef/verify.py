@@ -1,16 +1,16 @@
 """Numeric boundary verification: sampling, PSD scans, identity checks.
 
-Boundary points come from a low-discrepancy tangential sample (the
-scrambled Halton stream of `sampler`, plain numpy) with Im w recovered by
-1-D Newton (residual <= 1e-12).  PSD checks look at Hessian diagonals, all
-z_j/w 2x2 minors, and the least eigenvalue; n = 2 uses the closed-form
-eigenvalue, larger n a batched solve at the points a batched LDL* screen
-leaves.  Everything is deterministic under a fixed seed.  The shell, the
-ball sampler, the Newton solver, the Hessian and gradient stacks, the
-least eigenvalues, the PSD statistics and the h floor serve the real lane
-too.  `check_certificate` is the one pass rule for a finished
-certificate, applied by `construct` and `pshdef verify`, and
-`h_floor_failure` the one h floor test of both lanes.
+Both lanes' boundary layer.  Boundary points come from a low-discrepancy
+tangential sample (the scrambled Halton stream of `sampler`, plain numpy)
+with the normal coordinate, Im w or y, recovered by 1-D Newton on the
+domain's `normal_slope` (residual <= 1e-12); the polynomial class says how
+a point splits, and `point_report` gives it as either lane's reports do.
+PSD checks look at Hessian diagonals, all 2x2 minors with the last slot,
+and the least eigenvalue; n = 2 uses the closed-form eigenvalue, larger n
+a batched solve at the points a batched LDL* screen leaves.  Everything is
+deterministic under a fixed seed.  `check_certificate` is the complex
+lane's one pass rule for a finished certificate, and `h_floor_failure`
+the one h floor test of both lanes.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gaussrat import GaussianRational
-from .cr import DefiningFunction, hessian_entries
+from .cr import DefiningFunction, Domain, hessian_entries
 from .numeval import compiled
 from .sampler import BallStream
 from .wirtinger import WPoly
@@ -30,6 +29,8 @@ from .wirtinger import WPoly
 NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
 DEFAULT_TOL = 1e-9
+IDENTITY_REL_TOL = 1e-8  # the identity's deviation bound, relative to 1 + max |LHS|
+EXTENDED_BELOW = 1e-4  # shells of smaller radius are solved in extended precision
 H_MIN = 0.5  # floor on |h| (and |1 + T|) over a shell
 
 
@@ -42,26 +43,22 @@ def h_floor_failure(least_h: float) -> dict | None:
     return {"min_abs_h": least_h, "h_floor": H_MIN}
 
 
-def check_sampling(radius: float, samples: int, tol: float) -> None:
+def check_sampling(radius: float, samples: int, seed: int, tol: float) -> None:
     """Reject a shell no scan can certify from: radius not finite or <= 0,
-    samples < 1, tol < 0 or NaN.  Raises ValueError."""
+    samples < 1, seed < 0 (no Halton scramble has one), tol < 0 or NaN.
+    Raises ValueError."""
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 class ProbeConfigurationError(RuntimeError):
     """No boundary-projectable points under the requested configuration."""
-
-
-def _dv_poly(r: DefiningFunction) -> WPoly:
-    # d r / d(Im w) = i (r_w - r_wbar)
-    return r.cached(
-        "dv", lambda: (r.d_w() - r.d_wbar()).scale(GaussianRational(0, 1))
-    )
 
 
 def newton(value, slope, v, starts=None):
@@ -93,29 +90,36 @@ def newton(value, slope, v, starts=None):
     return v, np.abs(vals) <= RESIDUAL_BOUND
 
 
-def project_to_boundary(
-    r: DefiningFunction, Z, U, dtype=np.complex128, targets=None, starts=None
-):
-    """Solve Im w so r(z, u + i v) = target by Newton from v = 0.
+def project_to_boundary(r: Domain, Z, U=None, dtype=None, targets=None, starts=None):
+    """Solve the normal coordinate v so r(Z, W) = target by Newton from v = 0.
 
-    The default target is 0 (the boundary); per-point negative targets give
-    inward collar points.  `starts` splits the points into `newton` groups.
-    Z stays fixed, so r and its v-slope are evaluated through
-    `CompiledPoly.at`.  Returns (W, ok) where ok flags points with
-    |r - target| <= 1e-12.
+    W is `boundary_w(U, v)` of r's polynomial class: u + i v, U the
+    points' Re w, or y = v (U None).  Points are evaluated in `dtype`, one
+    of the class's `precisions` (the first by default), and v is solved in
+    its real precision.  The default target is 0 (the boundary); per-point
+    negative targets give inward collar points.  `starts` splits the points
+    into `newton` groups.  Z stays fixed, so r and `r.normal_slope()` are
+    evaluated through `CompiledPoly.at`.  Returns (W, ok), W in the first
+    precision, where ok flags points with |r - target| <= 1e-12.
     """
-    Z = np.asarray(Z, dtype=dtype).reshape(len(U), r.nz)
+    lane = type(r.poly)
+    dtype = lane.precisions[0] if dtype is None else dtype
+    Z = np.asarray(Z, dtype=dtype).reshape(-1, r.poly.n)
     rp = compiled(r.poly).at(Z)
-    rv = compiled(_dv_poly(r)).at(Z)
-    U = np.asarray(U, dtype=np.float64)
+    rv = compiled(r.normal_slope()).at(Z)
+    U = None if U is None else np.asarray(U, dtype=np.float64)
     tgt = 0.0 if targets is None else np.asarray(targets, dtype=np.float64)
+
+    def at(V):
+        return lane.boundary_w(U, V).astype(dtype, copy=False)
+
     V, ok = newton(
-        lambda V: rp((U + 1j * V).astype(dtype, copy=False)).real - tgt,
-        lambda V: rv((U + 1j * V).astype(dtype, copy=False)).real,
-        np.zeros(len(U), dtype=np.longdouble if dtype == np.clongdouble else np.float64),
+        lambda V: rp(at(V)).real - tgt,
+        lambda V: rv(at(V)).real,
+        np.zeros(len(Z), dtype=np.finfo(dtype).dtype),
         starts,
     )
-    return (U + 1j * V).astype(np.complex128), ok
+    return lane.boundary_w(U, V).astype(lane.precisions[0]), ok
 
 
 def point_norms(P: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -189,34 +193,36 @@ def sample_ball(stream: BallStream, radii, count: int, lift):
     return [[np.concatenate(arrays)[:count] for arrays in zip(*k)] for k in kept]
 
 
-def boundary_points(r: DefiningFunction, radii, count: int, seed: int = 0) -> list:
+def boundary_points(r: Domain, radii, count: int, seed: int = 0) -> list:
     """Boundary points (Z, W) filling the ball of each radius.
 
-    Tangential coordinates (Re z, Im z, Re w) fill the ball (see
-    `sample_ball`) from r's Halton stream of this seed; Im w is
-    Newton-solved, in extended precision below radius 1e-4, in one
-    `sample_ball` per precision.
+    Tangential coordinates, (Re z, Im z, Re w) or x, fill the ball (see
+    `sample_ball`) from r's Halton stream of this seed; r's polynomial
+    class splits them (`tangential_point`).  The normal coordinate is
+    Newton-solved (`project_to_boundary`), in extended precision below
+    radius EXTENDED_BELOW, in one `sample_ball` per precision.
     """
-    nz = r.nz
+    lane, n = type(r.poly), r.poly.n
     out = [None] * len(radii)
-    for dtype, low in ((np.complex128, False), (np.clongdouble, True)):
-        idx = [i for i, x in enumerate(radii) if (x < 1e-4) == low]
+    for dtype, low in zip(lane.precisions, (False, True)):
+        idx = [i for i, x in enumerate(radii) if (x < EXTENDED_BELOW) == low]
         if not idx:
             continue
 
         def lift(coords, starts=None):
-            Z = coords[:, :nz] + 1j * coords[:, nz : 2 * nz]
-            W, ok = project_to_boundary(r, Z, coords[:, -1], dtype, starts=starts)
+            Z, U = lane.tangential_point(coords, n)
+            W, ok = project_to_boundary(r, Z, U, dtype, starts=starts)
             return (Z, W), ok
 
-        stream = ball_stream(r, 2 * nz + 1, seed)
+        # one exponent slot per real dimension, less the normal coordinate
+        stream = ball_stream(r, lane.width(n) - 1, seed)
         for i, pts in zip(idx, sample_ball(stream, [radii[i] for i in idx], count, lift)):
             out[i] = pts
     return out
 
 
 def sample_boundary(
-    r: DefiningFunction,
+    r: Domain,
     radius: float,
     count: int,
     seed: int = 0,
@@ -405,9 +411,14 @@ class PsdCheckResult:
         return dict(vars(self))
 
 
-def _point_dict(Z, W, i) -> dict:
+def point_report(Z, W, i) -> dict:
+    """Point i of a point set as the reports give it: {"z": [[Re, Im] per
+    z_j], "w": [Re, Im]} for complex points, {"x": [x_j], "y": y} for a
+    real shell's."""
+    if not np.iscomplexobj(W):
+        return {"x": [float(x) for x in Z[i]], "y": float(W[i])}
     return {
-        "z": [[float(Z[i, j].real), float(Z[i, j].imag)] for j in range(Z.shape[1])],
+        "z": [[float(z.real), float(z.imag)] for z in Z[i]],
         "w": [float(W[i].real), float(W[i].imag)],
     }
 
@@ -480,18 +491,18 @@ def eigen_candidates(H: np.ndarray, diags: np.ndarray):
     if n < 3 or len(H) <= SCREEN_SEEDS:
         return None
     bound = np.full(len(H), np.inf)
-    size2 = diags[:, 0] ** 2  # max |H_jk|^2 over the point's entries
+    size = np.abs(diags[:, 0])  # max |H_jk| over the point's entries
     for j in range(1, n):
-        np.maximum(size2, diags[:, j] ** 2, out=size2)
+        np.maximum(size, np.abs(diags[:, j]), out=size)
     for j, k in zip(*np.triu_indices(n, 1)):
         b = np.abs(H[:, j, k])
         np.minimum(bound, least_2x2(diags[:, j], b, diags[:, k]), out=bound)
-        np.maximum(size2, b**2, out=size2)
+        np.maximum(size, b, out=size)
     seeds = np.argpartition(bound, SCREEN_SEEDS)[:SCREEN_SEEDS]
     t = float(least_eigenvalues(H[seeds]).min())
     if not math.isfinite(t):
         return None
-    shift = np.sqrt(size2, out=size2)  # s, formed in place of size2
+    shift = size  # s, formed in place of size
     shift += abs(t)
     shift *= SCREEN_MARGIN
     shift += t
@@ -512,7 +523,9 @@ def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
     diags = diagonals(H)
     min_diag = float(diags.min())
     min_minor = float(last_slot_minors(H).min())
-    if not np.isfinite(H.sum()):  # a non-finite entry, or the sum overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = H.sum()
+    if not np.isfinite(total):  # a non-finite entry, or the sum overflowed
         finite = np.isfinite(H).all(axis=(1, 2))
         if not finite.all():
             return PsdCheckResult(
@@ -540,14 +553,18 @@ def psd_result(H: np.ndarray, tol: float, point) -> PsdCheckResult:
 
 
 def psd_stats(H: np.ndarray, Z, W, tol: float) -> PsdCheckResult:
-    return psd_result(H, tol, lambda i: _point_dict(Z, W, i))
+    """`psd_result` of a stack over the points (Z, W), its worst point
+    given by `point_report`."""
+    return psd_result(H, tol, lambda i: point_report(Z, W, i))
 
 
-def psd_check(f: WPoly, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
-    """Sampled positive-semidefiniteness of the complex Hessian of f.
+def psd_check(f, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
+    """Sampled positive-semidefiniteness of the Hessian of f over a shell:
+    complex for a WPoly, real for an RPoly on a real shell.
 
-    Checks diagonal entries, every (z_j, w) 2x2 minor, and the least
-    eigenvalue of the full Hessian; passes iff all minima >= -tol.
+    Checks diagonal entries, every 2x2 minor with the last slot ((z_j, w)
+    or (x_j, y)), and the least eigenvalue of the full Hessian; passes iff
+    all minima >= -tol.
     """
     H = hessian_values(f, shell.Z, shell.W)
     return psd_stats(H, shell.Z, shell.W, tol)
@@ -572,7 +589,7 @@ def identity_check_prop31(
     K,
     T: WPoly,
     shell: Shell,
-    rel_tol: float = 1e-8,
+    rel_tol: float = IDENTITY_REL_TOL,
     hessian: np.ndarray | None = None,
 ) -> IdentityCheckResult:
     """On-boundary determinant identity for rho = (1 + K r + T) r.
@@ -651,7 +668,7 @@ def levi_scan(
     i = int(np.argmin(vals))
     return LeviScanResult(
         min_value=float(vals[i]),
-        worst_point=_point_dict(Z, W, i),
+        worst_point=point_report(Z, W, i),
         negative_count=int(np.sum(vals < -tol)),
         count=len(vals),
         tol=tol,
@@ -739,7 +756,7 @@ def necessary_conditions_check(
                     name=f"{name}[j={j + 1}]",
                     min_slack=float(s[i]),
                     holds=bool(s[i] >= -tol),
-                    worst_point=_point_dict(Z, W, i),
+                    worst_point=point_report(Z, W, i),
                 )
             )
     from .dominance import Bound, dominance_check, default_probes

@@ -63,9 +63,13 @@ class SparsePoly:
     evaluator `z_columns` and `w_columns` (the value of each slot at
     numeric points: the `indexed` slots from the first coordinates, the
     `single` ones from the last) and `numeric` (a coefficient as a float or
-    complex), and the point tables `point_columns` (the real coordinates of
-    points by column name).  Ring operations need operands of the same lane
-    and n; int, Fraction and GaussianRational scalars act as constants.
+    complex), the point tables `point_columns` (the real coordinates of
+    points by column name), and the boundary sampler `precisions` (the
+    point dtype, then its extended one), `tangential_point` and `boundary_w`
+    (a point's Z and the tangential part U of its W from the `width(n) - 1`
+    tangential coordinates, and its W from U and the normal coordinate).
+    Ring operations need operands of the same lane and n; int, Fraction and
+    GaussianRational scalars act as constants.
     """
 
     __slots__ = ("n", "terms", "_compiled")
@@ -283,6 +287,16 @@ class WPoly(SparsePoly):
     def w_columns(W) -> list:
         return [W, np.conj(W)]
 
+    precisions = (np.complex128, np.clongdouble)
+
+    @staticmethod
+    def tangential_point(coords, n: int):  # (Re z, Im z, Re w) -> (Z, Re w)
+        return coords[:, :n] + 1j * coords[:, n : 2 * n], coords[:, -1]
+
+    @staticmethod
+    def boundary_w(U, V):  # Im w is the normal coordinate
+        return U + 1j * V
+
     @staticmethod
     def point_columns(Z, W) -> dict:
         """The real coordinates of points (Z, W) as named table columns."""
@@ -408,6 +422,16 @@ class RPoly(SparsePoly):
     @staticmethod
     def w_columns(Y) -> list:
         return [Y]
+
+    precisions = (np.float64, np.longdouble)
+
+    @staticmethod
+    def tangential_point(coords, n: int):  # x -> (X, None): y is all normal
+        return coords, None
+
+    @staticmethod
+    def boundary_w(U, V):  # y is the normal coordinate
+        return V
 
     @classmethod
     def point_columns(cls, X, Y) -> dict:

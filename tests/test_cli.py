@@ -727,6 +727,7 @@ SEARCH_SETTINGS = [
     ("radius", "--radius", "-0.01"),
     ("radius", "--radius", "inf"),
     ("radius", "--radius", "nan"),
+    ("seed", "--seed", "-1"),
     ("tol", "--tol", "-1"),
 ]
 LANES = {"complex": ["--r", R10], "real": ["--r", "y + x^2", "--real"]}
@@ -765,6 +766,7 @@ def test_invalid_config_exit_64(capsys, lane, field, flag, value):
         ("radius", "--radius", "nan"),
         ("radius", "--radius", "inf"),
         ("samples", "--samples", "0"),
+        ("seed", "--seed", "-1"),
         ("tol", "--tol", "-1"),
     ],
 )

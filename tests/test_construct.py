@@ -1036,6 +1036,14 @@ def test_max_k_exp_is_bounded(make):
             make(max_k_exp=value)
 
 
+@pytest.mark.parametrize("make", [ConstructConfig, RealConfig], ids=["complex", "real"])
+def test_negative_seed_is_rejected(make):
+    """No Halton scramble has a negative seed: the config names the field."""
+    assert make(seed=0).seed == 0
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        make(seed=-1)
+
+
 def test_k_ladder_top_rung_at_max_k_exp():
     """g = 2^-500 along w and rung 0 reads -2^22.5 there, so lift_exp lies
     between 1021 and 1022: the ladder scans the top rung K = 2^1022, whose

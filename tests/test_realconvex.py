@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rpoly
+from pshdef import verify
 from pshdef.catalog import type4_domain
 from pshdef.construct import SHRINK
 from pshdef.cr import NormalFormError, levi_form
@@ -16,14 +17,22 @@ from pshdef.realconvex import (
     RealConfig,
     convex_multiplier,
     convexity_check,
-    project_to_real_boundary,
     real_hessian_check,
     real_hessian_values,
     real_normal_form_violations,
     sample_real_boundary,
     validate_real_normal_form,
 )
-from pshdef.verify import H_MIN, hessian_values, point_norms, sample_boundary
+from pshdef.verify import (
+    EXTENDED_BELOW,
+    H_MIN,
+    hessian_values,
+    point_norms,
+    point_report,
+    project_to_boundary,
+    psd_check,
+    sample_boundary,
+)
 from pshdef.wirtinger import RPoly, canonical_str
 
 X = RPoly.var_x(1)
@@ -108,7 +117,7 @@ def test_real_violations():
 
 def test_projection_and_shell():
     r = validate_real_normal_form(Y + X * X)
-    Yv, ok = project_to_real_boundary(r, np.array([[0.1]]))
+    Yv, ok = project_to_boundary(r, np.array([[0.1]]))
     assert ok[0]
     assert abs(Yv[0] + 0.01) <= 1e-12
     shell = sample_real_boundary(r, 1e-2, 200, seed=0)
@@ -118,6 +127,70 @@ def test_projection_and_shell():
     again = sample_real_boundary(r, 1e-2, 200, seed=0)
     assert np.array_equal(shell.Z, again.Z)
     assert np.array_equal(shell.W, again.W)
+
+
+# -- the shared boundary layer ----------------------------------------------
+
+
+def test_real_shell_is_the_shared_shell():
+    """A real shell read through verify.sample_boundary is the cached
+    object sample_real_boundary gave, x in Z and y in W, both float64."""
+    r = rp("y + x1^2 + x2^4", 2)
+    shell = sample_real_boundary(r, 1e-2, 200, seed=3)
+    assert sample_boundary(r, 1e-2, 200, seed=3) is shell
+    assert shell.Z.shape == (200, 2) and shell.Z.dtype == shell.W.dtype == np.float64
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """Records (domain, dtype) of every verify.project_to_boundary call."""
+    calls = []
+    project = verify.project_to_boundary
+
+    def recorded(r, Z, U=None, dtype=None, **kwargs):
+        calls.append((r, dtype))
+        return project(r, Z, U, dtype, **kwargs)
+
+    monkeypatch.setattr(verify, "project_to_boundary", recorded)
+    return calls
+
+
+def test_real_newton_is_the_shared_projection(projections):
+    r = rp("y + x^2 + x*y")
+    shell = sample_real_boundary(r, 1e-2, 200, seed=0)
+    assert projections and all(d is r for d, _ in projections)
+    assert {dtype for _, dtype in projections} == {np.float64}
+    assert float(np.max(shell.residuals)) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [EXTENDED_BELOW / 2, 2.0**-20])
+def test_small_real_shell_is_solved_in_extended_precision(projections, radius):
+    """Below radius EXTENDED_BELOW both lanes solve the normal coordinate
+    in extended precision; the real shell comes back in float64."""
+    r = rp("y + x1^2 + x2^4 + x1*y", 2)
+    shell = sample_real_boundary(r, radius, 300, seed=1)
+    assert {dtype for _, dtype in projections} == {np.longdouble}
+    assert shell.count == 300 and shell.W.dtype == np.float64
+    assert float(np.max(shell.residuals)) <= 1e-12
+    assert float(np.max(point_norms(shell.Z, shell.W))) <= radius
+
+
+def test_point_report_keeps_each_lane_keys():
+    """One point report per lane: z/w pairs for complex points, x/y floats
+    for real ones, in the PSD statistics of either lane."""
+    r = rp("y + x1^2 + x2^2", 2)
+    shell = sample_real_boundary(r, 1e-2, 50, seed=0)
+    real = point_report(shell.Z, shell.W, 7)
+    assert real == {"x": [float(x) for x in shell.Z[7]], "y": float(shell.W[7])}
+    assert set(psd_check(r.poly, shell).worst_point) == {"x", "y"}
+    r10 = type4_domain(10)
+    cshell = sample_boundary(r10, 1e-2, 50, seed=0)
+    z, w = cshell.Z[7, 0], cshell.W[7]
+    assert point_report(cshell.Z, cshell.W, 7) == {
+        "z": [[float(z.real), float(z.imag)]],
+        "w": [float(w.real), float(w.imag)],
+    }
+    assert set(psd_check(r10.poly, cshell).worst_point) == {"z", "w"}
 
 
 def test_one_hessian_stack_for_both_lanes():
@@ -182,7 +255,7 @@ def test_tangential_form_fd_probe():
     p = r.poly
     for _ in range(10):
         x = rng.uniform(-0.05, 0.05)
-        Yv, ok = project_to_real_boundary(r, np.array([[x]]))
+        Yv, ok = project_to_boundary(r, np.array([[x]]))
         assert ok[0]
         y = float(Yv[0])
         Xa, Ya = np.array([[x]]), np.array([y])

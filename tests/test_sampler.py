@@ -152,7 +152,6 @@ def checked_sample_ball(monkeypatch):
             super().__init__(d, seed)
 
     monkeypatch.setattr(verify, "sample_ball", checked)
-    monkeypatch.setattr(realconvex, "sample_ball", checked)
     monkeypatch.setattr(verify, "BallStream", Recorded)
     return seen
 

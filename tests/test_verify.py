@@ -519,6 +519,31 @@ def test_screen_keeps_minimum_and_first_point(name):
         assert len(eigen_candidates(H, diagonals(H))) < len(H) / 2
 
 
+def _huge_stacks():
+    # 1e160 squared is out of range, and so is the sum of two entries of 1e308
+    wide = np.zeros((40, 3, 3), dtype=complex)
+    wide[:, 0, 0] = wide[:, 1, 1] = 1e160
+    wide[:, 2, 2] = 1
+    wide[:, 0, 2] = wide[:, 2, 0] = 1e80
+    top = np.tile(np.diag([1e308, 1e308]).astype(complex), (40, 1, 1))
+    return {"3x3 at 1e160": wide, "2x2 at 1e308": top}
+
+
+@pytest.mark.parametrize("name", list(_huge_stacks()))
+def test_psd_result_warns_nowhere_on_huge_finite_stacks(name):
+    """Finite entries whose squares or sum leave the double range raise no
+    warning: the screen sizes a point by max |H_jk| itself, and the
+    finiteness test reads the overflowed sum without warning.  The screened
+    minimum and its first point stay the full scan's."""
+    H = _huge_stacks()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _screened(H)
+        if H.shape[-1] > 2:
+            eigen_candidates(H, diagonals(H))
+    assert got == _full(H)
+
+
 @pytest.mark.parametrize("mirrored", [False, True], ids=["one entry", "mirrored"])
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
