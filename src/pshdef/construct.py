@@ -26,6 +26,7 @@ from .dominance import (
     SplitResult,
     default_probes,
     dominance_check,
+    probe_curves,
     project_probes,
     real_basis_str,
     split_S_E,
@@ -298,8 +299,7 @@ def absorb_r_multiples(T: WPoly, r: DefiningFunction):
 
 
 def _scan_points(r, shell, probes, radius):
-    proj = project_probes(r, probes)
-    pz, pw = proj.in_ball_points(radius)
+    pz, pw = probe_curves(r, probes).in_ball_points(radius)
     if len(pw):
         return np.concatenate([shell.Z, pz]), np.concatenate([shell.W, pw])
     return shell.Z, shell.W
@@ -585,8 +585,9 @@ def run_construction(
     if not scan.nonnegative:
         raise NotPseudoconvexError(scan)
 
-    proj = project_probes(r, probes)
-    inner = proj.Z[proj.cuts[-2] :], proj.W[proj.cuts[-2] :]  # the last probe shell
+    shells = project_probes(r, probes)
+    a = shells.cuts[-2]  # the last probe shell starts here
+    inner = shells.Z[a:], shells.W[a:]
 
     stages = []
     contraction = []

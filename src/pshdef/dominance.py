@@ -15,6 +15,14 @@ three ways, in order:
 
 Anything else is reported as Unknown with the collected data; callers
 treat Unknown conservatively.
+
+A probe family meets a domain as two point sets, each cached on the domain
+under its own key: the family's boundary shells (`project_probes`) and its
+curves (`probe_curves`).  The curves are Newton-solved only when a check
+reads them, so a verdict the shells decide (B positive at the origin, or
+the Sylvester certificate, whose constant is read off the shell ratios)
+projects none.  Neither set refers back to its domain, so a finished
+request's domain is freed without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -130,54 +138,52 @@ def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
     )
 
 
-@dataclass
-class ProjectedProbes:
-    """Probe family pushed onto the boundary of a specific domain.
-
-    Z and W hold every probe point as one set: first the curve points
-    (curve i's n_t points are rows i n_t .. (i + 1) n_t - 1), then the
-    points of each shell in shell_exps order, shell k from cuts[k] to
-    cuts[k + 1].  The curve arrays are views into the set.
-    """
-
-    family: ProbeFamily
-    Z: np.ndarray  # (n_points, nz)
-    W: np.ndarray  # (n_points,)
-    curve_ok: np.ndarray  # bool (n_curves, n_t)
-    t_values: np.ndarray
-    cuts: np.ndarray  # shell offsets; cuts[0] = n_curves n_t, cuts[-1] = n_points
-    _bound_values: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def curve_Z(self) -> np.ndarray:
-        """(n_curves, n_t, nz)"""
-        return self.Z[: self.cuts[0]].reshape(*self.curve_ok.shape, -1)
-
-    @property
-    def curve_W(self) -> np.ndarray:
-        """(n_curves, n_t)"""
-        return self.W[: self.cuts[0]].reshape(self.curve_ok.shape)
+class _ProbePoints:
+    """Points Z, W of a probe set, with the bound polynomials' values."""
 
     @functools.cached_property
-    def _curve_norms(self) -> np.ndarray:
-        """|(z, w)| per curve point, flattened; computed once per family."""
-        return point_norms(self.Z[: self.cuts[0]], self.W[: self.cuts[0]])
+    def _bound_values(self) -> dict:
+        return {}
+
+    def bound_values(self, B: WPoly) -> np.ndarray:
+        """Re B at every point, evaluated once per bound polynomial."""
+        vals = self._bound_values.get(B)
+        if vals is None:
+            vals = self._bound_values[B] = compiled(B).eval(self.Z, self.W).real
+        return vals
+
+
+@dataclass
+class ProbeShells(_ProbePoints):
+    """The shells of a probe family on the boundary of a specific domain,
+    in shell_exps order: shell k holds points cuts[k] to cuts[k + 1]."""
+
+    Z: np.ndarray  # (n_points, nz)
+    W: np.ndarray  # (n_points,)
+    cuts: np.ndarray  # shell offsets; cuts[0] = 0, cuts[-1] = n_points
+
+
+@dataclass
+class ProbeCurves(_ProbePoints):
+    """The curves of a probe family projected onto the boundary of a
+    specific domain: curve i's n_t points are rows i n_t .. (i + 1) n_t - 1
+    of Z and W, at the parameters t_values."""
+
+    family: ProbeFamily
+    Z: np.ndarray  # (n_curves n_t, nz)
+    W: np.ndarray  # (n_curves n_t,)
+    ok: np.ndarray  # bool (n_curves, n_t)
+    t_values: np.ndarray
+
+    @functools.cached_property
+    def _norms(self) -> np.ndarray:
+        """|(z, w)| per point; computed once per family."""
+        return point_norms(self.Z, self.W)
 
     def in_ball_points(self, radius: float):
-        """Converged curve points with |(z, w)| <= radius, flattened."""
-        Z, W = self.Z[: self.cuts[0]], self.W[: self.cuts[0]]
-        keep = self.curve_ok.reshape(-1) & (self._curve_norms <= radius)
-        return Z[keep], W[keep]
-
-    def bound_values(self, B: WPoly, lo: int = 0) -> np.ndarray:
-        """Re B at the points from index lo on: 0 for the whole set,
-        cuts[0] for the shells alone.  Evaluated once per bound
-        polynomial, from the least lo asked for so far."""
-        hit = self._bound_values.get(B)
-        if hit is None or hit[0] > lo:
-            vals = compiled(B).eval(self.Z[lo:], self.W[lo:]).real
-            hit = self._bound_values[B] = (lo, vals)
-        return hit[1][lo - hit[0] :]
+        """Converged points with |(z, w)| <= radius."""
+        keep = self.ok.reshape(-1) & (self._norms <= radius)
+        return self.Z[keep], self.W[keep]
 
 
 def _curve_points(curves, t, out):
@@ -189,43 +195,45 @@ def _curve_points(curves, t, out):
     return (wamp[:, None] * t ** wpow[:, None]).reshape(-1)
 
 
-def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProjectedProbes:
-    """Project every curve of the family onto the boundary and sample its
-    shells, into one point set (cached on r).
+def _radii(family: ProbeFamily) -> list:
+    """The shell radii, which are also the curve parameters t."""
+    return [2.0**-e for e in family.shell_exps]
 
-    The shells are sampled together (`verify.boundary_points`): each holds
-    the points `verify.sample_boundary` gives for its (radius, count, seed).
-    """
+
+def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProbeShells:
+    """Sample the family's shells on r's boundary into one point set (cached
+    on r).  The shells are sampled together (`verify.boundary_points`): each
+    holds the points `verify.sample_boundary` gives for its (radius, count,
+    seed).  The curves are projected apart, when read (`probe_curves`)."""
 
     def build():
-        radii = [2.0**-e for e in family.shell_exps]
-        t = np.array(radii)
-        nc, nt, nz = len(family.curves), len(t), r.nz
-        count, seed = family.samples_per_shell, family.seed
-        cuts = nc * nt + count * np.arange(nt + 1)
-        # the curve Newton solve runs before the shells are sampled, so
-        # that the set's W and the shells are not held through it
-        Z = np.empty((cuts[-1], nz), dtype=complex)
-        curve_Z = Z[: cuts[0]]
-        U = _curve_points(family.curves, t, curve_Z.reshape(nc, nt, nz))
-        curve_W, ok = project_to_boundary(r, curve_Z, U)
-        shell_W = []
-        for a, (zs, ws) in zip(cuts, boundary_points(r, radii, count, seed)):
-            Z[a : a + count] = zs
-            shell_W.append(ws)
-        W = np.concatenate([curve_W, *shell_W])
+        count = family.samples_per_shell
+        shells = boundary_points(r, _radii(family), count, family.seed)
+        Z, W = (np.concatenate(a) for a in zip(*shells))
         for arr in (Z, W):
             arr.flags.writeable = False
-        return ProjectedProbes(
-            family=family,
-            Z=Z,
-            W=W,
-            curve_ok=ok.reshape(nc, nt),
-            t_values=t,
-            cuts=cuts,
-        )
+        return ProbeShells(Z=Z, W=W, cuts=count * np.arange(len(shells) + 1))
 
     return r.cached(("probes", family), build)
+
+
+def probe_curves(r: DefiningFunction, family: ProbeFamily) -> ProbeCurves:
+    """Project every curve of the family onto r's boundary (cached on r
+    under its own key, so the shells alone never pay for it).  All curve
+    points form one Newton group."""
+
+    def build():
+        t = np.array(_radii(family))
+        nc, nt, nz = len(family.curves), len(t), r.nz
+        Z = np.empty((nc, nt, nz), dtype=complex)
+        U = _curve_points(family.curves, t, Z)
+        Z = Z.reshape(-1, nz)
+        W, ok = project_to_boundary(r, Z, U)
+        for arr in (Z, W):
+            arr.flags.writeable = False
+        return ProbeCurves(family=family, Z=Z, W=W, ok=ok.reshape(nc, nt), t_values=t)
+
+    return r.cached(("probe_curves", family), build)
 
 
 @dataclass
@@ -384,24 +392,22 @@ def _direction(z_row, w) -> list:
     return [x / n for x in vec] if n > 0 else vec
 
 
-def _probe_values(numerators, B: WPoly, probes: ProjectedProbes, lo: int = 0):
-    """|P|^2 summed over the numerators, and Re B, at the probe points from
-    index lo on (see `ProjectedProbes.bound_values`): one evaluation of
-    each numerator over the set."""
-    Z, W = probes.Z[lo:], probes.W[lo:]
-    return _num_sq(numerators, Z, W), probes.bound_values(B, lo)
+def _probe_values(numerators, B: WPoly, points: _ProbePoints):
+    """|P|^2 summed over the numerators, and Re B, at a probe set's points:
+    one evaluation of each numerator over the set."""
+    return _num_sq(numerators, points.Z, points.W), points.bound_values(B)
 
 
-def _curve_escape(num, bvals, probes: ProjectedProbes):
+def _curve_escape(num, bvals, curves: ProbeCurves):
     """Best escaping curve, or None.  num and bvals are `_probe_values` at
-    the curve points (the first cuts[0] points of the set).
+    the curve points.
 
     Escape means: along the last ESCAPE_RUN converged dyadic parameters the
     ratio is finite, strictly increasing, grows by >= ESCAPE_GROWTH overall,
     and ends above ESCAPE_FLOOR.  The curve with the largest final ratio
     wins; the first one on ties.
     """
-    ok = probes.curve_ok
+    ok = curves.ok
     ratio = _ratios(num.reshape(ok.shape), bvals.reshape(ok.shape))
     # t decreases along a row, so a row's tail is its last ESCAPE_RUN
     # converged entries: those with at most ESCAPE_RUN converged from the end
@@ -422,30 +428,27 @@ def _curve_escape(num, bvals, probes: ProjectedProbes):
     k = int(np.argmax(final))  # first index of the maximum
     i = int(rows[k])
     row_ok = ok[i]
-    last = int(np.flatnonzero(row_ok)[-1])
-    z_row = probes.curve_Z[i, last]
-    w = probes.curve_W[i, last]
+    last = i * ok.shape[1] + int(np.flatnonzero(row_ok)[-1])
+    z_row, w = curves.Z[last], curves.W[last]
     return {
-        "curve": probes.family.curves[i].describe(),
+        "curve": curves.family.curves[i].describe(),
         "direction": _direction(z_row, w),
         "point": {
             "z": [[c.real, c.imag] for c in z_row],
             "w": [w.real, w.imag],
         },
-        "t": [float(x) for x in probes.t_values[row_ok]],
+        "t": [float(x) for x in curves.t_values[row_ok]],
         "ratios": [float(x) for x in ratio[i, row_ok]],
         "final_ratio": float(final[k]),
     }
 
 
-def _shell_ratios(num, bvals, probes: ProjectedProbes) -> list:
-    """Per shell, the sup of the finite ratios (0.0 when none is finite).
-    num and bvals are `_probe_values` at the shell points (from cuts[0])."""
-    if len(probes.cuts) == 1:  # no shells
-        return []
-    ratio = _ratios(num, bvals)
+def _shell_ratios(numerators, B: WPoly, shells: ProbeShells) -> list:
+    """Per shell, the sup of the finite ratios |P|^2 / Re B (0.0 when none
+    is finite)."""
+    ratio = _ratios(*_probe_values(numerators, B, shells))
     ratio[~np.isfinite(ratio)] = -np.inf
-    sups = np.maximum.reduceat(ratio, probes.cuts[:-1] - probes.cuts[0])
+    sups = np.maximum.reduceat(ratio, shells.cuts[:-1])
     return [float(x) if x > -np.inf else 0.0 for x in sups]
 
 
@@ -506,8 +509,7 @@ def dominance_check(
     b0 = B.constant_term()
     if b0.re > 0 and b0.im == 0:
         probes = probes if probes is not None else default_probes(r.nz, 0)
-        proj = project_probes(r, probes)
-        sups = _shell_ratios(*_probe_values(numerators, B, proj, proj.cuts[0]), proj)
+        sups = _shell_ratios(numerators, B, project_probes(r, probes))
         return verdict(
             "Dominated",
             2.0 * max(sups),
@@ -530,11 +532,11 @@ def dominance_check(
         )
 
     probes = probes if probes is not None else default_probes(r.nz, 0)
-    proj = project_probes(r, probes)
+    shells = project_probes(r, probes)
 
     # every numerator vanishes at 0 here
     if b0.is_zero() and _quadratic_pd(B, r):
-        sups = _shell_ratios(*_probe_values(numerators, B, proj, proj.cuts[0]), proj)
+        sups = _shell_ratios(numerators, B, shells)
         return verdict(
             "Dominated",
             2.0 * max(sups),
@@ -542,9 +544,8 @@ def dominance_check(
             sups=sups,
         )
 
-    num, bvals = _probe_values(numerators, B, proj)
-    n = proj.cuts[0]
-    escape = _curve_escape(num[:n], bvals[:n], proj)
+    curves = probe_curves(r, probes)
+    escape = _curve_escape(*_probe_values(numerators, B, curves), curves)
     if escape is not None:
         return verdict(
             "NotDominated",
@@ -553,7 +554,7 @@ def dominance_check(
             witness=escape,
         )
 
-    sups = _shell_ratios(num[n:], bvals[n:], proj)
+    sups = _shell_ratios(numerators, B, shells)
     finite = [s for s in sups if math.isfinite(s)]
     if len(finite) == len(sups) and len(sups) >= 3:
         a, b, c = sups[-3], sups[-2], sups[-1]

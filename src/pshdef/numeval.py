@@ -8,8 +8,8 @@ the slot values: a WPoly's are (z_1..z_m, conj z_1..conj z_m) from Z and
 every numeric module (boundary sampling, PSD scans, dominance probing, the
 real lane).
 
-Callers evaluate whole point sets (a probe family's curves and shells
-together) in one call rather than one call per piece; a large set goes
+Callers evaluate whole point sets (a probe family's shells, or its curves)
+in one call rather than one call per piece; a large set goes
 through in blocks of points, so its power tables stay small.  A Newton
 solve moves only W, so `CompiledPoly.at(Z)` forms each term's coefficient
 times its Z factors once and each call then multiplies in the W factors

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 
-from .verify import hessian_values, psd_arrays
+from .verify import psd_arrays
 
 SCHEMA_VERSION = 1
 
@@ -47,8 +47,9 @@ def shell_csv(shell, lane) -> str:
 
 
 def hessian_csv(f, shell) -> str:
-    """Per-point Hessian statistics table for f over the shell."""
-    H = hessian_values(f, shell.Z, shell.W)
+    """Per-point Hessian statistics table for f over the shell, from the
+    shell's stack of f."""
+    H = shell.hessian(f)
     diags, minors, eigs = psd_arrays(H)
     n = H.shape[-1]
     cols = ["index"]

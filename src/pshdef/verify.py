@@ -8,15 +8,18 @@ a point splits, and `point_report` gives it as either lane's reports do.
 PSD checks look at Hessian diagonals, all 2x2 minors with the last slot,
 and the least eigenvalue; n = 2 uses the closed-form eigenvalue, larger n
 a batched solve at the points a batched LDL* screen leaves.  Everything is
-deterministic under a fixed seed.  `check_certificate` is the complex
-lane's one pass rule for a finished certificate, and `h_floor_failure`
-the one h floor test of both lanes.
+deterministic under a fixed seed.  A `Shell` keeps the Hessian stacks
+evaluated on it, one per polynomial, so the PSD scan, the determinant
+identity and the necessary conditions of one certificate read one stack of
+h r; the stacks live and die with the shell, which is cached on its domain.
+`check_certificate` is the complex lane's one pass rule for a finished
+certificate, and `h_floor_failure` the one h floor test of both lanes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -131,17 +134,30 @@ def point_norms(P: np.ndarray, q: np.ndarray) -> np.ndarray:
 class Shell:
     """Boundary points within the closed ball of `radius`, with a residual
     per point.  Both lanes hold their points as `CompiledPoly.eval` reads
-    them: (z, w) complex, or real with x in Z and y in W."""
+    them: (z, w) complex, or real with x in Z and y in W.  A shell keeps
+    the Hessian stacks evaluated on it (`hessian`), so they live and die
+    with it."""
 
     radius: float
     seed: int
     Z: np.ndarray  # (count, n)
     W: np.ndarray  # (count,)
     residuals: np.ndarray
+    _stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.residuals)
+
+    def hessian(self, f) -> np.ndarray:
+        """`hessian_values` of f over the shell, read-only, evaluated once
+        per polynomial (keyed by its == and hash): every check of the shell
+        reads the one stack of each polynomial."""
+        H = self._stacks.get(f)
+        if H is None:
+            H = self._stacks[f] = hessian_values(f, self.Z, self.W)
+            H.flags.writeable = False
+        return H
 
 
 def ball_stream(r, d: int, seed: int) -> BallStream:
@@ -566,8 +582,7 @@ def psd_check(f, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
     or (x_j, y)), and the least eigenvalue of the full Hessian; passes iff
     all minima >= -tol.
     """
-    H = hessian_values(f, shell.Z, shell.W)
-    return psd_stats(H, shell.Z, shell.W, tol)
+    return psd_stats(shell.hessian(f), shell.Z, shell.W, tol)
 
 
 # -- Determinant identity -------------------------------------------------
@@ -590,25 +605,21 @@ def identity_check_prop31(
     T: WPoly,
     shell: Shell,
     rel_tol: float = IDENTITY_REL_TOL,
-    hessian: np.ndarray | None = None,
 ) -> IdentityCheckResult:
     """On-boundary determinant identity for rho = (1 + K r + T) r.
 
     Per j, the z_j/w Hessian minor of rho must equal
     2 K h L_j + (same minor of (1 + T) r); the deviation is O(boundary
     residual) and is compared against rel_tol * (1 + max |LHS|).  Both
-    minors are read from numeric Hessian stacks on the shell, those of rho
-    and of (1 + T) r, so the two sides are computed independently.
-    `hessian` is rho's stack when the caller has it; otherwise it is built.
+    minors are read from the shell's Hessian stacks of rho and of
+    (1 + T) r, so the two sides are computed independently.
     """
     nz = r.nz
     Z, W = shell.Z, shell.W
     p = WPoly.one(nz) + T
     h = p + r.poly.scale(Fraction(K))
-    if hessian is None:
-        hessian = hessian_values(h * r.poly, Z, W)
-    lhs = last_slot_minors(hessian)
-    base = last_slot_minors(hessian_values(p * r.poly, Z, W))
+    lhs = last_slot_minors(shell.hessian(h * r.poly))
+    base = last_slot_minors(shell.hessian(p * r.poly))
     max_dev = 0.0
     max_lhs = 0.0
     hv = compiled(h).eval(Z, W)
@@ -714,7 +725,6 @@ def necessary_conditions_check(
     K=0,
     tol: float = DEFAULT_TOL,
     probes=None,
-    hessian: np.ndarray | None = None,
 ) -> NecessaryConditionsResult:
     """Pointwise necessary inequalities for rho = h r plurisubharmonic.
 
@@ -722,16 +732,14 @@ def necessary_conditions_check(
     reported with witnesses), then the log-derivative deviation
     d/dz_j log(1+T) + d/dz_j log r_wbar via its polynomial numerator,
     classified by dominance against Levi + |grad_z r|^2.  The second
-    derivatives of rho are read from its Hessian stack on the shell:
-    `hessian` when the caller has it, otherwise built here.
+    derivatives of rho are read from the shell's Hessian stack of rho.
     """
     nz = r.nz
     Z, W = shell.Z, shell.W
     hv = compiled(h).eval(Z, W)
     if h_floor_failure(float(np.abs(hv).min())) is not None:
         raise ValueError(f"h vanishes (|h| < {Fraction(H_MIN)}) on the sampled shell")
-    if hessian is None:
-        hessian = hessian_values(h * r.poly, Z, W)
+    hessian = shell.hessian(h * r.poly)
     p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
     hvals = hv.real
     rww = hessian[:, nz, nz].real
@@ -765,10 +773,10 @@ def necessary_conditions_check(
         probes = default_probes(r.nz, shell.seed)
     log_max = 0.0
     verdict = None
+    den = compiled(p1).eval(Z, W) * compiled(r.d_wbar()).eval(Z, W)
     for j in range(nz):
         num_poly = p1.dz(j) * r.d_wbar() + p1 * r.poly.dz(j).dwbar()
         num = compiled(num_poly).eval(Z, W)
-        den = compiled(p1).eval(Z, W) * compiled(r.d_wbar()).eval(Z, W)
         log_max = max(log_max, float(np.max(np.abs(num / den))))
         v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, probes, j=j)
         if verdict is None or _verdict_rank(v) > _verdict_rank(verdict):
@@ -801,9 +809,9 @@ def check_certificate(
     """The pass rule for a certificate h = 1 + T + K r on a shell.
 
     Runs the PSD scan of h r, the determinant identity and the necessary
-    conditions, all three on one numeric Hessian stack of h r over the
-    shell.  Returns their reports under "psd", "identity" and "necessary",
-    the names of the checks that failed (the certificate passes when that
+    conditions, all three on the shell's one Hessian stack of h r.
+    Returns their reports under "psd", "identity" and "necessary", the
+    names of the checks that failed (the certificate passes when that
     list is empty) and h r.  The necessary conditions pass when every
     inequality holds and the log-derivative deviation is not NotDominated.
     When h drops below the h floor on the shell, the necessary entry is
@@ -811,11 +819,10 @@ def check_certificate(
     """
     h = WPoly.one(r.nz) + T + r.poly.scale(Fraction(K))
     rho = h * r.poly
-    H = hessian_values(rho, shell.Z, shell.W)
-    psd = psd_stats(H, shell.Z, shell.W, tol)
-    ident = identity_check_prop31(r, K, T, shell, hessian=H)
+    psd = psd_check(rho, shell, tol)
+    ident = identity_check_prop31(r, K, T, shell)
     try:
-        nec = necessary_conditions_check(r, h, shell, K, tol, probes, hessian=H)
+        nec = necessary_conditions_check(r, h, shell, K, tol, probes)
     except ValueError as e:
         nec_dict, nec_passed = {"error": str(e)}, False
     else:

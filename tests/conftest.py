@@ -190,14 +190,13 @@ def loop_curve_escape(numerators, bound_poly, probes):
     with the largest final ratio.  `dominance._curve_escape` tests all
     curves at once and must return the same witness.  Returns
     (curve index, witness), or (None, None) when no curve escapes."""
-    nc, nt, nz = probes.curve_Z.shape
-    Z = probes.curve_Z.reshape(-1, nz)
-    W = probes.curve_W.reshape(-1)
+    nc, nt = probes.ok.shape
+    Z, W = probes.Z, probes.W
     num = _num_sq(numerators, Z, W).reshape(nc, nt)
     bv = compiled(bound_poly).eval(Z, W).real.reshape(nc, nt)
     best = None
     for i in range(nc):
-        ok = probes.curve_ok[i]
+        ok = probes.ok[i]
         t = probes.t_values[ok]
         if len(t) < ESCAPE_RUN:
             continue
@@ -214,9 +213,10 @@ def loop_curve_escape(numerators, bound_poly, probes):
     if best is None:
         return None, None
     i, final, ratio, t = best
-    last = int(np.flatnonzero(probes.curve_ok[i])[-1])
-    z_row = probes.curve_Z[i, last]
-    w = probes.curve_W[i, last]
+    # the points by (curve, parameter), as the rows of ok lay them out
+    last = int(np.flatnonzero(probes.ok[i])[-1])
+    z_row = Z.reshape(nc, nt, -1)[i, last]
+    w = W.reshape(nc, nt)[i, last]
     return i, {
         "curve": probes.family.curves[i].describe(),
         "direction": _direction(z_row, w),

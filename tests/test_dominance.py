@@ -15,8 +15,8 @@ from pshdef.dominance import (
     ESCAPE_RUN,
     Bound,
     Curve,
+    ProbeCurves,
     ProbeFamily,
-    ProjectedProbes,
     _curve_escape,
     _probe_values,
     boundary_quadratic,
@@ -24,7 +24,7 @@ from pshdef.dominance import (
     default_probes,
     dominance_check,
     levi_dominance_gate,
-    project_probes,
+    probe_curves,
     real_basis_str,
     real_form,
     split_S_E,
@@ -275,7 +275,7 @@ def test_project_probes_curve_points(nz):
     z = zdir t^zpow with Re w = wamp t^wpow at the family's t values."""
     r = ball_like(nz)
     family = default_probes(nz, 0)
-    proj = project_probes(r, family)
+    proj = probe_curves(r, family)
     t = proj.t_values
     Z = np.empty((len(family.curves), len(t), nz), dtype=complex)
     U = np.empty((len(family.curves), len(t)))
@@ -283,8 +283,8 @@ def test_project_probes_curve_points(nz):
         for k in range(nz):
             Z[i, :, k] = c.zdir[k] * t**c.zpow
         U[i] = c.wamp * t**c.wpow
-    assert proj.curve_Z.tobytes() == Z.tobytes()
-    assert proj.curve_W.real.tobytes() == U.tobytes()
+    assert proj.Z.tobytes() == Z.tobytes()
+    assert proj.W.real.tobytes() == U.tobytes()
 
 
 def test_probe_family_deterministic():
@@ -326,9 +326,7 @@ def assert_same_escape(numerators, B, proj):
     """Vectorized scan and loop reference pick the same curve and witness.
     Returns the witness, or None."""
     i, expected = loop_curve_escape(numerators, B, proj)
-    n = proj.cuts[0]
-    num, bvals = _probe_values(numerators, B, proj)
-    got = _curve_escape(num[:n], bvals[:n], proj)
+    got = _curve_escape(*_probe_values(numerators, B, proj), proj)
     if i is None:
         assert got is None
         return None
@@ -344,7 +342,7 @@ def test_curve_escape_matches_loop(name):
     scan, under every bound the pipeline uses."""
     r = PARITY_DOMAINS[name]()
     nz = r.nz
-    proj = project_probes(r, default_probes(nz, 0))
+    proj = probe_curves(r, default_probes(nz, 0))
     gate_B = r.levi(0)
     for j in range(1, nz):
         gate_B = gate_B + r.levi(j)
@@ -370,7 +368,7 @@ def test_curve_escape_matches_loop(name):
 
 
 def synthetic_probes(rows, ok):
-    """ProjectedProbes whose scan of P = z against B = |w|^2 reads the
+    """ProbeCurves whose scan of P = z against B = |w|^2 reads the
     given ratios: a finite ratio x sits at z = sqrt(x), w = 1; inf at
     z = 1, w = 0; nan at z = nan, w = 1."""
     rows = np.asarray(rows, dtype=float)
@@ -380,13 +378,12 @@ def synthetic_probes(rows, ok):
     Z[np.isnan(rows)] = np.nan
     W = np.where(np.isinf(rows), 0.0, 1.0).astype(complex)
     curves = tuple(Curve((complex(i + 1),), 1, 0.0, 1) for i in range(nc))
-    return ProjectedProbes(
+    return ProbeCurves(
         family=ProbeFamily(curves, tuple(range(3, 3 + nt)), 0, 0),
         Z=Z.reshape(-1, 1),
         W=W.reshape(-1),
-        curve_ok=np.asarray(ok, dtype=bool),
+        ok=np.asarray(ok, dtype=bool),
         t_values=np.array([2.0**-e for e in range(3, 3 + nt)]),
-        cuts=np.array([nc * nt]),
     )
 
 

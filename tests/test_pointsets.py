@@ -1,11 +1,13 @@
 """Whole point sets: the Z-fixed evaluator, grouped Newton, the multi-radius
-sampler and the single probe point set.
+sampler and the probe point sets.
 
 Each path must give the floats of the per-piece computation it replaces,
 byte for byte, so the reports built on them stay as they were.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -191,29 +193,29 @@ def test_boundary_points_equal_solo_calls():
         assert same(Z, Z1) and same(W, W1)
 
 
-# -- the single probe point set ----------------------------------------------
+# -- the probe point sets ---------------------------------------------------
 
 
-def test_probe_set_is_one_array_with_views():
+def test_probe_shells_are_one_array():
+    """The probe shells form one read-only point set, each shell the points
+    of a fresh domain's sample_boundary; the curves form their own."""
     r = ball_like(2)
-    proj = dominance.project_probes(r, dominance.default_probes(2, 1))
-    n = proj.cuts[0]
-    assert np.shares_memory(proj.curve_Z, proj.Z)
-    assert np.shares_memory(proj.curve_W, proj.W)
-    assert len(dominance.DYADIC_EXPS) == len(proj.cuts) - 1
+    family = dominance.default_probes(2, 1)
+    shells = dominance.project_probes(r, family)
+    assert len(dominance.DYADIC_EXPS) == len(shells.cuts) - 1
+    assert shells.cuts[0] == 0 and shells.cuts[-1] == len(shells.W)
     for k, e in enumerate(dominance.DYADIC_EXPS):
-        a, b = proj.cuts[k], proj.cuts[k + 1]
+        a, b = shells.cuts[k], shells.cuts[k + 1]
         assert b - a == 160
         # the probe shell holds the points of a fresh domain's sample_boundary
         fresh = verify.sample_boundary(ball_like(2), 2.0**-e, 160, 1)
-        assert same(fresh.Z, proj.Z[a:b]) and same(fresh.W, proj.W[a:b])
+        assert same(fresh.Z, shells.Z[a:b]) and same(fresh.W, shells.W[a:b])
     # sample_boundary is the one route into r's shell cache
     assert not [key for key in r._cache if key[0] == "shell"]
-    assert n == proj.curve_ok.size
-    assert not (proj.Z.flags.writeable or proj.W.flags.writeable)
-
-
-BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
+    assert not (shells.Z.flags.writeable or shells.W.flags.writeable)
+    curves = dominance.probe_curves(r, family)
+    assert len(curves.W) == curves.ok.size == len(family.curves) * len(dominance.DYADIC_EXPS)
+    assert not (curves.Z.flags.writeable or curves.W.flags.writeable)
 
 
 def test_in_ball_points_match_fresh_norms(monkeypatch):
@@ -225,21 +227,20 @@ def test_in_ball_points_match_fresh_norms(monkeypatch):
         dominance, "point_norms", lambda *a: calls.append(1) or norms(*a)
     )
     for r, nz in ((type4_domain(8), 1), (validate_normal_form(parse_wpoly(BALL3_TILTED, 3)), 3)):
-        proj = dominance.project_probes(r, dominance.default_probes(nz, 2))
-        n = proj.cuts[0]
-        Z, W = proj.Z[:n], proj.W[:n]
+        proj = dominance.probe_curves(r, dominance.default_probes(nz, 2))
+        Z, W = proj.Z, proj.W
         fresh = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
         for radius in (1e-2, 2.5e-3, 2.0**-10, 1e-5, 0.3):
-            keep = proj.curve_ok.reshape(-1) & (fresh <= radius)
+            keep = proj.ok.reshape(-1) & (fresh <= radius)
             pz, pw = proj.in_ball_points(radius)
             assert same(pz, Z[keep]) and same(pw, W[keep])
     assert len(calls) == 2
 
 
 def test_probe_projection_and_bounds_structure(monkeypatch):
-    """On a fresh domain project_probes makes at most three projections
-    (the curves, then one per precision), and a construction evaluates
-    each bound polynomial once over the projected family."""
+    """On a fresh domain the probe shells take at most two projections (one
+    per precision) and the curves one more, made when they are first read;
+    a construction evaluates each bound polynomial once over each set."""
     projections = []
     project = verify.project_to_boundary
 
@@ -252,24 +253,30 @@ def test_probe_projection_and_bounds_structure(monkeypatch):
         monkeypatch.setattr(module, "project_to_boundary", counted)
     r = type4_domain(8)
     family = dominance.default_probes(1, 2)
-    proj = dominance.project_probes(r, family)
+    shells = dominance.project_probes(r, family)
+    assert 1 <= len(projections) <= 2
+    assert sum(projections) >= shells.cuts[-1]
+    curves = dominance.probe_curves(r, family)
     assert len(projections) <= 3
-    assert projections[0] == proj.cuts[0]  # the curves, first
+    assert projections[-1] == len(curves.W)  # the curves, in one solve
 
     on_set = {}
     evaluate = numeval.CompiledPoly.eval
 
     def recorded(self, Z, W):
-        if np.shares_memory(W, proj.W):
-            on_set[id(self)] = on_set.get(id(self), 0) + 1
+        for points in (shells, curves):
+            if np.shares_memory(W, points.W):
+                key = id(self), id(points)
+                on_set[key] = on_set.get(key, 0) + 1
         return evaluate(self, Z, W)
 
     monkeypatch.setattr(numeval.CompiledPoly, "eval", recorded)
     report = run_construction(r, ConstructConfig(seed=2))
     assert report.status == "Certified"
-    assert len(proj._bound_values) >= 2
-    for B in proj._bound_values:
-        assert on_set[id(compiled(B))] == 1
+    assert len(shells._bound_values) >= 2 and curves._bound_values
+    for points in (shells, curves):
+        for B in points._bound_values:
+            assert on_set[id(compiled(B)), id(points)] == 1
 
 
 def test_blocks_leave_the_floats(monkeypatch):
@@ -292,3 +299,39 @@ def test_blocks_leave_the_floats(monkeypatch):
     ]
     for (a, b), (c, d) in zip(whole, blocked):
         assert same(a, c) and same(b, d) and same(a, b)
+
+
+# -- no reference cycles ---------------------------------------------------
+
+TYPE4_A8 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 8*Re(w)^2"
+NZ2_QUARTIC = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2"
+
+
+def test_requests_free_their_domain_without_the_collector():
+    """Nothing cached on a domain refers back to it, so dropping the last
+    reference frees the domain and its point sets at once, with the cyclic
+    collector off.  A cycle (say, a probe set holding its domain) would
+    keep every finished request's arrays alive until a collection runs,
+    and peak memory would grow with the request rate."""
+    gc.disable()
+    try:
+        for text in (TYPE4_A8, NZ2_QUARTIC):
+            r = validate_normal_form(parse_wpoly(text))
+            run_construction(r)
+            assert [key for key in r._cache if key[0] == "probe_curves"]
+            ref = weakref.ref(r)
+            del r
+            assert ref() is None
+        r = validate_normal_form(parse_wpoly(NZ2_QUARTIC))
+        T = parse_wpoly("-4*Im(z1)", 2)
+        h = WPoly.one(2) + T + r.poly.scale(64)
+        shell = verify.sample_boundary(r, 1e-2, 2000, 0)
+        verify.psd_check(h * r.poly, shell)
+        verify.identity_check_prop31(r, 64, T, shell)
+        verify.necessary_conditions_check(r, h, shell, 64)
+        assert [key for key in r._cache if key[0] == "probe_curves"]
+        ref = weakref.ref(r)
+        del r, shell
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
 """Numeric verification: shells, PSD scans, the determinant identity."""
 
+import dataclasses
+import json
 import math
 import sys
 import warnings
@@ -232,6 +234,11 @@ def test_identity_fails_off_the_boundary(r10):
     assert off.max_deviation > 1e3 * off.tolerance
 
 
+def uncached(shell):
+    """The shell's points in a shell that has evaluated no stack."""
+    return dataclasses.replace(shell, _stacks={})
+
+
 @pytest.mark.parametrize("name", CERTIFICATES)
 def test_check_certificate_matches_standalone_checks(name):
     """One shared Hessian stack gives the reports each check gives alone."""
@@ -239,10 +246,83 @@ def test_check_certificate_matches_standalone_checks(name):
     shell = sample_boundary(r, 1e-2, 500, seed=0)
     checks, _, rho = check_certificate(r, T, K, shell)
     assert rho == h * r.poly
-    assert checks["psd"] == psd_check(rho, shell).as_dict()
-    assert checks["identity"] == identity_check_prop31(r, K, T, shell).as_dict()
-    alone = necessary_conditions_check(r, h, shell, K)
+    assert checks["psd"] == psd_check(rho, uncached(shell)).as_dict()
+    assert checks["identity"] == identity_check_prop31(r, K, T, uncached(shell)).as_dict()
+    alone = necessary_conditions_check(r, h, uncached(shell), K)
     assert checks["necessary"] == alone.as_dict()
+
+
+@pytest.mark.parametrize("name", CERTIFICATES)
+def test_checks_of_one_shell_share_its_stacks(name, monkeypatch):
+    """psd_check, the identity and the necessary conditions on one shell
+    evaluate the Hessian of h r once, and each reports what it reports on
+    a shell that has evaluated nothing, float for float."""
+    r, T, K, h = certificate(name)
+    rho = h * r.poly
+    shell = sample_boundary(r, 1e-2, 500, seed=0)
+    alone = [
+        psd_check(rho, uncached(shell)),
+        identity_check_prop31(r, K, T, uncached(shell)),
+        necessary_conditions_check(r, h, uncached(shell), K),
+    ]
+    built = []
+    values = verify.hessian_values
+    monkeypatch.setattr(
+        verify, "hessian_values", lambda f, Z, W: built.append(f) or values(f, Z, W)
+    )
+    shared = [
+        psd_check(rho, shell),
+        identity_check_prop31(r, K, T, shell),
+        necessary_conditions_check(r, h, shell, K),
+    ]
+    assert built == [rho, (WPoly.one(r.nz) + T) * r.poly]
+    for a, b in zip(shared, alone):
+        assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
+    H = shell.hessian(h * r.poly)  # an equal polynomial reads the same stack
+    assert H is shell.hessian(rho) and not H.flags.writeable
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("name", ["A=10", "ball3_tilted"])
+def test_shell_decided_verification_projects_no_curve(name, monkeypatch):
+    """A certificate whose log-derivative verdict the probe shells decide
+    (a positive definite boundary quadratic part, or a bound positive at
+    the origin) is checked on a fresh domain without projecting any probe
+    curve."""
+
+    def refuse(*args):
+        raise AssertionError("probe curves projected")
+
+    monkeypatch.setattr(dominance, "probe_curves", refuse)
+    r, T, K, _ = certificate(name)
+    checks, failed, _ = check_certificate(r, T, K, sample_boundary(r, 1e-2, 2000, 0))
+    assert not failed
+    assert checks["necessary"]["log_deriv_verdict"]["reason"] in (
+        "bound has positive definite boundary quadratic part",
+        "bound positive at the origin",
+    )
+    assert [key for key in r._cache if key[0] == "probes"]
+    assert not [key for key in r._cache if key[0] == "probe_curves"]
+
+
+def test_curve_scan_verdict_is_independent_of_read_order():
+    """On nz2_quartic the log-derivative verdict reads the probe curves (no
+    escape) and then the shells (stable ratios).  A domain whose curves
+    were projected first gives the same verdict, the one pinned here."""
+    verdicts = []
+    for curves_first in (False, True):
+        r, T, K, h = certificate("nz2_quartic")
+        if curves_first:
+            dominance.probe_curves(r, dominance.default_probes(r.nz, 0))
+        shell = sample_boundary(r, 1e-2, 2000, 0)
+        nec = necessary_conditions_check(r, h, shell, K)
+        verdicts.append(json.dumps(nec.log_deriv_verdict.as_dict()))
+    assert verdicts[0] == verdicts[1]
+    verdict = json.loads(verdicts[0])
+    assert verdict["reason"] == "shell sup ratios stable"
+    assert verdict["constant"] == 36.282410081580004
+    assert verdict["shell_ratios"][0] == 18.141205040790002
+    assert verdict["shell_ratios"][-1] == 17.989179301287432
 
 
 def test_verdicts_expand_no_exact_minor(monkeypatch, capsys):
