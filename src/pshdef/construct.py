@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cr import DefiningFunction, levi_origin_value
+from .cr import DefiningFunction, Domain, levi_origin_value
 from .dominance import (
     Bound,
     DominanceVerdict,
@@ -47,7 +47,7 @@ from .verify import (
     psd_stats,
     sample_boundary,
 )
-from .wirtinger import WPoly, canonical_str, realify
+from .wirtinger import SparsePoly, WPoly, canonical_str, realify
 
 SHRINK = 0.25
 MAX_K_EXP = 1022  # the top rung's scale 2^(e + 1) stays a finite double
@@ -298,13 +298,6 @@ def absorb_r_multiples(T: WPoly, r: DefiningFunction):
 # -- K ladder -------------------------------------------------------------
 
 
-def _scan_points(r, shell, probes, radius):
-    pz, pw = probe_curves(r, probes).in_ball_points(radius)
-    if len(pw):
-        return np.concatenate([shell.Z, pz]), np.concatenate([shell.W, pw])
-    return shell.Z, shell.W
-
-
 def _at(mask, *columns):
     """The columns at the points where mask holds: the columns themselves,
     not copies, when it holds at every point."""
@@ -422,26 +415,55 @@ def k_ladder(base, g, max_k_exp: int, stats):
     return ladder, 2**e, results[e]
 
 
-def radius_search(config, attempt) -> KSearchResult:
-    """The K search of either lane: the h floor, the K ladder and one shrink.
+def search_failure(witness: dict, h_part: str, ladder_claim: str) -> str:
+    """Why a failed `k_search` failed, read from its witness: h_part (the
+    K-free part of h) dropped below the h floor, so no ladder ran, or else
+    ladder_claim."""
+    if "h_floor" in witness:
+        return (
+            f"|{h_part}| drops below the h floor {witness['h_floor']} on the "
+            "shell, so no ladder K was tried"
+        )
+    return ladder_claim
 
-    attempt(radius) samples the lane's shell of that radius and returns the
-    least |1 + T| on it and a callable that runs `k_ladder` there.  A shell
-    where |1 + T| fails `verify.h_floor_failure` skips the ladder; that, or
+
+def k_search(
+    r: Domain, T: SparsePoly, config=None, probes: ProbeFamily | None = None
+) -> KSearchResult:
+    """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan, in
+    either lane: config is a `ConstructConfig` or a `RealConfig`.
+
+    On the boundary the Hessian is Hess((1 + T) r) plus 2K g g*, g the
+    gradient of r, so `k_ladder` gets those two and reads K off the scan
+    at K = 1.  The scan set is the sampled shell, plus every in-ball point
+    of the probe family's curves when probes is given.  A shell where
+    |1 + T| fails `verify.h_floor_failure` skips the ladder; that, or
     failure at every rung tried, shrinks the radius once by SHRINK.  The
     result's ladder lists the rungs evaluated at the final radius; it is
     empty when the h floor fails there.
     """
+    config = config or ConstructConfig()
+    p = type(r.poly).one(r.poly.n) + T
     radius = config.radius
     for shrunk in (False, True):
         if shrunk:
             radius *= SHRINK
-        least_h, run_ladder = attempt(radius)
-        witness = h_floor_failure(least_h)
+        shell = sample_boundary(r, radius, config.samples, config.seed)
+        witness = h_floor_failure(float(np.abs(shell.values(p)).min()))
         if witness is not None:
             ladder = []
             continue
-        ladder, K, st = run_ladder()
+        Z, W = shell.Z, shell.W
+        if probes is not None:
+            pz, pw = probe_curves(r, probes).in_ball_points(radius)
+            Z, W = np.concatenate([Z, pz]), np.concatenate([W, pw])
+            del pz, pw  # freed before the ladder's stacks are built
+        ladder, K, st = k_ladder(
+            hessian_values(r.times(p), Z, W),
+            gradient_stack(r, Z, W),
+            config.max_k_exp,
+            lambda H: psd_stats(H, Z, W, config.tol),
+        )
         if st.passed:
             return KSearchResult(True, K, ladder, None, radius, shrunk, st)
         witness = {
@@ -452,53 +474,6 @@ def radius_search(config, attempt) -> KSearchResult:
             "min_diag": st.min_diag,
         }
     return KSearchResult(False, None, ladder, witness, radius, True)
-
-
-def search_failure(witness: dict, h_part: str, ladder_claim: str) -> str:
-    """Why a failed `radius_search` failed, read from its witness: h_part
-    (the K-free part of h) dropped below the h floor, so no ladder ran, or
-    else ladder_claim."""
-    if "h_floor" in witness:
-        return (
-            f"|{h_part}| drops below the h floor {witness['h_floor']} on the "
-            "shell, so no ladder K was tried"
-        )
-    return ladder_claim
-
-
-def k_search(
-    r: DefiningFunction,
-    T: WPoly,
-    config: ConstructConfig | None = None,
-    probes: ProbeFamily | None = None,
-) -> KSearchResult:
-    """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan.
-
-    On the boundary the Hessian is H((1+T)r) plus 2K g g*, g the complex
-    gradient of r, so `k_ladder` gets those two and reads K off the scan
-    at K = 1.  The scan set is the sampled shell plus every in-ball
-    probe-curve point; `radius_search` applies the h floor and the radius
-    shrink.
-    """
-    config = config or ConstructConfig()
-    probes = probes if probes is not None else default_probes(r.nz, config.seed)
-    p = WPoly.one(r.nz) + T
-
-    def attempt(radius):
-        shell = sample_boundary(r, radius, config.samples, config.seed)
-        least_h = float(np.abs(compiled(p).eval(shell.Z, shell.W)).min())
-
-        def run_ladder():
-            Z, W = _scan_points(r, shell, probes, radius)
-            base = hessian_values(p * r.poly, Z, W)
-            g = gradient_stack(r, Z, W)
-            return k_ladder(
-                base, g, config.max_k_exp, lambda H: psd_stats(H, Z, W, config.tol)
-            )
-
-        return least_h, run_ladder
-
-    return radius_search(config, attempt)
 
 
 def strong_psc_shortcut(r: DefiningFunction):
@@ -525,7 +500,7 @@ def _stage_split(r: DefiningFunction, T: WPoly, j: int, bound, probes):
     which the next stage splits again when nothing was absorbed."""
 
     def build():
-        g = ((WPoly.one(r.nz) + T) * r.poly).dz(j).dwbar()
+        g = r.times(WPoly.one(r.nz) + T).dz(j).dwbar()
         return g, split_S_E(g, r, bound, probes, j)
 
     return r.cached(("stage_split", T, j, bound, probes), build)
@@ -711,7 +686,7 @@ def run_construction(
 
         if n == 1:
             # the next stage's mixed derivatives against this stage's S
-            rho1 = (one + T_next) * r.poly
+            rho1 = r.times(one + T_next)
             g_sup = max(_sup_abs(rho1.dz(j).dwbar(), inner) for j in range(nz))
             s_sup = entry["sup_S"]
             cancellation = {

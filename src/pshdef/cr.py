@@ -79,6 +79,10 @@ class Domain:
             "gradient", lambda: [p.partial(a) for a in p.slots(p.hessian_rows, p.n)]
         )
 
+    def times(self, f: SparsePoly) -> SparsePoly:
+        """The exact product f r, built once per f."""
+        return self.cached(("times", f), lambda: f * self.poly)
+
     def levi(self, j: int = 0, k: int | None = None) -> SparsePoly:
         """`levi_form(self, j, k)`, built once per entry."""
         k = j if k is None else k

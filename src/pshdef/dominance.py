@@ -16,9 +16,11 @@ three ways, in order:
 Anything else is reported as Unknown with the collected data; callers
 treat Unknown conservatively.
 
-A probe family meets a domain as two point sets, each cached on the domain
-under its own key: the family's boundary shells (`project_probes`) and its
-curves (`probe_curves`).  The curves are Newton-solved only when a check
+A probe family meets a domain as two `verify.PointSet`s, each cached on
+the domain under its own key: the family's boundary shells
+(`project_probes`) and its curves (`probe_curves`).  Each keeps the values
+of the bound polynomials read on it, so every check reads one evaluation
+of each bound per set.  The curves are Newton-solved only when a check
 reads them, so a verdict the shells decide (B positive at the origin, or
 the Sylvester certificate, whose constant is read off the shell ratios)
 projects none.  Neither set refers back to its domain, so a finished
@@ -40,7 +42,7 @@ import numpy as np
 from .cr import DefiningFunction
 from .gaussrat import I
 from .numeval import compiled
-from .verify import boundary_points, point_norms, project_to_boundary
+from .verify import PointSet, boundary_points, point_norms, project_to_boundary
 from .wirtinger import SparsePoly, WPoly, canonical_str, indexed_names, term_text
 
 DYADIC_EXPS = tuple(range(3, 17))  # t = 2^-3 .. 2^-16
@@ -138,40 +140,21 @@ def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
     )
 
 
-class _ProbePoints:
-    """Points Z, W of a probe set, with the bound polynomials' values."""
-
-    @functools.cached_property
-    def _bound_values(self) -> dict:
-        return {}
-
-    def bound_values(self, B: WPoly) -> np.ndarray:
-        """Re B at every point, evaluated once per bound polynomial."""
-        vals = self._bound_values.get(B)
-        if vals is None:
-            vals = self._bound_values[B] = compiled(B).eval(self.Z, self.W).real
-        return vals
-
-
 @dataclass
-class ProbeShells(_ProbePoints):
+class ProbeShells(PointSet):
     """The shells of a probe family on the boundary of a specific domain,
     in shell_exps order: shell k holds points cuts[k] to cuts[k + 1]."""
 
-    Z: np.ndarray  # (n_points, nz)
-    W: np.ndarray  # (n_points,)
     cuts: np.ndarray  # shell offsets; cuts[0] = 0, cuts[-1] = n_points
 
 
 @dataclass
-class ProbeCurves(_ProbePoints):
+class ProbeCurves(PointSet):
     """The curves of a probe family projected onto the boundary of a
     specific domain: curve i's n_t points are rows i n_t .. (i + 1) n_t - 1
     of Z and W, at the parameters t_values."""
 
     family: ProbeFamily
-    Z: np.ndarray  # (n_curves n_t, nz)
-    W: np.ndarray  # (n_curves n_t,)
     ok: np.ndarray  # bool (n_curves, n_t)
     t_values: np.ndarray
 
@@ -392,10 +375,10 @@ def _direction(z_row, w) -> list:
     return [x / n for x in vec] if n > 0 else vec
 
 
-def _probe_values(numerators, B: WPoly, points: _ProbePoints):
+def _probe_values(numerators, B: WPoly, points: PointSet):
     """|P|^2 summed over the numerators, and Re B, at a probe set's points:
-    one evaluation of each numerator over the set."""
-    return _num_sq(numerators, points.Z, points.W), points.bound_values(B)
+    one evaluation of each numerator, and B read from the set."""
+    return _num_sq(numerators, points.Z, points.W), points.values(B).real
 
 
 def _curve_escape(num, bvals, curves: ProbeCurves):

@@ -12,12 +12,13 @@ normal-form error is `cr.NormalFormError`; and the numeric side is the
 compiled evaluator (`numeval`), the boundary layer of `verify` (the shell,
 sampled and Newton-projected on the slope r_y, the point reports, the
 Hessian and gradient stacks, the PSD statistics and the h floor), and the
-K ladder and the radius search (`construct`).  Its own parts are the
+K search (`construct.k_search`, with T = r_y).  Its own parts are the
 r = y + G normal form, the convexity precheck and the multiplier.  A real
 shell holds x in Z and y in W.  `sample_real_boundary`,
 `real_hessian_values`, `real_psd_stats` and `real_hessian_check` are each
 one call into `verify`, kept by name with `validate_real_normal_form`
-because the benchmark calls or traces each by name.
+because the benchmark calls or traces each by name; the pipeline calls
+`verify` itself.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -35,20 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import (
-    ConstructConfig,
-    check_search_config,
-    k_ladder,
-    radius_search,
-    search_failure,
-)
+from .construct import ConstructConfig, check_search_config, k_search, search_failure
 from .cr import Domain, NormalFormError
 from .report import SCHEMA_VERSION
 from .verify import (
     DEFAULT_TOL,
     PsdCheckResult,
     Shell,
-    gradient_stack,
     h_floor_failure,
     hessian_stack,
     hessian_values,
@@ -138,9 +132,9 @@ def check_real_certificate(
     report under "hessian", the names of the checks that failed, "hessian"
     and "h_floor" (the certificate passes when that list is empty), and
     h r."""
-    rho = h * r.poly
-    hessian = real_hessian_check(rho, shell, tol)
-    least_h = float(np.abs(h.eval(shell.Z, shell.W)).min())
+    rho = r.times(h)
+    hessian = psd_check(rho, shell, tol)
+    least_h = float(np.abs(shell.values(h)).min())
     passed = {"hessian": hessian.passed, "h_floor": h_floor_failure(least_h) is None}
     failed = [name for name, ok in passed.items() if not ok]
     return {"hessian": hessian.as_dict()}, failed, rho
@@ -158,7 +152,7 @@ def convexity_check(
     n = r.nx
     # symmetric: one polynomial per pair j <= k
     L = [[r.levi(min(j, k), max(j, k)) for k in range(n)] for j in range(n)]
-    H = hessian_stack(L, shell.Z, shell.W)
+    H = hessian_stack(L, shell.values)
     eigs = least_eigenvalues(H)
     i = int(np.argmin(eigs))
     value = float(eigs[i])
@@ -242,9 +236,8 @@ def convex_multiplier(
     Convexity of the input (the tangential matrix PSD on the shell of
     config.radius) is a precondition, checked once before the search; a
     violation reports an obstruction with witness.  The search is the
-    complex lane's `construct.radius_search`: the h floor |1 + r_y| >= 1/2,
-    the K ladder and the single radius shrink.  The ladder gets only the
-    Hessian of r (1 + r_y) and the gradient of r.
+    complex lane's `construct.k_search` of T = r_y on the shell alone: the
+    h floor |1 + r_y| >= 1/2, the K ladder and the single radius shrink.
     """
     config = config or RealConfig()
     ry = r.d_y()
@@ -253,7 +246,7 @@ def convex_multiplier(
         "h floor and ladder limits transplanted from the complex lane",
     ]
     precheck = convexity_check(
-        r, sample_real_boundary(r, config.radius, config.samples, config.seed), config.tol
+        r, sample_boundary(r, config.radius, config.samples, config.seed), config.tol
     )
     report = RealReport(
         status="Exhausted",
@@ -277,22 +270,7 @@ def convex_multiplier(
         }
         return report
 
-    def attempt(radius):
-        shell = sample_real_boundary(r, radius, config.samples, config.seed)
-        X, Y = shell.Z, shell.W
-        least_h = float(np.min(np.abs(1.0 + ry.eval(X, Y))))
-
-        def run_ladder():
-            # rho = r (1 + Kr + r_y) = (r + r r_y) + K r^2
-            base = real_hessian_values(r.poly + r.poly * ry, X, Y)
-            g = gradient_stack(r, X, Y)
-            return k_ladder(
-                base, g, config.max_k_exp, lambda H: real_psd_stats(H, X, Y, config.tol)
-            )
-
-        return least_h, run_ladder
-
-    ks = radius_search(config, attempt)
+    ks = k_search(r, ry, config)
     report.k_search = ks.as_dict()
     if not ks.found:
         report.obstruction = {

@@ -8,18 +8,20 @@ a point splits, and `point_report` gives it as either lane's reports do.
 PSD checks look at Hessian diagonals, all 2x2 minors with the last slot,
 and the least eigenvalue; n = 2 uses the closed-form eigenvalue, larger n
 a batched solve at the points a batched LDL* screen leaves.  Everything is
-deterministic under a fixed seed.  A `Shell` keeps the Hessian stacks
-evaluated on it, one per polynomial, so the PSD scan, the determinant
-identity and the necessary conditions of one certificate read one stack of
-h r; the stacks live and die with the shell, which is cached on its domain.
+deterministic under a fixed seed.  A `PointSet` (a `Shell`, or a probe
+family's shells or curves) keeps the values and the Hessian stacks
+evaluated on it, one per polynomial, so the checks of one certificate read
+one evaluation of each of h r, h, 1 + T and r's Levi forms and partials;
+they live and die with the set, which is cached on its domain.
 `check_certificate` is the complex lane's one pass rule for a finished
 certificate, and `h_floor_failure` the one h floor test of both lanes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -131,33 +133,52 @@ def point_norms(P: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Shell:
+class PointSet:
+    """Points of either lane as `CompiledPoly.eval` reads them: (z, w)
+    complex, or real with x in Z and y in W.  A set keeps what is
+    evaluated on it, read-only and once per polynomial (keyed by its == and
+    hash): the values of a polynomial (`values`) and its Hessian stack
+    (`hessian`), so every check of the set reads one evaluation of each.
+    They live and die with the set."""
+
+    Z: np.ndarray  # (m, n)
+    W: np.ndarray  # (m,)
+
+    @functools.cached_property
+    def _cache(self) -> dict:
+        return {}
+
+    def _read(self, key, build) -> np.ndarray:
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+            out.flags.writeable = False
+        return out
+
+    def values(self, f) -> np.ndarray:
+        """f at every point."""
+        return self._read(("values", f), lambda: compiled(f).eval(self.Z, self.W))
+
+    def hessian(self, f) -> np.ndarray:
+        """`hessian_values` of f at every point, its entries read through
+        `values`."""
+        return self._read(
+            ("hessian", f), lambda: hessian_stack(hessian_entries(f), self.values)
+        )
+
+
+@dataclass
+class Shell(PointSet):
     """Boundary points within the closed ball of `radius`, with a residual
-    per point.  Both lanes hold their points as `CompiledPoly.eval` reads
-    them: (z, w) complex, or real with x in Z and y in W.  A shell keeps
-    the Hessian stacks evaluated on it (`hessian`), so they live and die
-    with it."""
+    per point."""
 
     radius: float
     seed: int
-    Z: np.ndarray  # (count, n)
-    W: np.ndarray  # (count,)
     residuals: np.ndarray
-    _stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.residuals)
-
-    def hessian(self, f) -> np.ndarray:
-        """`hessian_values` of f over the shell, read-only, evaluated once
-        per polynomial (keyed by its == and hash): every check of the shell
-        reads the one stack of each polynomial."""
-        H = self._stacks.get(f)
-        if H is None:
-            H = self._stacks[f] = hessian_values(f, self.Z, self.W)
-            H.flags.writeable = False
-        return H
 
 
 def ball_stream(r, d: int, seed: int) -> BallStream:
@@ -290,10 +311,11 @@ def sample_collar(
 # -- Hessian evaluation ---------------------------------------------------
 
 
-def hessian_stack(H: list, Z, W) -> np.ndarray:
-    """Values (m, n, n) of the n x n Hessian entry table H at each point.
+def hessian_stack(H: list, values) -> np.ndarray:
+    """Values (m, n, n) of the n x n Hessian entry table H at each point,
+    values(f) giving an entry f at every point.
 
-    Entries on and above the diagonal are evaluated; those below are their
+    Entries on and above the diagonal are read; those below are their
     conjugates.  The stack takes the dtype of the evaluated entries: complex
     for a WPoly table, float for an RPoly one.  It is entry-planar: the
     (m, n, n) view of an (n, n, m) array, so each entry H[:, j, k] over
@@ -304,9 +326,9 @@ def hessian_stack(H: list, Z, W) -> np.ndarray:
     out = None
     for j in range(n):
         for k in range(j, n):
-            vals = compiled(H[j][k]).eval(Z, W)
+            vals = values(H[j][k])
             if out is None:
-                out = np.empty((n, n, len(W)), dtype=vals.dtype).transpose(2, 0, 1)
+                out = np.empty((n, n, len(vals)), dtype=vals.dtype).transpose(2, 0, 1)
             out[:, j, k] = vals
             if k != j:
                 out[:, k, j] = np.conj(vals)
@@ -322,7 +344,7 @@ def gradient_stack(r, Z, W) -> np.ndarray:
 def hessian_values(f: WPoly, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Complex Hessian of f at each point: array (m, n, n), Hermitian.  An
     RPoly at real points gives its real symmetric Hessian."""
-    return hessian_stack(hessian_entries(f), Z, W)
+    return hessian_stack(hessian_entries(f), lambda e: compiled(e).eval(Z, W))
 
 
 RESCALE = 2.0**-600  # takes entries below 2^1024 under 2^424: their squares are finite
@@ -614,20 +636,15 @@ def identity_check_prop31(
     minors are read from the shell's Hessian stacks of rho and of
     (1 + T) r, so the two sides are computed independently.
     """
-    nz = r.nz
-    Z, W = shell.Z, shell.W
-    p = WPoly.one(nz) + T
+    p = WPoly.one(r.nz) + T
     h = p + r.poly.scale(Fraction(K))
-    lhs = last_slot_minors(shell.hessian(h * r.poly))
-    base = last_slot_minors(shell.hessian(p * r.poly))
+    lhs = last_slot_minors(shell.hessian(r.times(h)))
+    base = last_slot_minors(shell.hessian(r.times(p)))
     max_dev = 0.0
     max_lhs = 0.0
-    hv = compiled(h).eval(Z, W)
-    for j in range(nz):
-        rhs = (
-            2.0 * float(K) * hv.real * compiled(r.levi(j)).eval(Z, W).real
-            + base[:, j]
-        )
+    hv = shell.values(h)
+    for j in range(r.nz):
+        rhs = 2.0 * float(K) * hv.real * shell.values(r.levi(j)).real + base[:, j]
         max_dev = max(max_dev, float(np.max(np.abs(lhs[:, j] - rhs))))
         max_lhs = max(max_lhs, float(np.max(np.abs(lhs[:, j]))))
     tol = rel_tol * (1.0 + max_lhs)
@@ -671,15 +688,14 @@ def levi_scan(
 ) -> LeviScanResult:
     """Scan tangential Levi values over a boundary ball sample."""
     shell = sample_boundary(r, radius, samples, seed)
-    Z, W = shell.Z, shell.W
     vals = None
     for j in range(r.nz):
-        v = compiled(r.levi(j)).eval(Z, W).real
+        v = shell.values(r.levi(j)).real
         vals = v if vals is None else np.minimum(vals, v)
     i = int(np.argmin(vals))
     return LeviScanResult(
         min_value=float(vals[i]),
-        worst_point=point_report(Z, W, i),
+        worst_point=point_report(shell.Z, shell.W, i),
         negative_count=int(np.sum(vals < -tol)),
         count=len(vals),
         tol=tol,
@@ -736,18 +752,18 @@ def necessary_conditions_check(
     """
     nz = r.nz
     Z, W = shell.Z, shell.W
-    hv = compiled(h).eval(Z, W)
+    hv = shell.values(h)
     if h_floor_failure(float(np.abs(hv).min())) is not None:
         raise ValueError(f"h vanishes (|h| < {Fraction(H_MIN)}) on the sampled shell")
-    hessian = shell.hessian(h * r.poly)
+    hessian = shell.hessian(r.times(h))
     p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
     hvals = hv.real
     rww = hessian[:, nz, nz].real
-    rw2 = np.abs(compiled(r.d_w()).eval(Z, W)) ** 2
+    rw2 = np.abs(shell.values(r.d_w())) ** 2
     records = []
     for j in range(nz):
-        L = compiled(r.levi(j)).eval(Z, W).real
-        rz2 = np.abs(compiled(r.d_z(j)).eval(Z, W)) ** 2
+        L = shell.values(r.levi(j)).real
+        rz2 = np.abs(shell.values(r.d_z(j))) ** 2
         rzz = hessian[:, j, j].real
         rzw2 = np.abs(hessian[:, j, nz]) ** 2
         hL = hvals * L
@@ -773,10 +789,10 @@ def necessary_conditions_check(
         probes = default_probes(r.nz, shell.seed)
     log_max = 0.0
     verdict = None
-    den = compiled(p1).eval(Z, W) * compiled(r.d_wbar()).eval(Z, W)
+    den = shell.values(p1) * shell.values(r.d_wbar())
     for j in range(nz):
         num_poly = p1.dz(j) * r.d_wbar() + p1 * r.poly.dz(j).dwbar()
-        num = compiled(num_poly).eval(Z, W)
+        num = shell.values(num_poly)
         log_max = max(log_max, float(np.max(np.abs(num / den))))
         v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, probes, j=j)
         if verdict is None or _verdict_rank(v) > _verdict_rank(verdict):
@@ -818,7 +834,7 @@ def check_certificate(
     {"error": message} and fails.
     """
     h = WPoly.one(r.nz) + T + r.poly.scale(Fraction(K))
-    rho = h * r.poly
+    rho = r.times(h)
     psd = psd_check(rho, shell, tol)
     ident = identity_check_prop31(r, K, T, shell)
     try:

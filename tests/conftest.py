@@ -136,10 +136,10 @@ def reference_lift_exp(H1, g, tol):
 @pytest.fixture
 def watch_k_ladder(monkeypatch):
     """watch_k_ladder(check) makes every K ladder either lane searches
-    call check(base, g, max_k_exp, stats) first, and returns the
-    list of check results.  The check runs inside the search because
-    `stats` reads the scan points of its radius only until k_search moves
-    on."""
+    (both through `construct.k_search`) call check(base, g, max_k_exp,
+    stats) first, and returns the list of check results.  The check runs
+    inside the search because `stats` reads the scan points of its radius
+    only until k_search moves on."""
 
     def watch(check):
         results = []
@@ -149,7 +149,6 @@ def watch_k_ladder(monkeypatch):
             return k_ladder(*args)
 
         monkeypatch.setattr(construct, "k_ladder", checked)
-        monkeypatch.setattr(realconvex, "k_ladder", checked)
         return results
 
     return watch

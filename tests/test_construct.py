@@ -30,7 +30,6 @@ from pshdef.construct import (
     k_ladder,
     k_search,
     lift_exp,
-    radius_search,
     run_construction,
     search_failure,
     solve_stage,
@@ -438,14 +437,15 @@ def test_ladder_solves_few_eigenvalues(monkeypatch):
     monkeypatch.setattr(verify, "psd_result", counting_stats)
     monkeypatch.setattr(verify, "least_eigenvalues", counting_least)
     r = _complex("Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3)
-    ks = k_search(r, WPoly.zero(3))
+    ks = k_search(r, WPoly.zero(3), None, dominance.default_probes(3, 0))
     assert ks.found and ks.K == 16 and len(ks.ladder) == 2
     assert len(scanned) == 2 and min(scanned) > 30_000
     assert sum(solved) < 0.1 * sum(scanned)
 
 
 def test_k_search_standalone(r10):
-    ks = k_search(r10, im_z(1).scale(Fraction(-4)))
+    probes = dominance.default_probes(1, 0)
+    ks = k_search(r10, im_z(1).scale(Fraction(-4)), None, probes)
     assert ks.found and ks.K == 64
     rows = {step["K"]: step for step in ks.ladder}
     assert rows[64]["passed"]
@@ -455,7 +455,8 @@ def test_k_search_standalone(r10):
 
 def test_k_search_h_floor_fails_at_both_radii(r10):
     """|1 + T| < H_MIN on both shells: a failed result, no ladder, no crash."""
-    ks = k_search(r10, re_z(1).scale(1000))
+    probes = dominance.default_probes(1, 0)
+    ks = k_search(r10, re_z(1).scale(1000), None, probes)
     assert not ks.found and ks.K is None
     assert ks.ladder == []
     assert ks.shrunk and ks.radius == 1e-2 * 0.25
@@ -463,81 +464,95 @@ def test_k_search_h_floor_fails_at_both_radii(r10):
     assert 0 <= ks.witness["min_abs_h"] < H_MIN
 
 
-def _scripted_attempt(script):
-    """attempt(radius) for radius_search, played from a script: per call, the
-    least |1 + T| and the (passed, K) its ladder returns.  Returns the attempt
-    and the list of radii it was called with."""
-    radii = []
+def _scripted_k_search(monkeypatch, script):
+    """k_search of T = 50 Re z on the ball, its ladder played from a script:
+    per radius tried, whether |1 + T| fails the h floor there, and the
+    (passed, K) the ladder returns (None where the floor fails).  The floor
+    is set through verify.H_MIN.  |1 + T| is least on the larger shell, so
+    a floor between the two shells' least values fails at the first radius
+    only, and a floor of 10 at both; a ladder raises the floor to 10 when
+    the next radius is to fail it.  Returns the result and the least
+    |1 + T| per radius."""
+    r, p = ball_like(1), WPoly.one(1) + re_z(1).scale(50)
+    config = ConstructConfig()
+    least = [
+        float(np.abs(sample_boundary(r, x, config.samples, config.seed).values(p)).min())
+        for x in (config.radius, config.radius * SHRINK)
+    ]
+    assert H_MIN < least[0] < least[1]
+    fails = [f for f, _ in script]
+    if fails[0]:
+        monkeypatch.setattr(verify, "H_MIN", 10.0 if fails[1] else sum(least) / 2)
+    played = iter([(i, out) for i, (f, out) in enumerate(script) if not f])
 
-    def attempt(radius):
-        least_h, (passed, K) = script[len(radii)]
-        radii.append(radius)
+    def ladder(base, g, max_k_exp, stats):
+        assert len(g) == config.samples  # no probes: the shell alone
+        i, (passed, K) = next(played)
+        if i + 1 < len(script) and fails[i + 1]:
+            monkeypatch.setattr(verify, "H_MIN", 10.0)
+        eig = 1.0 if passed else -1.0
+        st = PsdCheckResult(passed, 1e-9, 2.0, 3.0, eig, {"radius": i}, 5)
+        return [{"K": K, "passed": passed}], K, st
 
-        def run_ladder():
-            assert least_h >= H_MIN, "the ladder runs only above the h floor"
-            eig = 1.0 if passed else -1.0
-            st = PsdCheckResult(passed, 1e-9, 2.0, 3.0, eig, {"radius": radius}, 5)
-            return [{"K": K, "passed": passed}], K, st
+    monkeypatch.setattr(construct, "k_ladder", ladder)
+    ks = k_search(r, p - WPoly.one(1), config)
+    assert next(played, None) is None  # every scripted ladder ran
+    return ks, least
 
-        return least_h, run_ladder
 
-    return attempt, radii
+FLOOR = (True, None)
 
 
 @pytest.mark.parametrize(
     "script, found, K, witness",
     [
-        ([(0.9, (True, 8))], True, 8, None),
+        ([(False, (True, 8))], True, 8, None),
+        ([FLOOR, FLOOR], False, None, "h_floor"),
+        ([FLOOR, (False, (True, 16))], True, 16, None),
+        ([(False, (False, 2**20)), (False, (True, 64))], True, 64, None),
         (
-            [(0.1, (True, 8)), (0.2, (True, 8))],
+            [(False, (False, 2**20)), (False, (False, 4))],
             False,
             None,
-            {"min_abs_h": 0.2, "h_floor": H_MIN},
-        ),
-        ([(0.1, (True, 8)), (0.9, (True, 16))], True, 16, None),
-        ([(0.9, (False, 2**20)), (0.9, (True, 64))], True, 64, None),
-        (
-            [(0.9, (False, 2**20)), (0.9, (False, 4))],
-            False,
-            None,
-            {"K": 4, "point": {"radius": 2.5e-3}, "min_eig": -1.0, "min_minor": 3.0,
+            {"K": 4, "point": {"radius": 1}, "min_eig": -1.0, "min_minor": 3.0,
              "min_diag": 2.0},
         ),
     ],
     ids=["first_pass", "floor_twice", "floor_then_pass", "ladder_then_pass", "ladder_twice"],
 )
-def test_radius_search_branches(script, found, K, witness):
-    config = ConstructConfig()
-    attempt, radii = _scripted_attempt(script)
-    ks = radius_search(config, attempt)
-    assert radii == [config.radius, config.radius * SHRINK][: len(script)]
+def test_radius_search_branches(monkeypatch, script, found, K, witness):
+    """k_search's h floor, ladder and single radius shrink, branch by branch."""
+    ks, least = _scripted_k_search(monkeypatch, script)
+    if witness == "h_floor":
+        witness = {"min_abs_h": least[1], "h_floor": 10.0}
     assert (ks.found, ks.K, ks.witness) == (found, K, witness)
-    assert ks.radius == radii[-1]
+    config = ConstructConfig()
+    assert ks.radius == [config.radius, config.radius * SHRINK][len(script) - 1]
     assert ks.shrunk == (len(script) == 2)
-    least_h, (passed, last_K) = script[-1]
-    if least_h < H_MIN:
+    floor_fails, outcome = script[-1]
+    if floor_fails:
         assert ks.ladder == [] and ks.stats is None
     else:
+        passed, last_K = outcome
         assert ks.ladder == [{"K": last_K, "passed": passed}]
         assert (ks.stats is not None) == found
 
 
-FLOOR_CLAIM = f"|1 + T| drops below the h floor {H_MIN} on the shell, so no ladder K was tried"
+FLOOR_CLAIM = "|1 + T| drops below the h floor 10.0 on the shell, so no ladder K was tried"
 
 
 @pytest.mark.parametrize(
     "script, claim",
     [
-        ([(0.1, (True, 8)), (0.2, (True, 8))], FLOOR_CLAIM),
-        ([(0.9, (False, 2**20)), (0.9, (False, 4))], "no ladder K certifies"),
-        ([(0.9, (False, 2**20)), (0.2, (True, 8))], FLOOR_CLAIM),
+        ([FLOOR, FLOOR], FLOOR_CLAIM),
+        ([(False, (False, 2**20)), (False, (False, 4))], "no ladder K certifies"),
+        ([(False, (False, 2**20)), FLOOR], FLOOR_CLAIM),
     ],
     ids=["floor_twice", "ladder_twice", "ladder_then_floor"],
 )
-def test_search_failure_reads_the_witness(script, claim):
+def test_search_failure_reads_the_witness(monkeypatch, script, claim):
     """The claim follows the witness of the final radius."""
-    attempt, _ = _scripted_attempt(script)
-    ks = radius_search(ConstructConfig(), attempt)
+    ks, _ = _scripted_k_search(monkeypatch, script)
     assert search_failure(ks.witness, "1 + T", "no ladder K certifies") == claim
 
 
@@ -715,7 +730,7 @@ def test_hessian_stack_is_entry_planar(lane, text, n):
     else:
         r = _real(text, n)
         shell = sample_real_boundary(r, 1e-2, 300, seed=0)
-    H = hessian_stack(hessian_entries(r.poly * r.poly), shell.Z, shell.W)
+    H = hessian_stack(hessian_entries(r.poly * r.poly), shell.values)
     assert H.shape == (300, n + 1, n + 1)
     assert H.dtype == (np.complex128 if lane == "complex" else np.float64)
     assert _is_entry_planar(H)

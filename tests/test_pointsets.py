@@ -273,9 +273,13 @@ def test_probe_projection_and_bounds_structure(monkeypatch):
     monkeypatch.setattr(numeval.CompiledPoly, "eval", recorded)
     report = run_construction(r, ConstructConfig(seed=2))
     assert report.status == "Certified"
-    assert len(shells._bound_values) >= 2 and curves._bound_values
+    bounds = {
+        id(points): [f for kind, f in points._cache if kind == "values"]
+        for points in (shells, curves)
+    }
+    assert len(bounds[id(shells)]) >= 2 and bounds[id(curves)]
     for points in (shells, curves):
-        for B in points._bound_values:
+        for B in bounds[id(points)]:
             assert on_set[id(compiled(B)), id(points)] == 1
 
 

@@ -1,8 +1,10 @@
 """Real convex lane: RPoly, boundary sampling, the y-derivative multiplier."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from conftest import random_rpoly
 from pshdef import verify
 from pshdef.catalog import type4_domain
-from pshdef.construct import SHRINK
+from pshdef.construct import SHRINK, k_search
 from pshdef.cr import NormalFormError, levi_form
 from pshdef.exprparse import parse_rpoly
 from pshdef.realconvex import (
@@ -383,6 +385,23 @@ def test_multiplier_ladder_failure_shrinks():
     assert not ks["ladder"][-1]["passed"]
     assert set(ks["witness"]) == {"K", "point", "min_eig", "min_minor", "min_diag"}
     assert set(ks["witness"]["point"]) == {"x", "y"}
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lanes_share_one_k_search(monkeypatch, seed):
+    """The real lane's K search is the complex lane's `k_search` of
+    T = r_y: on every real benchmark input its report equals that search's,
+    each run on a fresh domain."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    expected = importlib.import_module("expected")
+    config = RealConfig(seed=seed)
+    for row in expected.CONVEX:
+        rep = convex_multiplier(validate_real_normal_form(parse_rpoly(row.r)), config)
+        r = validate_real_normal_form(parse_rpoly(row.r))
+        assert rep.k_search == k_search(r, r.d_y(), config).as_dict(), row.name
 
 
 def test_real_report_shape():

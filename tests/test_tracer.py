@@ -53,11 +53,12 @@ def test_rung_counter_matches_ladder(monkeypatch):
     radius must be one of them and one row of the report's ladder."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer_mod = importlib.import_module("tracer")
+    probes = dominance.default_probes(1, 0)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
         tracer.begin_request()
-        ks = construct.k_search(type4_domain(10), im_z(1).scale(-4))
+        ks = construct.k_search(type4_domain(10), im_z(1).scale(-4), None, probes)
         tracer.end_request()
     finally:
         tracer.uninstall()

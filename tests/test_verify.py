@@ -1,5 +1,6 @@
 """Numeric verification: shells, PSD scans, the determinant identity."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from fractions import Fraction
 
 from conftest import entry_planar, linear_k_ladder, rank_one_term
-from pshdef import dominance, verify
+from pshdef import dominance, numeval, verify
 from pshdef.catalog import ball_like, half_space, type4_domain
 from pshdef.cli import main
 from pshdef.construct import k_ladder, k_search, lift_exp, run_construction
@@ -132,7 +133,7 @@ def test_psd_partial_multiplier_fails(r8, r8_report, watch_k_ladder):
     """No ladder K certifies the stage-1 candidate (1 - 4 Im z + K r) r."""
     stage1 = r8_report.stages[0]
     walks = watch_k_ladder(lambda *args: linear_k_ladder(*args)[0])
-    k_search(r8, stage1.T_after)
+    k_search(r8, stage1.T_after, None, dominance.default_probes(1, 0))
     assert len(walks) == 2  # the configured and the shrunk radius
     for ladder in walks:
         assert len(ladder) == 21
@@ -235,8 +236,8 @@ def test_identity_fails_off_the_boundary(r10):
 
 
 def uncached(shell):
-    """The shell's points in a shell that has evaluated no stack."""
-    return dataclasses.replace(shell, _stacks={})
+    """The shell's points in a shell that has evaluated nothing."""
+    return dataclasses.replace(shell)
 
 
 @pytest.mark.parametrize("name", CERTIFICATES)
@@ -266,10 +267,8 @@ def test_checks_of_one_shell_share_its_stacks(name, monkeypatch):
         necessary_conditions_check(r, h, uncached(shell), K),
     ]
     built = []
-    values = verify.hessian_values
-    monkeypatch.setattr(
-        verify, "hessian_values", lambda f, Z, W: built.append(f) or values(f, Z, W)
-    )
+    entries = verify.hessian_entries
+    monkeypatch.setattr(verify, "hessian_entries", lambda f: built.append(f) or entries(f))
     shared = [
         psd_check(rho, shell),
         identity_check_prop31(r, K, T, shell),
@@ -281,6 +280,38 @@ def test_checks_of_one_shell_share_its_stacks(name, monkeypatch):
     H = shell.hessian(h * r.poly)  # an equal polynomial reads the same stack
     assert H is shell.hessian(rho) and not H.flags.writeable
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("name", ["A=10", "ball3_tilted"])
+def test_certificate_check_evaluates_each_polynomial_once(name, monkeypatch):
+    """One certificate check on a fresh shell evaluates no polynomial
+    twice over it, and forms each exact product with r once: the checks
+    read h, 1 + T, r's Levi forms and partials and the Hessian stacks of
+    h r and (1 + T) r from the shell, each stack entry once."""
+    r, T, K, _ = certificate(name)
+    shell = sample_boundary(r, 1e-2, 2000, 0)
+    evaluated = collections.Counter()
+    evaluate = numeval.CompiledPoly.eval
+
+    def counted(self, Z, W):
+        if np.shares_memory(W, shell.W):  # keyed by the polynomial's terms
+            evaluated[self.coeffs.tobytes(), repr(self.factors)] += 1
+        return evaluate(self, Z, W)
+
+    products = []
+    multiply = WPoly.__mul__
+
+    def counted_mul(f, g):
+        if g is r.poly:
+            products.append(f)
+        return multiply(f, g)
+
+    monkeypatch.setattr(numeval.CompiledPoly, "eval", counted)
+    monkeypatch.setattr(WPoly, "__mul__", counted_mul)
+    _, failed, _ = check_certificate(r, T, K, shell)
+    assert not failed
+    assert evaluated and max(evaluated.values()) == 1
+    assert len(products) == len(set(products)) == 2
 
 
 @pytest.mark.parametrize("name", ["A=10", "ball3_tilted"])
