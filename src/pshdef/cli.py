@@ -16,7 +16,7 @@ from typing import Callable
 from . import verify
 from .construct import ConstructConfig, NotPseudoconvexError, run_construction
 from .cr import levi_origin_value, validate_normal_form
-from .dominance import Bound, default_probes, levi_dominance_gate
+from .dominance import Bound, levi_dominance_gate
 from .exprparse import parse_poly
 from .gaussrat import format_gaussian
 from .realconvex import (
@@ -202,7 +202,7 @@ def _cmd_analyze(args) -> int:
         )
     else:
         scan = levi_scan(r, args.radius, args.samples, args.seed, args.tol)
-        gate = levi_dominance_gate(r, default_probes(r.nz, args.seed))
+        gate = levi_dominance_gate(r, args.seed)
         if not scan.nonnegative:
             status = "fail"
         elif gate.status == "Unknown":

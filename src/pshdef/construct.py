@@ -22,9 +22,7 @@ from .cr import DefiningFunction, Domain, levi_origin_value
 from .dominance import (
     Bound,
     DominanceVerdict,
-    ProbeFamily,
     SplitResult,
-    default_probes,
     dominance_check,
     probe_curves,
     project_probes,
@@ -427,17 +425,16 @@ def search_failure(witness: dict, h_part: str, ladder_claim: str) -> str:
     return ladder_claim
 
 
-def k_search(
-    r: Domain, T: SparsePoly, config=None, probes: ProbeFamily | None = None
-) -> KSearchResult:
+def k_search(r: Domain, T: SparsePoly, config=None, curves=False) -> KSearchResult:
     """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan, in
     either lane: config is a `ConstructConfig` or a `RealConfig`.
 
     On the boundary the Hessian is Hess((1 + T) r) plus 2K g g*, g the
     gradient of r, so `k_ladder` gets those two and reads K off the scan
-    at K = 1.  The scan set is the sampled shell, plus every in-ball point
-    of the probe family's curves when probes is given.  A shell where
-    |1 + T| fails `verify.h_floor_failure` skips the ladder; that, or
+    at K = 1.  The scan set is the sampled shell, plus, when curves is
+    true, every in-ball point of the probe curves of config.seed (the
+    complex construction scans them, the real lane does not).  A shell
+    where |1 + T| fails `verify.h_floor_failure` skips the ladder; that, or
     failure at every rung tried, shrinks the radius once by SHRINK.  The
     result's ladder lists the rungs evaluated at the final radius; it is
     empty when the h floor fails there.
@@ -454,8 +451,8 @@ def k_search(
             ladder = []
             continue
         Z, W = shell.Z, shell.W
-        if probes is not None:
-            pz, pw = probe_curves(r, probes).in_ball_points(radius)
+        if curves:
+            pz, pw = probe_curves(r, config.seed).in_ball_points(radius)
             Z, W = np.concatenate([Z, pz]), np.concatenate([W, pw])
             del pz, pw  # freed before the ladder's stacks are built
         ladder, K, st = k_ladder(
@@ -494,16 +491,16 @@ def strong_psc_shortcut(r: DefiningFunction):
 # -- the loop -------------------------------------------------------------
 
 
-def _stage_split(r: DefiningFunction, T: WPoly, j: int, bound, probes):
+def _stage_split(r: DefiningFunction, T: WPoly, j: int, bound, seed: int):
     """g = ((1 + T) r)_{z_j w-bar} and its S/E split, computed once per
-    (T, j, bound, probes) on r: the contraction metric splits g(T_next),
+    (T, j, bound, seed) on r: the contraction metric splits g(T_next),
     which the next stage splits again when nothing was absorbed."""
 
     def build():
         g = r.times(WPoly.one(r.nz) + T).dz(j).dwbar()
-        return g, split_S_E(g, r, bound, probes, j)
+        return g, split_S_E(g, r, bound, seed, j)
 
-    return r.cached(("stage_split", T, j, bound, probes), build)
+    return r.cached(("stage_split", T, j, bound, seed), build)
 
 
 def _sup_abs(p: WPoly, points) -> float:
@@ -551,7 +548,6 @@ def run_construction(
     once, after the loop."""
     config = config or ConstructConfig()
     nz = r.nz
-    probes = default_probes(nz, config.seed)
     one = WPoly.one(nz)
     zero = WPoly.zero(nz)
     messages = []
@@ -560,7 +556,7 @@ def run_construction(
     if not scan.nonnegative:
         raise NotPseudoconvexError(scan)
 
-    shells = project_probes(r, probes)
+    shells = project_probes(r, config.seed)
     a = shells.cuts[-2]  # the last probe shell starts here
     inner = shells.Z[a:], shells.W[a:]
 
@@ -574,7 +570,7 @@ def run_construction(
 
     shortcut_used = strong_psc_shortcut(r) is not None
     if shortcut_used:
-        ks = k_search(r, T, config, probes)
+        ks = k_search(r, T, config, curves=True)
         if ks.found:
             stages.append(StageRecord(0, [], [], zero, T, ks))
         else:
@@ -599,11 +595,11 @@ def run_construction(
         stages.append(stage)
         obstructed_part = None
         for j in range(nz):
-            g, sp = _stage_split(r, T, j, config.bound, probes)
+            g, sp = _stage_split(r, T, j, config.bound, config.seed)
             T_inc, residual = solve_stage(sp.S, j)
             rv = None
             if not residual.is_zero():
-                rv = dominance_check(residual, config.bound, r, probes, j=j)
+                rv = dominance_check(residual, config.bound, r, config.seed, j=j)
                 if rv.status == "NotDominated":
                     obstructed_part = (j, rv)
             stage.parts.append(StagePart(j, g, sp, T_inc, residual, rv))
@@ -639,7 +635,7 @@ def run_construction(
             break
 
         if merged.is_zero():
-            ks = stage.k_search = ks or k_search(r, T, config, probes)
+            ks = stage.k_search = ks or k_search(r, T, config, curves=True)
             if not ks.found:
                 obstruction = {
                     "kind": "k_search_failed",
@@ -677,7 +673,7 @@ def run_construction(
             sup_cur = max(_sup_abs(p.split.S, inner) for p in stage.parts)
         sup_next = 0.0
         for j in range(nz):
-            _, sp_tel = _stage_split(r, T_tel_next, j, config.bound, probes)
+            _, sp_tel = _stage_split(r, T_tel_next, j, config.bound, config.seed)
             sup_next = max(sup_next, _sup_abs(sp_tel.S, inner))
         entry = {"stage": n, "sup_S": sup_cur, "sup_S_next": sup_next}
         if sup_cur > 0:
@@ -697,7 +693,7 @@ def run_construction(
 
         T, T_tel, sup_cur = T_next, T_tel_next, sup_next
         tried.add(T)
-        ks = stage.k_search = k_search(r, T, config, probes)
+        ks = stage.k_search = k_search(r, T, config, curves=True)
         stage.T_after = T
 
     final = None
@@ -707,7 +703,7 @@ def run_construction(
             T, ks.K, n, zero, [a for s in stages for a in s.absorbed]
         )
         shell = sample_boundary(r, ks.radius, config.samples, config.seed)
-        checks, failed, _ = check_certificate(r, T, ks.K, shell, config.tol, probes)
+        checks, failed, _ = check_certificate(r, T, ks.K, shell, config.tol)
         verification = {"radius": ks.radius, **checks}
         if failed:
             messages.append("final verification failed; certificate withdrawn")

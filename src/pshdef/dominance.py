@@ -16,15 +16,18 @@ three ways, in order:
 Anything else is reported as Unknown with the collected data; callers
 treat Unknown conservatively.
 
-A probe family meets a domain as two `verify.PointSet`s, each cached on
-the domain under its own key: the family's boundary shells
-(`project_probes`) and its curves (`probe_curves`).  Each keeps the values
-of the bound polynomials read on it, so every check reads one evaluation
-of each bound per set.  The curves are Newton-solved only when a check
-reads them, so a verdict the shells decide (B positive at the origin, or
-the Sylvester certificate, whose constant is read off the shell ratios)
-projects none.  Neither set refers back to its domain, so a finished
-request's domain is freed without waiting for the cyclic collector.
+The probe points are fixed by the domain and a seed alone.  They meet a
+domain as two `verify.PointSet`s, each cached on the domain under its
+own key: the boundary shells at the radii 2^-e, e in DYADIC_EXPS, with
+SHELL_POINTS points each (`project_probes(r, seed)`), and the curves of
+`default_probes(nz, seed)` at the same parameters t (`probe_curves(r,
+seed)`).  Each keeps the values of the bound polynomials read on it, so
+every check reads one evaluation of each bound per set.  The curves are
+Newton-solved only when a check reads them, so a verdict the shells
+decide (B positive at the origin, or the Sylvester certificate, whose
+constant is read off the shell ratios) projects none.  Neither set
+refers back to its domain, so a finished request's domain is freed
+without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -42,14 +45,23 @@ import numpy as np
 from .cr import DefiningFunction
 from .gaussrat import I
 from .numeval import compiled
-from .verify import PointSet, boundary_points, point_norms, project_to_boundary
+from .verify import (
+    PointSet,
+    boundary_points,
+    point_norms,
+    point_report,
+    project_to_boundary,
+)
 from .wirtinger import SparsePoly, WPoly, canonical_str, indexed_names, term_text
 
 DYADIC_EXPS = tuple(range(3, 17))  # t = 2^-3 .. 2^-16
+RADII = tuple(2.0**-e for e in DYADIC_EXPS)  # the shell radii and curve parameters
+SHELL_POINTS = 160  # points per probe shell
 ESCAPE_RUN = 5
 ESCAPE_GROWTH = 8.0
 ESCAPE_FLOOR = 100.0
 STABLE_FACTOR = 1.10
+STABLE = "shell sup ratios stable"  # the reason of the heuristic Dominated path
 NUM_FLOOR = 1e-30
 
 
@@ -75,27 +87,9 @@ class Curve(NamedTuple):
         return f"z=({zs})*t^{self.zpow}, Re w={self.wamp:g}*t^{self.wpow}"
 
 
-@dataclass(frozen=True)
-class ProbeFamily:
-    """Deterministic curve + shell probe configuration."""
-
-    curves: tuple
-    shell_exps: tuple
-    samples_per_shell: int
-    seed: int
-
-    def __hash__(self):
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        # a family keys the projection cache; hash its thousands of curves once
-        return hash((self.curves, self.shell_exps, self.samples_per_shell, self.seed))
-
-
 @functools.cache
 def _stock_curves(nz: int) -> tuple:
-    """The seed-free curves of the stock family, built once per nz."""
+    """The seed-free probe curves, built once per nz."""
     curves = []
     scales = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -122,8 +116,9 @@ def _stock_curves(nz: int) -> tuple:
     return tuple(curves)
 
 
-def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
-    """The stock probe family; only its 32 random curves depend on seed."""
+def default_probes(nz: int, seed: int = 0) -> tuple:
+    """The probe curves of (nz, seed); only the last 32, random, depend on
+    seed."""
     curves = list(_stock_curves(nz))
     rng = np.random.default_rng(seed)
     for _ in range(32):
@@ -132,35 +127,29 @@ def default_probes(nz: int, seed: int = 0) -> ProbeFamily:
             for a, b in zip(rng.standard_normal(nz), rng.standard_normal(nz))
         )
         curves.append(Curve(zdir, 1, float(rng.standard_normal()), 1))
-    return ProbeFamily(
-        curves=tuple(curves),
-        shell_exps=DYADIC_EXPS,
-        samples_per_shell=160,
-        seed=seed,
-    )
+    return tuple(curves)
 
 
-@dataclass
 class ProbeShells(PointSet):
-    """The shells of a probe family on the boundary of a specific domain,
-    in shell_exps order: shell k holds points cuts[k] to cuts[k + 1]."""
+    """The probe shells on the boundary of a specific domain, in RADII
+    order: shell k holds points cuts[k] to cuts[k + 1]."""
 
-    cuts: np.ndarray  # shell offsets; cuts[0] = 0, cuts[-1] = n_points
+    cuts = SHELL_POINTS * np.arange(len(RADII) + 1)  # cuts[0] = 0, cuts[-1] = n_points
 
 
 @dataclass
 class ProbeCurves(PointSet):
-    """The curves of a probe family projected onto the boundary of a
-    specific domain: curve i's n_t points are rows i n_t .. (i + 1) n_t - 1
-    of Z and W, at the parameters t_values."""
+    """Probe curves projected onto the boundary of a specific domain: curve
+    i's n_t points are rows i n_t .. (i + 1) n_t - 1 of Z and W, at the
+    parameters t_values."""
 
-    family: ProbeFamily
+    curves: tuple  # of Curve
     ok: np.ndarray  # bool (n_curves, n_t)
     t_values: np.ndarray
 
     @functools.cached_property
     def _norms(self) -> np.ndarray:
-        """|(z, w)| per point; computed once per family."""
+        """|(z, w)| per point; computed once per set."""
         return point_norms(self.Z, self.W)
 
     def in_ball_points(self, radius: float):
@@ -178,45 +167,41 @@ def _curve_points(curves, t, out):
     return (wamp[:, None] * t ** wpow[:, None]).reshape(-1)
 
 
-def _radii(family: ProbeFamily) -> list:
-    """The shell radii, which are also the curve parameters t."""
-    return [2.0**-e for e in family.shell_exps]
-
-
-def project_probes(r: DefiningFunction, family: ProbeFamily) -> ProbeShells:
-    """Sample the family's shells on r's boundary into one point set (cached
-    on r).  The shells are sampled together (`verify.boundary_points`): each
-    holds the points `verify.sample_boundary` gives for its (radius, count,
-    seed).  The curves are projected apart, when read (`probe_curves`)."""
+def project_probes(r: DefiningFunction, seed: int = 0) -> ProbeShells:
+    """Sample the probe shells of this seed on r's boundary into one point
+    set (cached on r).  The shells are sampled together
+    (`verify.boundary_points`): each holds the points
+    `verify.sample_boundary` gives for its (radius, SHELL_POINTS, seed).
+    The curves are projected apart, when read (`probe_curves`)."""
 
     def build():
-        count = family.samples_per_shell
-        shells = boundary_points(r, _radii(family), count, family.seed)
+        shells = boundary_points(r, RADII, SHELL_POINTS, seed)
         Z, W = (np.concatenate(a) for a in zip(*shells))
         for arr in (Z, W):
             arr.flags.writeable = False
-        return ProbeShells(Z=Z, W=W, cuts=count * np.arange(len(shells) + 1))
+        return ProbeShells(Z=Z, W=W)
 
-    return r.cached(("probes", family), build)
+    return r.cached(("probes", seed), build)
 
 
-def probe_curves(r: DefiningFunction, family: ProbeFamily) -> ProbeCurves:
-    """Project every curve of the family onto r's boundary (cached on r
-    under its own key, so the shells alone never pay for it).  All curve
-    points form one Newton group."""
+def probe_curves(r: DefiningFunction, seed: int = 0) -> ProbeCurves:
+    """Project every curve of `default_probes(r.nz, seed)` onto r's
+    boundary (cached on r under its own key, so the shells alone never pay
+    for it).  All curve points form one Newton group."""
 
     def build():
-        t = np.array(_radii(family))
-        nc, nt, nz = len(family.curves), len(t), r.nz
+        curves = default_probes(r.nz, seed)
+        t = np.array(RADII)
+        nc, nt, nz = len(curves), len(t), r.nz
         Z = np.empty((nc, nt, nz), dtype=complex)
-        U = _curve_points(family.curves, t, Z)
+        U = _curve_points(curves, t, Z)
         Z = Z.reshape(-1, nz)
         W, ok = project_to_boundary(r, Z, U)
         for arr in (Z, W):
             arr.flags.writeable = False
-        return ProbeCurves(family=family, Z=Z, W=W, ok=ok.reshape(nc, nt), t_values=t)
+        return ProbeCurves(curves=curves, Z=Z, W=W, ok=ok.reshape(nc, nt), t_values=t)
 
-    return r.cached(("probe_curves", family), build)
+    return r.cached(("probe_curves", seed), build)
 
 
 @dataclass
@@ -381,7 +366,7 @@ def _probe_values(numerators, B: WPoly, points: PointSet):
     return _num_sq(numerators, points.Z, points.W), points.values(B).real
 
 
-def _curve_escape(num, bvals, curves: ProbeCurves):
+def _curve_escape(num, bvals, probe: ProbeCurves):
     """Best escaping curve, or None.  num and bvals are `_probe_values` at
     the curve points.
 
@@ -390,7 +375,7 @@ def _curve_escape(num, bvals, curves: ProbeCurves):
     and ends above ESCAPE_FLOOR.  The curve with the largest final ratio
     wins; the first one on ties.
     """
-    ok = curves.ok
+    ok = probe.ok
     ratio = _ratios(num.reshape(ok.shape), bvals.reshape(ok.shape))
     # t decreases along a row, so a row's tail is its last ESCAPE_RUN
     # converged entries: those with at most ESCAPE_RUN converged from the end
@@ -412,15 +397,11 @@ def _curve_escape(num, bvals, curves: ProbeCurves):
     i = int(rows[k])
     row_ok = ok[i]
     last = i * ok.shape[1] + int(np.flatnonzero(row_ok)[-1])
-    z_row, w = curves.Z[last], curves.W[last]
     return {
-        "curve": curves.family.curves[i].describe(),
-        "direction": _direction(z_row, w),
-        "point": {
-            "z": [[c.real, c.imag] for c in z_row],
-            "w": [w.real, w.imag],
-        },
-        "t": [float(x) for x in curves.t_values[row_ok]],
+        "curve": probe.curves[i].describe(),
+        "direction": _direction(probe.Z[last], probe.W[last]),
+        "point": point_report(probe.Z, probe.W, last),
+        "t": [float(x) for x in probe.t_values[row_ok]],
         "ratios": [float(x) for x in ratio[i, row_ok]],
         "final_ratio": float(final[k]),
     }
@@ -459,7 +440,7 @@ def dominance_check(
     numerators,
     bound: Bound,
     r: DefiningFunction,
-    probes: ProbeFamily | None = None,
+    seed: int = 0,
     j: int = 0,
     bound_poly: WPoly | None = None,
 ) -> DominanceVerdict:
@@ -467,22 +448,24 @@ def dominance_check(
 
     `numerators` is one WPoly or a list (summed as squares on the left).
     The bound defaults to the tangential Levi form, optionally plus
-    |grad_z r|^2; pass bound_poly to override.
+    |grad_z r|^2; pass bound_poly to override.  The probe points are
+    those of `seed`.  Past a zero numerator, each Dominated path (B
+    positive at 0, the Sylvester certificate, stable shell ratios) gives
+    C = twice the largest shell sup ratio.
     """
     if isinstance(numerators, WPoly):
         numerators = [numerators]
     numerators = [p for p in numerators if not p.is_zero()]
     B = bound_poly if bound_poly is not None else bound_poly_for(r, bound, j)
-    names = [canonical_str(p) for p in numerators]
 
-    def verdict(status, constant, reason, witness=None, sups=None):
+    def verdict(status, constant, reason, witness=None, sups=()):
         return DominanceVerdict(
             status=status,
             constant=constant,
             reason=reason,
             witness=witness,
-            shell_ratios=sups if sups is not None else [],
-            numerators=names,
+            shell_ratios=list(sups),
+            numerators=[canonical_str(p) for p in numerators],
             bound=bound.value,
         )
 
@@ -490,70 +473,33 @@ def dominance_check(
         return verdict("Dominated", 0.0, "numerator is identically zero")
 
     b0 = B.constant_term()
+    vanishing = all(p.constant_term().is_zero() for p in numerators)
     if b0.re > 0 and b0.im == 0:
-        probes = probes if probes is not None else default_probes(r.nz, 0)
-        sups = _shell_ratios(numerators, B, project_probes(r, probes))
-        return verdict(
-            "Dominated",
-            2.0 * max(sups),
-            "bound positive at the origin",
-            sups=sups,
+        reason = "bound positive at the origin"
+    elif not vanishing or b0.re < 0:
+        reason = (
+            "bound negative at the origin"
+            if vanishing
+            else "numerator nonvanishing where the bound vanishes"
         )
-    if any(not p.constant_term().is_zero() for p in numerators):
-        return verdict(
-            "NotDominated",
-            None,
-            "numerator nonvanishing where the bound vanishes",
-            witness={"point": {"z": [[0.0, 0.0]] * r.nz, "w": [0.0, 0.0]}},
-        )
-    if b0.re < 0:
-        return verdict(
-            "NotDominated",
-            None,
-            "bound negative at the origin",
-            witness={"point": {"z": [[0.0, 0.0]] * r.nz, "w": [0.0, 0.0]}},
-        )
+        origin = point_report(np.zeros((1, r.nz), complex), np.zeros(1, complex), 0)
+        return verdict("NotDominated", None, reason, {"point": origin})
+    elif b0.is_zero() and _quadratic_pd(B, r):  # every numerator vanishes at 0 here
+        reason = "bound has positive definite boundary quadratic part"
+    else:
+        curves = probe_curves(r, seed)
+        escape = _curve_escape(*_probe_values(numerators, B, curves), curves)
+        if escape is not None:
+            reason = "ratio escapes along a probe curve"
+            return verdict("NotDominated", None, reason, escape)
+        reason = STABLE
 
-    probes = probes if probes is not None else default_probes(r.nz, 0)
-    shells = project_probes(r, probes)
-
-    # every numerator vanishes at 0 here
-    if b0.is_zero() and _quadratic_pd(B, r):
-        sups = _shell_ratios(numerators, B, shells)
-        return verdict(
-            "Dominated",
-            2.0 * max(sups),
-            "bound has positive definite boundary quadratic part",
-            sups=sups,
-        )
-
-    curves = probe_curves(r, probes)
-    escape = _curve_escape(*_probe_values(numerators, B, curves), curves)
-    if escape is not None:
-        return verdict(
-            "NotDominated",
-            None,
-            "ratio escapes along a probe curve",
-            witness=escape,
-        )
-
-    sups = _shell_ratios(numerators, B, shells)
-    finite = [s for s in sups if math.isfinite(s)]
-    if len(finite) == len(sups) and len(sups) >= 3:
-        a, b, c = sups[-3], sups[-2], sups[-1]
-        if b <= STABLE_FACTOR * a and c <= STABLE_FACTOR * b:
-            return verdict(
-                "Dominated",
-                2.0 * max(sups),
-                "shell sup ratios stable",
-                sups=sups,
-            )
-    return verdict(
-        "Unknown",
-        None,
-        "no certificate, no escaping curve, shell ratios not stable",
-        sups=sups,
-    )
+    sups = _shell_ratios(numerators, B, project_probes(r, seed))
+    a, b, c = sups[-3:]
+    if reason == STABLE and not (b <= STABLE_FACTOR * a and c <= STABLE_FACTOR * b):
+        reason = "no certificate, no escaping curve, shell ratios not stable"
+        return verdict("Unknown", None, reason, sups=sups)
+    return verdict("Dominated", 2.0 * max(sups), reason, sups=sups)
 
 
 @dataclass
@@ -587,7 +533,7 @@ def split_S_E(
     g: WPoly,
     r: DefiningFunction,
     bound: Bound,
-    probes: ProbeFamily | None = None,
+    seed: int = 0,
     j: int = 0,
 ) -> SplitResult:
     """Classify each monomial of g; dominated terms go to E, the rest to S.
@@ -600,7 +546,7 @@ def split_S_E(
     has_unknown = False
     for m, c in g.sorted_terms():
         mono = WPoly(g.nz, {m: c})
-        v = dominance_check(mono, bound, r, probes, j=j)
+        v = dominance_check(mono, bound, r, seed, j=j)
         terms.append(TermClassification(canonical_str(mono), v))
         if v.status == "Dominated":
             E = E + mono
@@ -611,9 +557,7 @@ def split_S_E(
     return SplitResult(S=S, E=E, terms=terms, has_unknown=has_unknown)
 
 
-def levi_dominance_gate(
-    r: DefiningFunction, probes: ProbeFamily | None = None
-) -> DominanceVerdict:
+def levi_dominance_gate(r: DefiningFunction, seed: int = 0) -> DominanceVerdict:
     """Check |grad_z r|^2 <= C * (sum of tangential Levi forms) near 0.
 
     Failure produces the witness direction along which the gradient
@@ -623,6 +567,4 @@ def levi_dominance_gate(
     B = r.levi(0)
     for j in range(1, r.nz):
         B = B + r.levi(j)
-    return dominance_check(
-        nums, Bound.LEVI_ONLY, r, probes, bound_poly=B
-    )
+    return dominance_check(nums, Bound.LEVI_ONLY, r, seed, bound_poly=B)

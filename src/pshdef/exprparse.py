@@ -332,7 +332,10 @@ def lower(ast, cls, n: int, src: str = ""):
 
 
 def parse_poly(src: str, cls, n: int | None = None):
-    """Parse + lower in one step; n inferred from the source if omitted."""
+    """Parse + lower in one step; n inferred from the source if omitted.
+    Raises ValueError for n < 1."""
+    if n is not None and n < 1:
+        raise ValueError(f"{cls.size_name} must be >= 1, got {n}")
     ast = parse(src)
     return lower(ast, cls, infer_n(ast, cls) if n is None else n, src)
 

@@ -8,7 +8,7 @@ the slot values: a WPoly's are (z_1..z_m, conj z_1..conj z_m) from Z and
 every numeric module (boundary sampling, PSD scans, dominance probing, the
 real lane).
 
-Callers evaluate whole point sets (a probe family's shells, or its curves)
+Callers evaluate whole point sets (the probe shells, or the probe curves)
 in one call rather than one call per piece; a large set goes
 through in blocks of points, so its power tables stay small.  A Newton
 solve moves only W, so `CompiledPoly.at(Z)` forms each term's coefficient

@@ -8,8 +8,8 @@ a point splits, and `point_report` gives it as either lane's reports do.
 PSD checks look at Hessian diagonals, all 2x2 minors with the last slot,
 and the least eigenvalue; n = 2 uses the closed-form eigenvalue, larger n
 a batched solve at the points a batched LDL* screen leaves.  Everything is
-deterministic under a fixed seed.  A `PointSet` (a `Shell`, or a probe
-family's shells or curves) keeps the values and the Hessian stacks
+deterministic under a fixed seed.  A `PointSet` (a `Shell`, or the probe
+shells or curves of a seed) keeps the values and the Hessian stacks
 evaluated on it, one per polynomial, so the checks of one certificate read
 one evaluation of each of h r, h, 1 + T and r's Levi forms and partials;
 they live and die with the set, which is cached on its domain.
@@ -293,8 +293,11 @@ def sample_collar(
 
     Nothing normative is checked off the boundary; callers must label any
     derived statistics accordingly.  Targets spread evenly in (-delta, 0)
-    and residuals measure |r - target|.
+    and residuals measure |r - target|.  Raises ValueError unless delta is
+    finite and > 0.
     """
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     shell = sample_boundary(r, radius, count, seed)
     targets = -delta * (np.arange(shell.count) + 0.5) / shell.count
     W, ok = project_to_boundary(r, shell.Z, shell.W.real, targets=targets)
@@ -740,15 +743,15 @@ def necessary_conditions_check(
     shell: Shell,
     K=0,
     tol: float = DEFAULT_TOL,
-    probes=None,
 ) -> NecessaryConditionsResult:
     """Pointwise necessary inequalities for rho = h r plurisubharmonic.
 
     Evaluates, per j, the four tangential-frame inequalities (slack >= -tol
     reported with witnesses), then the log-derivative deviation
     d/dz_j log(1+T) + d/dz_j log r_wbar via its polynomial numerator,
-    classified by dominance against Levi + |grad_z r|^2.  The second
-    derivatives of rho are read from the shell's Hessian stack of rho.
+    classified by dominance against Levi + |grad_z r|^2 on the probe
+    points of the shell's seed.  The second derivatives of rho are read
+    from the shell's Hessian stack of rho.
     """
     nz = r.nz
     Z, W = shell.Z, shell.W
@@ -783,10 +786,8 @@ def necessary_conditions_check(
                     worst_point=point_report(Z, W, i),
                 )
             )
-    from .dominance import Bound, dominance_check, default_probes
+    from .dominance import Bound, dominance_check
 
-    if probes is None:
-        probes = default_probes(r.nz, shell.seed)
     log_max = 0.0
     verdict = None
     den = shell.values(p1) * shell.values(r.d_wbar())
@@ -794,7 +795,7 @@ def necessary_conditions_check(
         num_poly = p1.dz(j) * r.d_wbar() + p1 * r.poly.dz(j).dwbar()
         num = shell.values(num_poly)
         log_max = max(log_max, float(np.max(np.abs(num / den))))
-        v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, probes, j=j)
+        v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, shell.seed, j=j)
         if verdict is None or _verdict_rank(v) > _verdict_rank(verdict):
             verdict = v
     all_hold = all(q.holds for q in records)
@@ -820,7 +821,6 @@ def check_certificate(
     K,
     shell: Shell,
     tol: float = DEFAULT_TOL,
-    probes=None,
 ) -> tuple[dict, list, WPoly]:
     """The pass rule for a certificate h = 1 + T + K r on a shell.
 
@@ -838,7 +838,7 @@ def check_certificate(
     psd = psd_check(rho, shell, tol)
     ident = identity_check_prop31(r, K, T, shell)
     try:
-        nec = necessary_conditions_check(r, h, shell, K, tol, probes)
+        nec = necessary_conditions_check(r, h, shell, K, tol)
     except ValueError as e:
         nec_dict, nec_passed = {"error": str(e)}, False
     else:

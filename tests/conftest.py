@@ -217,7 +217,7 @@ def loop_curve_escape(numerators, bound_poly, probes):
     z_row = Z.reshape(nc, nt, -1)[i, last]
     w = W.reshape(nc, nt)[i, last]
     return i, {
-        "curve": probes.family.curves[i].describe(),
+        "curve": probes.curves[i].describe(),
         "direction": _direction(z_row, w),
         "point": {
             "z": [[c.real, c.imag] for c in z_row],

@@ -134,6 +134,23 @@ def test_leading_zero_index_exit_64(capsys, argv, name, col):
     )
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("construct", "--r", "Im(w) + abs2(z)"), "nz"),
+        (("levi", "--real", "--r", "y + x^2"), "nx"),
+    ],
+    ids=["complex", "real"],
+)
+def test_variable_count_below_one_exit_64(capsys, argv, size, n):
+    """--nz below 1 names no variable slot in either lane."""
+    code, out, err = run(capsys, *argv, "--nz", n)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: {size} must be >= 1, got {n}\n"
+
+
 # -- levi ------------------------------------------------------------------
 
 
@@ -540,6 +557,18 @@ def test_verify_real_rejects_collar_flag(capsys):
     assert code == 64
     assert out == ""
     assert err == "error: --collar is a complex-lane flag; --real checks the boundary only\n"
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "-1e-4", "nan", "inf"])
+def test_verify_collar_rejects_nonpositive_delta(capsys, delta):
+    """A collar of width 0 is the boundary, a negative one lies outside
+    the domain and an infinite one has no evenly spread targets."""
+    code, out, err = run(
+        capsys, "verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64", f"--collar={delta}"
+    )
+    assert code == 64
+    assert out == ""
+    assert err == f"error: delta must be finite and > 0, got {float(delta)}\n"
 
 
 def test_verify_real_vanishing_h_fails(capsys):

@@ -437,15 +437,14 @@ def test_ladder_solves_few_eigenvalues(monkeypatch):
     monkeypatch.setattr(verify, "psd_result", counting_stats)
     monkeypatch.setattr(verify, "least_eigenvalues", counting_least)
     r = _complex("Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3)
-    ks = k_search(r, WPoly.zero(3), None, dominance.default_probes(3, 0))
+    ks = k_search(r, WPoly.zero(3), None, curves=True)
     assert ks.found and ks.K == 16 and len(ks.ladder) == 2
     assert len(scanned) == 2 and min(scanned) > 30_000
     assert sum(solved) < 0.1 * sum(scanned)
 
 
 def test_k_search_standalone(r10):
-    probes = dominance.default_probes(1, 0)
-    ks = k_search(r10, im_z(1).scale(Fraction(-4)), None, probes)
+    ks = k_search(r10, im_z(1).scale(Fraction(-4)), None, curves=True)
     assert ks.found and ks.K == 64
     rows = {step["K"]: step for step in ks.ladder}
     assert rows[64]["passed"]
@@ -455,8 +454,7 @@ def test_k_search_standalone(r10):
 
 def test_k_search_h_floor_fails_at_both_radii(r10):
     """|1 + T| < H_MIN on both shells: a failed result, no ladder, no crash."""
-    probes = dominance.default_probes(1, 0)
-    ks = k_search(r10, re_z(1).scale(1000), None, probes)
+    ks = k_search(r10, re_z(1).scale(1000), None, curves=True)
     assert not ks.found and ks.K is None
     assert ks.ladder == []
     assert ks.shrunk and ks.radius == 1e-2 * 0.25
@@ -786,9 +784,9 @@ def test_each_candidate_is_k_searched_once(monkeypatch, name, seed):
     searched = []
     search = construct.k_search
 
-    def counted(r, T, *args):
+    def counted(r, T, *args, **kwargs):
         searched.append(T)
-        return search(r, T, *args)
+        return search(r, T, *args, **kwargs)
 
     monkeypatch.setattr(construct, "k_search", counted)
     config = ConstructConfig(seed=seed)
@@ -797,7 +795,7 @@ def test_each_candidate_is_k_searched_once(monkeypatch, name, seed):
     if name == "levi_matrix":
         assert len(searched) == 1
         r = SEARCH_ONCE[name]()
-        fresh = search(r, WPoly.zero(2), config, dominance.default_probes(2, seed))
+        fresh = search(r, WPoly.zero(2), config, curves=True)
         assert rep.stages[0].index == 1
         assert rep.stages[0].k_search.as_dict() == fresh.as_dict()
 

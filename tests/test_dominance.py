@@ -16,7 +16,6 @@ from pshdef.dominance import (
     Bound,
     Curve,
     ProbeCurves,
-    ProbeFamily,
     _curve_escape,
     _probe_values,
     boundary_quadratic,
@@ -155,10 +154,9 @@ def test_gate_witness_deterministic(r8):
 
 def test_dominated_constant_bounds_fresh_probes(r10):
     v = levi_dominance_gate(r10)
-    fresh = default_probes(1, seed=7)
-    v2 = levi_dominance_gate(r10, probes=fresh)
+    v2 = levi_dominance_gate(r10, seed=7)
     assert v2.status == "Dominated"
-    # stored C carries a 2x margin, so a fresh probe family stays under it
+    # stored C carries a 2x margin, so the probe points of a fresh seed stay under it
     assert max(v2.shell_ratios) <= v.constant
 
 
@@ -259,27 +257,26 @@ def test_boundary_quadratic_matches_full_expansion(make):
 
 
 def test_probe_families_share_the_stock_curves():
-    """Only the 32 seeded curves are built per family; the hash is taken once."""
+    """Only the 32 seeded curves are built per seed."""
     a, b = default_probes(2, seed=0), default_probes(2, seed=1)
-    n = len(a.curves) - 32
-    assert all(x is y for x, y in zip(a.curves[:n], b.curves[:n]))
-    assert a.curves[n:] != b.curves[n:]
-    again = ProbeFamily(a.curves, a.shell_exps, a.samples_per_shell, a.seed)
-    assert again == a and hash(again) == hash(a)
-    assert vars(a)["_hash"] == hash(a)
+    n = len(a) - 32
+    assert all(x is y for x, y in zip(a[:n], b[:n]))
+    assert a[n:] != b[n:]
+    assert default_probes(2, seed=1) == b
 
 
 @pytest.mark.parametrize("nz", [1, 2, 3])
 def test_project_probes_curve_points(nz):
     """The curve points match a per-curve loop byte for byte: curve i's are
-    z = zdir t^zpow with Re w = wamp t^wpow at the family's t values."""
+    z = zdir t^zpow with Re w = wamp t^wpow at the set's t values."""
     r = ball_like(nz)
-    family = default_probes(nz, 0)
-    proj = probe_curves(r, family)
+    curves = default_probes(nz, 0)
+    proj = probe_curves(r, 0)
+    assert proj.curves == curves
     t = proj.t_values
-    Z = np.empty((len(family.curves), len(t), nz), dtype=complex)
-    U = np.empty((len(family.curves), len(t)))
-    for i, c in enumerate(family.curves):
+    Z = np.empty((len(curves), len(t), nz), dtype=complex)
+    U = np.empty((len(curves), len(t)))
+    for i, c in enumerate(curves):
         for k in range(nz):
             Z[i, :, k] = c.zdir[k] * t**c.zpow
         U[i] = c.wamp * t**c.wpow
@@ -290,8 +287,8 @@ def test_project_probes_curve_points(nz):
 def test_probe_family_deterministic():
     a = default_probes(1, seed=0)
     b = default_probes(1, seed=0)
-    assert len(a.curves) == len(b.curves)
-    for ca, cb in zip(a.curves, b.curves):
+    assert len(a) == len(b)
+    for ca, cb in zip(a, b):
         assert ca.describe() == cb.describe()
 
 
@@ -330,7 +327,7 @@ def assert_same_escape(numerators, B, proj):
     if i is None:
         assert got is None
         return None
-    assert got["curve"] == proj.family.curves[i].describe()
+    assert got["curve"] == proj.curves[i].describe()
     # json keeps nan and inf comparable and is what reports are made of
     assert json.dumps(got) == json.dumps(expected)
     return got
@@ -342,7 +339,7 @@ def test_curve_escape_matches_loop(name):
     scan, under every bound the pipeline uses."""
     r = PARITY_DOMAINS[name]()
     nz = r.nz
-    proj = probe_curves(r, default_probes(nz, 0))
+    proj = probe_curves(r, 0)
     gate_B = r.levi(0)
     for j in range(1, nz):
         gate_B = gate_B + r.levi(j)
@@ -379,7 +376,7 @@ def synthetic_probes(rows, ok):
     W = np.where(np.isinf(rows), 0.0, 1.0).astype(complex)
     curves = tuple(Curve((complex(i + 1),), 1, 0.0, 1) for i in range(nc))
     return ProbeCurves(
-        family=ProbeFamily(curves, tuple(range(3, 3 + nt)), 0, 0),
+        curves=curves,
         Z=Z.reshape(-1, 1),
         W=W.reshape(-1),
         ok=np.asarray(ok, dtype=bool),
@@ -472,4 +469,4 @@ def test_curve_escape_matches_loop_synthetic(case):
     assert (witness is not None) == expected_escape
     if case == "tie on the final ratio":
         # rows 1, 2 and 3 tie at 320; the first one wins
-        assert witness["curve"] == proj.family.curves[1].describe()
+        assert witness["curve"] == proj.curves[1].describe()

@@ -200,8 +200,7 @@ def test_probe_shells_are_one_array():
     """The probe shells form one read-only point set, each shell the points
     of a fresh domain's sample_boundary; the curves form their own."""
     r = ball_like(2)
-    family = dominance.default_probes(2, 1)
-    shells = dominance.project_probes(r, family)
+    shells = dominance.project_probes(r, 1)
     assert len(dominance.DYADIC_EXPS) == len(shells.cuts) - 1
     assert shells.cuts[0] == 0 and shells.cuts[-1] == len(shells.W)
     for k, e in enumerate(dominance.DYADIC_EXPS):
@@ -213,8 +212,9 @@ def test_probe_shells_are_one_array():
     # sample_boundary is the one route into r's shell cache
     assert not [key for key in r._cache if key[0] == "shell"]
     assert not (shells.Z.flags.writeable or shells.W.flags.writeable)
-    curves = dominance.probe_curves(r, family)
-    assert len(curves.W) == curves.ok.size == len(family.curves) * len(dominance.DYADIC_EXPS)
+    curves = dominance.probe_curves(r, 1)
+    assert curves.curves == dominance.default_probes(2, 1)
+    assert len(curves.W) == curves.ok.size == len(curves.curves) * len(dominance.DYADIC_EXPS)
     assert not (curves.Z.flags.writeable or curves.W.flags.writeable)
 
 
@@ -226,8 +226,8 @@ def test_in_ball_points_match_fresh_norms(monkeypatch):
     monkeypatch.setattr(
         dominance, "point_norms", lambda *a: calls.append(1) or norms(*a)
     )
-    for r, nz in ((type4_domain(8), 1), (validate_normal_form(parse_wpoly(BALL3_TILTED, 3)), 3)):
-        proj = dominance.probe_curves(r, dominance.default_probes(nz, 2))
+    for r in (type4_domain(8), validate_normal_form(parse_wpoly(BALL3_TILTED, 3))):
+        proj = dominance.probe_curves(r, 2)
         Z, W = proj.Z, proj.W
         fresh = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
         for radius in (1e-2, 2.5e-3, 2.0**-10, 1e-5, 0.3):
@@ -252,11 +252,10 @@ def test_probe_projection_and_bounds_structure(monkeypatch):
     for module in (verify, dominance):
         monkeypatch.setattr(module, "project_to_boundary", counted)
     r = type4_domain(8)
-    family = dominance.default_probes(1, 2)
-    shells = dominance.project_probes(r, family)
+    shells = dominance.project_probes(r, 2)
     assert 1 <= len(projections) <= 2
     assert sum(projections) >= shells.cuts[-1]
-    curves = dominance.probe_curves(r, family)
+    curves = dominance.probe_curves(r, 2)
     assert len(projections) <= 3
     assert projections[-1] == len(curves.W)  # the curves, in one solve
 

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import random
 import sys
 import warnings
 
@@ -13,11 +14,12 @@ from fractions import Fraction
 
 from conftest import entry_planar, linear_k_ladder, rank_one_term
 from pshdef import dominance, numeval, verify
-from pshdef.catalog import ball_like, half_space, type4_domain
+from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
 from pshdef.cli import main
 from pshdef.construct import k_ladder, k_search, lift_exp, run_construction
-from pshdef.cr import hessian_minor_det, validate_normal_form
+from pshdef.cr import hessian_entries, hessian_minor_det, validate_normal_form
 from pshdef.exprparse import parse_wpoly
+from pshdef.gaussrat import GaussianRational
 from pshdef.numeval import compiled
 from pshdef.report import hessian_csv
 from pshdef.verify import (
@@ -133,7 +135,7 @@ def test_psd_partial_multiplier_fails(r8, r8_report, watch_k_ladder):
     """No ladder K certifies the stage-1 candidate (1 - 4 Im z + K r) r."""
     stage1 = r8_report.stages[0]
     walks = watch_k_ladder(lambda *args: linear_k_ladder(*args)[0])
-    k_search(r8, stage1.T_after, None, dominance.default_probes(1, 0))
+    k_search(r8, stage1.T_after, None, curves=True)
     assert len(walks) == 2  # the configured and the shrunk radius
     for ladder in walks:
         assert len(ladder) == 21
@@ -233,6 +235,53 @@ def test_identity_fails_off_the_boundary(r10):
     assert on.passed
     assert not off.passed
     assert off.max_deviation > 1e3 * off.tolerance
+
+
+# (domain, T, K): the identity holds for every T and K
+PROP31_EXACT = {
+    "A=10": (lambda: type4_domain(10), "-4*Im(z)", 64),
+    "A=8": (lambda: type4_domain(8), "-4*Im(z) + 8*Im(z)^2 - 8*Re(z)^2", 16),
+    "mixed_c3": (mixed_c3_example, "-4*Im(z1)", 64),
+    "ball3": (lambda: ball_like(3), "0", 16),
+}
+
+
+@pytest.mark.parametrize("name", list(PROP31_EXACT))
+def test_identity_prop31_exact(name):
+    """Prop 3.1's determinant identity holds exactly at Gaussian-rational
+    boundary points.  With h = 1 + T + K r and M_jk(H) = H_ww H_jk -
+    H_jw H_wk, on r = 0: M_jk(Hess(h r)) = M_jk(Hess((1 + T) r)) + 2K h
+    L_jk, L_jk = r.levi(j, k), for every j and k."""
+    build, T_text, K = PROP31_EXACT[name]
+    r = build()
+    nz = r.nz
+    p = WPoly.one(nz) + parse_wpoly(T_text, nz)
+    h = p + r.poly.scale(K)
+    tables = [hessian_entries(r.times(f)) for f in (h, p)]
+    rng = random.Random(31)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    lifts = []
+    for _ in range(3):
+        z = [GaussianRational(rational(), rational()) for _ in range(nz)]
+        u = rational()
+        # no catalog F has an Im w term, so r(z, u + iv) = v + r(z, u)
+        w = GaussianRational(u, -r.poly.eval(z, u).re)
+        assert r.poly.eval(z, w).is_zero()
+        hv = h.eval(z, w)
+        for j in range(nz):
+            for k in range(nz):
+                M = [
+                    H[nz][nz].eval(z, w) * H[j][k].eval(z, w)
+                    - H[j][nz].eval(z, w) * H[nz][k].eval(z, w)
+                    for H in tables
+                ]
+                lift = hv * r.levi(j, k).eval(z, w) * (2 * K)
+                assert (M[0] - M[1] - lift).is_zero()
+                lifts.append(lift)
+    assert any(not x.is_zero() for x in lifts)
 
 
 def uncached(shell):
@@ -344,7 +393,7 @@ def test_curve_scan_verdict_is_independent_of_read_order():
     for curves_first in (False, True):
         r, T, K, h = certificate("nz2_quartic")
         if curves_first:
-            dominance.probe_curves(r, dominance.default_probes(r.nz, 0))
+            dominance.probe_curves(r, 0)
         shell = sample_boundary(r, 1e-2, 2000, 0)
         nec = necessary_conditions_check(r, h, shell, K)
         verdicts.append(json.dumps(nec.log_deriv_verdict.as_dict()))
