@@ -2,16 +2,17 @@
 Verifying a multiplier certificate
 ==================================
 
-Three independent checks back a certificate: a PSD scan of the complex
-Hessian, an on-boundary determinant identity, and pointwise necessary
-inequalities.
+Two checks decide a certificate: a PSD scan of the complex Hessian of
+h r over a boundary shell, and the log-derivative verdict of the
+necessary conditions.  The paper's pointwise inequalities need no scan
+of their own, since on the boundary a PSD Hessian of h r implies them.
 """
 
 from fractions import Fraction
 
 from pshdef.catalog import type4_domain
 from pshdef.verify import (
-    identity_check_prop31,
+    check_certificate,
     necessary_conditions_check,
     psd_check,
     sample_boundary,
@@ -29,14 +30,13 @@ rho = h * r.poly
 psd = psd_check(rho, shell)
 print(f"psd: passed={psd.passed} min_eig={psd.min_eig:.3e} min_diag={psd.min_diag:.3e}")
 
-ident = identity_check_prop31(r, K, T, shell)
-print(f"identity: passed={ident.passed} deviation={ident.max_deviation:.3e}")
-
 nec = necessary_conditions_check(r, h, shell, K=K)
-print("necessary inequalities:")
-for q in nec.inequalities:
-    print(f"  {q.name}: min slack {q.min_slack:.3e} holds={q.holds}")
+verdict = nec.log_deriv_verdict
+print(f"log-derivative: max {nec.log_deriv_max:.3e}, {verdict.status} ({verdict.reason})")
 
-# the same checks fail for the trivial multiplier h = 1
+_, failed, _ = check_certificate(r, T, K, shell)
+print("check_certificate:", "pass" if not failed else f"fail {failed}")
+
+# the PSD scan fails for the trivial multiplier h = 1
 bad = psd_check(r.poly, shell)
 print(f"h=1: passed={bad.passed} min_diag={bad.min_diag:.3e} (r_wwbar = -5)")

@@ -6,8 +6,9 @@ derivative (rho_n)_{z w-bar} into a significant part S and a dominated
 error E, solves T_z = 2iS by z-antidifferentiation + realification,
 optionally drops r-multiples from the increment, and reads K off the
 scan at K = 1.
-Certification is numeric (PSD sampling plus the determinant identity);
-obstruction reports carry the witness that stopped the run.
+Certification is numeric: the PSD scan of h r on a boundary shell plus the
+log-derivative verdict (`verify.check_certificate`); obstruction reports
+carry the witness that stopped the run.
 """
 
 from __future__ import annotations
@@ -473,19 +474,11 @@ def k_search(r: Domain, T: SparsePoly, config=None, curves=False) -> KSearchResu
     return KSearchResult(False, None, ladder, witness, radius, True)
 
 
-def strong_psc_shortcut(r: DefiningFunction):
-    """T = 0 candidate when the Levi form is positive at the origin.
-
-    Returns the candidate, or None when the form vanishes (or worse) at 0
-    and staged solving is needed.
-    """
-    for j in range(r.nz):
-        v = levi_origin_value(r, j)
-        if not v.re > 0:
-            return None
-    return MultiplierCandidate(
-        T=WPoly.zero(r.nz), K=None, stage=0, residual=WPoly.zero(r.nz), absorbed_terms=[]
-    )
+def strong_psc_shortcut(r: DefiningFunction) -> bool:
+    """Whether T = 0 is worth a K search before any stage: every diagonal
+    Levi entry is positive at the origin.  False means it vanishes (or
+    worse) at 0 and staged solving is needed."""
+    return all(levi_origin_value(r, j).re > 0 for j in range(r.nz))
 
 
 # -- the loop -------------------------------------------------------------
@@ -568,7 +561,7 @@ def run_construction(
     tried = {T}  # every T the run has reached
     ks = None  # the K search of T, once run
 
-    shortcut_used = strong_psc_shortcut(r) is not None
+    shortcut_used = strong_psc_shortcut(r)
     if shortcut_used:
         ks = k_search(r, T, config, curves=True)
         if ks.found:

@@ -1,4 +1,4 @@
-"""Numeric boundary verification: sampling, PSD scans, identity checks.
+"""Numeric boundary verification: sampling, PSD scans, the pass rule.
 
 Both lanes' boundary layer.  Boundary points come from a low-discrepancy
 tangential sample (the scrambled Halton stream of `sampler`, plain numpy)
@@ -11,10 +11,13 @@ a batched solve at the points a batched LDL* screen leaves.  Everything is
 deterministic under a fixed seed.  A `PointSet` (a `Shell`, or the probe
 shells or curves of a seed) keeps the values and the Hessian stacks
 evaluated on it, one per polynomial, so the checks of one certificate read
-one evaluation of each of h r, h, 1 + T and r's Levi forms and partials;
-they live and die with the set, which is cached on its domain.
-`check_certificate` is the complex lane's one pass rule for a finished
-certificate, and `h_floor_failure` the one h floor test of both lanes.
+one evaluation of each of h r's Hessian entries, h, 1 + T, r_wbar and the
+log-derivative numerators; they live and die with the set, which is cached
+on its domain.  `check_certificate` is the complex lane's one pass rule for
+a finished certificate: the PSD scan of h r and the log-derivative verdict.
+`h_floor_failure` is the one h floor test of both lanes.
+`identity_check_prop31` is kept by name because the benchmark calls and
+traces it; no pipeline code calls it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .wirtinger import WPoly
 NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
 DEFAULT_TOL = 1e-9
-IDENTITY_REL_TOL = 1e-8  # the identity's deviation bound, relative to 1 + max |LHS|
+IDENTITY_REL_TOL = 1e-8  # `identity_check_prop31`'s bound, relative to 1 + max |LHS|
 EXTENDED_BELOW = 1e-4  # shells of smaller radius are solved in extended precision
 H_MIN = 0.5  # floor on |h| (and |1 + T|) over a shell
 
@@ -615,6 +618,8 @@ def psd_check(f, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
 
 @dataclass
 class IdentityCheckResult:
+    """`identity_check_prop31`'s report, kept with it for the benchmark."""
+
     max_deviation: float
     max_lhs: float
     tolerance: float
@@ -637,7 +642,11 @@ def identity_check_prop31(
     2 K h L_j + (same minor of (1 + T) r); the deviation is O(boundary
     residual) and is compared against rel_tol * (1 + max |LHS|).  Both
     minors are read from the shell's Hessian stacks of rho and of
-    (1 + T) r, so the two sides are computed independently.
+    (1 + T) r, so the two sides are computed independently.  The identity
+    holds exactly on r = 0 (the tests prove it over Gaussian rationals),
+    so sampled it can fail only through rounding or off the boundary; no
+    pipeline code calls it, and it is kept by name because the benchmark
+    calls and traces it.
     """
     p = WPoly.one(r.nz) + T
     h = p + r.poly.scale(Fraction(K))
@@ -709,30 +718,15 @@ def levi_scan(
 
 
 @dataclass
-class InequalityRecord:
-    name: str
-    min_slack: float
-    holds: bool
-    worst_point: dict
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass
 class NecessaryConditionsResult:
-    inequalities: list
     log_deriv_max: float
     log_deriv_verdict: object  # DominanceVerdict
     all_hold: bool
 
     def as_dict(self) -> dict:
         return {
-            "inequalities": [q.as_dict() for q in self.inequalities],
             "log_deriv_max": self.log_deriv_max,
-            "log_deriv_verdict": self.log_deriv_verdict.as_dict()
-            if self.log_deriv_verdict is not None
-            else None,
+            "log_deriv_verdict": self.log_deriv_verdict.as_dict(),
             "all_hold": self.all_hold,
         }
 
@@ -744,66 +738,38 @@ def necessary_conditions_check(
     K=0,
     tol: float = DEFAULT_TOL,
 ) -> NecessaryConditionsResult:
-    """Pointwise necessary inequalities for rho = h r plurisubharmonic.
+    """The log-derivative condition for rho = h r plurisubharmonic.
 
-    Evaluates, per j, the four tangential-frame inequalities (slack >= -tol
-    reported with witnesses), then the log-derivative deviation
-    d/dz_j log(1+T) + d/dz_j log r_wbar via its polynomial numerator,
-    classified by dominance against Levi + |grad_z r|^2 on the probe
-    points of the shell's seed.  The second derivatives of rho are read
-    from the shell's Hessian stack of rho.
+    The deviation d/dz_j log(1+T) + d/dz_j log r_wbar, read on the shell
+    through its polynomial numerator, is classified per j by dominance
+    against Levi + |grad_z r|^2 on the probe points of the shell's seed;
+    the worst verdict stands, and the condition holds unless it is
+    NotDominated.  The paper's four pointwise inequalities on the (z_j, w)
+    block of Hess(h r) are not evaluated: on r = 0 each is a non-negative
+    combination of values of that block's Hermitian form, so a passing PSD
+    scan of h r implies them.  tol is not read.  Raises ValueError when
+    |h| drops below H_MIN on the shell.
     """
-    nz = r.nz
-    Z, W = shell.Z, shell.W
     hv = shell.values(h)
     if h_floor_failure(float(np.abs(hv).min())) is not None:
         raise ValueError(f"h vanishes (|h| < {Fraction(H_MIN)}) on the sampled shell")
-    hessian = shell.hessian(r.times(h))
-    p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
-    hvals = hv.real
-    rww = hessian[:, nz, nz].real
-    rw2 = np.abs(shell.values(r.d_w())) ** 2
-    records = []
-    for j in range(nz):
-        L = shell.values(r.levi(j)).real
-        rz2 = np.abs(shell.values(r.d_z(j))) ** 2
-        rzz = hessian[:, j, j].real
-        rzw2 = np.abs(hessian[:, j, nz]) ** 2
-        hL = hvals * L
-        slacks = {
-            "upper_zz": 2 * hL / rw2 + 2 * rww * rz2 / rw2 - rzz,
-            "lower_zz_mixed": rzz - rww * rz2 / (2 * rw2) + hL / rw2,
-            "lower_zz_levi": rzz - hL / (2 * rw2) + rww * rz2 / rw2,
-            "offdiag_sq": 2 * rww * hL / rw2 + 2 * rww**2 * rz2 / rw2 - rzw2,
-        }
-        for name, s in slacks.items():
-            i = int(np.argmin(s))
-            records.append(
-                InequalityRecord(
-                    name=f"{name}[j={j + 1}]",
-                    min_slack=float(s[i]),
-                    holds=bool(s[i] >= -tol),
-                    worst_point=point_report(Z, W, i),
-                )
-            )
     from .dominance import Bound, dominance_check
 
+    p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
     log_max = 0.0
     verdict = None
     den = shell.values(p1) * shell.values(r.d_wbar())
-    for j in range(nz):
+    for j in range(r.nz):
         num_poly = p1.dz(j) * r.d_wbar() + p1 * r.poly.dz(j).dwbar()
         num = shell.values(num_poly)
         log_max = max(log_max, float(np.max(np.abs(num / den))))
         v = dominance_check(num_poly, Bound.LEVI_PLUS_GRAD, r, shell.seed, j=j)
         if verdict is None or _verdict_rank(v) > _verdict_rank(verdict):
             verdict = v
-    all_hold = all(q.holds for q in records)
     return NecessaryConditionsResult(
-        inequalities=records,
         log_deriv_max=log_max,
         log_deriv_verdict=verdict,
-        all_hold=all_hold,
+        all_hold=verdict.status != "NotDominated",
     )
 
 
@@ -824,26 +790,22 @@ def check_certificate(
 ) -> tuple[dict, list, WPoly]:
     """The pass rule for a certificate h = 1 + T + K r on a shell.
 
-    Runs the PSD scan of h r, the determinant identity and the necessary
-    conditions, all three on the shell's one Hessian stack of h r.
-    Returns their reports under "psd", "identity" and "necessary", the
-    names of the checks that failed (the certificate passes when that
-    list is empty) and h r.  The necessary conditions pass when every
-    inequality holds and the log-derivative deviation is not NotDominated.
-    When h drops below the h floor on the shell, the necessary entry is
-    {"error": message} and fails.
+    Runs the PSD scan of h r and the necessary conditions (the h floor and
+    the log-derivative verdict).  Returns their reports under "psd" and
+    "necessary", the names of the checks that failed (the certificate
+    passes when that list is empty) and h r.  When h drops below the h
+    floor on the shell, the necessary entry is {"error": message} and
+    fails.
     """
     h = WPoly.one(r.nz) + T + r.poly.scale(Fraction(K))
     rho = r.times(h)
     psd = psd_check(rho, shell, tol)
-    ident = identity_check_prop31(r, K, T, shell)
     try:
-        nec = necessary_conditions_check(r, h, shell, K, tol)
+        nec = necessary_conditions_check(r, h, shell, K)
     except ValueError as e:
         nec_dict, nec_passed = {"error": str(e)}, False
     else:
-        nec_dict = nec.as_dict()
-        nec_passed = nec.all_hold and nec.log_deriv_verdict.status != "NotDominated"
-    checks = {"psd": psd.as_dict(), "identity": ident.as_dict(), "necessary": nec_dict}
-    passed = {"psd": psd.passed, "identity": ident.passed, "necessary": nec_passed}
+        nec_dict, nec_passed = nec.as_dict(), nec.all_hold
+    checks = {"psd": psd.as_dict(), "necessary": nec_dict}
+    passed = {"psd": psd.passed, "necessary": nec_passed}
     return checks, [name for name, ok in passed.items() if not ok], rho

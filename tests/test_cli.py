@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pshdef import verify
+from pshdef import cli, verify
 from pshdef.cli import main
 from pshdef.exprparse import ExprSyntaxError, parse_wpoly
 from pshdef.report import load_schema
@@ -568,6 +568,21 @@ def test_verify_collar_rejects_nonpositive_delta(capsys, delta):
     )
     assert code == 64
     assert out == ""
+    assert err == f"error: delta must be finite and > 0, got {float(delta)}\n"
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan"])
+def test_verify_collar_checked_before_certificate(capsys, monkeypatch, delta):
+    """A bad collar width is refused before the certificate is checked."""
+
+    def refuse(*args):
+        raise AssertionError("certificate checked")
+
+    monkeypatch.setattr(cli, "check_certificate", refuse)
+    code, out, err = run(
+        capsys, "verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64", f"--collar={delta}"
+    )
+    assert (code, out) == (64, "")
     assert err == f"error: delta must be finite and > 0, got {float(delta)}\n"
 
 

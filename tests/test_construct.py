@@ -129,15 +129,12 @@ def test_absorb_zero(r8):
 
 
 def test_shortcut_ball_yes(ball):
-    cand = strong_psc_shortcut(ball)
-    assert cand is not None
-    assert cand.T.is_zero()
-    assert cand.K is None
+    assert strong_psc_shortcut(ball) is True
 
 
 def test_shortcut_degenerate_no(r10, halfspace):
-    assert strong_psc_shortcut(r10) is None
-    assert strong_psc_shortcut(halfspace) is None
+    assert strong_psc_shortcut(r10) is False
+    assert strong_psc_shortcut(halfspace) is False
 
 
 def test_r10_run(r10, r10_report):
@@ -154,7 +151,6 @@ def test_r10_run(r10, r10_report):
         assert entry["ratio"] < 1.0
     assert rep.cancellation["ok"]
     assert rep.verification["psd"]["passed"]
-    assert rep.verification["identity"]["passed"]
     assert rep.verification["necessary"]["all_hold"]
 
 
@@ -584,7 +580,24 @@ def test_failed_final_check_withdraws_certificate(r10, monkeypatch):
     assert rep.final is None
     assert "final verification failed; certificate withdrawn" in rep.messages
     assert rep.verification["necessary"] == {"error": message}
-    assert rep.verification["psd"]["passed"] and rep.verification["identity"]["passed"]
+    assert rep.verification["psd"]["passed"]
+
+
+def test_log_derivative_verdict_withdraws_certificate():
+    """The log-derivative verdict decides on its own: on this input the
+    final check's PSD scan passes and the verdict is NotDominated, so the
+    certificate is withdrawn."""
+    r = validate_normal_form(
+        parse_wpoly("(1 + Re(z1) + Re(w))*(Im(w) + abs2(z1)^2 + abs2(z2)^2)")
+    )
+    rep = run_construction(r, ConstructConfig(seed=0))
+    assert rep.status == "Exhausted"
+    assert rep.final is None
+    assert "final verification failed; certificate withdrawn" in rep.messages
+    assert rep.verification["psd"]["passed"]
+    necessary = rep.verification["necessary"]
+    assert necessary["all_hold"] is False
+    assert necessary["log_deriv_verdict"]["status"] == "NotDominated"
 
 
 # -- the computed K ladder against the linear walk -------------------------
