@@ -16,8 +16,8 @@ from typing import Callable
 from . import verify
 from .construct import ConstructConfig, NotPseudoconvexError, run_construction
 from .cr import levi_origin_value, validate_normal_form
-from .dominance import Bound, levi_dominance_gate
-from .exprparse import parse_poly
+from .dominance import levi_dominance_gate
+from .exprparse import parse
 from .gaussrat import format_gaussian
 from .realconvex import (
     RealConfig,
@@ -57,32 +57,25 @@ class _UsageError(ValueError):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--r", required=True, help="defining function expression")
-    common.add_argument("--nz", type=int, help="number of z (or x) variables")
+    # each subcommand takes the flags it reads: levi the expression flags,
+    # analyze and verify those and the sampling flags, construct all of them
+    expression = argparse.ArgumentParser(add_help=False)
+    expression.add_argument("--r", required=True, help="defining function expression")
+    expression.add_argument("--nz", type=int, help="number of z (or x) variables")
+    expression.add_argument("--real", action="store_true", help="real-coordinates lane")
+    expression.add_argument(
+        "--json", action="store_true", help="emit the full JSON report"
+    )
     d = ConstructConfig  # the one home of every default
-    common.add_argument("--radius", type=float, default=d.radius)
-    common.add_argument("--samples", type=int, default=d.samples)
-    common.add_argument("--seed", type=int, default=d.seed)
-    common.add_argument("--max-stages", type=int, default=d.max_stages)
-    common.add_argument("--degree-cap", type=int, default=d.degree_cap)
-    common.add_argument("--max-K-exp", dest="max_k_exp", type=int, default=d.max_k_exp)
-    common.add_argument("--tol", type=float, default=d.tol)
-    common.add_argument(
-        "--bound",
-        choices=[b.value for b in Bound],
-        default=d.bound.value,
-        help="dominance bound: the Levi form alone or with |grad_z r|^2",
-    )
-    common.add_argument("--real", action="store_true", help="real-coordinates lane")
-    common.add_argument("--json", action="store_true", help="emit the full JSON report")
-    common.add_argument(
-        "--no-absorb",
-        dest="absorb",
-        action="store_false",
-        default=d.absorb,
-        help="keep r-multiples in stage increments",
-    )
+    sampling = argparse.ArgumentParser(add_help=False, parents=[expression])
+    sampling.add_argument("--radius", type=float, default=d.radius)
+    sampling.add_argument("--samples", type=int, default=d.samples)
+    sampling.add_argument("--seed", type=int, default=d.seed)
+    sampling.add_argument("--tol", type=float, default=d.tol)
+    search = argparse.ArgumentParser(add_help=False, parents=[sampling])
+    search.add_argument("--max-stages", type=int, default=d.max_stages)
+    search.add_argument("--degree-cap", type=int, default=d.degree_cap)
+    search.add_argument("--max-K-exp", dest="max_k_exp", type=int, default=d.max_k_exp)
 
     p = argparse.ArgumentParser(
         prog="pshdef",
@@ -91,15 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "analyze",
-        parents=[common],
+        parents=[sampling],
         help="normal form, Levi diagnostics, dominance gate",
     ).add_argument("--csv-points", metavar="FILE", help="write the shell point table")
     c = sub.add_parser(
-        "construct", parents=[common], help="run the multiplier construction"
+        "construct", parents=[search], help="run the multiplier construction"
     )
     c.add_argument("--csv-points", metavar="FILE", help="write the shell point table")
     v = sub.add_parser(
-        "verify", parents=[common], help="check a user-supplied multiplier h"
+        "verify", parents=[sampling], help="check a user-supplied multiplier h"
     )
     v.add_argument(
         "--h",
@@ -117,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--csv-stats", metavar="FILE", help="write per-point Hessian statistics"
     )
-    sub.add_parser("levi", parents=[common], help="print the symbolic Levi form")
+    sub.add_parser("levi", parents=[expression], help="print the symbolic Levi form")
     return p
 
 
@@ -128,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 class _Lane:
     poly: type  # WPoly | RPoly: names, parsing, printing, point tables, report mode
     validate: Callable  # polynomial -> domain, or a normal-form error
-    config: type  # the construction's config, built from the shared flags
+    config: type  # the construction's config, built from construct's flags
     construct: Callable  # (domain, config) -> report
 
 
@@ -141,7 +134,7 @@ _LANES = {
 def _load(args):
     """The lane of --real and the validated domain of --r."""
     lane = _LANES[args.real]
-    return lane, lane.validate(parse_poly(args.r, lane.poly, args.nz))
+    return lane, lane.validate(parse(args.r, lane.poly, args.nz))
 
 
 def _shell(args, r):
@@ -261,7 +254,7 @@ def _cmd_verify(args) -> int:
     if args.real and args.collar is not None:
         raise _UsageError("--collar is a complex-lane flag; --real checks the boundary only")
     lane, r = _load(args)
-    p1 = parse_poly(args.h, lane.poly, r.poly.n)  # h; 1 + T in the complex lane
+    p1 = parse(args.h, lane.poly, r.poly.n)  # h; 1 + T in the complex lane
     config = _sampling(args)
     config["h"] = canonical_str(p1)
     if args.real:

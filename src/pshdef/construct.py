@@ -4,8 +4,8 @@ The engine builds candidates h = 1 + Kr + T for a plurisubharmonic
 defining function rho = h r.  Each stage splits the current mixed
 derivative (rho_n)_{z w-bar} into a significant part S and a dominated
 error E, solves T_z = 2iS by z-antidifferentiation + realification,
-optionally drops r-multiples from the increment, and reads K off the
-scan at K = 1.
+drops r-multiples from the increment, and reads K off the scan at K = 1.
+The split and the residual are measured against the Levi form.
 Certification is numeric: the PSD scan of h r on a boundary shell plus the
 log-derivative verdict (`verify.check_certificate`); obstruction reports
 carry the witness that stopped the run.
@@ -87,15 +87,12 @@ class ConstructConfig:
     degree_cap: int | None = None
     max_k_exp: int = 20
     tol: float = DEFAULT_TOL
-    bound: Bound = Bound.LEVI_ONLY  # or its value, such as "levi"
-    absorb: bool = True
 
     def __post_init__(self):
-        self.bound = Bound(self.bound)
         check_search_config(self, "max_stages", "degree_cap")
 
     def as_dict(self) -> dict:
-        return {**vars(self), "bound": self.bound.value}
+        return dict(vars(self))
 
 
 @dataclass
@@ -484,16 +481,16 @@ def strong_psc_shortcut(r: DefiningFunction) -> bool:
 # -- the loop -------------------------------------------------------------
 
 
-def _stage_split(r: DefiningFunction, T: WPoly, j: int, bound, seed: int):
-    """g = ((1 + T) r)_{z_j w-bar} and its S/E split, computed once per
-    (T, j, bound, seed) on r: the contraction metric splits g(T_next),
-    which the next stage splits again when nothing was absorbed."""
+def _stage_split(r: DefiningFunction, T: WPoly, j: int, seed: int):
+    """g = ((1 + T) r)_{z_j w-bar} and its S/E split against the Levi form,
+    computed once per (T, j, seed) on r: the contraction metric splits
+    g(T_next), which the next stage splits again when nothing was absorbed."""
 
     def build():
         g = r.times(WPoly.one(r.nz) + T).dz(j).dwbar()
-        return g, split_S_E(g, r, bound, seed, j)
+        return g, split_S_E(g, r, Bound.LEVI_ONLY, seed, j)
 
-    return r.cached(("stage_split", T, j, bound, seed), build)
+    return r.cached(("stage_split", T, j, seed), build)
 
 
 def _sup_abs(p: WPoly, points) -> float:
@@ -588,11 +585,11 @@ def run_construction(
         stages.append(stage)
         obstructed_part = None
         for j in range(nz):
-            g, sp = _stage_split(r, T, j, config.bound, config.seed)
+            g, sp = _stage_split(r, T, j, config.seed)
             T_inc, residual = solve_stage(sp.S, j)
             rv = None
             if not residual.is_zero():
-                rv = dominance_check(residual, config.bound, r, config.seed, j=j)
+                rv = dominance_check(residual, Bound.LEVI_ONLY, r, config.seed, j=j)
                 if rv.status == "NotDominated":
                     obstructed_part = (j, rv)
             stage.parts.append(StagePart(j, g, sp, T_inc, residual, rv))
@@ -639,13 +636,10 @@ def run_construction(
                 }
             break
 
-        inc_absorbed = merged
-        if config.absorb:
-            inc_absorbed, absorbed_polys = absorb_r_multiples(merged, r)
-            stage.absorbed = [canonical_str(p) for p in absorbed_polys]
-        stage.T_increment = inc_absorbed
+        stage.T_increment, absorbed = absorb_r_multiples(merged, r)
+        stage.absorbed = [canonical_str(p) for p in absorbed]
 
-        T_next = T + inc_absorbed
+        T_next = T + stage.T_increment
         T_tel_next = T_tel + merged
         if degree_cap is None:
             degree_cap = 2 + max(r.poly.degree(), T_next.degree())
@@ -666,7 +660,7 @@ def run_construction(
             sup_cur = max(_sup_abs(p.split.S, inner) for p in stage.parts)
         sup_next = 0.0
         for j in range(nz):
-            _, sp_tel = _stage_split(r, T_tel_next, j, config.bound, config.seed)
+            _, sp_tel = _stage_split(r, T_tel_next, j, config.seed)
             sup_next = max(sup_next, _sup_abs(sp_tel.S, inner))
         entry = {"stage": n, "sup_S": sup_cur, "sup_S_next": sup_next}
         if sup_cur > 0:

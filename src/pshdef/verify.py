@@ -374,7 +374,15 @@ def _in_range(form, degree: int, a, b, c):
 
 
 def _least_2x2(a, b, c):
-    return 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+    # With a positive trace the least eigenvalue is the determinant over
+    # the largest one, which keeps its relative accuracy when it is tiny
+    # beside the largest; the difference form would cancel there.  hypot
+    # keeps the root finite where its squares overflow (diag(1, 1e160)).
+    half = 0.5 * (a + c)
+    root = np.hypot(0.5 * (a - c), b)
+    out = half - root
+    np.divide(a * c - b**2, half + root, out=out, where=half > 0)
+    return out
 
 
 def least_2x2(a, b, c):

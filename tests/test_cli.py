@@ -739,7 +739,8 @@ REAL = ["--real", "--r", "y + x^2"]
 )
 def test_report_key_order(capsys, argv, keys):
     """Every (subcommand, lane) report keeps its top-level key order."""
-    code, out, _ = run(capsys, *argv, "--samples", "300", "--json")
+    sampling = [] if argv[0] == "levi" else ["--samples", "300"]
+    code, out, _ = run(capsys, *argv, *sampling, "--json")
     assert code in (0, 1, 2)
     d = json.loads(out)
     assert list(d) == HEAD + keys
@@ -847,23 +848,96 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "1/4"
 
 
+# the flags each subcommand reads, beyond its own (--h, --csv-points, ...)
+EXPRESSION_FLAGS = ["--r", "--nz", "--real", "--json"]
+SAMPLING_FLAGS = EXPRESSION_FLAGS + ["--radius", "--samples", "--seed", "--tol"]
+SEARCH_FLAGS = SAMPLING_FLAGS + ["--max-stages", "--degree-cap", "--max-K-exp"]
+FLAGS = {
+    "levi": EXPRESSION_FLAGS,
+    "analyze": SAMPLING_FLAGS,
+    "verify": SAMPLING_FLAGS,
+    "construct": SEARCH_FLAGS,
+}
+COMMAND_ARGV = {
+    "levi": ["levi", "--r", BALL],
+    "analyze": ["analyze", "--r", BALL],
+    "verify": ["verify", "--r", BALL, "--h", "1"],
+    "construct": ["construct", "--r", BALL],
+}
+
+
 def test_parser_defaults_are_the_config_defaults():
-    """Each CLI default is read from the config classes, not restated."""
+    """Each subcommand's defaults are read from the config classes, not
+    restated, and each takes the settings of exactly its group."""
     from dataclasses import fields
 
     from pshdef.cli import build_parser
     from pshdef.construct import ConstructConfig
-    from pshdef.dominance import Bound
     from pshdef.realconvex import RealConfig
     from pshdef.verify import DEFAULT_TOL
 
-    for command in ("analyze", "construct", "verify", "levi"):
-        argv = [command, "--r", "y"] + (["--h", "1"] if command == "verify" else [])
-        args = build_parser().parse_args(argv)
+    sampling = {"radius", "samples", "seed", "tol"}
+    search = {f.name for f in fields(ConstructConfig)}
+    assert sampling < {f.name for f in fields(RealConfig)} < search
+    for command, argv in COMMAND_ARGV.items():
+        args = vars(build_parser().parse_args(argv))
+        settings = {"levi": set(), "construct": search}.get(command, sampling)
+        assert settings == search & set(args), command
         for config in (ConstructConfig(), RealConfig()):
-            for f in fields(config):
-                value = getattr(args, f.name)
-                if f.name == "bound":
-                    value = Bound(value)
-                assert value == getattr(config, f.name), (command, f.name)
+            for name in settings & {f.name for f in fields(config)}:
+                assert args[name] == getattr(config, name), (command, name)
     assert ConstructConfig().tol == RealConfig().tol == DEFAULT_TOL
+
+
+# (subcommand, a flag it does not read, a valid value for that flag)
+UNREAD_FLAGS = [
+    (command, flag, value)
+    for command in ("levi", "analyze", "verify")
+    for flag, value in [
+        ("--radius", "1e-2"),
+        ("--samples", "100"),
+        ("--seed", "1"),
+        ("--tol", "1e-9"),
+        ("--max-stages", "2"),
+        ("--degree-cap", "4"),
+        ("--max-K-exp", "8"),
+    ]
+    if flag not in FLAGS[command]
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", UNREAD_FLAGS, ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS]
+)
+def test_unread_flag_exit_64(capsys, command, flag, value):
+    """A flag a subcommand does not read is a usage error, even with a
+    value that would be valid where it is read."""
+    code, out, err = run(capsys, *COMMAND_ARGV[command], flag, value)
+    assert code == 64
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("flags", [["--bound", "levi"], ["--no-absorb"]])
+def test_removed_construction_flags_exit_64(capsys, flags):
+    """The stage split and the residual always read the Levi bound, and
+    every stage absorbs: neither has a flag."""
+    code, _, err = run(capsys, *COMMAND_ARGV["construct"], *flags)
+    assert code == 64
+    assert f"unrecognized arguments: {flags[0]}" in err
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_help_lists_the_commands_flags(capsys, command):
+    """`--help` names the flags of the subcommand's group and its own
+    (besides -h, --help)."""
+    own = {
+        "levi": [],
+        "analyze": ["--csv-points"],
+        "verify": ["--h", "--K", "--collar", "--csv-points", "--csv-stats"],
+        "construct": ["--csv-points"],
+    }
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    listed = re.findall(r"^  (--[\w-]+)", out, re.M)
+    assert sorted(listed) == sorted(FLAGS[command] + own[command])

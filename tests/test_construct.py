@@ -376,27 +376,6 @@ def test_degree_cap(r8):
     assert rep.final.T.degree() <= 2
 
 
-def test_absorb_disabled():
-    # Without absorption the re-entrant Re z Re w term keeps feeding the
-    # mixed derivative: stage 4 returns stage 2's T, so the loop ends at a
-    # fixpoint there, whatever the stage budget, and K-searches each T once.
-    for seed, max_stages in [(0, 4), (3, 4), (0, 8)]:
-        rep = run_construction(
-            type4_domain(8),
-            ConstructConfig(absorb=False, seed=seed, max_stages=max_stages),
-        )
-        assert rep.status == "Exhausted"
-        assert rep.obstruction["kind"] == "fixpoint"
-        assert rep.obstruction["stage"] == len(rep.stages) == 4
-        for s in rep.stages:
-            assert s.absorbed == []
-        searched = [s.T_after for s in rep.stages if s.k_search is not None]
-        assert len(searched) == len(set(searched)) == 3
-        assert WPoly.zero(1) not in searched
-        repeat = rep.stages[2].T_after + rep.stages[3].T_increment
-        assert repeat == rep.stages[1].T_after
-
-
 def test_stage_split_once_per_polynomial(monkeypatch):
     """A = 8 absorbs nothing in stage 1, so stage 2 splits the g(T_1) the
     contraction metric already split: three splits (g(0), g(T_1), g(T_2))

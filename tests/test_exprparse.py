@@ -46,6 +46,7 @@ RULES = [
     ("complex", "z^0", 1, WPoly.one(1)),
     ("complex", "z^(1 + 1)", 1, Z * Z),
     ("complex", "2^2^3", 1, WPoly.const(1, 256)),
+    ("complex", "z^64", 1, Z**64),
     ("complex", "-z^2", 1, -(Z * Z)),
     ("real", "7", 1, RPoly.const(1, 7)),
     ("real", "5/2", 1, RPoly.const(1, Fraction(5, 2))),
@@ -89,6 +90,10 @@ ERRORS = [
     ("complex", "zbar3", 2, "variable zbar3 out of range (nz=2)", 1),
     ("complex", "z0", 1, "variable z0 out of range (nz=1)", 1),
     ("complex", "z01", 1, "variable z01 has a leading zero in its index", 1),
+    ("complex", "z^65", 1, "exponent must be a nonnegative integer at most 64", 2),
+    ("complex", "2^2^7", 1, "exponent must be a nonnegative integer at most 64", 2),
+    ("complex", "2^2^30", 1, "exponent must be a nonnegative integer at most 64", 2),
+    ("complex", "z + 2^(z^70)", 1, "exponent must be a nonnegative integer at most 64", 9),
     ("real", "x^x", 1, "expected a constant here", 2),
     ("real", "y / x", 1, "expected a constant here", 3),
     ("real", "x^(-1)", 1, "exponent must be a nonnegative integer", 2),
@@ -105,6 +110,14 @@ ERRORS = [
     ("real", "x + x2", 1, "variable x2 out of range (nx=1)", 5),
     ("real", "x0", 2, "variable x0 out of range (nx=2)", 1),
     ("real", "x01", 1, "variable x01 has a leading zero in its index", 1),
+    ("real", "x^65", 1, "exponent must be a nonnegative integer at most 64", 2),
+    # the polynomial is built as the source is read, so the first error the
+    # reading meets wins, before a syntax error further on
+    ("complex", "q + (", 1, "unknown variable 'q'", 1),
+    ("complex", "z^z + $", 1, "expected a constant here", 2),
+    ("complex", "z + $ + q", 1, "unexpected character '$'", 5),
+    ("real", "i + (", 1, "imaginary unit not available in real mode", 1),
+    ("real", "x + x2 ^ (", 1, "variable x2 out of range (nx=1)", 5),
 ]
 
 
@@ -140,3 +153,4 @@ def test_variable_count_inferred(lane, src, n):
     p = PARSE[lane](src)
     assert p.n == n
     assert p == PARSE[lane](src, n)
+

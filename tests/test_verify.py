@@ -580,13 +580,18 @@ def test_least_eigenvalues_closed_form(r10, small_shell):
 
 def test_closed_form_keeps_its_floats_in_ordinary_range():
     """On 2x2 stacks whose squares are finite, the least eigenvalue and the
-    minor are the plain closed forms, float for float."""
+    minor are the plain closed forms, float for float: the determinant over
+    the largest eigenvalue where the trace is positive, else the trace's
+    half less the root."""
     rng = np.random.default_rng(11)
     for real, scale in ((False, 1.0), (True, 1.0), (False, 1e-100), (False, 1e100)):
         H = _hermitian(rng, 3000, 2, real) * scale
         a, b, c = H[:, 0, 0].real, H[:, 0, 1], H[:, 1, 1].real
         half = 0.5 * (a + c)
-        want = half - np.sqrt((0.5 * (a - c)) ** 2 + np.abs(b) ** 2)
+        root = np.hypot(0.5 * (a - c), np.abs(b))
+        det = a * c - np.abs(b) ** 2
+        want = np.where(half > 0, det / (half + root), half - root)
+        assert (half > 0).any() and (half <= 0).any()
         assert np.array_equal(least_eigenvalues(H), want)
         assert np.array_equal(last_slot_minors(H)[:, 0], a * c - np.abs(b) ** 2)
 
@@ -606,7 +611,7 @@ def test_least_2x2_across_the_double_range(scale):
 
 @pytest.mark.parametrize(
     "M, least",
-    [([[1.0, 0.0], [0.0, 1e160]], 0.0), ([[2e160, 1e160j], [-1e160j, 2e160]], 1e160)],
+    [([[1.0, 0.0], [0.0, 1e160]], 1.0), ([[2e160, 1e160j], [-1e160j, 2e160]], 1e160)],
     ids=["diagonal", "off_diagonal"],
 )
 def test_psd_result_passes_psd_stacks_at_1e160(M, least):
@@ -619,6 +624,16 @@ def test_psd_result_passes_psd_stacks_at_1e160(M, least):
     assert st.passed
     assert st.min_eig == pytest.approx(least, rel=1e-12)
     assert st.min_minor > 0
+
+
+@pytest.mark.parametrize(
+    "M", [[[1e-12, 0.0], [0.0, 1e4]], [[1e4, 0.0], [0.0, 1e-12]]], ids=["low", "high"]
+)
+def test_least_2x2_keeps_a_tiny_eigenvalue(M):
+    """An eigenvalue 1e16 times smaller than the other is read to a relative
+    1e-12, not lost to cancellation against the larger one."""
+    H = np.repeat(np.array([M], dtype=complex), 4, axis=0)
+    assert least_eigenvalues(H) == pytest.approx(1e-12, rel=1e-12)
 
 
 def test_psd_check_rejects_empty_shell(r10):
