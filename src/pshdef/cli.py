@@ -56,6 +56,16 @@ class _UsageError(ValueError):
     pass
 
 
+class _StageFlag(argparse.Action):
+    """A flag of the complex lane's staged search.  It notes in
+    `stage_flags` that it was given, so the real lane, which runs no
+    stages, can refuse it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value)
+        namespace.stage_flags += (self.option_strings[0],)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes the flags it reads: levi the expression flags,
     # analyze and verify those and the sampling flags, construct all of them
@@ -73,8 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--seed", type=int, default=d.seed)
     sampling.add_argument("--tol", type=float, default=d.tol)
     search = argparse.ArgumentParser(add_help=False, parents=[sampling])
-    search.add_argument("--max-stages", type=int, default=d.max_stages)
-    search.add_argument("--degree-cap", type=int, default=d.degree_cap)
+    search.set_defaults(stage_flags=())
+    search.add_argument(
+        "--max-stages", type=int, default=d.max_stages, action=_StageFlag
+    )
+    search.add_argument(
+        "--degree-cap", type=int, default=d.degree_cap, action=_StageFlag
+    )
     search.add_argument("--max-K-exp", dest="max_k_exp", type=int, default=d.max_k_exp)
 
     p = argparse.ArgumentParser(
@@ -225,6 +240,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.real and args.stage_flags:
+        flag = args.stage_flags[0]
+        raise _UsageError(f"{flag} is a complex-lane flag; --real runs no stages")
     lane, r = _load(args)
     config = lane.config(**{f.name: getattr(args, f.name) for f in fields(lane.config)})
     try:

@@ -430,12 +430,12 @@ def k_search(r: Domain, T: SparsePoly, config=None, curves=False) -> KSearchResu
     On the boundary the Hessian is Hess((1 + T) r) plus 2K g g*, g the
     gradient of r, so `k_ladder` gets those two and reads K off the scan
     at K = 1.  The scan set is the sampled shell, plus, when curves is
-    true, every in-ball point of the probe curves of config.seed (the
-    complex construction scans them, the real lane does not).  A shell
-    where |1 + T| fails `verify.h_floor_failure` skips the ladder; that, or
-    failure at every rung tried, shrinks the radius once by SHRINK.  The
-    result's ladder lists the rungs evaluated at the final radius; it is
-    empty when the h floor fails there.
+    true, every in-ball point of the probe curves of config.seed, each
+    distinct point once (the complex construction scans them, the real
+    lane does not).  A shell where |1 + T| fails `verify.h_floor_failure`
+    skips the ladder; that, or failure at every rung tried, shrinks the
+    radius once by SHRINK.  The result's ladder lists the rungs evaluated
+    at the final radius; it is empty when the h floor fails there.
     """
     config = config or ConstructConfig()
     p = type(r.poly).one(r.poly.n) + T

@@ -21,13 +21,17 @@ domain as two `verify.PointSet`s, each cached on the domain under its
 own key: the boundary shells at the radii 2^-e, e in DYADIC_EXPS, with
 SHELL_POINTS points each (`project_probes(r, seed)`), and the curves of
 `default_probes(nz, seed)` at the same parameters t (`probe_curves(r,
-seed)`).  Each keeps the values of the bound polynomials read on it, so
-every check reads one evaluation of each bound per set.  The curves are
-Newton-solved only when a check reads them, so a verdict the shells
-decide (B positive at the origin, or the Sylvester certificate, whose
-constant is read off the shell ratios) projects none.  Neither set
-refers back to its domain, so a finished request's domain is freed
-without waiting for the cyclic collector.
+seed)`).  The curve set holds each distinct point once: the amplitudes
+and parameters are powers of two, so about a quarter of the stock (curve,
+t) grid repeats an earlier cell's (z, Re w) exactly, and an index lays the
+curves out over the distinct points (`_distinct_rows`, built once per
+nz).  No curve and no parameter is dropped.  Each set keeps the values of
+the bound polynomials read on it, so every check reads one evaluation of
+each bound per set.  The curves are Newton-solved only when a check reads
+them, so a verdict the shells decide (B positive at the origin, or the
+Sylvester certificate, whose constant is read off the shell ratios)
+projects none.  Neither set refers back to its domain, so a finished
+request's domain is freed without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .wirtinger import SparsePoly, WPoly, canonical_str, indexed_names, term_tex
 DYADIC_EXPS = tuple(range(3, 17))  # t = 2^-3 .. 2^-16
 RADII = tuple(2.0**-e for e in DYADIC_EXPS)  # the shell radii and curve parameters
 SHELL_POINTS = 160  # points per probe shell
+SEEDED_CURVES = 32  # the random probe curves of a seed, after the stock ones
 ESCAPE_RUN = 5
 ESCAPE_GROWTH = 8.0
 ESCAPE_FLOOR = 100.0
@@ -117,11 +122,11 @@ def _stock_curves(nz: int) -> tuple:
 
 
 def default_probes(nz: int, seed: int = 0) -> tuple:
-    """The probe curves of (nz, seed); only the last 32, random, depend on
-    seed."""
+    """The probe curves of (nz, seed); only the last SEEDED_CURVES, random,
+    depend on seed."""
     curves = list(_stock_curves(nz))
     rng = np.random.default_rng(seed)
-    for _ in range(32):
+    for _ in range(SEEDED_CURVES):
         zdir = tuple(
             complex(a, b)
             for a, b in zip(rng.standard_normal(nz), rng.standard_normal(nz))
@@ -139,12 +144,13 @@ class ProbeShells(PointSet):
 
 @dataclass
 class ProbeCurves(PointSet):
-    """Probe curves projected onto the boundary of a specific domain: curve
-    i's n_t points are rows i n_t .. (i + 1) n_t - 1 of Z and W, at the
-    parameters t_values."""
+    """Probe curves projected onto the boundary of a specific domain.  Z, W
+    and ok hold each distinct curve point once, in the order of its first
+    (curve, t) cell; curve i's point at t_values[k] is row index[i, k]."""
 
     curves: tuple  # of Curve
-    ok: np.ndarray  # bool (n_curves, n_t)
+    ok: np.ndarray  # bool, per row
+    index: np.ndarray  # int (n_curves, n_t)
     t_values: np.ndarray
 
     @functools.cached_property
@@ -154,7 +160,7 @@ class ProbeCurves(PointSet):
 
     def in_ball_points(self, radius: float):
         """Converged points with |(z, w)| <= radius."""
-        keep = self.ok.reshape(-1) & (self._norms <= radius)
+        keep = self.ok & (self._norms <= radius)
         return self.Z[keep], self.W[keep]
 
 
@@ -165,6 +171,36 @@ def _curve_points(curves, t, out):
     tz = t ** zpow[:, None]  # (n_curves, n_t)
     np.multiply(zdir.astype(complex)[:, None, :], tz[:, :, None], out=out)
     return (wamp[:, None] * t ** wpow[:, None]).reshape(-1)
+
+
+@functools.cache
+def _distinct_rows(nz: int):
+    """The (curve, t) grid of `default_probes(nz, seed)`, any seed, as
+    distinct points: the cells (flat, ascending) where each point first
+    occurs, and the (n_curves, n_t) map from a cell to its point's row
+    among them.  Stock points are one when their (z, Re w) inputs are
+    equal bit for bit; the seeded curves' points are all kept.  Built once
+    per nz; holds integers only."""
+    stock, nt = _stock_curves(nz), len(RADII)
+    Z = np.empty((len(stock), nt, nz), dtype=complex)
+    U = _curve_points(stock, np.array(RADII), Z)
+    bits = np.concatenate(
+        [Z.reshape(len(U), nz).view(np.int64), U.view(np.int64)[:, None]], axis=1
+    )
+    order = np.lexsort(bits.T)  # stable: equal points stay in grid order
+    key = bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    first = order[new]  # per point, its first cell
+    rows = np.sort(first)
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = np.searchsorted(rows, first)[np.cumsum(new) - 1]
+    seeded = np.arange(SEEDED_CURVES * nt)
+    rows = np.concatenate([rows, len(order) + seeded])
+    index = np.concatenate([index, len(first) + seeded]).reshape(-1, nt)
+    for arr in (rows, index):
+        arr.flags.writeable = False
+    return rows, index
 
 
 def project_probes(r: DefiningFunction, seed: int = 0) -> ProbeShells:
@@ -187,19 +223,20 @@ def project_probes(r: DefiningFunction, seed: int = 0) -> ProbeShells:
 def probe_curves(r: DefiningFunction, seed: int = 0) -> ProbeCurves:
     """Project every curve of `default_probes(r.nz, seed)` onto r's
     boundary (cached on r under its own key, so the shells alone never pay
-    for it).  All curve points form one Newton group."""
+    for it).  Each distinct curve point is projected once (see
+    `_distinct_rows`), and all of them form one Newton group."""
 
     def build():
         curves = default_probes(r.nz, seed)
+        rows, index = _distinct_rows(r.nz)
         t = np.array(RADII)
-        nc, nt, nz = len(curves), len(t), r.nz
-        Z = np.empty((nc, nt, nz), dtype=complex)
-        U = _curve_points(curves, t, Z)
-        Z = Z.reshape(-1, nz)
+        Z = np.empty((len(curves), len(t), r.nz), dtype=complex)
+        U = _curve_points(curves, t, Z)[rows]
+        Z = Z.reshape(-1, r.nz)[rows]
         W, ok = project_to_boundary(r, Z, U)
-        for arr in (Z, W):
+        for arr in (Z, W, ok):
             arr.flags.writeable = False
-        return ProbeCurves(curves=curves, Z=Z, W=W, ok=ok.reshape(nc, nt), t_values=t)
+        return ProbeCurves(curves=curves, Z=Z, W=W, ok=ok, index=index, t_values=t)
 
     return r.cached(("probe_curves", seed), build)
 
@@ -368,15 +405,16 @@ def _probe_values(numerators, B: WPoly, points: PointSet):
 
 def _curve_escape(num, bvals, probe: ProbeCurves):
     """Best escaping curve, or None.  num and bvals are `_probe_values` at
-    the curve points.
+    the curve points, read through the set's index.
 
     Escape means: along the last ESCAPE_RUN converged dyadic parameters the
     ratio is finite, strictly increasing, grows by >= ESCAPE_GROWTH overall,
     and ends above ESCAPE_FLOOR.  The curve with the largest final ratio
     wins; the first one on ties.
     """
-    ok = probe.ok
-    ratio = _ratios(num.reshape(ok.shape), bvals.reshape(ok.shape))
+    index = probe.index
+    ok = probe.ok[index]
+    ratio = _ratios(num, bvals)[index]
     # t decreases along a row, so a row's tail is its last ESCAPE_RUN
     # converged entries: those with at most ESCAPE_RUN converged from the end
     from_end = np.cumsum(ok[:, ::-1], axis=1)[:, ::-1]
@@ -396,7 +434,7 @@ def _curve_escape(num, bvals, probe: ProbeCurves):
     k = int(np.argmax(final))  # first index of the maximum
     i = int(rows[k])
     row_ok = ok[i]
-    last = i * ok.shape[1] + int(np.flatnonzero(row_ok)[-1])
+    last = int(index[i, np.flatnonzero(row_ok)[-1]])
     return {
         "curve": probe.curves[i].describe(),
         "direction": _direction(probe.Z[last], probe.W[last]),

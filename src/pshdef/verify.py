@@ -108,31 +108,36 @@ def project_to_boundary(r: Domain, Z, U=None, dtype=None, targets=None, starts=N
     negative targets give inward collar points.  `starts` splits the points
     into `newton` groups.  Z stays fixed, so r and `r.normal_slope()` are
     evaluated through `CompiledPoly.at`.  Returns (W, ok), W in the first
-    precision, where ok flags points with |r - target| <= 1e-12.
+    precision, where ok flags points with |r - target| <= 1e-12.  Far out
+    of range (a huge radius) a residual overflows or turns NaN; it fails
+    that bound, so its point is dropped, and no warning is raised.
     """
     lane = type(r.poly)
     dtype = lane.precisions[0] if dtype is None else dtype
     Z = np.asarray(Z, dtype=dtype).reshape(-1, r.poly.n)
-    rp = compiled(r.poly).at(Z)
-    rv = compiled(r.normal_slope()).at(Z)
     U = None if U is None else np.asarray(U, dtype=np.float64)
     tgt = 0.0 if targets is None else np.asarray(targets, dtype=np.float64)
 
     def at(V):
         return lane.boundary_w(U, V).astype(dtype, copy=False)
 
-    V, ok = newton(
-        lambda V: rp(at(V)).real - tgt,
-        lambda V: rv(at(V)).real,
-        np.zeros(len(Z), dtype=np.finfo(dtype).dtype),
-        starts,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rp = compiled(r.poly).at(Z)
+        rv = compiled(r.normal_slope()).at(Z)
+        V, ok = newton(
+            lambda V: rp(at(V)).real - tgt,
+            lambda V: rv(at(V)).real,
+            np.zeros(len(Z), dtype=np.finfo(dtype).dtype),
+            starts,
+        )
     return lane.boundary_w(U, V).astype(lane.precisions[0]), ok
 
 
 def point_norms(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each point (P[i], q[i]), complex or real."""
-    return np.sqrt(np.sum(np.abs(P) ** 2, axis=1) + np.abs(q) ** 2)
+    """Euclidean norm of each point (P[i], q[i]), complex or real; inf,
+    without a warning, where the squares overflow."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(np.abs(P) ** 2, axis=1) + np.abs(q) ** 2)
 
 
 @dataclass
@@ -385,6 +390,12 @@ def _least_2x2(a, b, c):
     return out
 
 
+def _difference_2x2(a, b, c):
+    # the textbook form: cheaper than _least_2x2, and accurate to rounding
+    # of the larger eigenvalue, which is all a ranking needs
+    return 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+
+
 def least_2x2(a, b, c):
     """Least eigenvalue of [[a, b], [conj(b), c]] per point, given a and c
     real and b = |b|; in range for entries across the double range."""
@@ -522,7 +533,10 @@ def eigen_candidates(H: np.ndarray, diags: np.ndarray):
 
     t is the least eigenvalue of the SCREEN_SEEDS points whose 2x2
     principal submatrices have the smallest least eigenvalue, an upper
-    bound on the point's own (Cauchy interlacing).  A point drops out when
+    bound on the point's own (Cauchy interlacing); that eigenvalue only
+    ranks the points, so it is read in the cheaper difference form (kept
+    in range by `_in_range`), and any choice of seeds keeps the screen
+    sound, t being a computed eigenvalue.  A point drops out when
     H - s I, with s = t + SCREEN_MARGIN (max |H_jk| + |t|) over its
     entries, has only positive `ldl` pivots; a NaN pivot, which a zero
     pivot leaves in every later slot, is not positive, so its point stays.
@@ -548,7 +562,8 @@ def eigen_candidates(H: np.ndarray, diags: np.ndarray):
         np.maximum(size, np.abs(diags[:, j]), out=size)
     for j, k in zip(*np.triu_indices(n, 1)):
         b = np.abs(H[:, j, k])
-        np.minimum(bound, least_2x2(diags[:, j], b, diags[:, k]), out=bound)
+        rank = _in_range(_difference_2x2, 1, diags[:, j], b, diags[:, k])
+        np.minimum(bound, rank, out=bound)
         np.maximum(size, b, out=size)
     seeds = np.argpartition(bound, SCREEN_SEEDS)[:SCREEN_SEEDS]
     t = float(least_eigenvalues(H[seeds]).min())

@@ -1,15 +1,17 @@
 """Shared fixtures and deterministic polynomial generators."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pshdef import construct, realconvex
 from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
-from pshdef.construct import k_ladder, run_construction
+from pshdef.construct import ConstructConfig, k_ladder, k_search, run_construction
 from pshdef.dominance import (
     ESCAPE_FLOOR,
     ESCAPE_GROWTH,
@@ -17,6 +19,7 @@ from pshdef.dominance import (
     _direction,
     _num_sq,
     _ratios,
+    probe_curves,
 )
 from pshdef.gaussrat import format_gaussian
 from pshdef.numeval import compiled
@@ -184,18 +187,49 @@ def reference_sample_ball(d, radius, count, seed, lift):
 # -- the curve-escape scan ---------------------------------------------
 
 
+def full_layout(probes):
+    """The probe curves' points by (curve, parameter), one row per cell,
+    read through the set's index: Z (n_curves n_t, nz), W and ok
+    (n_curves, n_t)."""
+    index = probes.index
+    return probes.Z[index.reshape(-1)], probes.W[index], probes.ok[index]
+
+
+def full_layout_k_search(r, T, config=None, curves=False):
+    """Reference K search: `construct.k_search` with the probe curves laid
+    out in full, a point once per (curve, parameter) cell it lies on, so
+    the in-ball points hold every repeat.  k_search scans each distinct
+    point once and must return the same K, ladder rows and witness."""
+    if not curves:
+        return k_search(r, T, config)
+    probes = probe_curves(r, (config or ConstructConfig()).seed)
+    Z, W, ok = full_layout(probes)
+    full = dataclasses.replace(
+        probes,
+        Z=Z,
+        W=W.reshape(-1),
+        ok=ok.reshape(-1),
+        index=np.arange(ok.size).reshape(ok.shape),
+    )
+    with mock.patch.object(construct, "probe_curves", lambda r, seed: full):
+        return k_search(r, T, config, curves)
+
+
 def loop_curve_escape(numerators, bound_poly, probes):
     """Reference curve scan: one curve at a time, keeping the first curve
-    with the largest final ratio.  `dominance._curve_escape` tests all
-    curves at once and must return the same witness.  Returns
-    (curve index, witness), or (None, None) when no curve escapes."""
-    nc, nt = probes.ok.shape
-    Z, W = probes.Z, probes.W
+    with the largest final ratio, over the full (curve, parameter) layout,
+    each cell evaluated on its own.  `dominance._curve_escape` tests all
+    curves at once on the distinct points and must return the same
+    witness.  Returns (curve index, witness), or (None, None) when no curve
+    escapes."""
+    Z, W, oks = full_layout(probes)
+    nc, nt = oks.shape
+    W = W.reshape(-1)
     num = _num_sq(numerators, Z, W).reshape(nc, nt)
     bv = compiled(bound_poly).eval(Z, W).real.reshape(nc, nt)
     best = None
     for i in range(nc):
-        ok = probes.ok[i]
+        ok = oks[i]
         t = probes.t_values[ok]
         if len(t) < ESCAPE_RUN:
             continue
@@ -213,7 +247,7 @@ def loop_curve_escape(numerators, bound_poly, probes):
         return None, None
     i, final, ratio, t = best
     # the points by (curve, parameter), as the rows of ok lay them out
-    last = int(np.flatnonzero(probes.ok[i])[-1])
+    last = int(np.flatnonzero(oks[i])[-1])
     z_row = Z.reshape(nc, nt, -1)[i, last]
     w = W.reshape(nc, nt)[i, last]
     return i, {

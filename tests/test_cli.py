@@ -559,6 +559,31 @@ def test_verify_real_rejects_collar_flag(capsys):
     assert err == "error: --collar is a complex-lane flag; --real checks the boundary only\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--max-stages", "3"), ("--degree-cap", "4"), ("--max-stages", "-5")]
+)
+def test_construct_real_rejects_stage_flags(capsys, flag, value):
+    """The real lane runs no stages; a flag of the staged search is refused,
+    not dropped, whatever its value."""
+    code, out, err = run(capsys, "construct", "--real", "--r", "y + x^2", flag, value)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: {flag} is a complex-lane flag; --real runs no stages\n"
+
+
+@pytest.mark.parametrize("radius", ["1e150", "1e300"])
+def test_huge_radius_fails_without_warnings(capsys, radius):
+    """Squares and Newton residuals out of the double range mean dropped
+    points, not warnings: the run exits 64 with its one error line (the
+    suite turns any RuntimeWarning into an error)."""
+    code, out, err = run(capsys, "analyze", "--r", "Im(w) + abs2(z)", "--radius", radius)
+    assert code == 64
+    assert out == ""
+    assert err == (
+        f"error: only 0/2000 boundary points projectable at radius {float(radius)}\n"
+    )
+
+
 @pytest.mark.parametrize("delta", ["0", "-1", "-1e-4", "nan", "inf"])
 def test_verify_collar_rejects_nonpositive_delta(capsys, delta):
     """A collar of width 0 is the boundary, a negative one lies outside

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     entry_planar,
+    full_layout_k_search,
     linear_k_ladder,
     random_wpoly,
     rank_one_term,
     reference_lift_exp,
 )
-from pshdef import cli, construct, dominance, verify
+from pshdef import cli, construct, dominance, realconvex, verify
 from pshdef.catalog import ball_like, mixed_c3_example, type4_domain
 from pshdef.construct import (
     MAX_K_EXP,
@@ -396,8 +397,9 @@ def test_stage_split_once_per_polynomial(monkeypatch):
 
 
 def test_ladder_solves_few_eigenvalues(monkeypatch):
-    """ball3_tilted's K search scans about 32k 4x4 points per rung; the LDL*
-    screen hands the eigen solver under a tenth of them."""
+    """ball3_tilted's K search scans about 25k 4x4 points per rung (each
+    distinct curve point once); the LDL* screen hands the eigen solver
+    under a tenth of them."""
     scanned, solved = [], []
     stats, least = verify.psd_result, verify.least_eigenvalues
 
@@ -414,7 +416,7 @@ def test_ladder_solves_few_eigenvalues(monkeypatch):
     r = _complex("Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3)
     ks = k_search(r, WPoly.zero(3), None, curves=True)
     assert ks.found and ks.K == 16 and len(ks.ladder) == 2
-    assert len(scanned) == 2 and min(scanned) > 30_000
+    assert len(scanned) == 2 and min(scanned) > 24_000
     assert sum(solved) < 0.1 * sum(scanned)
 
 
@@ -698,6 +700,27 @@ def test_k_ladder_matches_linear_walk(name, watch_k_ladder):
     checked = watch_k_ladder(check)
     LADDER_RUNS[name]()
     assert checked and max(checked) <= 2
+
+
+@pytest.mark.parametrize("name", list(LADDER_RUNS))
+def test_k_search_matches_full_layout(name, monkeypatch):
+    """Every K search a run makes scans each distinct probe-curve point once
+    and gives the found flag, K, ladder rows and witness, byte for byte,
+    of the search over the full (curve, t) layout."""
+    searched = []
+
+    def checked(r, T, config=None, curves=False):
+        got = k_search(r, T, config, curves)
+        want = full_layout_k_search(r, T, config, curves)
+        assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+        searched.append(curves)
+        return got
+
+    # the real lane binds k_search at import
+    for module in (construct, realconvex):
+        monkeypatch.setattr(module, "k_search", checked)
+    LADDER_RUNS[name]()
+    assert searched and all(searched) == (not name.startswith("real"))
 
 
 def _is_entry_planar(A) -> bool:

@@ -267,8 +267,9 @@ def test_probe_families_share_the_stock_curves():
 
 @pytest.mark.parametrize("nz", [1, 2, 3])
 def test_project_probes_curve_points(nz):
-    """The curve points match a per-curve loop byte for byte: curve i's are
-    z = zdir t^zpow with Re w = wamp t^wpow at the set's t values."""
+    """The curve points, read through the set's index, match a per-curve
+    loop byte for byte: curve i's are z = zdir t^zpow with Re w = wamp
+    t^wpow at the set's t values."""
     r = ball_like(nz)
     curves = default_probes(nz, 0)
     proj = probe_curves(r, 0)
@@ -280,8 +281,9 @@ def test_project_probes_curve_points(nz):
         for k in range(nz):
             Z[i, :, k] = c.zdir[k] * t**c.zpow
         U[i] = c.wamp * t**c.wpow
-    assert proj.Z.tobytes() == Z.tobytes()
-    assert proj.W.real.tobytes() == U.tobytes()
+    # the set holds each distinct point once; its index lays out the grid
+    assert proj.Z[proj.index].tobytes() == Z.tobytes()
+    assert proj.W.real[proj.index].tobytes() == U.tobytes()
 
 
 def test_probe_family_deterministic():
@@ -367,19 +369,27 @@ def test_curve_escape_matches_loop(name):
 def synthetic_probes(rows, ok):
     """ProbeCurves whose scan of P = z against B = |w|^2 reads the
     given ratios: a finite ratio x sits at z = sqrt(x), w = 1; inf at
-    z = 1, w = 0; nan at z = nan, w = 1."""
+    z = 1, w = 0; nan at z = nan, w = 1.  Cells with the same ratio and
+    flag share one point, in the order of their first cell, as repeated
+    curve points share one in `probe_curves`."""
     rows = np.asarray(rows, dtype=float)
     nc, nt = rows.shape
-    Z = np.sqrt(np.where(np.isfinite(rows), rows, 0.0)).astype(complex)
-    Z[np.isinf(rows)] = 1.0
-    Z[np.isnan(rows)] = np.nan
-    W = np.where(np.isinf(rows), 0.0, 1.0).astype(complex)
+    cells = list(zip(rows.flat, np.asarray(ok, dtype=bool).flat))
+    first = {}
+    cell_of = [first.setdefault((x.tobytes(), f), i) for i, (x, f) in enumerate(cells)]
+    kept = np.unique(cell_of)
+    x = rows.reshape(-1)[kept]
+    Z = np.sqrt(np.where(np.isfinite(x), x, 0.0)).astype(complex)
+    Z[np.isinf(x)] = 1.0
+    Z[np.isnan(x)] = np.nan
+    W = np.where(np.isinf(x), 0.0, 1.0).astype(complex)
     curves = tuple(Curve((complex(i + 1),), 1, 0.0, 1) for i in range(nc))
     return ProbeCurves(
         curves=curves,
-        Z=Z.reshape(-1, 1),
-        W=W.reshape(-1),
-        ok=np.asarray(ok, dtype=bool),
+        Z=Z[:, None],
+        W=W,
+        ok=np.array([cells[i][1] for i in kept]),
+        index=np.searchsorted(kept, cell_of).reshape(nc, nt),
         t_values=np.array([2.0**-e for e in range(3, 3 + nt)]),
     )
 

@@ -23,6 +23,8 @@ from pshdef.sampler import BallStream
 from pshdef.wirtinger import RPoly, WPoly
 
 BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
+TYPE4_A8 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 8*Re(w)^2"
+NZ2_QUARTIC = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2"
 
 
 def same(a, b) -> bool:
@@ -214,7 +216,10 @@ def test_probe_shells_are_one_array():
     assert not (shells.Z.flags.writeable or shells.W.flags.writeable)
     curves = dominance.probe_curves(r, 1)
     assert curves.curves == dominance.default_probes(2, 1)
-    assert len(curves.W) == curves.ok.size == len(curves.curves) * len(dominance.DYADIC_EXPS)
+    # one row per distinct point: 18348 stock ones and the seeded curves'
+    seeded = dominance.SEEDED_CURVES * len(dominance.DYADIC_EXPS)
+    assert len(curves.W) == curves.ok.size == 18348 + seeded
+    assert curves.index.shape == (len(curves.curves), len(dominance.DYADIC_EXPS))
     assert not (curves.Z.flags.writeable or curves.W.flags.writeable)
 
 
@@ -229,12 +234,62 @@ def test_in_ball_points_match_fresh_norms(monkeypatch):
     for r in (type4_domain(8), validate_normal_form(parse_wpoly(BALL3_TILTED, 3))):
         proj = dominance.probe_curves(r, 2)
         Z, W = proj.Z, proj.W
+        assert len(W) == proj.ok.size < proj.index.size  # the distinct points
         fresh = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1) + np.abs(W) ** 2)
         for radius in (1e-2, 2.5e-3, 2.0**-10, 1e-5, 0.3):
-            keep = proj.ok.reshape(-1) & (fresh <= radius)
+            keep = proj.ok & (fresh <= radius)
             pz, pw = proj.in_ball_points(radius)
             assert same(pz, Z[keep]) and same(pw, W[keep])
     assert len(calls) == 2
+
+
+PROBE_DOMAINS = {
+    "ball1": lambda: ball_like(1),
+    "A=8": lambda: type4_domain(8),
+    "nz2_quartic": lambda: validate_normal_form(parse_wpoly(NZ2_QUARTIC)),
+    "ball3_tilted": lambda: validate_normal_form(parse_wpoly(BALL3_TILTED, 3)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", list(PROBE_DOMAINS))
+def test_distinct_curve_points_give_the_full_layout(name, seed):
+    """Z, W and ok read through the index are, bit for bit, what one
+    projection of every (curve, t) grid point gives."""
+    r = PROBE_DOMAINS[name]()
+    proj = dominance.probe_curves(r, seed)
+    curves, t = dominance.default_probes(r.nz, seed), proj.t_values
+    Z = np.empty((len(curves), len(t), r.nz), dtype=complex)
+    U = dominance._curve_points(curves, t, Z)
+    W, ok = verify.project_to_boundary(r, Z.reshape(-1, r.nz), U)
+    index = proj.index.reshape(-1)
+    assert same(proj.Z[index], Z.reshape(-1, r.nz))
+    assert same(proj.W[index], W) and same(proj.ok[index], ok)
+
+
+@pytest.mark.parametrize("nz, distinct", [(1, 9196), (2, 18348), (3, 27500)])
+def test_stock_rows_are_distinct(nz, distinct):
+    """No two stock rows share a (z, Re w) input, and every stock cell's
+    row holds its input; the seeded curves' points follow, each its own."""
+    rows, index = dominance._distinct_rows(nz)
+    stock = len(dominance._stock_curves(nz))
+    nt = len(dominance.DYADIC_EXPS)
+    assert len(rows) == distinct + dominance.SEEDED_CURVES * nt
+    assert index.shape == (stock + dominance.SEEDED_CURVES, nt)
+    assert not (rows.flags.writeable or index.flags.writeable)
+    Z = np.empty((stock, nt, nz), dtype=complex)
+    U = dominance._curve_points(dominance._stock_curves(nz), np.array(dominance.RADII), Z)
+    inputs = np.concatenate([Z.reshape(-1, nz).view(np.float64), U[:, None]], axis=1)
+    kept = inputs[rows[:distinct]]
+    assert len({row.tobytes() for row in kept}) == distinct
+    cells = index[:stock].reshape(-1)
+    assert same(kept[cells], inputs)
+    # each row is its input's first cell, and rows keep grid order
+    assert np.all(rows[cells] <= np.arange(len(cells)))
+    assert np.all(np.diff(rows) > 0)
+    seeded = index[stock:].reshape(-1)
+    assert np.array_equal(seeded, distinct + np.arange(len(seeded)))
+    assert np.array_equal(rows[distinct:], stock * nt + np.arange(len(seeded)))
 
 
 def test_probe_projection_and_bounds_structure(monkeypatch):
@@ -305,9 +360,6 @@ def test_blocks_leave_the_floats(monkeypatch):
 
 
 # -- no reference cycles ---------------------------------------------------
-
-TYPE4_A8 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 8*Re(w)^2"
-NZ2_QUARTIC = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2"
 
 
 def test_requests_free_their_domain_without_the_collector():
