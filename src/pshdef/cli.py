@@ -1,8 +1,9 @@
 """Command surface: analyze, construct, verify, levi.
 
 Exit codes: 0 certified/pass, 1 obstructed/fail, 2 unknown/exhausted,
-64 usage or input error.  Every subcommand accepts --json for the full
-schema-versioned report; the default output is a short human summary.
+64 usage or input error, an unwritable output file or a coefficient
+outside the double range included.  Every subcommand accepts --json for
+the full schema-versioned report; the default output is a short summary.
 """
 
 from __future__ import annotations
@@ -56,16 +57,6 @@ class _UsageError(ValueError):
     pass
 
 
-class _StageFlag(argparse.Action):
-    """A flag of the complex lane's staged search.  It notes in
-    `stage_flags` that it was given, so the real lane, which runs no
-    stages, can refuse it."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest, value)
-        namespace.stage_flags += (self.option_strings[0],)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes the flags it reads: levi the expression flags,
     # analyze and verify those and the sampling flags, construct all of them
@@ -81,15 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--radius", type=float, default=d.radius)
     sampling.add_argument("--samples", type=int, default=d.samples)
     sampling.add_argument("--seed", type=int, default=d.seed)
-    sampling.add_argument("--tol", type=float, default=d.tol)
     search = argparse.ArgumentParser(add_help=False, parents=[sampling])
-    search.set_defaults(stage_flags=())
-    search.add_argument(
-        "--max-stages", type=int, default=d.max_stages, action=_StageFlag
-    )
-    search.add_argument(
-        "--degree-cap", type=int, default=d.degree_cap, action=_StageFlag
-    )
+    # None when not given, so that the real lane, which runs no stages, can
+    # refuse any value; the complex lane then reads the config's default
+    search.add_argument("--max-stages", type=int)
     search.add_argument("--max-K-exp", dest="max_k_exp", type=int, default=d.max_k_exp)
 
     p = argparse.ArgumentParser(
@@ -169,12 +155,7 @@ def _head(r, command: str, status: str) -> dict:
 
 
 def _sampling(args) -> dict:
-    return {
-        "radius": args.radius,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    return {"radius": args.radius, "samples": args.samples, "seed": args.seed}
 
 
 def _emit(args, report: dict, human: str) -> None:
@@ -185,20 +166,23 @@ def _emit(args, report: dict, human: str) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as f:
-        f.write(text)
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 # -- subcommands ----------------------------------------------------------
 
 
 def _cmd_analyze(args) -> int:
-    check_sampling(args.radius, args.samples, args.seed, args.tol)
+    check_sampling(args.radius, args.samples, args.seed)
     lane, r = _load(args)
     shell = _shell(args, r)
     if args.real:
-        conv = convexity_check(r, shell, args.tol)
-        self_check = psd_check(r.poly, shell, args.tol)
+        conv = convexity_check(r, shell)
+        self_check = psd_check(r.poly, shell)
         status = "pass" if conv["passed"] else "fail"
         body = {
             "convexity_precheck": conv,
@@ -209,7 +193,7 @@ def _cmd_analyze(args) -> int:
             f"Hessian of r itself min eig {self_check.min_eig:.3e}"
         )
     else:
-        scan = levi_scan(r, args.radius, args.samples, args.seed, args.tol)
+        scan = levi_scan(r, args.radius, args.samples, args.seed)
         gate = levi_dominance_gate(r, args.seed)
         if not scan.nonnegative:
             status = "fail"
@@ -240,9 +224,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.real and args.stage_flags:
-        flag = args.stage_flags[0]
-        raise _UsageError(f"{flag} is a complex-lane flag; --real runs no stages")
+    if args.max_stages is None:
+        args.max_stages = ConstructConfig.max_stages
+    elif args.real:
+        raise _UsageError("--max-stages is a complex-lane flag; --real runs no stages")
     lane, r = _load(args)
     config = lane.config(**{f.name: getattr(args, f.name) for f in fields(lane.config)})
     try:
@@ -266,7 +251,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    check_sampling(args.radius, args.samples, args.seed, args.tol)
+    check_sampling(args.radius, args.samples, args.seed)
     if args.real and args.K:
         raise _UsageError("--K is a complex-lane flag; fold K into --h with --real")
     if args.real and args.collar is not None:
@@ -277,7 +262,7 @@ def _cmd_verify(args) -> int:
     config["h"] = canonical_str(p1)
     if args.real:
         shell = _shell(args, r)
-        checks, failed, rho = check_real_certificate(r, p1, shell, args.tol)
+        checks, failed, rho = check_real_certificate(r, p1, shell)
         messages = ["the log-derivative check is complex-lane only"]
         if "h_floor" in failed:
             messages.append(
@@ -295,7 +280,7 @@ def _cmd_verify(args) -> int:
         if args.collar is not None:  # a bad delta stops before the check
             collar = sample_collar(r, args.radius, args.samples, args.seed, args.collar)
         shell = _shell(args, r)
-        checks, failed, rho = check_certificate(r, T, args.K, shell, args.tol)
+        checks, failed, rho = check_certificate(r, T, args.K, shell)
         psd, nec = checks["psd"], checks["necessary"]
         messages = [nec["error"]] if "error" in nec else []
         bits = [f"psd {'FAIL' if 'psd' in failed else 'ok'} (min eig {psd['min_eig']:.3e}"]
@@ -310,7 +295,7 @@ def _cmd_verify(args) -> int:
         report["collar"] = {
             "non_normative": True,
             "delta": args.collar,
-            "psd": psd_check(rho, collar, args.tol).as_dict(),
+            "psd": psd_check(rho, collar).as_dict(),
         }
     if args.csv_points:
         _write(args.csv_points, shell_csv(shell, lane.poly))

@@ -34,7 +34,7 @@ from .gaussrat import GaussianRational
 from .numeval import compiled
 from .report import SCHEMA_VERSION
 from .verify import (
-    DEFAULT_TOL,
+    TOL,
     PsdCheckResult,
     check_certificate,
     check_sampling,
@@ -54,16 +54,16 @@ MAX_K_EXP = 1022  # the top rung's scale 2^(e + 1) stays a finite double
 
 def check_search_config(config, *counts: str) -> None:
     """Reject the sampling and ladder settings no scan can certify from,
-    and negative values of the named counts (None passes).  max_k_exp is
+    and negative values of the named counts.  max_k_exp is
     at most MAX_K_EXP, so that a rung's scale 2^(max_k_exp + 1) is a
     finite double.  Shared by the complex and the real lane's configs;
     raises ValueError."""
-    check_sampling(config.radius, config.samples, config.seed, config.tol)
+    check_sampling(config.radius, config.samples, config.seed)
     if config.max_k_exp > MAX_K_EXP:
         raise ValueError(f"max_k_exp must be <= {MAX_K_EXP}, got {config.max_k_exp}")
     for name in ("max_k_exp", *counts):
         value = getattr(config, name)
-        if value is not None and value < 0:
+        if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
@@ -84,12 +84,10 @@ class ConstructConfig:
     samples: int = 2000
     seed: int = 0
     max_stages: int = 4
-    degree_cap: int | None = None
     max_k_exp: int = 20
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        check_search_config(self, "max_stages", "degree_cap")
+        check_search_config(self, "max_stages")
 
     def as_dict(self) -> dict:
         return dict(vars(self))
@@ -457,7 +455,7 @@ def k_search(r: Domain, T: SparsePoly, config=None, curves=False) -> KSearchResu
             hessian_values(r.times(p), Z, W),
             gradient_stack(r, Z, W),
             config.max_k_exp,
-            lambda H: psd_stats(H, Z, W, config.tol),
+            lambda H: psd_stats(H, Z, W, TOL),
         )
         if st.passed:
             return KSearchResult(True, K, ladder, None, radius, shrunk, st)
@@ -542,7 +540,7 @@ def run_construction(
     zero = WPoly.zero(nz)
     messages = []
 
-    scan = levi_scan(r, config.radius, config.samples, config.seed, config.tol)
+    scan = levi_scan(r, config.radius, config.samples, config.seed)
     if not scan.nonnegative:
         raise NotPseudoconvexError(scan)
 
@@ -567,7 +565,7 @@ def run_construction(
             messages.append("shortcut K search failed; entering stage loop")
 
     T_tel = zero  # un-absorbed telescoping sum, used for the contraction metric
-    degree_cap = config.degree_cap
+    degree_cap = None  # 2 + max(deg r, deg T_1), fixed at the first stage
     sup_cur = None
 
     n = 0
@@ -690,7 +688,7 @@ def run_construction(
             T, ks.K, n, zero, [a for s in stages for a in s.absorbed]
         )
         shell = sample_boundary(r, ks.radius, config.samples, config.seed)
-        checks, failed, _ = check_certificate(r, T, ks.K, shell, config.tol)
+        checks, failed, _ = check_certificate(r, T, ks.K, shell)
         verification = {"radius": ks.radius, **checks}
         if failed:
             messages.append("final verification failed; certificate withdrawn")

@@ -4,8 +4,8 @@ Accepts rationals (integers, decimals, and `/` with constant divisor),
 variables z, z1..zm, w (plus zbar/wbar and the imaginary unit `i`, so
 canonical polynomial text round-trips), the functions Re, Im, conj, abs2,
 operators + - * ^ with integer powers up to MAX_EXPONENT, and
-juxtaposition products like `2 i` or `z^2 zbar`.  Real mode uses x, x1..,
-y instead.
+juxtaposition products like `2 i` or `z^2 zbar`, nested at most
+MAX_NESTING deep.  Real mode uses x, x1.., y instead.
 
 `parse` goes from text to polynomial in one pass: the Pratt parser builds
 the polynomial of each subexpression as it reduces it, and stops at the
@@ -30,6 +30,9 @@ _TOKEN_RE = _re.compile(
 )
 
 MAX_EXPONENT = 64  # the largest power `^` takes
+# the deepest a subexpression may nest: each operand, parenthesis, function
+# argument and sign is one level, and each level a few Python frames
+MAX_NESTING = 256
 
 
 def _im(p):
@@ -104,6 +107,7 @@ class _Parser:
         self.cls = cls
         self.toks = _tokenize(src)
         self.k = 0
+        self.depth = 0  # the `expr` calls open
         if n is None:
             # the highest index of the lane's indexed variables; at least 1
             family = _families(cls).match
@@ -139,13 +143,19 @@ class _Parser:
         return p.constant_term()
 
     def expr(self, min_prec: int):
+        """The subexpression from here whose operators bind at least as
+        tightly as min_prec.  Every descent passes through here, so it
+        refuses the token that would open level MAX_NESTING + 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", self.peek())
         left = self.prefix()
         while True:
             t = self.peek()
             if t.kind == "op" and t.text in _BIN_PREC:
                 prec = _BIN_PREC[t.text]
                 if prec < min_prec:
-                    return left
+                    break
                 self.next()
                 # ^ is right-associative, the rest left
                 right = self.expr(prec if t.text == "^" else prec + 1)
@@ -154,10 +164,12 @@ class _Parser:
             if t.kind in ("num", "ident") or (t.kind == "op" and t.text == "("):
                 # juxtaposition product, same tier as *
                 if _JUXTA_PREC < min_prec:
-                    return left
+                    break
                 left = left * self.expr(_JUXTA_PREC + 1)
                 continue
-            return left
+            break
+        self.depth -= 1
+        return left
 
     def binary(self, op: Token, left, right):
         if op.text == "+":

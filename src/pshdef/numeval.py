@@ -51,6 +51,19 @@ def _term(term, factors, tables):
     return term
 
 
+def _numeric(p, m, c):
+    """Coefficient c of monomial m of p as a float or complex, the one place
+    exact coefficients become floats; a ValueError names a term no double
+    holds."""
+    try:
+        return p.numeric(c)
+    except OverflowError:
+        from .wirtinger import canonical_str  # wirtinger imports this module
+
+        term = canonical_str(type(p)(p.n, {m: c}))
+        raise ValueError(f"the term {term} has a coefficient outside the double range")
+
+
 class CompiledPoly:
     __slots__ = ("z_columns", "w_columns", "coeffs", "factors", "split", "tops")
 
@@ -61,7 +74,7 @@ class CompiledPoly:
         exps = np.array([e for e, _ in items], dtype=np.int64).reshape(
             len(items), p.width(p.n)
         )
-        self.coeffs = np.array([p.numeric(c) for _, c in items])
+        self.coeffs = np.array([_numeric(p, m, c) for m, c in items])
         # slots before `split` come from Z, the rest from W
         self.split = len(lane.indexed) * p.n
         self.factors = [

@@ -40,7 +40,7 @@ from .construct import ConstructConfig, check_search_config, k_search, search_fa
 from .cr import Domain, NormalFormError
 from .report import SCHEMA_VERSION
 from .verify import (
-    DEFAULT_TOL,
+    TOL,
     PsdCheckResult,
     Shell,
     h_floor_failure,
@@ -118,13 +118,13 @@ def real_psd_stats(H: np.ndarray, X, Y, tol: float) -> PsdCheckResult:
     return psd_stats(H, X, Y, tol)
 
 
-def real_hessian_check(f: RPoly, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
+def real_hessian_check(f: RPoly, shell: Shell, tol: float = TOL) -> PsdCheckResult:
     """`verify.psd_check`: the full real Hessian of f over the shell."""
     return psd_check(f, shell, tol)
 
 
 def check_real_certificate(
-    r: RealDefiningFunction, h: RPoly, shell: Shell, tol: float = DEFAULT_TOL
+    r: RealDefiningFunction, h: RPoly, shell: Shell
 ) -> tuple[dict, list, RPoly]:
     """The pass rule for a real-lane multiplier h on a shell, the
     counterpart of `verify.check_certificate`: the real Hessian of h r
@@ -133,7 +133,7 @@ def check_real_certificate(
     and "h_floor" (the certificate passes when that list is empty), and
     h r."""
     rho = r.times(h)
-    hessian = psd_check(rho, shell, tol)
+    hessian = psd_check(rho, shell)
     least_h = float(np.abs(shell.values(h)).min())
     passed = {"hessian": hessian.passed, "h_floor": h_floor_failure(least_h) is None}
     failed = [name for name, ok in passed.items() if not ok]
@@ -143,9 +143,7 @@ def check_real_certificate(
 # -- tangential convexity -------------------------------------------------
 
 
-def convexity_check(
-    r: RealDefiningFunction, shell: Shell, tol: float = DEFAULT_TOL
-) -> dict:
+def convexity_check(r: RealDefiningFunction, shell: Shell) -> dict:
     """Least eigenvalue of the tangential matrix r.levi(j, k) over the
     shell, with witness: the first point holding it and its least diagonal
     entry j."""
@@ -156,7 +154,7 @@ def convexity_check(
     eigs = least_eigenvalues(H)
     i = int(np.argmin(eigs))
     value = float(eigs[i])
-    passed = value >= -tol
+    passed = value >= -TOL
     out = {"min_value": value, "passed": passed, "witness": None}
     if not passed:
         out["witness"] = {
@@ -176,7 +174,6 @@ class RealConfig:
     samples: int = ConstructConfig.samples
     seed: int = ConstructConfig.seed
     max_k_exp: int = ConstructConfig.max_k_exp
-    tol: float = ConstructConfig.tol
 
     def __post_init__(self):
         check_search_config(self)
@@ -246,7 +243,7 @@ def convex_multiplier(
         "h floor and ladder limits transplanted from the complex lane",
     ]
     precheck = convexity_check(
-        r, sample_boundary(r, config.radius, config.samples, config.seed), config.tol
+        r, sample_boundary(r, config.radius, config.samples, config.seed)
     )
     report = RealReport(
         status="Exhausted",

@@ -6,9 +6,9 @@ with the normal coordinate, Im w or y, recovered by 1-D Newton on the
 domain's `normal_slope` (residual <= 1e-12); the polynomial class says how
 a point splits, and `point_report` gives it as either lane's reports do.
 PSD checks look at Hessian diagonals, all 2x2 minors with the last slot,
-and the least eigenvalue; n = 2 uses the closed-form eigenvalue, larger n
-a batched solve at the points a batched LDL* screen leaves.  Everything is
-deterministic under a fixed seed.  A `PointSet` (a `Shell`, or the probe
+and the least eigenvalue, each against the one fixed slack TOL; n = 2
+uses the closed-form eigenvalue, larger n a batched solve at the points a
+batched LDL* screen leaves.  Everything is deterministic under a fixed seed.  A `PointSet` (a `Shell`, or the probe
 shells or curves of a seed) keeps the values and the Hessian stacks
 evaluated on it, one per polynomial, so the checks of one certificate read
 one evaluation of each of h r's Hessian entries, h, 1 + T, r_wbar and the
@@ -36,7 +36,7 @@ from .wirtinger import WPoly
 
 NEWTON_TARGET = 1e-13
 RESIDUAL_BOUND = 1e-12
-DEFAULT_TOL = 1e-9
+TOL = 1e-9  # the PSD slack: every scan passes a value >= -TOL
 IDENTITY_REL_TOL = 1e-8  # `identity_check_prop31`'s bound, relative to 1 + max |LHS|
 EXTENDED_BELOW = 1e-4  # shells of smaller radius are solved in extended precision
 H_MIN = 0.5  # floor on |h| (and |1 + T|) over a shell
@@ -51,18 +51,20 @@ def h_floor_failure(least_h: float) -> dict | None:
     return {"min_abs_h": least_h, "h_floor": H_MIN}
 
 
-def check_sampling(radius: float, samples: int, seed: int, tol: float) -> None:
+def check_sampling(radius: float, samples: int, seed: int) -> None:
     """Reject a shell no scan can certify from: radius not finite or <= 0,
-    samples < 1, seed < 0 (no Halton scramble has one), tol < 0 or NaN.
-    Raises ValueError."""
+    samples < 1, seed < 0 (no Halton scramble has one).  Raises
+    ValueError."""
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
+class HFloorError(ValueError):
+    """|h| drops below H_MIN on a shell: no Hessian sign of h r is reliable."""
 
 
 class ProbeConfigurationError(RuntimeError):
@@ -625,7 +627,7 @@ def psd_stats(H: np.ndarray, Z, W, tol: float) -> PsdCheckResult:
     return psd_result(H, tol, lambda i: point_report(Z, W, i))
 
 
-def psd_check(f, shell: Shell, tol: float = DEFAULT_TOL) -> PsdCheckResult:
+def psd_check(f, shell: Shell, tol: float = TOL) -> PsdCheckResult:
     """Sampled positive-semidefiniteness of the Hessian of f over a shell:
     complex for a WPoly, real for an RPoly on a real shell.
 
@@ -715,11 +717,7 @@ class LeviScanResult:
 
 
 def levi_scan(
-    r: DefiningFunction,
-    radius: float,
-    samples: int = 2000,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    r: DefiningFunction, radius: float, samples: int = 2000, seed: int = 0
 ) -> LeviScanResult:
     """Scan tangential Levi values over a boundary ball sample."""
     shell = sample_boundary(r, radius, samples, seed)
@@ -731,9 +729,9 @@ def levi_scan(
     return LeviScanResult(
         min_value=float(vals[i]),
         worst_point=point_report(shell.Z, shell.W, i),
-        negative_count=int(np.sum(vals < -tol)),
+        negative_count=int(np.sum(vals < -TOL)),
         count=len(vals),
-        tol=tol,
+        tol=TOL,
     )
 
 
@@ -759,7 +757,7 @@ def necessary_conditions_check(
     h: WPoly,
     shell: Shell,
     K=0,
-    tol: float = DEFAULT_TOL,
+    tol: float = TOL,
 ) -> NecessaryConditionsResult:
     """The log-derivative condition for rho = h r plurisubharmonic.
 
@@ -770,12 +768,12 @@ def necessary_conditions_check(
     NotDominated.  The paper's four pointwise inequalities on the (z_j, w)
     block of Hess(h r) are not evaluated: on r = 0 each is a non-negative
     combination of values of that block's Hermitian form, so a passing PSD
-    scan of h r implies them.  tol is not read.  Raises ValueError when
+    scan of h r implies them.  tol is not read.  Raises HFloorError when
     |h| drops below H_MIN on the shell.
     """
     hv = shell.values(h)
     if h_floor_failure(float(np.abs(hv).min())) is not None:
-        raise ValueError(f"h vanishes (|h| < {Fraction(H_MIN)}) on the sampled shell")
+        raise HFloorError(f"h vanishes (|h| < {Fraction(H_MIN)}) on the sampled shell")
     from .dominance import Bound, dominance_check
 
     p1 = h - r.poly.scale(Fraction(K))  # 1 + T on and off the boundary
@@ -805,11 +803,7 @@ def _verdict_rank(v) -> int:
 
 
 def check_certificate(
-    r: DefiningFunction,
-    T: WPoly,
-    K,
-    shell: Shell,
-    tol: float = DEFAULT_TOL,
+    r: DefiningFunction, T: WPoly, K, shell: Shell
 ) -> tuple[dict, list, WPoly]:
     """The pass rule for a certificate h = 1 + T + K r on a shell.
 
@@ -822,10 +816,10 @@ def check_certificate(
     """
     h = WPoly.one(r.nz) + T + r.poly.scale(Fraction(K))
     rho = r.times(h)
-    psd = psd_check(rho, shell, tol)
+    psd = psd_check(rho, shell)
     try:
         nec = necessary_conditions_check(r, h, shell, K)
-    except ValueError as e:
+    except HFloorError as e:
         nec_dict, nec_passed = {"error": str(e)}, False
     else:
         nec_dict, nec_passed = nec.as_dict(), nec.all_hold

@@ -559,11 +559,9 @@ def test_verify_real_rejects_collar_flag(capsys):
     assert err == "error: --collar is a complex-lane flag; --real checks the boundary only\n"
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--max-stages", "3"), ("--degree-cap", "4"), ("--max-stages", "-5")]
-)
+@pytest.mark.parametrize("flag, value", [("--max-stages", "3"), ("--max-stages", "-5")])
 def test_construct_real_rejects_stage_flags(capsys, flag, value):
-    """The real lane runs no stages; a flag of the staged search is refused,
+    """The real lane runs no stages; the staged search's flag is refused,
     not dropped, whatever its value."""
     code, out, err = run(capsys, "construct", "--real", "--r", "y + x^2", flag, value)
     assert code == 64
@@ -798,14 +796,10 @@ SEARCH_SETTINGS = [
     ("radius", "--radius", "inf"),
     ("radius", "--radius", "nan"),
     ("seed", "--seed", "-1"),
-    ("tol", "--tol", "-1"),
 ]
 LANES = {"complex": ["--r", R10], "real": ["--r", "y + x^2", "--real"]}
 # settings only the complex lane's staged search reads
-STAGE_SETTINGS = [
-    ("max_stages", "--max-stages", "-1"),
-    ("degree_cap", "--degree-cap", "-1"),
-]
+STAGE_SETTINGS = [("max_stages", "--max-stages", "-1")]
 
 
 @pytest.mark.parametrize(
@@ -837,7 +831,6 @@ def test_invalid_config_exit_64(capsys, lane, field, flag, value):
         ("radius", "--radius", "inf"),
         ("samples", "--samples", "0"),
         ("seed", "--seed", "-1"),
-        ("tol", "--tol", "-1"),
     ],
 )
 @pytest.mark.parametrize(
@@ -875,8 +868,8 @@ def test_console_script_installed():
 
 # the flags each subcommand reads, beyond its own (--h, --csv-points, ...)
 EXPRESSION_FLAGS = ["--r", "--nz", "--real", "--json"]
-SAMPLING_FLAGS = EXPRESSION_FLAGS + ["--radius", "--samples", "--seed", "--tol"]
-SEARCH_FLAGS = SAMPLING_FLAGS + ["--max-stages", "--degree-cap", "--max-K-exp"]
+SAMPLING_FLAGS = EXPRESSION_FLAGS + ["--radius", "--samples", "--seed"]
+SEARCH_FLAGS = SAMPLING_FLAGS + ["--max-stages", "--max-K-exp"]
 FLAGS = {
     "levi": EXPRESSION_FLAGS,
     "analyze": SAMPLING_FLAGS,
@@ -891,17 +884,36 @@ COMMAND_ARGV = {
 }
 
 
+def test_config_fields():
+    """The configs hold the sampling and search settings alone: the PSD
+    slack is `verify.TOL` and the degree cap is derived from the input."""
+    from dataclasses import fields
+
+    from pshdef.construct import ConstructConfig
+    from pshdef.realconvex import RealConfig
+
+    assert [f.name for f in fields(ConstructConfig)] == [
+        "radius",
+        "samples",
+        "seed",
+        "max_stages",
+        "max_k_exp",
+    ]
+    assert [f.name for f in fields(RealConfig)] == ["radius", "samples", "seed", "max_k_exp"]
+
+
 def test_parser_defaults_are_the_config_defaults():
     """Each subcommand's defaults are read from the config classes, not
-    restated, and each takes the settings of exactly its group."""
+    restated, and each takes the settings of exactly its group.  --max-stages
+    alone defaults to None, so that the real lane can refuse it; the complex
+    lane's run then reads the config's value."""
     from dataclasses import fields
 
     from pshdef.cli import build_parser
     from pshdef.construct import ConstructConfig
     from pshdef.realconvex import RealConfig
-    from pshdef.verify import DEFAULT_TOL
 
-    sampling = {"radius", "samples", "seed", "tol"}
+    sampling = {"radius", "samples", "seed"}
     search = {f.name for f in fields(ConstructConfig)}
     assert sampling < {f.name for f in fields(RealConfig)} < search
     for command, argv in COMMAND_ARGV.items():
@@ -909,20 +921,29 @@ def test_parser_defaults_are_the_config_defaults():
         settings = {"levi": set(), "construct": search}.get(command, sampling)
         assert settings == search & set(args), command
         for config in (ConstructConfig(), RealConfig()):
-            for name in settings & {f.name for f in fields(config)}:
+            for name in settings & {f.name for f in fields(config)} - {"max_stages"}:
                 assert args[name] == getattr(config, name), (command, name)
-    assert ConstructConfig().tol == RealConfig().tol == DEFAULT_TOL
+    assert build_parser().parse_args(COMMAND_ARGV["construct"]).max_stages is None
 
 
-# (subcommand, a flag it does not read, a valid value for that flag)
+def test_construct_config_is_the_default_config(capsys):
+    """A complex construct run with no settings reports `ConstructConfig()`."""
+    from pshdef.construct import ConstructConfig
+
+    _, out, _ = run(capsys, *COMMAND_ARGV["construct"], "--json")
+    assert json.loads(out)["config"] == ConstructConfig().as_dict()
+
+
+# (subcommand, a flag it does not read, a valid value for that flag); no
+# subcommand reads --tol or --degree-cap, which set retired knobs
 UNREAD_FLAGS = [
     (command, flag, value)
-    for command in ("levi", "analyze", "verify")
+    for command in ("levi", "analyze", "verify", "construct")
     for flag, value in [
         ("--radius", "1e-2"),
         ("--samples", "100"),
         ("--seed", "1"),
-        ("--tol", "1e-9"),
+        ("--tol", "1e-4"),
         ("--max-stages", "2"),
         ("--degree-cap", "4"),
         ("--max-K-exp", "8"),
@@ -950,6 +971,104 @@ def test_removed_construction_flags_exit_64(capsys, flags):
     code, _, err = run(capsys, *COMMAND_ARGV["construct"], *flags)
     assert code == 64
     assert f"unrecognized arguments: {flags[0]}" in err
+
+
+def test_a7_is_obstructed_whatever_the_flags(capsys):
+    """A = 7 is not pseudoconvex.  A looser PSD slack once certified it
+    (T = -4 Im z, K = 16); now it stops at the Levi scan, and the slack has
+    no flag."""
+    code, out, err = run(capsys, "construct", "--r", R7)
+    assert (code, err) == (1, "")
+    assert out.startswith("Obstructed: negative Levi value -8.101e-06")
+    assert run(capsys, "construct", "--r", R7, "--tol", "1e-4")[:2] == (64, "")
+    code, out, _ = run(capsys, "analyze", "--r", R7)
+    assert (code, out[:25]) == (1, "fail: Levi min -8.101e-06")
+
+
+# sha256 of each golden as it was while `tol` and `degree_cap` were settings
+RETIRED_LAYOUT_SHA256 = {
+    "analyze_ball2": "e96ab96cedd7b46e151e51d7841c52faf7a83729b46ea54dd932fe5f4a23a51b",
+    "analyze_r10": "80f177af34727dd01e7fc9244bd5a3cb65239f72b4ea1435102641fdeed8b5da",
+    "analyze_r8": "445b476bcfc3ba9325164dee8cc8c82625446998f4c72d4d64c159fee05d40ad",
+    "r10_report": "5b6f2c3ca2c5644a61bcfd12fffa3c680c881341fb680f5dc2aa4f1e732be566",
+    "r8_report": "ce45106d5c3d715f7d174eb937e4f0d79499587e2c6a97653122bc2f017e872c",
+    "verify_real_floor_fail": "7094dbe2e37f74aab8f698fa68e3e393c6d20eefdceafe8bf23aeaff17e7d652",
+    "verify_real_floor_only": "ecc41bc8781c5292c2b4b11d1ea45c5b4fd1959051e8d473f8f44a975713df84",
+    "verify_real_hessian_fail": "f72d4f7f9b92105a8af6a9b247c730edc765d36ef5672f7a43908d4ae7fd1282",
+    "verify_real_pass": "9de3209d29c4eaa88f7efe26536f38c2f129cd2798d4e8d5466fb6dfdd812a43",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_LAYOUT_SHA256))
+def test_golden_lost_only_the_retired_settings(name):
+    """Each golden is its earlier text less `config.tol` and
+    `config.degree_cap`: put back where they stood, they give that text's
+    digest."""
+    import hashlib
+
+    from pshdef.report import dumps_report
+
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    staged = "max_stages" in report["config"]
+    config = {}
+    for key, value in report["config"].items():
+        if key == "max_k_exp" and staged:
+            config["degree_cap"] = None
+        config[key] = value
+        if key == "seed" and not staged:
+            config["tol"] = 1e-9
+    if staged:
+        config["tol"] = 1e-9
+    report["config"] = config
+    digest = hashlib.sha256(dumps_report(report).encode()).hexdigest()
+    assert digest == RETIRED_LAYOUT_SHA256[name]
+
+
+# (subcommand argv, the output flag); each run completes its work first
+UNWRITABLE = [
+    ["analyze", "--r", R10, "--csv-points"],
+    ["construct", "--r", R10, "--csv-points"],
+    ["verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64", "--csv-points"],
+    ["verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", "64", "--csv-stats"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=[f"{a[0]}{a[-1]}" for a in UNWRITABLE])
+def test_unwritable_output_exit_64(capsys, tmp_path, argv):
+    """An output file that cannot be written is a usage error naming it,
+    not a traceback."""
+    missing = tmp_path / "missing" / "x.csv"
+    for path, reason in [(missing, "No such file or directory"), (tmp_path, "Is a directory")]:
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (64, "")
+        assert err == f"error: cannot write {path}: {reason}\n"
+
+
+BIG = "1" + "0" * 400  # 10^400, past the largest double
+
+
+@pytest.mark.parametrize(
+    "argv, term",
+    [
+        (["analyze", "--r", f"Im(w) + {BIG}*abs2(z)"], f"{BIG} * z zbar"),
+        (["construct", "--r", f"Im(w) + {BIG}*abs2(z)"], f"{BIG} * z zbar"),
+        (["analyze", "--real", "--r", f"y + {BIG}*x^2"], f"{BIG} * x^2"),
+        (["construct", "--real", "--r", f"y + {BIG}*x^2"], f"{BIG} * x^2"),
+        # 10^400 r, whose (Re w)^2 term has the coefficient -10, times r
+        (["verify", "--r", R10, "--h", "1 - 4*Im(z)", "--K", BIG], f"2{BIG[1:]} * wbar^2"),
+    ],
+    ids=["analyze", "construct", "analyze-real", "construct-real", "verify-K"],
+)
+def test_coefficient_outside_double_range_exit_64(capsys, argv, term):
+    """A coefficient no double holds is an input error naming its term;
+    `levi` stays exact and prints it."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err == f"error: the term {term} has a coefficient outside the double range\n"
+    if argv[0] == "analyze":
+        lane = argv[1:2] if argv[1] == "--real" else []
+        code, out, _ = run(capsys, "levi", *lane, "--r", argv[-1])
+        assert code == 0 and int(out) > 10**399  # 10^400 / 4, or 2 * 10^400
 
 
 @pytest.mark.parametrize("command", list(FLAGS))

@@ -216,11 +216,14 @@ def test_certified_replay(r8, r8_report):
 
 
 def test_r7_raises(r7):
-    with pytest.raises(NotPseudoconvexError) as ei:
-        run_construction(r7, ConstructConfig(samples=4000))
-    scan = ei.value.scan
-    assert scan.min_value < -1e-9
-    assert scan.worst_point is not None
+    """A = 7 is not pseudoconvex, at the default sampling too, where a
+    settable PSD slack of 1e-4 once let it through."""
+    for config in (ConstructConfig(), ConstructConfig(samples=4000)):
+        with pytest.raises(NotPseudoconvexError) as ei:
+            run_construction(r7, config)
+        scan = ei.value.scan
+        assert scan.min_value < -1e-9
+        assert scan.worst_point is not None
 
 
 def test_halfspace_run(halfspace):
@@ -371,10 +374,15 @@ def test_residual_not_dominated_input_has_a_certificate(seed):
     assert failed == [] and checks["psd"]["passed"]
 
 
-def test_degree_cap(r8):
-    rep = run_construction(r8, ConstructConfig(degree_cap=2))
-    assert rep.status == "Certified"
-    assert rep.final.T.degree() <= 2
+def test_degree_cap_is_derived(r8, r8_report):
+    """The degree cap is 2 + max(deg r, deg T_1), set once at stage 1, and
+    no stage's T exceeds it."""
+    stages = r8_report.stages
+    assert stages[0].index == 1
+    cap = 2 + max(r8.poly.degree(), stages[0].T_after.degree())
+    notes = [m for m in r8_report.messages if m.startswith("degree cap")]
+    assert notes == [f"degree cap set to {cap}"]
+    assert all(s.T_after.degree() <= cap for s in stages)
 
 
 def test_stage_split_once_per_polynomial(monkeypatch):
@@ -553,7 +561,7 @@ def test_failed_final_check_withdraws_certificate(r10, monkeypatch):
     message = "h vanishes (|h| < 1/2) on the sampled shell"
 
     def vanishing(*args, **kwargs):
-        raise ValueError(message)
+        raise verify.HFloorError(message)
 
     monkeypatch.setattr(verify, "necessary_conditions_check", vanishing)
     rep = run_construction(r10)

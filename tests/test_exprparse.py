@@ -71,8 +71,11 @@ RULES = [
     ("real", "x^0", 1, RPoly.one(1)),
     ("real", "x^(1 + 1)", 1, X * X),
     ("real", "-x^2", 1, -(X * X)),
+    # MAX_NESTING levels: the outermost expression and 255 parentheses
+    ("complex", "(" * 255 + "z" + ")" * 255, 1, Z),
 ]
 
+NESTED = "expression nested deeper than 256 levels"
 # (lane, source, number of variables, message, column)
 ERRORS = [
     ("complex", "z^z", 1, "expected a constant here", 2),
@@ -118,18 +121,23 @@ ERRORS = [
     ("complex", "z + $ + q", 1, "unexpected character '$'", 5),
     ("real", "i + (", 1, "imaginary unit not available in real mode", 1),
     ("real", "x + x2 ^ (", 1, "variable x2 out of range (nx=1)", 5),
+    # past MAX_NESTING levels, at the token that opens level 257; `+` opens
+    # level 2, so the 256th parenthesis after it is the first refused
+    ("complex", "Im(w) + " + "(" * 330 + "abs2(z)" + ")" * 330, 1, NESTED, 264),
+    ("complex", "+" * 500 + "abs2(z)", 1, NESTED, 257),
 ]
 
 
+# a test id shows the first 24 characters of its source
 @pytest.mark.parametrize(
-    "lane, src, n, expected", RULES, ids=[f"{c[0]}:{c[1]}" for c in RULES]
+    "lane, src, n, expected", RULES, ids=[f"{c[0]}:{c[1][:24]}" for c in RULES]
 )
 def test_lowering_rule(lane, src, n, expected):
     assert PARSE[lane](src, n) == expected
 
 
 @pytest.mark.parametrize(
-    "lane, src, n, message, col", ERRORS, ids=[f"{c[0]}:{c[1]}" for c in ERRORS]
+    "lane, src, n, message, col", ERRORS, ids=[f"{c[0]}:{c[1][:24]}" for c in ERRORS]
 )
 def test_lowering_error(lane, src, n, message, col):
     with pytest.raises(ExprSyntaxError) as info:

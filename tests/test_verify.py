@@ -425,6 +425,18 @@ def test_certificate_check_evaluates_each_polynomial_once(name, monkeypatch):
     assert len(products) == 1
 
 
+def test_coefficient_outside_double_range_is_no_verdict(monkeypatch):
+    """A coefficient no double holds is an input error even where the
+    necessary check meets it first: only the h floor's error becomes a
+    failed check."""
+    r, T, _, _ = certificate("A=10")
+    shell = sample_boundary(r, 1e-2, 2000, 0)
+    monkeypatch.setattr(verify, "psd_check", lambda *args: None)
+    with pytest.raises(ValueError, match="outside the double range") as info:
+        check_certificate(r, T, 10**400, shell)
+    assert not isinstance(info.value, verify.HFloorError)
+
+
 @pytest.mark.parametrize("name", ["A=10", "ball3_tilted"])
 def test_shell_decided_verification_projects_no_curve(name, monkeypatch):
     """A certificate whose log-derivative verdict the probe shells decide
