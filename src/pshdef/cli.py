@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -21,7 +21,6 @@ from .dominance import levi_dominance_gate
 from .exprparse import parse
 from .gaussrat import format_gaussian
 from .realconvex import (
-    RealConfig,
     check_real_certificate,
     convex_multiplier,
     convexity_check,
@@ -31,7 +30,6 @@ from .report import SCHEMA_VERSION, dumps_report, envelope, hessian_csv, shell_c
 from .verify import (
     ProbeConfigurationError,
     check_certificate,
-    check_sampling,
     levi_scan,
     psd_check,
     sample_boundary,
@@ -59,7 +57,7 @@ class _UsageError(ValueError):
 
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes the flags it reads: levi the expression flags,
-    # analyze and verify those and the sampling flags, construct all of them
+    # analyze, construct and verify those and the sampling flags
     expression = argparse.ArgumentParser(add_help=False)
     expression.add_argument("--r", required=True, help="defining function expression")
     expression.add_argument("--nz", type=int, help="number of z (or x) variables")
@@ -72,11 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--radius", type=float, default=d.radius)
     sampling.add_argument("--samples", type=int, default=d.samples)
     sampling.add_argument("--seed", type=int, default=d.seed)
-    search = argparse.ArgumentParser(add_help=False, parents=[sampling])
-    # None when not given, so that the real lane, which runs no stages, can
-    # refuse any value; the complex lane then reads the config's default
-    search.add_argument("--max-stages", type=int)
-    search.add_argument("--max-K-exp", dest="max_k_exp", type=int, default=d.max_k_exp)
 
     p = argparse.ArgumentParser(
         prog="pshdef",
@@ -89,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="normal form, Levi diagnostics, dominance gate",
     ).add_argument("--csv-points", metavar="FILE", help="write the shell point table")
     c = sub.add_parser(
-        "construct", parents=[search], help="run the multiplier construction"
+        "construct", parents=[sampling], help="run the multiplier construction"
     )
     c.add_argument("--csv-points", metavar="FILE", help="write the shell point table")
     v = sub.add_parser(
@@ -122,13 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
 class _Lane:
     poly: type  # WPoly | RPoly: names, parsing, printing, point tables, report mode
     validate: Callable  # polynomial -> domain, or a normal-form error
-    config: type  # the construction's config, built from construct's flags
     construct: Callable  # (domain, config) -> report
 
 
 _LANES = {
-    False: _Lane(WPoly, validate_normal_form, ConstructConfig, run_construction),
-    True: _Lane(RPoly, validate_real_normal_form, RealConfig, convex_multiplier),
+    False: _Lane(WPoly, validate_normal_form, run_construction),
+    True: _Lane(RPoly, validate_real_normal_form, convex_multiplier),
 }
 
 
@@ -138,8 +130,13 @@ def _load(args):
     return lane, lane.validate(parse(args.r, lane.poly, args.nz))
 
 
-def _shell(args, r):
-    return sample_boundary(r, args.radius, args.samples, args.seed)
+def _config(args) -> ConstructConfig:
+    """The sampling flags' config; a bad value is a usage error."""
+    return ConstructConfig(args.radius, args.samples, args.seed)
+
+
+def _shell(config, r):
+    return sample_boundary(r, config.radius, config.samples, config.seed)
 
 
 def _head(r, command: str, status: str) -> dict:
@@ -152,10 +149,6 @@ def _head(r, command: str, status: str) -> dict:
         "status": status,
         "defining_function": {p.size_name: p.n, "text": canonical_str(p)},
     }
-
-
-def _sampling(args) -> dict:
-    return {"radius": args.radius, "samples": args.samples, "seed": args.seed}
 
 
 def _emit(args, report: dict, human: str) -> None:
@@ -177,9 +170,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    check_sampling(args.radius, args.samples, args.seed)
+    config = _config(args)
     lane, r = _load(args)
-    shell = _shell(args, r)
+    shell = _shell(config, r)
     if args.real:
         conv = convexity_check(r, shell)
         self_check = psd_check(r.poly, shell)
@@ -193,8 +186,8 @@ def _cmd_analyze(args) -> int:
             f"Hessian of r itself min eig {self_check.min_eig:.3e}"
         )
     else:
-        scan = levi_scan(r, args.radius, args.samples, args.seed)
-        gate = levi_dominance_gate(r, args.seed)
+        scan = levi_scan(r, config.radius, config.samples, config.seed)
+        gate = levi_dominance_gate(r, config.seed)
         if not scan.nonnegative:
             status = "fail"
         elif gate.status == "Unknown":
@@ -214,7 +207,7 @@ def _cmd_analyze(args) -> int:
             + (f" (C = {gate.constant:.4g})" if gate.constant is not None else "")
         )
     report = _head(r, "analyze", status)
-    report["config"] = _sampling(args)
+    report["config"] = config.as_dict()
     report["normal_form"] = {"ok": True, "degree": r.poly.degree()}
     report.update(body, messages=[])
     if args.csv_points:
@@ -224,12 +217,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.max_stages is None:
-        args.max_stages = ConstructConfig.max_stages
-    elif args.real:
-        raise _UsageError("--max-stages is a complex-lane flag; --real runs no stages")
     lane, r = _load(args)
-    config = lane.config(**{f.name: getattr(args, f.name) for f in fields(lane.config)})
+    config = _config(args)
     try:
         rep = lane.construct(r, config)
     except NotPseudoconvexError as e:
@@ -245,23 +234,23 @@ def _cmd_construct(args) -> int:
         _emit(args, report, f"Obstructed: {e}")
         return EXIT_FAIL
     if args.csv_points:
-        _write(args.csv_points, shell_csv(_shell(args, r), lane.poly))
+        _write(args.csv_points, shell_csv(_shell(config, r), lane.poly))
     _emit(args, envelope("construct", rep.as_dict()), rep.trace())
     return _EXIT[rep.status]
 
 
 def _cmd_verify(args) -> int:
-    check_sampling(args.radius, args.samples, args.seed)
+    config = _config(args)
     if args.real and args.K:
         raise _UsageError("--K is a complex-lane flag; fold K into --h with --real")
     if args.real and args.collar is not None:
         raise _UsageError("--collar is a complex-lane flag; --real checks the boundary only")
     lane, r = _load(args)
     p1 = parse(args.h, lane.poly, r.poly.n)  # h; 1 + T in the complex lane
-    config = _sampling(args)
-    config["h"] = canonical_str(p1)
+    reported = config.as_dict()
+    reported["h"] = canonical_str(p1)
     if args.real:
-        shell = _shell(args, r)
+        shell = _shell(config, r)
         checks, failed, rho = check_real_certificate(r, p1, shell)
         messages = ["the log-derivative check is complex-lane only"]
         if "h_floor" in failed:
@@ -276,10 +265,12 @@ def _cmd_verify(args) -> int:
         T = p1 - WPoly.one(r.nz)
         if T.min_degree() == 0 and not T.is_zero():
             raise _UsageError("h must equal 1 at the origin")
-        config["K"] = args.K
+        reported["K"] = args.K
         if args.collar is not None:  # a bad delta stops before the check
-            collar = sample_collar(r, args.radius, args.samples, args.seed, args.collar)
-        shell = _shell(args, r)
+            collar = sample_collar(
+                r, config.radius, config.samples, config.seed, args.collar
+            )
+        shell = _shell(config, r)
         checks, failed, rho = check_certificate(r, T, args.K, shell)
         psd, nec = checks["psd"], checks["necessary"]
         messages = [nec["error"]] if "error" in nec else []
@@ -290,7 +281,7 @@ def _cmd_verify(args) -> int:
         human = ", ".join(bits)
     status = "fail" if failed else "pass"
     report = _head(r, "verify", status)
-    report.update(config=config, checks=checks, messages=messages)
+    report.update(config=reported, checks=checks, messages=messages)
     if args.collar is not None:
         report["collar"] = {
             "non_normative": True,

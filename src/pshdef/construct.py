@@ -49,22 +49,12 @@ from .verify import (
 from .wirtinger import SparsePoly, WPoly, canonical_str, realify
 
 SHRINK = 0.25
-MAX_K_EXP = 1022  # the top rung's scale 2^(e + 1) stays a finite double
-
-
-def check_search_config(config, *counts: str) -> None:
-    """Reject the sampling and ladder settings no scan can certify from,
-    and negative values of the named counts.  max_k_exp is
-    at most MAX_K_EXP, so that a rung's scale 2^(max_k_exp + 1) is a
-    finite double.  Shared by the complex and the real lane's configs;
-    raises ValueError."""
-    check_sampling(config.radius, config.samples, config.seed)
-    if config.max_k_exp > MAX_K_EXP:
-        raise ValueError(f"max_k_exp must be <= {MAX_K_EXP}, got {config.max_k_exp}")
-    for name in ("max_k_exp", *counts):
-        value = getattr(config, name)
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+MAX_STAGES = 4  # stages before a run ends with the max_stages obstruction
+# The top rung is K = 2^MAX_K_EXP.  A rung's largest entry is about
+# 2K |grad r(0)|^2, and the scan resolves it only while eps times that
+# entry stays well below the slack TOL; it is about TOL at K = 2^21 in the
+# real lane (|grad r(0)|^2 = 1) and at K = 2^23 in the complex lane (1/4).
+MAX_K_EXP = 20
 
 
 class NotPseudoconvexError(RuntimeError):
@@ -80,14 +70,15 @@ class NotPseudoconvexError(RuntimeError):
 
 @dataclass
 class ConstructConfig:
+    """Where the claim is checked and how densely; the settings of every
+    sampling command, in both lanes."""
+
     radius: float = 1e-2
     samples: int = 2000
     seed: int = 0
-    max_stages: int = 4
-    max_k_exp: int = 20
 
     def __post_init__(self):
-        check_search_config(self, "max_stages")
+        check_sampling(self.radius, self.samples, self.seed)
 
     def as_dict(self) -> dict:
         return dict(vars(self))
@@ -422,8 +413,8 @@ def search_failure(witness: dict, h_part: str, ladder_claim: str) -> str:
 
 
 def k_search(r: Domain, T: SparsePoly, config=None, curves=False) -> KSearchResult:
-    """Smallest power-of-two K making (1 + Kr + T) r pass the PSD scan, in
-    either lane: config is a `ConstructConfig` or a `RealConfig`.
+    """Smallest power-of-two K, at most 2^MAX_K_EXP, making (1 + Kr + T) r
+    pass the PSD scan, in either lane.
 
     On the boundary the Hessian is Hess((1 + T) r) plus 2K g g*, g the
     gradient of r, so `k_ladder` gets those two and reads K off the scan
@@ -454,7 +445,7 @@ def k_search(r: Domain, T: SparsePoly, config=None, curves=False) -> KSearchResu
         ladder, K, st = k_ladder(
             hessian_values(r.times(p), Z, W),
             gradient_stack(r, Z, W),
-            config.max_k_exp,
+            MAX_K_EXP,
             lambda H: psd_stats(H, Z, W, TOL),
         )
         if st.passed:
@@ -570,7 +561,7 @@ def run_construction(
 
     n = 0
     while not (ks and ks.found):
-        if n == config.max_stages:
+        if n == MAX_STAGES:
             obstruction = {
                 "kind": "max_stages",
                 "stage": n,

@@ -14,11 +14,13 @@ sampled and Newton-projected on the slope r_y, the point reports, the
 Hessian and gradient stacks, the PSD statistics and the h floor), and the
 K search (`construct.k_search`, with T = r_y).  Its own parts are the
 r = y + G normal form, the convexity precheck and the multiplier.  A real
-shell holds x in Z and y in W.  `sample_real_boundary`,
+shell holds x in Z and y in W, and its settings are a
+`construct.ConstructConfig`.  `sample_real_boundary`,
 `real_hessian_values`, `real_psd_stats` and `real_hessian_check` are each
-one call into `verify`, kept by name with `validate_real_normal_form`
-because the benchmark calls or traces each by name; the pipeline calls
-`verify` itself.
+one call into `verify`, and `RealConfig` is `ConstructConfig`; they are
+kept by name with `validate_real_normal_form` because the benchmark
+builds, calls or traces each by name; the pipeline uses the shared names
+itself.
 
 Off the boundary, with p = 1 + r_y, the Hessian determinant of r*h in a
 tangential (x_j, y) plane expands as
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructConfig, check_search_config, k_search, search_failure
+from .construct import ConstructConfig, k_search, search_failure
 from .cr import Domain, NormalFormError
 from .report import SCHEMA_VERSION
 from .verify import (
@@ -98,7 +100,9 @@ class RealDefiningFunction(Domain):
         return self.d_y()
 
 
-# -- the real lane's names for the boundary layer -------------------------
+# -- the real lane's names for the shared parts ---------------------------
+
+RealConfig = ConstructConfig
 
 
 def sample_real_boundary(
@@ -169,27 +173,13 @@ def convexity_check(r: RealDefiningFunction, shell: Shell) -> dict:
 
 
 @dataclass
-class RealConfig:
-    radius: float = ConstructConfig.radius
-    samples: int = ConstructConfig.samples
-    seed: int = ConstructConfig.seed
-    max_k_exp: int = ConstructConfig.max_k_exp
-
-    def __post_init__(self):
-        check_search_config(self)
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass
 class RealReport:
     """Outcome of the real-lane pipeline; same envelope as the complex one."""
 
     status: str  # "Certified" | "Obstructed" | "Exhausted"
     r_text: str
     nx: int
-    config: RealConfig
+    config: ConstructConfig
     convexity_precheck: dict
     final: dict | None
     obstruction: dict | None
@@ -226,7 +216,7 @@ class RealReport:
 
 
 def convex_multiplier(
-    r: RealDefiningFunction, config: RealConfig | None = None
+    r: RealDefiningFunction, config: ConstructConfig | None = None
 ) -> RealReport:
     """Certify r * (1 + Kr + r_y) convex near 0, K read off the K ladder's rung 0.
 
@@ -236,7 +226,7 @@ def convex_multiplier(
     complex lane's `construct.k_search` of T = r_y on the shell alone: the
     h floor |1 + r_y| >= 1/2, the K ladder and the single radius shrink.
     """
-    config = config or RealConfig()
+    config = config or ConstructConfig()
     ry = r.d_y()
     h_text = f"1 + K * ({canonical_str(r.poly)}) + {canonical_str(ry)}"
     messages = [

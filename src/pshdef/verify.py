@@ -40,6 +40,7 @@ TOL = 1e-9  # the PSD slack: every scan passes a value >= -TOL
 IDENTITY_REL_TOL = 1e-8  # `identity_check_prop31`'s bound, relative to 1 + max |LHS|
 EXTENDED_BELOW = 1e-4  # shells of smaller radius are solved in extended precision
 H_MIN = 0.5  # floor on |h| (and |1 + T|) over a shell
+MAX_SAMPLES = 10**6  # a shell's point budget: its arrays stay well inside memory
 
 
 def h_floor_failure(least_h: float) -> dict | None:
@@ -53,12 +54,14 @@ def h_floor_failure(least_h: float) -> dict | None:
 
 def check_sampling(radius: float, samples: int, seed: int) -> None:
     """Reject a shell no scan can certify from: radius not finite or <= 0,
-    samples < 1, seed < 0 (no Halton scramble has one).  Raises
-    ValueError."""
+    samples < 1, seed < 0 (no Halton scramble has one); and one of more
+    than MAX_SAMPLES points.  Raises ValueError."""
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pshdef import cli, verify
+from pshdef import cli, construct, verify
 from pshdef.cli import main
 from pshdef.exprparse import ExprSyntaxError, parse_wpoly
 from pshdef.report import load_schema
@@ -311,18 +311,32 @@ def test_construct_r7_obstructed(capsys):
 
 
 # every obstruction kind `construct` can report, with an input reaching it
+# and the `construct` budgets it lowers (A=8 needs two stages, and K = 64
+# is the first rung that certifies A=10)
 OBSTRUCTIONS = {
-    "not_pseudoconvex": (["--r", R7], "Obstructed"),
-    "residual_not_dominated": (["--r", "Im(w) + abs2(z)^3 + abs2(z)*Im(w)"], "Obstructed"),
+    "not_pseudoconvex": (["--r", R7], "Obstructed", {}),
+    "residual_not_dominated": (
+        ["--r", "Im(w) + abs2(z)^3 + abs2(z)*Im(w)"],
+        "Obstructed",
+        {},
+    ),
     "incompatible_system": (
         ["--r", "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Im(z2)*Re(w) - 10*Re(w)^2"],
         "Obstructed",
+        {},
     ),
-    "fixpoint": (["--r", C3], "Exhausted"),
-    "max_stages": (["--r", R8, "--max-stages", "1"], "Exhausted"),
-    # K = 64 is the first rung that certifies A=10
-    "k_search_failed": (["--r", R10, "--max-K-exp", "2"], "Exhausted"),
+    "fixpoint": (["--r", C3], "Exhausted", {}),
+    "max_stages": (["--r", R8], "Exhausted", {"MAX_STAGES": 1}),
+    "k_search_failed": (["--r", R10], "Exhausted", {"MAX_K_EXP": 2}),
 }
+
+
+def obstruction_argv(monkeypatch, kind):
+    """The argv and status of OBSTRUCTIONS[kind], its budgets lowered."""
+    argv, status, budgets = OBSTRUCTIONS[kind]
+    for name, value in budgets.items():
+        monkeypatch.setattr(construct, name, value)
+    return argv, status
 
 
 def test_obstruction_table_names_every_kind():
@@ -335,8 +349,8 @@ def test_obstruction_table_names_every_kind():
 
 
 @pytest.mark.parametrize("kind", list(OBSTRUCTIONS))
-def test_construct_reaches_obstruction(capsys, kind):
-    argv, status = OBSTRUCTIONS[kind]
+def test_construct_reaches_obstruction(capsys, monkeypatch, kind):
+    argv, status = obstruction_argv(monkeypatch, kind)
     code, out, _ = run(capsys, "construct", *argv, "--json")
     d = json.loads(out)
     assert (code, d["status"], d["obstruction"]["kind"]) == (
@@ -350,10 +364,10 @@ def test_construct_reaches_obstruction(capsys, kind):
 @pytest.mark.parametrize(
     "kind", [k for k in OBSTRUCTIONS if k != "not_pseudoconvex"]
 )
-def test_construct_trace_names_obstruction(capsys, kind):
+def test_construct_trace_names_obstruction(capsys, monkeypatch, kind):
     """Plain-text output says what blocked the run, as --json does: the
     kind and stage, and for incompatible_system the j and monomial."""
-    argv, status = OBSTRUCTIONS[kind]
+    argv, status = obstruction_argv(monkeypatch, kind)
     code, out, _ = run(capsys, "construct", *argv)
     _, js, _ = run(capsys, "construct", *argv, "--json")
     ob = json.loads(js)["obstruction"]
@@ -559,14 +573,18 @@ def test_verify_real_rejects_collar_flag(capsys):
     assert err == "error: --collar is a complex-lane flag; --real checks the boundary only\n"
 
 
-@pytest.mark.parametrize("flag, value", [("--max-stages", "3"), ("--max-stages", "-5")])
+@pytest.mark.parametrize(
+    "flag, value", [("--max-stages", "3"), ("--max-stages", "-5"), ("--max-K-exp", "80")]
+)
 def test_construct_real_rejects_stage_flags(capsys, flag, value):
-    """The real lane runs no stages; the staged search's flag is refused,
-    not dropped, whatever its value."""
+    """The stage budget and the top rung are constants in both lanes: the
+    real lane, which runs no stages, refuses their retired flags as the
+    complex lane does (see `test_unread_flag_exit_64`), whatever the
+    value."""
     code, out, err = run(capsys, "construct", "--real", "--r", "y + x^2", flag, value)
     assert code == 64
     assert out == ""
-    assert err == f"error: {flag} is a complex-lane flag; --real runs no stages\n"
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("radius", ["1e150", "1e300"])
@@ -786,11 +804,11 @@ def test_normal_form_violation_exit_64(capsys):
     assert "error:" in err
 
 
-SEARCH_SETTINGS = [
-    ("max_k_exp", "--max-K-exp", "-1"),
-    ("max_k_exp", "--max-K-exp", "1023"),
+SAMPLES_PAST_CAP = str(verify.MAX_SAMPLES + 1)
+SAMPLING_SETTINGS = [
     ("samples", "--samples", "0"),
     ("samples", "--samples", "-5"),
+    ("samples", "--samples", SAMPLES_PAST_CAP),
     ("radius", "--radius", "0"),
     ("radius", "--radius", "-0.01"),
     ("radius", "--radius", "inf"),
@@ -798,8 +816,6 @@ SEARCH_SETTINGS = [
     ("seed", "--seed", "-1"),
 ]
 LANES = {"complex": ["--r", R10], "real": ["--r", "y + x^2", "--real"]}
-# settings only the complex lane's staged search reads
-STAGE_SETTINGS = [("max_stages", "--max-stages", "-1")]
 
 
 @pytest.mark.parametrize(
@@ -807,15 +823,12 @@ STAGE_SETTINGS = [("max_stages", "--max-stages", "-1")]
     [
         pytest.param(LANES[name], *case, id="-".join([name, *case]))
         for name in LANES
-        for case in SEARCH_SETTINGS
-    ]
-    + [
-        pytest.param(LANES["complex"], *case, id="-".join(["complex", *case]))
-        for case in STAGE_SETTINGS
+        for case in SAMPLING_SETTINGS
     ],
 )
 def test_invalid_config_exit_64(capsys, lane, field, flag, value):
-    """Settings no scan can certify from are usage errors in both lanes."""
+    """Settings no scan can certify from, or a shell past the sample cap,
+    are usage errors in both lanes."""
     code, out, err = run(capsys, "construct", *lane, flag, value)
     assert code == 64
     assert out == ""
@@ -830,6 +843,7 @@ def test_invalid_config_exit_64(capsys, lane, field, flag, value):
         ("radius", "--radius", "nan"),
         ("radius", "--radius", "inf"),
         ("samples", "--samples", "0"),
+        ("samples", "--samples", SAMPLES_PAST_CAP),
         ("seed", "--seed", "-1"),
     ],
 )
@@ -844,8 +858,8 @@ def test_invalid_config_exit_64(capsys, lane, field, flag, value):
     ids=["verify-complex", "verify-real", "analyze-complex", "analyze-real"],
 )
 def test_invalid_sampling_exit_64(capsys, argv, field, flag, value):
-    """verify and analyze sample a shell without a config; the same
-    settings are usage errors there."""
+    """verify and analyze read the same config; the same settings are
+    usage errors there."""
     code, out, err = run(capsys, *argv, flag, value)
     assert code == 64
     assert out == ""
@@ -869,12 +883,11 @@ def test_console_script_installed():
 # the flags each subcommand reads, beyond its own (--h, --csv-points, ...)
 EXPRESSION_FLAGS = ["--r", "--nz", "--real", "--json"]
 SAMPLING_FLAGS = EXPRESSION_FLAGS + ["--radius", "--samples", "--seed"]
-SEARCH_FLAGS = SAMPLING_FLAGS + ["--max-stages", "--max-K-exp"]
 FLAGS = {
     "levi": EXPRESSION_FLAGS,
     "analyze": SAMPLING_FLAGS,
     "verify": SAMPLING_FLAGS,
-    "construct": SEARCH_FLAGS,
+    "construct": SAMPLING_FLAGS,
 }
 COMMAND_ARGV = {
     "levi": ["levi", "--r", BALL],
@@ -885,45 +898,34 @@ COMMAND_ARGV = {
 
 
 def test_config_fields():
-    """The configs hold the sampling and search settings alone: the PSD
-    slack is `verify.TOL` and the degree cap is derived from the input."""
+    """One config type for both lanes, holding the sampling settings
+    alone: the PSD slack is `verify.TOL`, the degree cap is derived from
+    the input, and the stage budget and the top rung are `construct`'s
+    constants."""
     from dataclasses import fields
 
     from pshdef.construct import ConstructConfig
     from pshdef.realconvex import RealConfig
 
-    assert [f.name for f in fields(ConstructConfig)] == [
-        "radius",
-        "samples",
-        "seed",
-        "max_stages",
-        "max_k_exp",
-    ]
-    assert [f.name for f in fields(RealConfig)] == ["radius", "samples", "seed", "max_k_exp"]
+    assert [f.name for f in fields(ConstructConfig)] == ["radius", "samples", "seed"]
+    assert RealConfig is ConstructConfig
 
 
 def test_parser_defaults_are_the_config_defaults():
-    """Each subcommand's defaults are read from the config classes, not
-    restated, and each takes the settings of exactly its group.  --max-stages
-    alone defaults to None, so that the real lane can refuse it; the complex
-    lane's run then reads the config's value."""
+    """Each sampling subcommand's defaults are read from the config, not
+    restated, and each takes exactly its settings; levi takes none."""
     from dataclasses import fields
 
     from pshdef.cli import build_parser
     from pshdef.construct import ConstructConfig
-    from pshdef.realconvex import RealConfig
 
-    sampling = {"radius", "samples", "seed"}
-    search = {f.name for f in fields(ConstructConfig)}
-    assert sampling < {f.name for f in fields(RealConfig)} < search
+    sampling = {f.name for f in fields(ConstructConfig)}
     for command, argv in COMMAND_ARGV.items():
         args = vars(build_parser().parse_args(argv))
-        settings = {"levi": set(), "construct": search}.get(command, sampling)
-        assert settings == search & set(args), command
-        for config in (ConstructConfig(), RealConfig()):
-            for name in settings & {f.name for f in fields(config)} - {"max_stages"}:
-                assert args[name] == getattr(config, name), (command, name)
-    assert build_parser().parse_args(COMMAND_ARGV["construct"]).max_stages is None
+        settings = set() if command == "levi" else sampling
+        assert settings == sampling & set(args), command
+        for name in settings:
+            assert args[name] == getattr(ConstructConfig(), name), (command, name)
 
 
 def test_construct_config_is_the_default_config(capsys):
@@ -935,7 +937,8 @@ def test_construct_config_is_the_default_config(capsys):
 
 
 # (subcommand, a flag it does not read, a valid value for that flag); no
-# subcommand reads --tol or --degree-cap, which set retired knobs
+# subcommand reads --tol, --max-stages, --degree-cap or --max-K-exp, which
+# set retired knobs
 UNREAD_FLAGS = [
     (command, flag, value)
     for command in ("levi", "analyze", "verify", "construct")
@@ -985,6 +988,19 @@ def test_a7_is_obstructed_whatever_the_flags(capsys):
     assert (code, out[:25]) == (1, "fail: Levi min -8.101e-06")
 
 
+# sha256 of each golden as it was while the stage budget and the top rung
+# were settings
+BUDGET_LAYOUT_SHA256 = {
+    "analyze_ball2": "10ba833cc56df366c45d64540a9a1b579fd0db7a8534a5bbe400be7d912612dc",
+    "analyze_r10": "8d5de3e58e9a2e31c043845fd03ffb8e1e9fb5fb0795ad437983af1755acded7",
+    "analyze_r8": "ff8cb81d48a179f087d76db0ddf171a2d123ba0c59d829d5fbabf63d3ae4fd40",
+    "r10_report": "7eedd73b2cad5960238b0cfbed8920cc825a9abbde3ab969d7a2d1343abadbac",
+    "r8_report": "6c20e7a371a38e3530f11819718db6fda717dfe5c833bb7b7550c0b99846e1f4",
+    "verify_real_floor_fail": "aa63b010c842ce46ff44f242ac95d7ba6f8ca7079b28ddf9e674f71e88b86b99",
+    "verify_real_floor_only": "61b8c38485ef656b20435f2306bfe1b0a1984ef705496700ce60eb8181ef8ae8",
+    "verify_real_hessian_fail": "ec930f3202190e83cc9cb9b178d0276814cdf22c4181385a91156a8efc3e609a",
+    "verify_real_pass": "d9f59c82edd93b62d343e0c1b97319dd28bdbd03575e12208184ebd760c7bbfb",
+}
 # sha256 of each golden as it was while `tol` and `degree_cap` were settings
 RETIRED_LAYOUT_SHA256 = {
     "analyze_ball2": "e96ab96cedd7b46e151e51d7841c52faf7a83729b46ea54dd932fe5f4a23a51b",
@@ -1001,18 +1017,26 @@ RETIRED_LAYOUT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(RETIRED_LAYOUT_SHA256))
 def test_golden_lost_only_the_retired_settings(name):
-    """Each golden is its earlier text less `config.tol` and
-    `config.degree_cap`: put back where they stood, they give that text's
-    digest."""
+    """Each golden is its earlier texts less the retired settings: the
+    construct reports' `config.max_stages` and `config.max_k_exp`, and
+    before them every report's `config.tol` and the construct reports'
+    `config.degree_cap`.  Put back where they stood, they give those
+    texts' digests."""
     import hashlib
 
     from pshdef.report import dumps_report
 
+    def digest(report):
+        return hashlib.sha256(dumps_report(report).encode()).hexdigest()
+
     report = json.loads((GOLDEN / f"{name}.json").read_text())
-    staged = "max_stages" in report["config"]
+    staged = report["command"] == "construct"
+    if staged:
+        report["config"].update(max_stages=4, max_k_exp=20)
+    assert digest(report) == BUDGET_LAYOUT_SHA256[name]
     config = {}
     for key, value in report["config"].items():
-        if key == "max_k_exp" and staged:
+        if key == "max_k_exp":
             config["degree_cap"] = None
         config[key] = value
         if key == "seed" and not staged:
@@ -1020,8 +1044,7 @@ def test_golden_lost_only_the_retired_settings(name):
     if staged:
         config["tol"] = 1e-9
     report["config"] = config
-    digest = hashlib.sha256(dumps_report(report).encode()).hexdigest()
-    assert digest == RETIRED_LAYOUT_SHA256[name]
+    assert digest(report) == RETIRED_LAYOUT_SHA256[name]
 
 
 # (subcommand argv, the output flag); each run completes its work first

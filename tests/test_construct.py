@@ -49,8 +49,11 @@ from pshdef.realconvex import (
 from pshdef.cr import hessian_entries
 from pshdef.verify import (
     H_MIN,
+    MAX_SAMPLES,
+    TOL,
     PsdCheckResult,
     check_certificate,
+    gradient_stack,
     hessian_stack,
     hessian_values,
     psd_check,
@@ -226,6 +229,25 @@ def test_r7_raises(r7):
         assert scan.worst_point is not None
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="A = 8 - 10^-6 is not pseudoconvex, but its Levi form goes negative "
+    "only within about 1e-5 of 0 in Re w, and by far less than TOL, so no "
+    "sampled check sees it: the run certifies A = 8's multiplier "
+    "(T = -4 Im z + 8 Im(z)^2 - 8 Re(z)^2, K = 16, 2 stages)",
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_just_below_the_threshold_is_not_certified(seed):
+    """The family is pseudoconvex only for A >= 8: the boundary quadratic
+    part of the Levi form, (x - 4u)^2 + y^2 + (2A - 16) u^2 with
+    z = x + iy and u = Re w, is indefinite for A < 8.  An exact Sylvester
+    test of that form would refute the input."""
+    r = type4_domain(Fraction(7999999, 1000000))
+    rep = run_construction(r, ConstructConfig(seed=seed))
+    assert rep.status != "Certified"
+
+
 def test_halfspace_run(halfspace):
     rep = run_construction(halfspace)
     assert rep.status == "Certified"
@@ -307,7 +329,7 @@ RE_Z1_IM_Z2 = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Im(z2)*Re(w) - 10*Re(w
     ],
     ids=["Re(z1 z2)", "Re(z1) Im(z2)", "conflicting pair"],
 )
-def test_stage_system_rule(source, merged, failure):
+def test_stage_system_rule(monkeypatch, source, merged, failure):
     """The union of the increments must solve every z_j's stage equation.
 
     Re(z1 z2): both increments are -4 Im(z1 z2), which solves both
@@ -321,7 +343,8 @@ def test_stage_system_rule(source, merged, failure):
         rep, incs = None, [parse_wpoly(s, 2) for s in source]
     else:
         r = validate_normal_form(parse_wpoly(source, 2))
-        rep = run_construction(r, ConstructConfig(max_stages=1))
+        monkeypatch.setattr(construct, "MAX_STAGES", 1)
+        rep = run_construction(r)
         incs = [p.T_inc for p in rep.stages[0].parts]
     expected = None if merged is None else parse_wpoly(merged, 2)
     assert construct._merge_increments(incs) == (expected, failure)
@@ -823,15 +846,15 @@ def test_each_candidate_is_k_searched_once(monkeypatch, name, seed):
         assert rep.stages[0].k_search.as_dict() == fresh.as_dict()
 
 
-def test_k_ladder_high_top_rung(watch_k_ladder):
+def test_k_ladder_high_top_rung(monkeypatch, watch_k_ladder):
     """Rounding in the PSD scan grows with K (A=10 reads min_eig about
     -K 2^-55 at its worst point), so from 2^26 up the top rung fails the
     -tol test although K = 64 passes.  The search must still find 64."""
-    config = ConstructConfig(max_k_exp=40)
+    monkeypatch.setattr(construct, "MAX_K_EXP", 40)
     checked = watch_k_ladder(
         lambda base, g, max_k_exp, stats: check_against_linear(base, g, 30, stats)
     )
-    rep = run_construction(type4_domain(10), config)
+    rep = run_construction(type4_domain(10))
     assert checked
     assert rep.status == "Certified" and rep.final.K == 64
     ladder = rep.stages[0].k_search.ladder
@@ -1062,14 +1085,44 @@ def test_lift_exp_matches_reference_on_ladder_runs(name, watch_k_ladder):
 # -- the top rung ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [ConstructConfig, RealConfig], ids=["complex", "real"])
-def test_max_k_exp_is_bounded(make):
-    """A rung scales by 2^(e + 1), a finite double only for e <= 1022."""
-    assert MAX_K_EXP == 1022
-    assert make(max_k_exp=MAX_K_EXP).max_k_exp == MAX_K_EXP
-    for value in (MAX_K_EXP + 1, 1100):
-        with pytest.raises(ValueError, match=f"max_k_exp must be <= 1022, got {value}"):
-            make(max_k_exp=value)
+@pytest.mark.parametrize(
+    "make, grad2, unresolved",
+    [
+        (lambda: type4_domain(10), 0.25, 23),
+        (lambda: validate_real_normal_form(parse_rpoly("y + x^2")), 1.0, 21),
+    ],
+    ids=["complex", "real"],
+)
+def test_max_k_exp_is_bounded(make, grad2, unresolved):
+    """The top rung is fixed at 2^20, where the scan still resolves a
+    rung: its largest entry, about 2K |grad r(0)|^2, rounds by eps times
+    that, under half the slack TOL in each lane; from 2^unresolved on, the
+    rounding is about TOL itself (0.93 TOL)."""
+    r = make()
+    g = gradient_stack(r, np.zeros((1, r.poly.n)), np.zeros(1))
+    assert float(np.sum(np.abs(g) ** 2)) == grad2
+
+    def rounding(e):
+        return np.finfo(float).eps * 2 * 2**e * grad2
+
+    assert MAX_K_EXP == 20 and MAX_K_EXP < unresolved
+    assert rounding(unresolved - 1) < TOL / 2 < rounding(unresolved) < TOL
+
+
+def test_top_rung_refuses_what_the_slack_cannot_resolve():
+    """A = 8 + 10^-7 needs a K past the top rung: the run stops at
+    k_search_failed, and no rung it scans lies above 2^MAX_K_EXP."""
+    rep = run_construction(type4_domain(Fraction(80000001, 10000000)))
+    assert rep.status == "Exhausted"
+    assert rep.obstruction["kind"] == "k_search_failed"
+    rungs = [row["K"] for s in rep.stages if s.k_search for row in s.k_search.ladder]
+    assert rungs and max(rungs) <= 2**MAX_K_EXP
+
+
+def test_config_accepts_samples_up_to_the_cap():
+    assert ConstructConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES == 10**6
+    with pytest.raises(ValueError, match="^samples must be <= 1000000, got 1000001$"):
+        ConstructConfig(samples=MAX_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("make", [ConstructConfig, RealConfig], ids=["complex", "real"])
@@ -1082,8 +1135,9 @@ def test_negative_seed_is_rejected(make):
 
 def test_k_ladder_top_rung_at_max_k_exp():
     """g = 2^-500 along w and rung 0 reads -2^22.5 there, so lift_exp lies
-    between 1021 and 1022: the ladder scans the top rung K = 2^1022, whose
-    scale 2^1023 is a finite double, and the rung passes."""
+    between 1021 and 1022: with max_k_exp = 1022, the largest whose scale
+    2^(max_k_exp + 1) is a finite double, the ladder scans the top rung
+    K = 2^1022, and the rung passes."""
     m = 4
     g = np.zeros((m, 2), dtype=complex)
     g[:, 1] = 2.0**-500
@@ -1093,9 +1147,9 @@ def test_k_ladder_top_rung_at_max_k_exp():
     base = H1 - rank_one_term(g)
     stats = _psd_stats(m, 2)
     assert 1021 < lift_exp(H1, g, 1e-9) < 1022
-    ladder, K, st = k_ladder(base, g, MAX_K_EXP, stats)
+    ladder, K, st = k_ladder(base, g, 1022, stats)
     assert [row["K"] for row in ladder] == [1, 2**1022] and K == 2**1022 and st.passed
-    assert check_against_linear(base, g, MAX_K_EXP, stats) == 2
+    assert check_against_linear(base, g, 1022, stats) == 2
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rpoly
-from pshdef import verify
+from pshdef import construct, verify
 from pshdef.catalog import type4_domain
 from pshdef.construct import SHRINK, k_search
 from pshdef.cr import NormalFormError, levi_form
@@ -372,12 +372,13 @@ def test_multiplier_h_floor_stops_search():
     assert rep.convexity_precheck["passed"]
 
 
-def test_multiplier_ladder_failure_shrinks():
+def test_multiplier_ladder_failure_shrinks(monkeypatch):
     """A ladder that fails at every rung shrinks the radius once, and the
     witness names the worst point, as in the complex lane.  K = 128 passes,
-    so with the top rung at 16 rung 0 puts every passing K above the top:
-    the search stops at rung 0, whose scan is the witness."""
-    rep = convex_multiplier(rp("y + x^2 + 10*x*y"), RealConfig(max_k_exp=4))
+    so with the top rung lowered to 16 rung 0 puts every passing K above
+    the top: the search stops at rung 0, whose scan is the witness."""
+    monkeypatch.setattr(construct, "MAX_K_EXP", 4)
+    rep = convex_multiplier(rp("y + x^2 + 10*x*y"))
     assert rep.status == "Exhausted"
     ks = rep.k_search
     assert ks["shrunk"] and ks["radius"] == 1e-2 * SHRINK
