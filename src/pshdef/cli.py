@@ -217,8 +217,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    lane, r = _load(args)
     config = _config(args)
+    lane, r = _load(args)
     try:
         rep = lane.construct(r, config)
     except NotPseudoconvexError as e:

@@ -272,16 +272,7 @@ def real_form(p: WPoly) -> dict:
     # what each WPoly slot (z_k, zbar_k, w, wbar) becomes in x, y, u, v
     subs = [x[k] + x[nz + k].scale(s) for s in (I, -I) for k in range(nz)]
     subs += [x[2 * nz] + x[2 * nz + 1].scale(s) for s in (I, -I)]
-    powers = {}
-    acc = SparsePoly.zero(n)
-    for e, c in p.terms.items():
-        t = SparsePoly.const(n, c)
-        for i, k in enumerate(e):
-            if k:
-                if (i, k) not in powers:
-                    powers[i, k] = subs[i] ** k
-                t = t * powers[i, k]
-        acc = acc + t
+    acc = p.substitute(subs)
     out = {}
     for e, c in acc.terms.items():
         if c.im != 0:

@@ -2,10 +2,11 @@
 
 `SparsePoly` is a dict from flat exponent tuples to nonzero exact
 coefficients; zero coefficients are never stored.  It implements the whole
-ring once -- sums, products, powers, scaling, degrees, truncation, and the
-partial derivative and antiderivative in one exponent slot -- and orders
-terms by (total degree, exponents).  Its lanes differ only in the
-coefficient ring, the key layout and the variable names:
+ring once -- sums, products, powers, scaling, degrees, truncation, the
+partial derivative and antiderivative in one exponent slot, and the one
+change of variables, `substitute` -- and orders terms by (total degree,
+exponents).  Its lanes differ only in the coefficient ring, the key layout
+and the variable names:
 
 - `WPoly`, polynomials in z_1..z_m, conj(z_1)..conj(z_m), w, conj(w) with
   GaussianRational coefficients, keyed (a_1..a_m, b_1..b_m, c, d).  The
@@ -28,7 +29,8 @@ is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -197,10 +199,7 @@ class SparsePoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
+        return reduce(mul, [self] * k, self.one(self.n))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -259,6 +258,37 @@ class SparsePoly:
             k = e[i] + 1
             out[e[:i] + (k,) + e[i + 1 :]] = c / k
         return self._like(out)
+
+    # -- change of variables ---------------------------------------------
+
+    def substitute(self, images):
+        """This polynomial with exponent slot i replaced by `images[i]`.
+
+        The polynomial images share one lane and n, which may differ from
+        this polynomial's, and the result is in that lane; exact scalars
+        among them act as constants.  When every image is an exact scalar,
+        the result is a scalar: the exact value at that point.  Each term
+        is its coefficient times the powers of its slots' images in slot
+        order, and each power is built once per call by repeated products
+        (a scalar has no `**`).
+        """
+        if len(images) != self.width(self.n):
+            raise DimensionMismatch(
+                f"{len(images)} images for {self.width(self.n)} exponent slots"
+            )
+        g = next((g for g in images if isinstance(g, SparsePoly)), None)
+        one = self.ring(1) if g is None else g.one(g.n)
+        powers = {}
+        acc = one * 0
+        for e, c in self.terms.items():
+            t = one * c
+            for i, k in enumerate(e):
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = reduce(mul, [images[i]] * k, one)
+                    t = t * powers[i, k]
+            acc = acc + t
+        return acc
 
 
 class WPoly(SparsePoly):
@@ -388,13 +418,7 @@ class WPoly(SparsePoly):
             return complex(compiled(self).eval(Z, np.array([w], dtype=complex))[0])
         pt = [GaussianRational.of(v) for v in (*zs, w)]
         vals = pt[:-1] + [v.conjugate() for v in pt[:-1]] + [pt[-1], pt[-1].conjugate()]
-        acc = GaussianRational(0, 0)
-        for e, c in self.terms.items():
-            for v, k in zip(vals, e):
-                for _ in range(k):
-                    c = c * v
-            acc = acc + c
-        return acc
+        return self.substitute(vals)
 
 
 class RPoly(SparsePoly):

@@ -805,6 +805,7 @@ def test_normal_form_violation_exit_64(capsys):
 
 
 SAMPLES_PAST_CAP = str(verify.MAX_SAMPLES + 1)
+UNPARSED = "Im(w) + abs2("  # line 1, col 14: unexpected end of input
 SAMPLING_SETTINGS = [
     ("samples", "--samples", "0"),
     ("samples", "--samples", "-5"),
@@ -854,12 +855,24 @@ def test_invalid_config_exit_64(capsys, lane, field, flag, value):
         ["verify", "--real", "--r", "y + x^2", "--h", "1"],
         ["analyze", "--r", R10],
         ["analyze", "--real", "--r", "y + x^2"],
+        ["analyze", "--r", UNPARSED],
+        ["verify", "--r", UNPARSED, "--h", "1"],
+        ["construct", "--r", UNPARSED],
     ],
-    ids=["verify-complex", "verify-real", "analyze-complex", "analyze-real"],
+    ids=[
+        "verify-complex",
+        "verify-real",
+        "analyze-complex",
+        "analyze-real",
+        "analyze-unparsed",
+        "verify-unparsed",
+        "construct-unparsed",
+    ],
 )
 def test_invalid_sampling_exit_64(capsys, argv, field, flag, value):
     """verify and analyze read the same config; the same settings are
-    usage errors there."""
+    usage errors there.  Every command builds the config before it parses
+    `--r`, so a bad setting is the error reported beside a bad expression."""
     code, out, err = run(capsys, *argv, flag, value)
     assert code == 64
     assert out == ""

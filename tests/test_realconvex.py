@@ -117,6 +117,22 @@ def test_real_violations():
         validate_real_normal_form(Y + X)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y + x", "linear term in x_1"),
+        ("2*y + x^2", "coefficient of y is not 1"),
+        ("y + 1 + x^2", "nonzero constant term"),
+    ],
+)
+def test_real_violation_names_one_clause(text, message):
+    """A term of degree below 2 past `y` is a constant, a `y` or an `x_j`
+    term, so exactly one clause names it, as in the complex lane."""
+    with pytest.raises(NormalFormError) as e:
+        validate_real_normal_form(parse_rpoly(text, 1))
+    assert str(e.value) == message
+
+
 def test_projection_and_shell():
     r = validate_real_normal_form(Y + X * X)
     Yv, ok = project_to_boundary(r, np.array([[0.1]]))
