@@ -16,6 +16,13 @@ three ways, in order:
 Anything else is reported as Unknown with the collected data; callers
 treat Unknown conservatively.
 
+`classify` decides a list of numerator groups at once, each group as if
+alone: `split_S_E` hands it one group per monomial, and `dominance_check`
+is its one-group call.  The groups that reach a probe set are evaluated
+and scanned on it together, one row per group, and the escape scan reads
+the numerators only at the points of the curve tails (`_tails`, once per
+curve set) and on a winning curve's row.
+
 The probe points are fixed by the domain and a seed alone.  They meet a
 domain as two `verify.PointSet`s, each cached on the domain under its
 own key: the boundary shells at the radii 2^-e, e in DYADIC_EXPS, with
@@ -48,7 +55,7 @@ import numpy as np
 
 from .cr import DefiningFunction
 from .gaussrat import I
-from .numeval import compiled
+from .numeval import compiled, eval_many
 from .verify import (
     PointSet,
     boundary_points,
@@ -162,6 +169,23 @@ class ProbeCurves(PointSet):
         """Converged points with |(z, w)| <= radius."""
         keep = self.ok & (self._norms <= radius)
         return self.Z[keep], self.W[keep]
+
+    @functools.cached_property
+    def _tails(self):
+        """The escape test's cells, computed once per set: the curves with
+        at least ESCAPE_RUN converged points, the rows that hold the last
+        ESCAPE_RUN of them on any such curve (ascending, each once), and
+        per such curve its tail's positions among those rows, in t order,
+        as an (n_curves, ESCAPE_RUN) array."""
+        index = self.index
+        ok = self.ok[index]
+        # t decreases along a row, so a row's tail is its last ESCAPE_RUN
+        # converged entries: those with at most ESCAPE_RUN converged from the end
+        from_end = np.cumsum(ok[:, ::-1], axis=1)[:, ::-1]
+        curves = np.flatnonzero(from_end[:, 0] >= ESCAPE_RUN)
+        in_tail = ok[curves] & (from_end[curves] <= ESCAPE_RUN)
+        rows, cells = np.unique(index[curves][in_tail], return_inverse=True)
+        return curves, rows, cells.reshape(len(curves), ESCAPE_RUN)
 
 
 def _curve_points(curves, t, out):
@@ -361,14 +385,6 @@ def boundary_quadratic(B: WPoly, r: DefiningFunction):
 # -- ratio scans ----------------------------------------------------------
 
 
-def _num_sq(numerators, Z, W):
-    acc = None
-    for p in numerators:
-        v = np.abs(compiled(p).eval(Z, W)) ** 2
-        acc = v if acc is None else acc + v
-    return acc
-
-
 def _ratios(num_sq, bvals):
     den = np.where(bvals > 0, bvals, 0.0)
     zero_den = den == 0
@@ -388,61 +404,72 @@ def _direction(z_row, w) -> list:
     return [x / n for x in vec] if n > 0 else vec
 
 
-def _probe_values(numerators, B: WPoly, points: PointSet):
-    """|P|^2 summed over the numerators, and Re B, at a probe set's points:
-    one evaluation of each numerator, and B read from the set."""
-    return _num_sq(numerators, points.Z, points.W), points.values(B).real
+def _num_sq(groups, Z, W):
+    """Per numerator group, |P|^2 summed over its numerators in order, at
+    the points (Z, W), one row per group: every numerator of every group
+    is evaluated in one `eval_many` call."""
+    polys = [compiled(p) for nums in groups for p in nums]
+    sq = np.abs(eval_many(polys, Z, W)) ** 2
+    sums, lo = [], 0
+    for nums in groups:
+        sums.append(functools.reduce(np.add, sq[lo : lo + len(nums)]))
+        lo += len(nums)
+    return np.stack(sums)
 
 
-def _curve_escape(num, bvals, probe: ProbeCurves):
-    """Best escaping curve, or None.  num and bvals are `_probe_values` at
-    the curve points, read through the set's index.
+def _curve_escape(groups, B: WPoly, probe: ProbeCurves) -> list:
+    """Per numerator group, its best escaping curve, or None.
 
     Escape means: along the last ESCAPE_RUN converged dyadic parameters the
-    ratio is finite, strictly increasing, grows by >= ESCAPE_GROWTH overall,
-    and ends above ESCAPE_FLOOR.  The curve with the largest final ratio
-    wins; the first one on ties.
+    ratio |P|^2 / Re B is finite, strictly increasing, grows by >=
+    ESCAPE_GROWTH overall, and ends above ESCAPE_FLOOR.  The curve with
+    the largest final ratio wins; the first one on ties.  The numerators
+    are evaluated at the tails' points alone (`ProbeCurves._tails`), and
+    on a winning curve's whole row for its witness; B is read from the set.
     """
-    index = probe.index
-    ok = probe.ok[index]
-    ratio = _ratios(num, bvals)[index]
-    # t decreases along a row, so a row's tail is its last ESCAPE_RUN
-    # converged entries: those with at most ESCAPE_RUN converged from the end
-    from_end = np.cumsum(ok[:, ::-1], axis=1)[:, ::-1]
-    rows = np.flatnonzero(from_end[:, 0] >= ESCAPE_RUN)
-    in_tail = ok[rows] & (from_end[rows] <= ESCAPE_RUN)
-    tail = ratio[rows][in_tail].reshape(len(rows), ESCAPE_RUN)
+    curves, rows, cells = probe._tails
+    bvals = probe.values(B).real
+    num = _num_sq(groups, probe.Z[rows], probe.W[rows])
+    tail = _ratios(num[:, cells], bvals[rows][cells])  # (group, curve, ESCAPE_RUN)
     with np.errstate(invalid="ignore"):
         escapes = (
-            np.all(np.isfinite(tail), axis=1)
-            & np.all(np.diff(tail, axis=1) > 0, axis=1)
-            & (tail[:, -1] >= ESCAPE_FLOOR)
-            & (tail[:, -1] >= ESCAPE_GROWTH * tail[:, 0])
+            np.all(np.isfinite(tail), axis=2)
+            & np.all(np.diff(tail, axis=2) > 0, axis=2)
+            & (tail[..., -1] >= ESCAPE_FLOOR)
+            & (tail[..., -1] >= ESCAPE_GROWTH * tail[..., 0])
         )
-    if not escapes.any():
-        return None
-    final = np.where(escapes, tail[:, -1], -np.inf)
-    k = int(np.argmax(final))  # first index of the maximum
-    i = int(rows[k])
-    row_ok = ok[i]
-    last = int(index[i, np.flatnonzero(row_ok)[-1]])
-    return {
-        "curve": probe.curves[i].describe(),
-        "direction": _direction(probe.Z[last], probe.W[last]),
-        "point": point_report(probe.Z, probe.W, last),
-        "t": [float(x) for x in probe.t_values[row_ok]],
-        "ratios": [float(x) for x in ratio[i, row_ok]],
-        "final_ratio": float(final[k]),
-    }
+    final = np.where(escapes, tail[..., -1], -np.inf)
+    out = []
+    for nums, hit, final_g in zip(groups, escapes, final):
+        if not hit.any():
+            out.append(None)
+            continue
+        k = int(np.argmax(final_g))  # first index of the maximum
+        i = int(curves[k])
+        row_ok = probe.ok[probe.index[i]]
+        row = probe.index[i, row_ok]
+        last = int(row[-1])
+        ratios = _ratios(_num_sq([nums], probe.Z[row], probe.W[row])[0], bvals[row])
+        out.append(
+            {
+                "curve": probe.curves[i].describe(),
+                "direction": _direction(probe.Z[last], probe.W[last]),
+                "point": point_report(probe.Z, probe.W, last),
+                "t": [float(x) for x in probe.t_values[row_ok]],
+                "ratios": [float(x) for x in ratios],
+                "final_ratio": float(final_g[k]),
+            }
+        )
+    return out
 
 
-def _shell_ratios(numerators, B: WPoly, shells: ProbeShells) -> list:
-    """Per shell, the sup of the finite ratios |P|^2 / Re B (0.0 when none
-    is finite)."""
-    ratio = _ratios(*_probe_values(numerators, B, shells))
+def _shell_ratios(groups, B: WPoly, shells: ProbeShells) -> list:
+    """Per numerator group, per shell, the sup of the finite ratios
+    |P|^2 / Re B (0.0 when none is finite); B is read from the set."""
+    ratio = _ratios(_num_sq(groups, shells.Z, shells.W), shells.values(B).real)
     ratio[~np.isfinite(ratio)] = -np.inf
-    sups = np.maximum.reduceat(ratio, shells.cuts[:-1])
-    return [float(x) if x > -np.inf else 0.0 for x in sups]
+    sups = np.maximum.reduceat(ratio, shells.cuts[:-1], axis=1)
+    return [[float(x) if x > -np.inf else 0.0 for x in row] for row in sups]
 
 
 def _quadratic_pd(B: WPoly, r: DefiningFunction) -> bool:
@@ -465,6 +492,88 @@ def bound_poly_for(r: DefiningFunction, bound: Bound, j: int = 0) -> WPoly:
     return r.cached(("bound", bound, j), lambda: r.levi(j) + r.grad_z_sq())
 
 
+def classify(
+    groups,
+    bound: Bound,
+    r: DefiningFunction,
+    seed: int = 0,
+    j: int = 0,
+    bound_poly: WPoly | None = None,
+) -> list:
+    """Decide |P|^2 <= C * B near 0 on the boundary of {r < 0}, for each
+    numerator group P of `groups` (a list of WPolys, summed as squares on
+    the left); returns one verdict per group, in order.
+
+    The bound defaults to the tangential Levi form, optionally plus
+    |grad_z r|^2; pass bound_poly to override.  The probe points are
+    those of `seed`.  Past a zero numerator, each Dominated path (B
+    positive at 0, the Sylvester certificate, stable shell ratios) gives
+    C = twice the largest shell sup ratio.  B, B(0) and the Sylvester
+    verdict are read once for all groups, and the groups that reach a
+    probe set are scanned on it together, one row per group.
+    """
+    groups = [[p for p in nums if not p.is_zero()] for nums in groups]
+    B = bound_poly if bound_poly is not None else bound_poly_for(r, bound, j)
+    verdicts = [None] * len(groups)
+
+    def verdict(i, status, constant, reason, witness=None, sups=()):
+        verdicts[i] = DominanceVerdict(
+            status=status,
+            constant=constant,
+            reason=reason,
+            witness=witness,
+            shell_ratios=list(sups),
+            numerators=[canonical_str(p) for p in groups[i]],
+            bound=bound.value,
+        )
+
+    b0 = B.constant_term()
+    to_shells = {}  # group -> the reason of its Dominated path
+    vanishing = []
+    for i, nums in enumerate(groups):
+        if not nums:
+            verdict(i, "Dominated", 0.0, "numerator is identically zero")
+            continue
+        zero_at_0 = all(p.constant_term().is_zero() for p in nums)
+        if b0.re > 0 and b0.im == 0:
+            to_shells[i] = "bound positive at the origin"
+        elif zero_at_0 and b0.re >= 0:
+            vanishing.append(i)
+        else:
+            reason = (
+                "bound negative at the origin"
+                if zero_at_0
+                else "numerator nonvanishing where the bound vanishes"
+            )
+            origin = point_report(np.zeros((1, r.nz), complex), np.zeros(1, complex), 0)
+            verdict(i, "NotDominated", None, reason, {"point": origin})
+    if vanishing and b0.is_zero() and _quadratic_pd(B, r):
+        reason = "bound has positive definite boundary quadratic part"
+        to_shells.update(dict.fromkeys(vanishing, reason))
+    elif vanishing:
+        curves = probe_curves(r, seed)
+        escapes = _curve_escape([groups[i] for i in vanishing], B, curves)
+        for i, escape in zip(vanishing, escapes):
+            if escape is not None:
+                reason = "ratio escapes along a probe curve"
+                verdict(i, "NotDominated", None, reason, escape)
+            else:
+                to_shells[i] = STABLE
+
+    if to_shells:
+        shells = project_probes(r, seed)
+        all_sups = _shell_ratios([groups[i] for i in to_shells], B, shells)
+        for (i, reason), sups in zip(to_shells.items(), all_sups):
+            a, b, c = sups[-3:]
+            stable = b <= STABLE_FACTOR * a and c <= STABLE_FACTOR * b
+            if reason == STABLE and not stable:
+                reason = "no certificate, no escaping curve, shell ratios not stable"
+                verdict(i, "Unknown", None, reason, sups=sups)
+            else:
+                verdict(i, "Dominated", 2.0 * max(sups), reason, sups=sups)
+    return verdicts
+
+
 def dominance_check(
     numerators,
     bound: Bound,
@@ -473,62 +582,11 @@ def dominance_check(
     j: int = 0,
     bound_poly: WPoly | None = None,
 ) -> DominanceVerdict:
-    """Decide |P|^2 <= C * B near 0 on the boundary of {r < 0}.
-
-    `numerators` is one WPoly or a list (summed as squares on the left).
-    The bound defaults to the tangential Levi form, optionally plus
-    |grad_z r|^2; pass bound_poly to override.  The probe points are
-    those of `seed`.  Past a zero numerator, each Dominated path (B
-    positive at 0, the Sylvester certificate, stable shell ratios) gives
-    C = twice the largest shell sup ratio.
-    """
+    """`classify` of one numerator group: `numerators` is one WPoly or a
+    list."""
     if isinstance(numerators, WPoly):
         numerators = [numerators]
-    numerators = [p for p in numerators if not p.is_zero()]
-    B = bound_poly if bound_poly is not None else bound_poly_for(r, bound, j)
-
-    def verdict(status, constant, reason, witness=None, sups=()):
-        return DominanceVerdict(
-            status=status,
-            constant=constant,
-            reason=reason,
-            witness=witness,
-            shell_ratios=list(sups),
-            numerators=[canonical_str(p) for p in numerators],
-            bound=bound.value,
-        )
-
-    if not numerators:
-        return verdict("Dominated", 0.0, "numerator is identically zero")
-
-    b0 = B.constant_term()
-    vanishing = all(p.constant_term().is_zero() for p in numerators)
-    if b0.re > 0 and b0.im == 0:
-        reason = "bound positive at the origin"
-    elif not vanishing or b0.re < 0:
-        reason = (
-            "bound negative at the origin"
-            if vanishing
-            else "numerator nonvanishing where the bound vanishes"
-        )
-        origin = point_report(np.zeros((1, r.nz), complex), np.zeros(1, complex), 0)
-        return verdict("NotDominated", None, reason, {"point": origin})
-    elif b0.is_zero() and _quadratic_pd(B, r):  # every numerator vanishes at 0 here
-        reason = "bound has positive definite boundary quadratic part"
-    else:
-        curves = probe_curves(r, seed)
-        escape = _curve_escape(*_probe_values(numerators, B, curves), curves)
-        if escape is not None:
-            reason = "ratio escapes along a probe curve"
-            return verdict("NotDominated", None, reason, escape)
-        reason = STABLE
-
-    sups = _shell_ratios(numerators, B, project_probes(r, seed))
-    a, b, c = sups[-3:]
-    if reason == STABLE and not (b <= STABLE_FACTOR * a and c <= STABLE_FACTOR * b):
-        reason = "no certificate, no escaping curve, shell ratios not stable"
-        return verdict("Unknown", None, reason, sups=sups)
-    return verdict("Dominated", 2.0 * max(sups), reason, sups=sups)
+    return classify([numerators], bound, r, seed, j, bound_poly)[0]
 
 
 @dataclass
@@ -565,25 +623,22 @@ def split_S_E(
     seed: int = 0,
     j: int = 0,
 ) -> SplitResult:
-    """Classify each monomial of g; dominated terms go to E, the rest to S.
+    """Classify each monomial of g, all in one `classify` call; dominated
+    terms go to E, the rest to S.
 
     Unknown verdicts are treated as not dominated (kept in S) and flagged.
     """
-    S = WPoly.zero(g.nz)
-    E = WPoly.zero(g.nz)
-    terms = []
-    has_unknown = False
-    for m, c in g.sorted_terms():
-        mono = WPoly(g.nz, {m: c})
-        v = dominance_check(mono, bound, r, seed, j=j)
-        terms.append(TermClassification(canonical_str(mono), v))
-        if v.status == "Dominated":
-            E = E + mono
-        else:
-            S = S + mono
-            if v.status == "Unknown":
-                has_unknown = True
-    return SplitResult(S=S, E=E, terms=terms, has_unknown=has_unknown)
+    items = g.sorted_terms()
+    verdicts = classify([[WPoly(g.nz, {m: c})] for m, c in items], bound, r, seed, j)
+    S, E = {}, {}
+    for (m, c), v in zip(items, verdicts):
+        (E if v.status == "Dominated" else S)[m] = c
+    return SplitResult(
+        S=WPoly(g.nz, S),
+        E=WPoly(g.nz, E),
+        terms=[TermClassification(v.numerators[0], v) for v in verdicts],
+        has_unknown=any(v.status == "Unknown" for v in verdicts),
+    )
 
 
 def levi_dominance_gate(r: DefiningFunction, seed: int = 0) -> DominanceVerdict:

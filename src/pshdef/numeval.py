@@ -10,7 +10,9 @@ real lane).
 
 Callers evaluate whole point sets (the probe shells, or the probe curves)
 in one call rather than one call per piece; a large set goes
-through in blocks of points, so its power tables stay small.  A Newton
+through in blocks of points, so its power tables stay small.  Several
+polynomials on one set share each block's tables (`eval_many`, of which
+`CompiledPoly.eval` is the one-polynomial case).  A Newton
 solve moves only W, so `CompiledPoly.at(Z)` forms each term's coefficient
 times its Z factors once and each call then multiplies in the W factors
 alone: the same multiplies in the same order as `eval`, so the same
@@ -64,6 +66,32 @@ def _numeric(p, m, c):
         raise ValueError(f"the term {term} has a coefficient outside the double range")
 
 
+def eval_many(polys, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The compiled polynomials `polys`, all of one lane and n, at the
+    points (Z, W): row i holds polys[i]'s values.
+
+    Each block of points builds one power table per column, up to the
+    largest exponent any of them uses, and each term keeps its multiplies
+    and their order, so row i holds the floats of `polys[i].eval(Z, W)`.
+    """
+    Z = np.asarray(Z)
+    W = np.asarray(W)
+    dtype = np.result_type(W.dtype, *(p.coeffs.dtype for p in polys))
+    out = np.zeros((len(polys), W.shape[0]), dtype=dtype)
+    live = [(row, p) for row, p in zip(out, polys) if p.factors]
+    if not live:
+        return out
+    lane = live[0][1]
+    tops = [max(t) for t in zip(*(p.tops for _, p in live))]
+    for b in _blocks(len(W)):
+        tables = _tables([*lane.z_columns(Z[b]), *lane.w_columns(W[b])], tops)
+        for row, p in live:
+            part = row[b]
+            for c, f in zip(p.coeffs, p.factors):
+                part += _term(c, f, tables)  # a constant term adds c itself
+    return out
+
+
 class CompiledPoly:
     __slots__ = ("z_columns", "w_columns", "coeffs", "factors", "split", "tops")
 
@@ -82,25 +110,12 @@ class CompiledPoly:
         ]
         self.tops = [int(t) for t in exps.max(axis=0)] if len(items) else []
 
-    def _acc(self, W: np.ndarray) -> np.ndarray:
-        return np.zeros(W.shape[0], dtype=np.result_type(W.dtype, self.coeffs.dtype))
-
     def eval(self, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Z has shape (m, n), W shape (m,); returns (m,) values.
 
         Complex for a WPoly; float for an RPoly at real points.
         """
-        Z = np.asarray(Z)
-        W = np.asarray(W)
-        acc = self._acc(W)
-        if not self.factors:
-            return acc
-        for b in _blocks(len(W)):
-            tables = _tables([*self.z_columns(Z[b]), *self.w_columns(W[b])], self.tops)
-            part = acc[b]
-            for c, f in zip(self.coeffs, self.factors):
-                part += _term(c, f, tables)  # a constant term adds c itself
-        return acc
+        return eval_many([self], Z, W)[0]
 
     def at(self, Z: np.ndarray) -> "FixedZ":
         """This polynomial at the points Z, as a function of W alone."""
@@ -136,7 +151,7 @@ class FixedZ:
     def __call__(self, W: np.ndarray) -> np.ndarray:
         poly = self.poly
         W = np.asarray(W)
-        acc = poly._acc(W)
+        acc = np.zeros(W.shape[0], dtype=np.result_type(W.dtype, poly.coeffs.dtype))
         if not self.terms:
             return acc
         for b in _blocks(len(W)):

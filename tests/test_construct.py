@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BALL3_TILTED,
+    LEVI_MATRIX,
+    NZ2_QUARTIC,
     entry_planar,
     full_layout_k_search,
     linear_k_ladder,
@@ -443,7 +446,7 @@ def test_ladder_solves_few_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(verify, "psd_result", counting_stats)
     monkeypatch.setattr(verify, "least_eigenvalues", counting_least)
-    r = _complex("Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3)
+    r = _complex(BALL3_TILTED, 3)
     ks = k_search(r, WPoly.zero(3), None, curves=True)
     assert ks.found and ks.K == 16 and len(ks.ladder) == 2
     assert len(scanned) == 2 and min(scanned) > 24_000
@@ -657,7 +660,7 @@ def _real(text, nx):
     "lane, text, n",
     [
         ("complex", "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 10*Re(w)^2", 1),
-        ("complex", "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3),
+        ("complex", BALL3_TILTED, 3),
         ("real", "y + x^2", 1),
         ("real", "y + x y + x^2", 1),
     ],
@@ -695,10 +698,6 @@ def test_boundary_hessian_of_r_squared_is_rank_one(lane, text, n):
     if lane == "complex":
         assert np.abs(exact - rank_one_term(np.conj(g))).max() > 1e6 * bound
 
-
-NZ2_QUARTIC = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2"
-BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
-LEVI_MATRIX = "Im(w) + abs2(z1) + abs2(z2) + 3*Re(z1*zbar2)"
 
 # every catalog fixture, the nz >= 2 inputs beside them, and the real lane
 LADDER_RUNS = {

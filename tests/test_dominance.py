@@ -8,16 +8,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import loop_curve_escape, random_wpoly
+from conftest import (
+    BALL3_TILTED,
+    LEVI_MATRIX,
+    NZ2_QUARTIC,
+    loop_curve_escape,
+    random_wpoly,
+)
+from pshdef import construct
 from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
+from pshdef.construct import run_construction
 from pshdef.cr import validate_normal_form
 from pshdef.dominance import (
     ESCAPE_RUN,
+    STABLE,
     Bound,
     Curve,
     ProbeCurves,
     _curve_escape,
-    _probe_values,
     boundary_quadratic,
     bound_poly_for,
     default_probes,
@@ -30,7 +38,7 @@ from pshdef.dominance import (
 )
 from pshdef.exprparse import parse_wpoly
 from pshdef.gaussrat import GaussianRational
-from pshdef.wirtinger import WPoly, im_w, im_z, re_z, re_w, realify
+from pshdef.wirtinger import WPoly, canonical_str, im_w, im_z, re_z, re_w, realify
 
 
 def eval_real_form(rf: dict, point):
@@ -201,9 +209,33 @@ def test_split_S_E_partition(r8):
     # every E monomial individually carries a Dominated verdict
     dominated = {t.monomial for t in res.terms if t.verdict.status == "Dominated"}
     for m, c in res.E.terms.items():
-        from pshdef.wirtinger import canonical_str
-
         assert canonical_str(WPoly(g.nz, {m: c})) in dominated
+
+
+def test_a8_contraction_split_matches_one_group_calls(monkeypatch):
+    """A=8's stage-2 contraction split (16 terms: 2 escapes, 14 stable),
+    classified as one batch, gives each monomial the verdict a one-group
+    call gives it alone."""
+    r = type4_domain(8)
+    calls = []
+
+    def recording(g, domain, bound, seed=0, j=0):
+        calls.append((g, bound, seed, j))
+        return split_S_E(g, domain, bound, seed, j)
+
+    monkeypatch.setattr(construct, "split_S_E", recording)
+    run_construction(r)
+    ((g, bound, seed, j),) = [c for c in calls if len(c[0].terms) == 16]
+    res = split_S_E(g, r, bound, seed, j)
+    reasons = [t.verdict.reason for t in res.terms]
+    assert reasons.count("ratio escapes along a probe curve") == 2
+    assert reasons.count(STABLE) == 14
+    for (m, c), term in zip(g.sorted_terms(), res.terms):
+        mono = WPoly(g.nz, {m: c})
+        alone = dominance_check(mono, bound, r, seed, j=j)
+        assert term.monomial == canonical_str(mono)
+        # json keeps nan and inf comparable
+        assert json.dumps(term.verdict.as_dict()) == json.dumps(alone.as_dict())
 
 
 def full_expansion_quadratic(B, r):
@@ -305,34 +337,29 @@ PARITY_DOMAINS = {
     "ball1": lambda: ball_like(1),
     "ball2": lambda: ball_like(2),
     "ball3": lambda: ball_like(3),
-    "nz2_quartic": lambda: validate_normal_form(
-        parse_wpoly(
-            "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2", 2
-        )
-    ),
-    "ball3_tilted": lambda: validate_normal_form(
-        parse_wpoly(
-            "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2", 3
-        )
-    ),
-    "levi_matrix": lambda: validate_normal_form(
-        parse_wpoly("Im(w) + abs2(z1) + abs2(z2) + 3*Re(z1*zbar2)", 2)
-    ),
+    "nz2_quartic": lambda: validate_normal_form(parse_wpoly(NZ2_QUARTIC, 2)),
+    "ball3_tilted": lambda: validate_normal_form(parse_wpoly(BALL3_TILTED, 3)),
+    "levi_matrix": lambda: validate_normal_form(parse_wpoly(LEVI_MATRIX, 2)),
 }
 
 
-def assert_same_escape(numerators, B, proj):
-    """Vectorized scan and loop reference pick the same curve and witness.
-    Returns the witness, or None."""
-    i, expected = loop_curve_escape(numerators, B, proj)
-    got = _curve_escape(*_probe_values(numerators, B, proj), proj)
-    if i is None:
-        assert got is None
-        return None
-    assert got["curve"] == proj.curves[i].describe()
-    # json keeps nan and inf comparable and is what reports are made of
-    assert json.dumps(got) == json.dumps(expected)
-    return got
+def assert_same_escapes(numerator_sets, B, proj):
+    """The vectorized scan, of each numerator set alone and of all of them
+    as one batch, picks the loop reference's curve and witness for each
+    set.  Returns the witnesses (None where no curve escapes)."""
+    batch = _curve_escape(numerator_sets, B, proj)
+    assert len(batch) == len(numerator_sets)
+    for numerators, got in zip(numerator_sets, batch):
+        i, expected = loop_curve_escape(numerators, B, proj)
+        alone = _curve_escape([numerators], B, proj)[0]
+        if i is None:
+            assert alone is None and got is None
+            continue
+        assert alone["curve"] == proj.curves[i].describe()
+        # json keeps nan and inf comparable and is what reports are made of
+        assert json.dumps(alone) == json.dumps(expected)
+        assert json.dumps(got) == json.dumps(expected)
+    return batch
 
 
 @pytest.mark.parametrize("name", list(PARITY_DOMAINS))
@@ -354,13 +381,12 @@ def test_curve_escape_matches_loop(name):
         numerator_sets.append([g])
         numerator_sets += [[WPoly(nz, {m: c})] for m, c in g.terms.items()]
     numerator_sets = [
-        [p for p in nums if not p.is_zero()] for nums in numerator_sets
+        [p for p in nums if not p.is_zero()]
+        for nums in numerator_sets
+        if any(not p.is_zero() for p in nums)
     ]
     witnesses = [
-        assert_same_escape(nums, B, proj)
-        for nums in numerator_sets
-        if nums
-        for B in bounds
+        w for B in bounds for w in assert_same_escapes(numerator_sets, B, proj)
     ]
     if name in ("A=7", "A=8"):
         assert any(witnesses)  # the gradient escapes the Levi form
@@ -467,7 +493,12 @@ SYNTHETIC = {
 def test_curve_escape_matches_loop_synthetic(case):
     rows, ok = SYNTHETIC[case]
     proj = synthetic_probes(rows, ok)
-    witness = assert_same_escape([WPoly.var_z(1)], parse_wpoly("w*wbar", 1), proj)
+    z = WPoly.var_z(1)
+    # P = z reads the given ratios; 2z reads four times them, and (z, z)
+    # twice them, with the same inf, nan and holes
+    witness, *_ = assert_same_escapes(
+        [[z], [z.scale(2)], [z, z]], parse_wpoly("w*wbar", 1), proj
+    )
     expected_escape = case in (
         "plain",
         "hole skipped",

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import BALL3_TILTED, LEVI_MATRIX, NZ2_QUARTIC
 from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
 from pshdef.construct import ConstructConfig, NotPseudoconvexError, run_construction
 from pshdef.cr import validate_normal_form
@@ -25,9 +26,6 @@ from pshdef.gaussrat import GaussianRational
 from pshdef.verify import check_certificate, sample_boundary
 from pshdef.wirtinger import DimensionMismatch, RPoly, WPoly, im_w, im_z
 
-NZ2_QUARTIC = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2"
-BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
-LEVI_MATRIX = "Im(w) + abs2(z1) + abs2(z2) + 3*Re(z1*zbar2)"
 
 INPUTS = {
     **{

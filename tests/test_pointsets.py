@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_rpoly, random_wpoly
+from conftest import BALL3_TILTED, NZ2_QUARTIC, random_rpoly, random_wpoly
 from pshdef import dominance, numeval, verify
 from pshdef.catalog import ball_like, type4_domain
 from pshdef.construct import ConstructConfig, run_construction
@@ -22,9 +22,7 @@ from pshdef.numeval import compiled
 from pshdef.sampler import BallStream
 from pshdef.wirtinger import RPoly, WPoly
 
-BALL3_TILTED = "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2"
 TYPE4_A8 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - 8*Re(w)^2"
-NZ2_QUARTIC = "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2"
 
 
 def same(a, b) -> bool:
@@ -357,6 +355,31 @@ def test_blocks_leave_the_floats(monkeypatch):
     ]
     for (a, b), (c, d) in zip(whole, blocked):
         assert same(a, c) and same(b, d) and same(a, b)
+
+
+def test_batch_rows_equal_lone_evals(monkeypatch):
+    """Each row of `eval_many` is its polynomial's lone evaluation, byte
+    for byte: the batch's power tables reach its largest exponents, so a
+    polynomial of lower degree reads longer tables than alone, and zero
+    and constant polynomials sit beside the others."""
+    rng = random.Random(31)
+    points = np.random.default_rng(11)
+    monkeypatch.setattr(numeval, "EVAL_BLOCK", 8)  # 21 points: three blocks
+    cases = []
+    for nz in (1, 2):
+        polys = [random_wpoly(rng, nz=nz, max_deg=d) for d in (1, 3, 6)]
+        polys += [WPoly.zero(nz), WPoly.const(nz, 3)]
+        for dt in (np.complex128, np.clongdouble):
+            Z, Ws = complex_points(points, 21, nz, dt)
+            cases.append((polys, Z, Ws[0]))
+    polys = [random_rpoly(rng, nx=2, max_deg=d) for d in (2, 5)] + [RPoly.zero(2)]
+    X, Ys = real_points(points, 21, 2, None)
+    cases.append((polys, X, Ys[0]))
+    for polys, Z, W in cases:
+        rows = numeval.eval_many([compiled(p) for p in polys], Z, W)
+        assert len(rows) == len(polys)
+        for p, row in zip(polys, rows):
+            assert same(row, compiled(p).eval(Z, W))
 
 
 # -- no reference cycles ---------------------------------------------------

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from conftest import entry_planar, linear_k_ladder, rank_one_term
+from conftest import (
+    BALL3_TILTED,
+    NZ2_QUARTIC,
+    entry_planar,
+    linear_k_ladder,
+    rank_one_term,
+)
 from pshdef import dominance, numeval, verify
 from pshdef.catalog import ball_like, half_space, mixed_c3_example, type4_domain
 from pshdef.cli import main
@@ -51,16 +57,8 @@ TYPE4 = "Im(w) + abs2(z)^2 + 100*abs2(z)^3 + 4*Re(z)*Re(w) - {A}*Re(w)^2"
 CERTIFICATES = {
     "A=8": (TYPE4.format(A=8), "1 - 4*Im(z) + 8*Im(z)^2 - 8*Re(z)^2", 16),
     "A=10": (TYPE4.format(A=10), "1 - 4*Im(z)", 64),
-    "nz2_quartic": (
-        "Im(w) + abs2(z1)^2 + abs2(z2)^2 + 4*Re(z1)*Re(w) - 10*Re(w)^2",
-        "1 - 4*Im(z1)",
-        64,
-    ),
-    "ball3_tilted": (
-        "Im(w) + abs2(z1) + abs2(z2) + abs2(z3) + 4*Re(z1)*Re(w) - 10*Re(w)^2",
-        "1",
-        16,
-    ),
+    "nz2_quartic": (NZ2_QUARTIC, "1 - 4*Im(z1)", 64),
+    "ball3_tilted": (BALL3_TILTED, "1", 16),
 }
 
 
